@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lhws_bench::fib;
-use lhws_core::{fork2, Config, LatencyMode, Runtime};
+use lhws_core::{fork2, LatencyMode, Runtime};
 
 fn pfib(n: u64) -> std::pin::Pin<Box<dyn std::future::Future<Output = u64> + Send>> {
     Box::pin(async move {
@@ -33,7 +33,7 @@ fn bench_fib(c: &mut Criterion) {
         ("ws_block", LatencyMode::Block),
     ] {
         g.bench_function(name, |b| {
-            let rt = Runtime::new(Config::default().workers(p).mode(mode)).unwrap();
+            let rt = Runtime::builder().workers(p).mode(mode).build().unwrap();
             b.iter(|| assert_eq!(rt.block_on(pfib(N)), expect));
         });
     }

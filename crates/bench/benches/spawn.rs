@@ -1,14 +1,14 @@
 //! Task spawn/join overhead of the runtime.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use lhws_core::{spawn, Config, Runtime};
+use lhws_core::{spawn, Runtime};
 
 fn bench_spawn_join(c: &mut Criterion) {
     let mut g = c.benchmark_group("spawn_join");
     g.sample_size(20);
     for p in [1usize, 4] {
         g.bench_function(format!("chain_1000_p{p}"), |b| {
-            let rt = Runtime::new(Config::default().workers(p)).unwrap();
+            let rt = Runtime::builder().workers(p).build().unwrap();
             b.iter(|| {
                 rt.block_on(async {
                     let mut acc = 0u64;
@@ -20,7 +20,7 @@ fn bench_spawn_join(c: &mut Criterion) {
             });
         });
         g.bench_function(format!("fanout_1000_p{p}"), |b| {
-            let rt = Runtime::new(Config::default().workers(p)).unwrap();
+            let rt = Runtime::builder().workers(p).build().unwrap();
             b.iter(|| {
                 rt.block_on(async {
                     let hs: Vec<_> = (0..1000u64).map(|i| spawn(async move { i })).collect();
@@ -37,7 +37,7 @@ fn bench_spawn_join(c: &mut Criterion) {
 }
 
 fn bench_block_on(c: &mut Criterion) {
-    let rt = Runtime::new(Config::default().workers(2)).unwrap();
+    let rt = Runtime::builder().workers(2).build().unwrap();
     c.bench_function("block_on_trivial", |b| {
         b.iter(|| rt.block_on(async { 1u32 }));
     });

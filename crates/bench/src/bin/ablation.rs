@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run -p lhws-bench --release --bin ablation -- \
-//!     [steal-policy|resume|recycle|variants|deque|all]
+//!     [steal-policy|resume|recycle|variants|all]
 //! ```
 //!
 //! * `steal-policy` — random-deque (analyzed) vs. worker-then-deque (the
@@ -13,14 +13,12 @@
 //!   Spoonhower-thesis multi-deque variants its related-work section
 //!   contrasts (whole-deque parking; new-deque-per-resume), with
 //!   Spoonhower's deviation metric.
-//! * `deque` — Chase–Lev vs. mutex deque on the real runtime.
+//!
+//! All four run in the simulator, the cheap place to keep paper ablations;
+//! the real runtime carries one arm of each (EXPERIMENTS.md "Retired arms").
 
-use std::time::{Duration, Instant};
-
-use lhws_bench::{fib, Args};
-use lhws_core::{fork2, Config, LatencyMode, Runtime};
+use lhws_bench::Args;
 use lhws_dag::gen::{map_reduce, scatter_gather, server};
-use lhws_deque::DequeKind;
 use lhws_sim::{LhwsSim, ResumeBatching, SimConfig, StealPolicy, SuspendPolicy};
 
 fn steal_policy(seed: u64) {
@@ -137,74 +135,6 @@ fn variants(seed: u64) {
     }
 }
 
-fn pfib(n: u64) -> std::pin::Pin<Box<dyn std::future::Future<Output = u64> + Send>> {
-    Box::pin(async move {
-        if n < 16 {
-            fib(n)
-        } else {
-            let (a, b) = fork2(pfib(n - 1), pfib(n - 2)).await;
-            a + b
-        }
-    })
-}
-
-fn deque_impl() {
-    println!("\n## deque implementation: Chase-Lev vs mutex (real runtime, best of 3)");
-    println!("{:>10}  {:>8}  {:>12}", "kind", "P", "fib(28) ms");
-    let p = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-    for (kname, kind) in [
-        ("chase-lev", DequeKind::ChaseLev),
-        ("mutex", DequeKind::Mutex),
-    ] {
-        let mut best = u128::MAX;
-        for _ in 0..3 {
-            let rt = Runtime::new(
-                Config::default()
-                    .workers(p)
-                    .deque_kind(kind)
-                    .mode(LatencyMode::Hide),
-            )
-            .unwrap();
-            let start = Instant::now();
-            let v = rt.block_on(pfib(28));
-            assert_eq!(v, fib(28));
-            best = best.min(start.elapsed().as_micros());
-        }
-        println!("{:>10}  {:>8}  {:>12}", kname, p, best / 1000);
-    }
-
-    println!("\n{:>10}  {:>8}  {:>16}", "kind", "P", "latency mix ms");
-    for (kname, kind) in [
-        ("chase-lev", DequeKind::ChaseLev),
-        ("mutex", DequeKind::Mutex),
-    ] {
-        let mut best = u128::MAX;
-        for _ in 0..3 {
-            let rt = Runtime::new(Config::default().workers(p).deque_kind(kind)).unwrap();
-            let start = Instant::now();
-            rt.block_on(async {
-                let hs: Vec<_> = (0..512)
-                    .map(|_| {
-                        lhws_core::spawn(async {
-                            lhws_core::simulate_latency(Duration::from_millis(2)).await;
-                            fib(18)
-                        })
-                    })
-                    .collect();
-                let mut acc = 0u64;
-                for h in hs {
-                    acc = acc.wrapping_add(h.await);
-                }
-                acc
-            });
-            best = best.min(start.elapsed().as_micros());
-        }
-        println!("{:>10}  {:>8}  {:>16}", kname, p, best / 1000);
-    }
-}
-
 fn main() {
     let args = Args::parse();
     let which = args
@@ -220,14 +150,12 @@ fn main() {
         "steal-policy" => steal_policy(seed),
         "resume" => resume(seed),
         "recycle" => recycle(seed),
-        "deque" => deque_impl(),
         "variants" => variants(seed),
         _ => {
             steal_policy(seed);
             resume(seed);
             recycle(seed);
             variants(seed);
-            deque_impl();
         }
     }
     println!("\n# done");

@@ -58,7 +58,7 @@ const DIGEST_VISITS: u64 = 100_000;
 /// while every worker still owns live deques full of work to rescue.
 const KILL_AT_ITERATION: u64 = 40;
 
-fn chaos_rt(seed: u64, workers: usize, adaptive: bool, respawn_budget: Option<u64>) -> Runtime {
+fn chaos_rt(seed: u64, workers: usize, affinity: bool, respawn_budget: Option<u64>) -> Runtime {
     let mut plan = FaultPlan::chaos(seed);
     if respawn_budget.is_some() {
         plan = plan.worker_panic_after(KILL_AT_ITERATION);
@@ -70,11 +70,11 @@ fn chaos_rt(seed: u64, workers: usize, adaptive: bool, respawn_budget: Option<u6
     if let Some(budget) = respawn_budget {
         b = b.worker_respawn_budget(budget);
     }
-    if adaptive {
-        // The adaptive round: steal-half batching plus the affinity
+    if affinity {
+        // The affinity round: steal-half batching plus the affinity
         // cache, so the chaos preset's `AffinityStale` site actually
         // gets visited (it only rolls when a victim is cached).
-        b = b.steal_policy(StealPolicy::Adaptive).steal_batch_limit(8);
+        b = b.steal_policy(StealPolicy::Affinity).steal_batch_limit(8);
     }
     b.build().expect("chaos plan is valid")
 }
@@ -337,13 +337,13 @@ fn main() -> ExitCode {
     }
 
     let mut failures = 0u32;
-    // The final round swaps the default scheduler for Adaptive with
+    // The final round swaps the default scheduler for Affinity with
     // steal-half batching: same fault plan, same invariants, but the
     // steal path now exercises batch claims, the affinity cache, and
     // the `AffinityStale` poison site.
     for round in 0..=rounds {
-        let adaptive = round == rounds;
-        let rt = chaos_rt(seed, workers, adaptive, kill.then_some(respawn_budget));
+        let affinity = round == rounds;
+        let rt = chaos_rt(seed, workers, affinity, kill.then_some(respawn_budget));
         let rig = live_audit.then(|| LiveAuditRig::start(&rt, round));
         let results = [
             ("scatter", scatter(&rt, n)),
@@ -448,7 +448,7 @@ fn main() -> ExitCode {
         }
         println!(
             "round {round}{}: faults_injected={} suspensions={} batch_tasks={}{} audit={}{}",
-            if adaptive { " (adaptive)" } else { "" },
+            if affinity { " (affinity)" } else { "" },
             report.faults_injected,
             report.metrics.suspensions,
             report.metrics.steal_batch_tasks,

@@ -65,7 +65,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use lhws::{
-    fork2, join_all, simulate_latency, spawn, Config, LatencyMode, LineReader, Reactor, Runtime,
+    fork2, join_all, simulate_latency, spawn, LatencyMode, LineReader, Reactor, Runtime,
     TcpListener, TcpStream,
 };
 use lhws_bench::Args;
@@ -128,7 +128,11 @@ fn start_server(
     std::thread::JoinHandle<(Runtime, u64)>,
     std::net::SocketAddr,
 ) {
-    let rt = Runtime::new(Config::default().workers(p.server_workers).mode(mode)).unwrap();
+    let rt = Runtime::builder()
+        .workers(p.server_workers)
+        .mode(mode)
+        .build()
+        .unwrap();
     let reactor = Reactor::builder(&rt)
         .shards(p.server_shards)
         .build()
@@ -173,12 +177,11 @@ fn start_capped_server(
     std::thread::JoinHandle<(Runtime, u64, u64)>,
     std::net::SocketAddr,
 ) {
-    let rt = Runtime::new(
-        Config::default()
-            .workers(p.server_workers)
-            .mode(LatencyMode::Hide),
-    )
-    .unwrap();
+    let rt = Runtime::builder()
+        .workers(p.server_workers)
+        .mode(LatencyMode::Hide)
+        .build()
+        .unwrap();
     let reactor = Reactor::builder(&rt).build().unwrap();
     let listener = TcpListener::bind(&reactor, "127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
@@ -326,12 +329,11 @@ async fn drive_admit_conn(
 /// zero think time. Returns the usual stats over *served* requests plus
 /// how many connections the client saw shed.
 fn drive_admit(addr: std::net::SocketAddr, p: Params) -> (RunStats, u64) {
-    let rt = Runtime::new(
-        Config::default()
-            .workers(p.client_workers)
-            .mode(LatencyMode::Hide),
-    )
-    .unwrap();
+    let rt = Runtime::builder()
+        .workers(p.client_workers)
+        .mode(LatencyMode::Hide)
+        .build()
+        .unwrap();
     let reactor = Reactor::builder(&rt).build().unwrap();
     let budget = Arc::new(AtomicU64::new(p.requests));
     let fib_n = p.fib_n;
@@ -398,12 +400,11 @@ fn percentile_us(sorted: &[u64], q: f64) -> f64 {
 /// Drives `p.conns` closed-loop connections at `addr` from a fresh
 /// latency-hiding client runtime and aggregates exact latency stats.
 fn drive(addr: std::net::SocketAddr, p: Params) -> RunStats {
-    let rt = Runtime::new(
-        Config::default()
-            .workers(p.client_workers)
-            .mode(LatencyMode::Hide),
-    )
-    .unwrap();
+    let rt = Runtime::builder()
+        .workers(p.client_workers)
+        .mode(LatencyMode::Hide)
+        .build()
+        .unwrap();
     let reactor = Reactor::builder(&rt).build().unwrap();
     let budget = Arc::new(AtomicU64::new(p.requests));
     let think = p.think;
@@ -476,12 +477,11 @@ fn json_run(s: &RunStats) -> String {
 /// `listening on <addr>` for the parent to grep, serves every
 /// connection to completion, and exits nonzero on an unclean shutdown.
 fn run_c1m_server(p: Params) -> ExitCode {
-    let rt = Runtime::new(
-        Config::default()
-            .workers(p.server_workers)
-            .mode(LatencyMode::Hide),
-    )
-    .unwrap();
+    let rt = Runtime::builder()
+        .workers(p.server_workers)
+        .mode(LatencyMode::Hide)
+        .build()
+        .unwrap();
     let reactor = Reactor::builder(&rt)
         .shards(p.server_shards)
         .build()

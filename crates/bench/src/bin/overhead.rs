@@ -17,7 +17,7 @@
 use std::time::Instant;
 
 use lhws_bench::{fib, fmt_x100, host_sweep, Args};
-use lhws_core::{fork2, Config, LatencyMode, Runtime};
+use lhws_core::{fork2, LatencyMode, Runtime};
 use lhws_dag::gen;
 use lhws_sim::speedup::{run_lhws, run_ws};
 
@@ -74,7 +74,7 @@ fn main() {
             .enumerate()
         {
             for _ in 0..reps {
-                let rt = Runtime::new(Config::default().workers(p).mode(mode)).unwrap();
+                let rt = Runtime::builder().workers(p).mode(mode).build().unwrap();
                 let start = Instant::now();
                 let got = rt.block_on(pfib(fib_n));
                 assert_eq!(got, expect);

@@ -5,15 +5,9 @@
 //! helpers here provide the map-reduce workload used by Figure 11, simple
 //! flag parsing (no CLI dependency), and plain-text table output.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use lhws_core::{
-    join_all, par_map_reduce, simulate_latency, Config, LatencyMode, Runtime, TimerKind,
-};
-use lhws_deque::{DequeKind, Registry, Steal, WorkerHandle};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use lhws_core::{join_all, par_map_reduce, simulate_latency, LatencyMode, Runtime};
 
 /// Sequential naive Fibonacci — the paper's per-leaf computation
 /// (`fib(30)` in the original evaluation).
@@ -45,7 +39,11 @@ pub const MODULUS: u64 = 1_000_000_007;
 /// Runs the Figure 11 benchmark once on a fresh runtime and returns the
 /// wall-clock time and the checksum.
 pub fn run_fig11(params: Fig11Params, workers: usize, mode: LatencyMode) -> (Duration, u64) {
-    let rt = Runtime::new(Config::default().workers(workers).mode(mode)).unwrap();
+    let rt = Runtime::builder()
+        .workers(workers)
+        .mode(mode)
+        .build()
+        .unwrap();
     let delta = params.delta;
     let fib_n = params.fib_n;
     let start = Instant::now();
@@ -147,45 +145,6 @@ pub fn host_sweep() -> Vec<usize> {
     ps
 }
 
-// ---------------------------------------------------------------------
-// Resume-path benchmark (suspension-register/resume throughput).
-// ---------------------------------------------------------------------
-
-/// One measured configuration of the resume-path benchmark: `suspensions`
-/// register+resume round-trips through the given timer at `workers`
-/// workers, taking `elapsed` of wall clock in total.
-#[derive(Debug, Clone)]
-pub struct ResumeMeasurement {
-    /// Timer ablation point (`"wheel"` or `"heap"`).
-    pub timer: &'static str,
-    /// Worker-thread count.
-    pub workers: usize,
-    /// Total register+resume pairs driven through the timer.
-    pub suspensions: u64,
-    /// Total wall-clock time.
-    pub elapsed: Duration,
-}
-
-impl ResumeMeasurement {
-    /// Register+resume pairs per second.
-    pub fn throughput(&self) -> f64 {
-        self.suspensions as f64 / self.elapsed.as_secs_f64().max(1e-9)
-    }
-}
-
-/// Display name of a [`TimerKind`] in benchmark output.
-pub fn timer_name(kind: TimerKind) -> &'static str {
-    match kind {
-        TimerKind::Wheel => "wheel",
-        TimerKind::Heap => "heap",
-    }
-}
-
-/// Builds a runtime configured for resume-path measurements.
-pub fn resume_rt(kind: TimerKind, workers: usize) -> Runtime {
-    Runtime::new(Config::default().workers(workers).timer_kind(kind).seed(7)).unwrap()
-}
-
 /// Drives one wave of `tasks` suspensions, each expiring `horizon` after
 /// its first poll: every task registers with the timer, deadlines land
 /// densely across the spawn window, and the wave completes when every
@@ -204,553 +163,6 @@ pub fn resume_wave(rt: &Runtime, tasks: u64, horizon: Duration) {
             .collect();
         join_all(hs).await;
     });
-}
-
-/// Measures `rounds` waves of `tasks` suspensions on a fresh runtime and
-/// returns the aggregate measurement. Panics if the runtime's metrics
-/// disagree with the requested suspension count (a lost or duplicated
-/// resume would corrupt the benchmark silently otherwise).
-pub fn measure_resume(
-    kind: TimerKind,
-    workers: usize,
-    tasks: u64,
-    rounds: u64,
-    horizon: Duration,
-) -> ResumeMeasurement {
-    let rt = resume_rt(kind, workers);
-    resume_wave(&rt, tasks.min(512), horizon); // warm up workers and timer
-    let before = rt.metrics();
-    let t = Instant::now();
-    for _ in 0..rounds {
-        resume_wave(&rt, tasks, horizon);
-    }
-    let elapsed = t.elapsed();
-    let d = rt.metrics().since(&before);
-    assert_eq!(d.suspensions, tasks * rounds, "every task registered once");
-    assert_eq!(d.resumes, tasks * rounds, "every registration resumed once");
-    ResumeMeasurement {
-        timer: timer_name(kind),
-        workers,
-        suspensions: tasks * rounds,
-        elapsed,
-    }
-}
-
-/// Writes resume-path measurements as JSON (hand-rolled — the workspace
-/// builds offline, without serde). Includes the wheel/heap throughput
-/// ratio per worker count, which is the headline number: the wheel must
-/// be ≥2x at P≥8.
-pub fn write_bench_resume_json(
-    path: &std::path::Path,
-    mode: &str,
-    measurements: &[ResumeMeasurement],
-) -> std::io::Result<()> {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"resume_path\",\n");
-    out.push_str(&format!("  \"mode\": \"{mode}\",\n"));
-    out.push_str(&format!(
-        "  \"host_parallelism\": {},\n",
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(0)
-    ));
-    out.push_str("  \"measurements\": [\n");
-    for (i, m) in measurements.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"timer\": \"{}\", \"workers\": {}, \"suspensions\": {}, \
-             \"elapsed_ns\": {}, \"throughput_per_sec\": {:.1}}}{}\n",
-            m.timer,
-            m.workers,
-            m.suspensions,
-            m.elapsed.as_nanos(),
-            m.throughput(),
-            if i + 1 < measurements.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"speedup_wheel_over_heap\": [\n");
-    let mut pairs: Vec<(usize, f64)> = Vec::new();
-    for w in measurements.iter().filter(|m| m.timer == "wheel") {
-        if let Some(h) = measurements
-            .iter()
-            .find(|m| m.timer == "heap" && m.workers == w.workers)
-        {
-            pairs.push((w.workers, w.throughput() / h.throughput().max(1e-9)));
-        }
-    }
-    for (i, (p, x)) in pairs.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"workers\": {p}, \"speedup\": {x:.2}}}{}\n",
-            if i + 1 < pairs.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n");
-    out.push_str("}\n");
-    std::fs::write(path, out)
-}
-
-/// One measured configuration of the steal-path benchmark: `thieves`
-/// threads each draw victims from a registry in which `dead_pct`% of the
-/// allocated slots are dead (released and drained), using either the
-/// live-set index (`sampling == "live"`) or the paper's allocated-prefix
-/// slot array (`sampling == "slots"`).
-#[derive(Debug, Clone)]
-pub struct StealMeasurement {
-    /// Victim sampling strategy: `"live"` (live-set index) or `"slots"`
-    /// (uniform over the allocated slot prefix, dead slots included).
-    pub sampling: &'static str,
-    /// Thief-thread count.
-    pub thieves: usize,
-    /// Percentage of allocated slots that are dead.
-    pub dead_pct: u32,
-    /// Total victim draws across all thieves.
-    pub attempts: u64,
-    /// Draws that stole an item.
-    pub hits: u64,
-    /// Total wall-clock time.
-    pub elapsed: Duration,
-}
-
-impl StealMeasurement {
-    /// Successful steals per second — the benchmark's headline number.
-    pub fn steal_throughput(&self) -> f64 {
-        self.hits as f64 / self.elapsed.as_secs_f64().max(1e-9)
-    }
-
-    /// Fraction of draws that found work.
-    pub fn hit_rate(&self) -> f64 {
-        self.hits as f64 / (self.attempts as f64).max(1.0)
-    }
-}
-
-/// Shard count for the steal-benchmark registry — stands in for the
-/// worker count of a medium-sized runtime.
-const STEAL_SHARDS: usize = 8;
-
-/// Builds a registry with `deques` allocated slots of which `dead_pct`%
-/// are dead — released and empty, exactly what a thief finds after a
-/// suspension burst freed them — and the rest live with `items_per_live`
-/// stealable items each. The dead slots are spread evenly through the
-/// allocated prefix (Bresenham), so baseline draws hit them uniformly.
-/// The worker handles are returned too: dropping one would sever its
-/// stealer.
-pub fn steal_registry(
-    deques: usize,
-    dead_pct: u32,
-    items_per_live: usize,
-) -> (Arc<Registry<u64>>, Vec<WorkerHandle<u64>>) {
-    let reg = Registry::with_capacity_and_shards(deques, STEAL_SHARDS);
-    let mut handles = Vec::with_capacity(deques);
-    let mut ids = Vec::with_capacity(deques);
-    for i in 0..deques {
-        let (w, s) = WorkerHandle::new(DequeKind::ChaseLev);
-        ids.push(reg.register(i % STEAL_SHARDS, s).expect("sized to fit"));
-        handles.push(w);
-    }
-    let d = dead_pct as usize;
-    for (i, (w, &id)) in handles.iter().zip(&ids).enumerate() {
-        if (i + 1) * d / 100 > i * d / 100 {
-            reg.release(id);
-        } else {
-            for item in 0..items_per_live {
-                w.push_bottom(item as u64);
-            }
-        }
-    }
-    (Arc::new(reg), handles)
-}
-
-/// Runs `thieves` threads, each making `attempts_per_thief` victim draws
-/// against an 8192-slot registry, and counts successful steals. Live
-/// deques are preloaded with more items than the run can take, so they
-/// never run dry mid-measurement: every miss is a sampling miss (dead
-/// slot or lost race), not an exhausted victim.
-pub fn measure_steal(
-    sampling_live: bool,
-    thieves: usize,
-    dead_pct: u32,
-    attempts_per_thief: u64,
-) -> StealMeasurement {
-    const DEQUES: usize = 8192;
-    let attempts = attempts_per_thief * thieves as u64;
-    let live = DEQUES - DEQUES * dead_pct as usize / 100;
-    let items_per_live = attempts as usize / live.max(1) + 64;
-    let (reg, handles) = steal_registry(DEQUES, dead_pct, items_per_live);
-
-    let t = Instant::now();
-    let hits: u64 = std::thread::scope(|scope| {
-        let threads: Vec<_> = (0..thieves)
-            .map(|tid| {
-                let reg = Arc::clone(&reg);
-                scope.spawn(move || {
-                    let mut rng = StdRng::seed_from_u64(0x57EA_1000 + tid as u64);
-                    let mut hits = 0u64;
-                    // Consecutive-miss count, capped at the worker's probe
-                    // burst length.
-                    let mut misses = 0u32;
-                    for _ in 0..attempts_per_thief {
-                        let drawn = if sampling_live {
-                            reg.random_live_id(rng.gen())
-                        } else {
-                            reg.random_id(rng.gen())
-                        };
-                        let mut hit = false;
-                        if let Some(id) = drawn {
-                            // Same bounded-retry discipline as the worker
-                            // loop's `steal_from`.
-                            for _ in 0..4 {
-                                match reg.steal(id) {
-                                    Steal::Success(_) => {
-                                        hits += 1;
-                                        hit = true;
-                                        break;
-                                    }
-                                    Steal::Empty => break,
-                                    Steal::Retry => std::hint::spin_loop(),
-                                }
-                            }
-                        }
-                        // The worker's probe loop backs off exponentially
-                        // after each failed probe (`1 << probe` spins); a
-                        // draw that lands on a dead slot costs the thief
-                        // that stall, not just the probe itself.
-                        if hit {
-                            misses = 0;
-                        } else {
-                            for _ in 0..(1u32 << misses) {
-                                std::hint::spin_loop();
-                            }
-                            misses = (misses + 1).min(3);
-                        }
-                    }
-                    hits
-                })
-            })
-            .collect();
-        threads
-            .into_iter()
-            .map(|h| h.join().expect("thief thread panicked"))
-            .sum()
-    });
-    let elapsed = t.elapsed();
-    drop(handles);
-    StealMeasurement {
-        sampling: if sampling_live { "live" } else { "slots" },
-        thieves,
-        dead_pct,
-        attempts,
-        hits,
-        elapsed,
-    }
-}
-
-/// Writes steal-path measurements as JSON (hand-rolled — the workspace
-/// builds offline, without serde). Includes the live/slots throughput
-/// ratio per (thieves, dead_pct) point; the acceptance number is ≥1.5x
-/// at 4 thieves with ≥50% dead slots.
-pub fn write_bench_steal_json(
-    path: &std::path::Path,
-    mode: &str,
-    measurements: &[StealMeasurement],
-) -> std::io::Result<()> {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"steal_path\",\n");
-    out.push_str(&format!("  \"mode\": \"{mode}\",\n"));
-    out.push_str(&format!(
-        "  \"host_parallelism\": {},\n",
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(0)
-    ));
-    out.push_str("  \"measurements\": [\n");
-    for (i, m) in measurements.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"sampling\": \"{}\", \"thieves\": {}, \"dead_pct\": {}, \
-             \"attempts\": {}, \"hits\": {}, \"hit_rate\": {:.4}, \
-             \"elapsed_ns\": {}, \"steals_per_sec\": {:.1}}}{}\n",
-            m.sampling,
-            m.thieves,
-            m.dead_pct,
-            m.attempts,
-            m.hits,
-            m.hit_rate(),
-            m.elapsed.as_nanos(),
-            m.steal_throughput(),
-            if i + 1 < measurements.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"speedup_live_over_slots\": [\n");
-    let mut pairs: Vec<(usize, u32, f64)> = Vec::new();
-    for l in measurements.iter().filter(|m| m.sampling == "live") {
-        if let Some(s) = measurements
-            .iter()
-            .find(|m| m.sampling == "slots" && m.thieves == l.thieves && m.dead_pct == l.dead_pct)
-        {
-            pairs.push((
-                l.thieves,
-                l.dead_pct,
-                l.steal_throughput() / s.steal_throughput().max(1e-9),
-            ));
-        }
-    }
-    for (i, (p, d, x)) in pairs.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"thieves\": {p}, \"dead_pct\": {d}, \"speedup\": {x:.2}}}{}\n",
-            if i + 1 < pairs.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n");
-    out.push_str("}\n");
-    std::fs::write(path, out)
-}
-
-// ---------------------------------------------------------------------
-// Steal-policy benchmark (steal-half batching × victim affinity).
-// ---------------------------------------------------------------------
-
-/// One measured configuration of the steal-policy benchmark: `thieves`
-/// threads drain a pool of live deques preloaded with `depth` items each,
-/// stealing single items (`batch_limit == 1`, the PR 5 baseline path) or
-/// steal-half batches capped at `batch_limit`, with or without victim
-/// affinity (retry the last successful victim before drawing fresh).
-#[derive(Debug, Clone)]
-pub struct StealPolicyMeasurement {
-    /// Victim selection: `"uniform"` (fresh live draw per probe) or
-    /// `"affinity"` (last successful victim first).
-    pub policy: &'static str,
-    /// Steal-half cap; `1` uses the plain single-steal entry point.
-    pub batch_limit: usize,
-    /// Thief-thread count.
-    pub thieves: usize,
-    /// Items preloaded per victim deque.
-    pub depth: usize,
-    /// Total tasks drained across all rounds.
-    pub tasks: u64,
-    /// Victim acquisitions (cached retries + fresh draws).
-    pub draws: u64,
-    /// Drain rounds run (each drains the full pool once).
-    pub rounds: u64,
-    /// Total wall-clock time (drain phases only; registry rebuilds are
-    /// excluded).
-    pub elapsed: Duration,
-    /// The fastest single round's drain time.
-    pub best_round: Duration,
-}
-
-impl StealPolicyMeasurement {
-    /// Mean tasks acquired per second over all rounds.
-    pub fn task_throughput(&self) -> f64 {
-        self.tasks as f64 / self.elapsed.as_secs_f64().max(1e-9)
-    }
-
-    /// Best-round tasks per second — the headline number. The min-time
-    /// estimator is robust to scheduler interference (CI hosts can
-    /// report a single hardware slot, so a round occasionally loses
-    /// whole quanta to unrelated load); the mean is reported alongside.
-    pub fn peak_throughput(&self) -> f64 {
-        let per_round = self.tasks as f64 / (self.rounds as f64).max(1.0);
-        per_round / self.best_round.as_secs_f64().max(1e-9)
-    }
-
-    /// Mean tasks per successful victim acquisition (≥ 1 under batching).
-    pub fn tasks_per_draw(&self) -> f64 {
-        self.tasks as f64 / (self.draws as f64).max(1.0)
-    }
-}
-
-/// Live deques in the steal-policy pool (8 per shard): enough spread that
-/// thieves collide on victims at realistic rates, small enough that a
-/// drain actually finishes.
-const POLICY_DEQUES: usize = 64;
-
-/// Measures task-acquisition throughput for one steal-policy cell:
-/// rounds of building a 64-deque pool (`POLICY_DEQUES`) at `depth` items
-/// each, then timing `thieves` threads draining it completely. Rounds
-/// repeat until ≈`target_tasks` tasks have been drained (at most 256
-/// rounds, so shallow shapes stay bounded).
-pub fn measure_steal_policy(
-    affinity: bool,
-    batch_limit: usize,
-    thieves: usize,
-    depth: usize,
-    target_tasks: u64,
-) -> StealPolicyMeasurement {
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    let per_round = (POLICY_DEQUES * depth) as u64;
-    // At least 4 rounds so the best-round (min-time) estimator has
-    // samples to pick from even on the deep shapes.
-    let rounds = (target_tasks.div_ceil(per_round)).clamp(4, 256);
-    let mut tasks = 0u64;
-    let mut draws = 0u64;
-    let mut elapsed = Duration::ZERO;
-    let mut best_round = Duration::MAX;
-
-    for round in 0..rounds {
-        let (reg, handles) = steal_registry(POLICY_DEQUES, 0, depth);
-        let remaining = AtomicU64::new(per_round);
-        let t = Instant::now();
-        let round_draws: u64 = std::thread::scope(|scope| {
-            let threads: Vec<_> = (0..thieves)
-                .map(|tid| {
-                    let reg = Arc::clone(&reg);
-                    let remaining = &remaining;
-                    scope.spawn(move || {
-                        let mut rng = StdRng::seed_from_u64(0x1DEA_0000 + round * 131 + tid as u64);
-                        let mut draws = 0u64;
-                        let mut last = None;
-                        let mut out: Vec<u64> = Vec::with_capacity(batch_limit);
-                        let mut misses = 0u32;
-                        while remaining.load(Ordering::Relaxed) > 0 {
-                            // Victim: the cached last success (affinity) or
-                            // a fresh uniform draw over the live set.
-                            let id = match last {
-                                Some(id) if affinity => id,
-                                _ => match reg.random_live_id(rng.gen()) {
-                                    Some(id) => id,
-                                    None => break,
-                                },
-                            };
-                            draws += 1;
-                            let got = if batch_limit <= 1 {
-                                // The PR 5 baseline: the dedicated
-                                // single-steal entry point.
-                                match reg.steal(id) {
-                                    Steal::Success(_) => 1,
-                                    _ => 0,
-                                }
-                            } else {
-                                out.clear();
-                                match reg.steal_batch(id, batch_limit, &mut out) {
-                                    Steal::Success(n) => n as u64,
-                                    _ => 0,
-                                }
-                            };
-                            if got > 0 {
-                                remaining.fetch_sub(got, Ordering::Relaxed);
-                                last = Some(id);
-                                misses = 0;
-                            } else {
-                                last = None;
-                                // Brief spin backoff like the worker's
-                                // probe loop, then yield the OS thread:
-                                // on an oversubscribed host a spinning
-                                // thief would otherwise burn its whole
-                                // quantum starving the thieves that
-                                // still have work to claim.
-                                if misses < 3 {
-                                    for _ in 0..(1u32 << misses) {
-                                        std::hint::spin_loop();
-                                    }
-                                } else {
-                                    std::thread::yield_now();
-                                }
-                                misses = (misses + 1).min(3);
-                            }
-                        }
-                        draws
-                    })
-                })
-                .collect();
-            threads
-                .into_iter()
-                .map(|h| h.join().expect("thief thread panicked"))
-                .sum()
-        });
-        let dt = t.elapsed();
-        elapsed += dt;
-        best_round = best_round.min(dt);
-        tasks += per_round;
-        draws += round_draws;
-        drop(handles);
-    }
-
-    StealPolicyMeasurement {
-        policy: if affinity { "affinity" } else { "uniform" },
-        batch_limit,
-        thieves,
-        depth,
-        tasks,
-        draws,
-        rounds,
-        elapsed,
-        best_round,
-    }
-}
-
-/// Writes steal-policy measurements as JSON (hand-rolled — the workspace
-/// builds offline, without serde). Includes the batched/single throughput
-/// ratio per (policy, thieves, depth) point; the acceptance number is
-/// ≥1.3x for steal-half on the deep-victim shape at ≥4 thieves.
-pub fn write_bench_steal_policy_json(
-    path: &std::path::Path,
-    mode: &str,
-    measurements: &[StealPolicyMeasurement],
-) -> std::io::Result<()> {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"steal_policy\",\n");
-    out.push_str(&format!("  \"mode\": \"{mode}\",\n"));
-    out.push_str(&format!(
-        "  \"host_parallelism\": {},\n",
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(0)
-    ));
-    out.push_str("  \"measurements\": [\n");
-    for (i, m) in measurements.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"policy\": \"{}\", \"batch_limit\": {}, \"thieves\": {}, \
-             \"depth\": {}, \"tasks\": {}, \"draws\": {}, \"tasks_per_draw\": {:.3}, \
-             \"rounds\": {}, \"elapsed_ns\": {}, \"tasks_per_sec\": {:.1}, \
-             \"peak_tasks_per_sec\": {:.1}}}{}\n",
-            m.policy,
-            m.batch_limit,
-            m.thieves,
-            m.depth,
-            m.tasks,
-            m.draws,
-            m.tasks_per_draw(),
-            m.rounds,
-            m.elapsed.as_nanos(),
-            m.task_throughput(),
-            m.peak_throughput(),
-            if i + 1 < measurements.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"speedup_batch_over_single\": [\n");
-    let mut pairs: Vec<(&'static str, usize, usize, usize, f64)> = Vec::new();
-    for b in measurements.iter().filter(|m| m.batch_limit > 1) {
-        if let Some(s) = measurements.iter().find(|m| {
-            m.batch_limit == 1
-                && m.policy == b.policy
-                && m.thieves == b.thieves
-                && m.depth == b.depth
-        }) {
-            pairs.push((
-                b.policy,
-                b.batch_limit,
-                b.thieves,
-                b.depth,
-                // Speedups compare the robust (best-round) estimates.
-                b.peak_throughput() / s.peak_throughput().max(1e-9),
-            ));
-        }
-    }
-    for (i, (pol, l, p, d, x)) in pairs.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"policy\": \"{pol}\", \"batch_limit\": {l}, \"thieves\": {p}, \
-             \"depth\": {d}, \"speedup\": {x:.2}}}{}\n",
-            if i + 1 < pairs.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n");
-    out.push_str("}\n");
-    std::fs::write(path, out)
 }
 
 /// Re-exported for harness binaries.

@@ -272,11 +272,11 @@ impl<T: Send + 'static> Drop for RecvFuture<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{fork2, spawn, Config, Runtime};
+    use crate::{fork2, spawn, Runtime};
     use std::time::Duration;
 
     fn rt(workers: usize) -> Runtime {
-        Runtime::new(Config::default().workers(workers)).unwrap()
+        Runtime::builder().workers(workers).build().unwrap()
     }
 
     #[test]

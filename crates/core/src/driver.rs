@@ -324,16 +324,8 @@ impl DriverHooks {
         stats
     }
 
-    /// The runtime's configured reactor shard count
-    /// ([`Config::reactor_shards`](crate::Config)): `0` means one shard
-    /// per worker. `None` once the runtime is gone.
-    pub fn reactor_shards(&self) -> Option<usize> {
-        self.rt.upgrade().map(|rt| rt.config.reactor_shards)
-    }
-
     /// The runtime's worker-thread count, or `None` once it is gone. Used
-    /// by drivers to resolve the `reactor_shards == 0` ("one shard per
-    /// worker") default.
+    /// by drivers to resolve a "one shard per worker" setting.
     pub fn workers(&self) -> Option<usize> {
         self.rt.upgrade().map(|rt| rt.config.workers)
     }

@@ -355,13 +355,13 @@ pub mod check_hooks {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Config, Runtime};
+    use crate::Runtime;
     use std::task::Waker;
     use std::time::Duration;
 
     #[test]
     fn complete_before_poll() {
-        let rt = Runtime::new(Config::default().workers(2)).unwrap();
+        let rt = Runtime::builder().workers(2).build().unwrap();
         let (c, op) = external_op::<u32>();
         c.complete(7);
         assert_eq!(rt.block_on(op), Ok(7));
@@ -369,7 +369,7 @@ mod tests {
 
     #[test]
     fn complete_from_external_thread() {
-        let rt = Runtime::new(Config::default().workers(2)).unwrap();
+        let rt = Runtime::builder().workers(2).build().unwrap();
         let (c, op) = external_op::<String>();
         let t = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(20));
@@ -385,7 +385,7 @@ mod tests {
 
     #[test]
     fn cancellation_surfaces() {
-        let rt = Runtime::new(Config::default().workers(2)).unwrap();
+        let rt = Runtime::builder().workers(2).build().unwrap();
         let (c, op) = external_op::<u32>();
         let t = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(10));
@@ -397,7 +397,7 @@ mod tests {
 
     #[test]
     fn many_external_ops_in_flight() {
-        let rt = Runtime::new(Config::default().workers(2)).unwrap();
+        let rt = Runtime::builder().workers(2).build().unwrap();
         let n = 200;
         let mut completers = Vec::new();
         let mut ops = Vec::new();
@@ -428,7 +428,7 @@ mod tests {
 
     #[test]
     fn deadline_times_out_and_completer_loses() {
-        let rt = Runtime::new(Config::default().workers(2)).unwrap();
+        let rt = Runtime::builder().workers(2).build().unwrap();
         let (c, op) = external_op::<u32>();
         let got = rt.block_on(op.with_timeout(Duration::from_millis(20)));
         assert_eq!(got, Err(OpError::TimedOut));
@@ -442,7 +442,7 @@ mod tests {
 
     #[test]
     fn completer_beats_deadline() {
-        let rt = Runtime::new(Config::default().workers(2)).unwrap();
+        let rt = Runtime::builder().workers(2).build().unwrap();
         let (c, op) = external_op::<u32>();
         let t = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(5));
@@ -459,7 +459,7 @@ mod tests {
 
     #[test]
     fn deadline_cancellation_still_surfaces() {
-        let rt = Runtime::new(Config::default().workers(2)).unwrap();
+        let rt = Runtime::builder().workers(2).build().unwrap();
         let (c, op) = external_op::<u32>();
         let t = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(5));

@@ -36,7 +36,6 @@
 //! | `deque_switch_ppm` | after draining resumes | the non-empty active deque is demoted to the ready list |
 //! | `drop_unpark_ppm` | inject/delivery | the wake-up is skipped; the park timeout is the only backstop |
 //! | `dropped_readiness_ppm` | reactor event loop | a kernel readiness event is swallowed without firing the completer or disarming interest; level-triggered epoll re-reports it on the next wait |
-//! | `stale_live_index_ppm` | thief victim draw | the thief samples the whole allocated slot prefix instead of the live-set index, as if its view of the index were stale — manufacturing dead-target probes the bounded-retry loop must absorb |
 //! | `affinity_stale_ppm` | affinity victim draw | the thief's cached last-successful victim is poisoned before the draw, forcing the [`StealPolicy::Affinity`](crate::StealPolicy::Affinity) fallback path as if the victim had just retired |
 //! | `peer_reset_ppm` | socket read/write | the operation fails with `ECONNRESET`, as if the peer sent RST mid-stream — the connection handler must surface or recover the error honestly |
 //! | `partial_write_ppm` | socket write | the kernel accepts only half the buffer (a short write), forcing the `write_all` continuation loop to finish the rest |
@@ -77,10 +76,6 @@ pub enum FaultSite {
     /// Swallowed kernel readiness event in a reactor driver's event loop
     /// (recovered by level-triggered re-reporting).
     DroppedReadiness,
-    /// Stale live-set view at the thief's victim draw: the thief samples
-    /// over the whole allocated slot prefix (dead slots included) instead
-    /// of the live index, proving the retry path absorbs dead targets.
-    StaleLiveIndex,
     /// Poisoned affinity cache at the thief's victim draw: the cached
     /// last-successful victim is dropped before it is consulted, forcing
     /// the affinity fallback path as if the victim had just retired.
@@ -99,7 +94,7 @@ pub enum FaultSite {
 impl FaultSite {
     /// Every site, in decision-stream order (the order
     /// [`FaultPlan::schedule_digest`] folds them in).
-    pub const ALL: [FaultSite; 14] = [
+    pub const ALL: [FaultSite; 13] = [
         FaultSite::StealFail,
         FaultSite::ResumeDelay,
         FaultSite::ResumeReorder,
@@ -109,7 +104,6 @@ impl FaultSite {
         FaultSite::DequeSwitch,
         FaultSite::DropUnpark,
         FaultSite::DroppedReadiness,
-        FaultSite::StaleLiveIndex,
         FaultSite::AffinityStale,
         FaultSite::PeerReset,
         FaultSite::PartialWrite,
@@ -128,11 +122,10 @@ impl FaultSite {
             FaultSite::DequeSwitch => 6,
             FaultSite::DropUnpark => 7,
             FaultSite::DroppedReadiness => 8,
-            FaultSite::StaleLiveIndex => 9,
-            FaultSite::AffinityStale => 10,
-            FaultSite::PeerReset => 11,
-            FaultSite::PartialWrite => 12,
-            FaultSite::AcceptBurst => 13,
+            FaultSite::AffinityStale => 9,
+            FaultSite::PeerReset => 10,
+            FaultSite::PartialWrite => 11,
+            FaultSite::AcceptBurst => 12,
         }
     }
 
@@ -151,7 +144,6 @@ impl FaultSite {
             0xDE0E_5312_7C11_000D,
             0xD209_0213_9A12_000F,
             0x10C4_77A1_7ED1_0011,
-            0x57A1_E11D_E0C5_0013,
             0xAFF1_2175_7A1E_0015,
             0x9EE2_2E5E_7C05_0017,
             0x9A27_1A1C_3217_0019,
@@ -210,14 +202,10 @@ pub struct FaultPlan {
     /// swallow recoverable (the fd stays ready, the next `epoll_wait`
     /// re-reports it). A rate of 1 000 000 would livelock the reactor.
     pub dropped_readiness_ppm: u32,
-    /// Rate of stale-live-index victim draws: the thief falls back to the
-    /// slot-array baseline sampler (dead slots included) for that probe.
-    pub stale_live_index_ppm: u32,
     /// Rate of poisoned affinity caches: the thief's remembered
     /// last-successful victim is dropped before the affinity draw,
     /// forcing the fallback path. Only visited under
-    /// [`StealPolicy::Affinity`](crate::StealPolicy::Affinity) or
-    /// [`StealPolicy::Adaptive`](crate::StealPolicy::Adaptive) with a
+    /// [`StealPolicy::Affinity`](crate::StealPolicy::Affinity) with a
     /// cached victim.
     pub affinity_stale_ppm: u32,
     /// Rate of simulated peer resets on socket reads/writes: the
@@ -263,7 +251,6 @@ impl FaultPlan {
             deque_switch_ppm: 0,
             drop_unpark_ppm: 0,
             dropped_readiness_ppm: 0,
-            stale_live_index_ppm: 0,
             affinity_stale_ppm: 0,
             peer_reset_ppm: 0,
             partial_write_ppm: 0,
@@ -286,7 +273,6 @@ impl FaultPlan {
             .deque_switch(80_000)
             .drop_unpark(150_000)
             .dropped_readiness(150_000)
-            .stale_live_index(200_000)
             .affinity_stale(200_000)
     }
 
@@ -346,12 +332,6 @@ impl FaultPlan {
         self
     }
 
-    /// Sets the stale-live-index rate for thief victim draws.
-    pub fn stale_live_index(mut self, ppm: u32) -> Self {
-        self.stale_live_index_ppm = ppm;
-        self
-    }
-
     /// Sets the poisoned-affinity-cache rate for affinity victim draws.
     pub fn affinity_stale(mut self, ppm: u32) -> Self {
         self.affinity_stale_ppm = ppm;
@@ -395,7 +375,6 @@ impl FaultPlan {
             FaultSite::DequeSwitch => self.deque_switch_ppm,
             FaultSite::DropUnpark => self.drop_unpark_ppm,
             FaultSite::DroppedReadiness => self.dropped_readiness_ppm,
-            FaultSite::StaleLiveIndex => self.stale_live_index_ppm,
             FaultSite::AffinityStale => self.affinity_stale_ppm,
             FaultSite::PeerReset => self.peer_reset_ppm,
             FaultSite::PartialWrite => self.partial_write_ppm,
@@ -529,12 +508,6 @@ impl FaultInjector {
     /// Whether a reactor driver should swallow this readiness event.
     pub fn dropped_readiness(&self) -> bool {
         self.roll(FaultSite::DroppedReadiness).is_some()
-    }
-
-    /// Whether this thief victim draw should pretend its live-set view is
-    /// stale and sample the whole allocated slot prefix instead.
-    pub fn stale_live_index(&self) -> bool {
-        self.roll(FaultSite::StaleLiveIndex).is_some()
     }
 
     /// Whether this affinity victim draw should poison the thief's cached
@@ -1450,22 +1423,6 @@ mod tests {
             FaultPlan::new(5).schedule_digest(128),
             FaultPlan::new(5)
                 .dropped_readiness(500_000)
-                .schedule_digest(128),
-        );
-    }
-
-    #[test]
-    fn stale_live_index_site_rolls_and_digests() {
-        let inj = FaultInjector::new(FaultPlan::new(5).stale_live_index(1_000_000));
-        assert!(inj.stale_live_index());
-        assert_eq!(inj.injected_total(), 1);
-        let off = FaultInjector::new(FaultPlan::new(5));
-        assert!(!off.stale_live_index());
-        // The new site participates in the digest.
-        assert_ne!(
-            FaultPlan::new(5).schedule_digest(128),
-            FaultPlan::new(5)
-                .stale_live_index(500_000)
                 .schedule_digest(128),
         );
     }

@@ -182,23 +182,23 @@ pub struct MetricsSnapshot {
     pub steals_attempted: u64,
     /// Successful steals.
     pub steals_succeeded: u64,
-    /// Steal attempts that sampled a dead (freed, not reused) deque — the
-    /// slot-array baseline's probe waste. The live-set index drives this
-    /// to ~0 (see `Config::live_index`).
+    /// Steal attempts that landed on a dead (freed, not reused) deque. The
+    /// live-set draw never returns one, so only a victim retiring between
+    /// the draw and the steal counts here: ~0 in steady state.
     pub steals_dead_target: u64,
     /// Benign pop-top races ([`Steal::Retry`](lhws_deque::Steal)) absorbed
     /// inside steal attempts. Counted per inner retry iteration — before
-    /// the backoff spin — so adaptive policies steering on hit rates see
-    /// exact contention, not retries folded silently into one attempt.
+    /// the backoff spin — so the count is exact contention, not retries
+    /// folded silently into one attempt.
     pub steal_retries: u64,
     /// Tasks transferred by batched (steal-half) steals, counting every
     /// task in each batch. `0` under the default single-task steal.
     pub steal_batch_tasks: u64,
     /// Successful steals whose victim came from the affinity cache or the
-    /// preferred-shard draw rather than the uniform fallback (Affinity and
-    /// Adaptive policies only).
+    /// preferred-shard draw rather than the uniform fallback (Affinity
+    /// policy only).
     pub steal_affinity_hits: u64,
-    /// Affinity/Adaptive probes that fell back to the uniform live-index
+    /// Affinity probes that fell back to the uniform live-index
     /// draw because no cached victim or shard-local candidate was
     /// available.
     pub steal_fallbacks: u64,

@@ -7,7 +7,7 @@
 //! Instead, `addResumedVertices` pushes a single *pfor* task holding the
 //! whole batch. When that task runs — on the owner or on a thief — it
 //! splits the batch in half, re-pushing one half as a fresh stealable pfor
-//! task, until batches reach the configured grain and the resumed tasks
+//! task, until batches reach [`PFOR_GRAIN`] and the resumed tasks
 //! themselves are scheduled. The unfolding forms a balanced binary tree
 //! with logarithmic span and at most one internal node per leaf, exactly
 //! the pfor tree of the paper's analysis (§4.1).
@@ -21,20 +21,22 @@ use crate::runtime::RtInner;
 use crate::task::{Task, TaskRef};
 use crate::worker;
 
+/// Pfor unfolding grain: batches of at most this many resumed tasks are
+/// scheduled directly; larger ones split in half into stealable subtasks.
+const PFOR_GRAIN: usize = 4;
+
 /// Future body of a pfor task.
 struct PforFuture {
     tasks: Vec<TaskRef>,
-    grain: usize,
 }
 
 impl Future for PforFuture {
     type Output = ();
 
     fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
-        let grain = self.grain.max(1);
         let mut tasks = std::mem::take(&mut self.tasks);
         // Split off stealable halves until the remainder fits the grain.
-        while tasks.len() > grain {
+        while tasks.len() > PFOR_GRAIN {
             let right = tasks.split_off(tasks.len() / 2);
             let rt = worker::current_runtime().expect("pfor tasks only run on worker threads");
             let sub = new_pfor_task(&rt, right);
@@ -49,9 +51,6 @@ impl Future for PforFuture {
 pub(crate) fn new_pfor_task(rt: &Arc<RtInner>, tasks: Vec<TaskRef>) -> TaskRef {
     debug_assert!(!tasks.is_empty());
     rt.counters.bump(&rt.counters.tasks_spawned);
-    let fut = PforFuture {
-        tasks,
-        grain: rt.config.pfor_grain,
-    };
+    let fut = PforFuture { tasks };
     Task::new_queued(Arc::downgrade(rt), Box::pin(fut))
 }

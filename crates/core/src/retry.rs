@@ -184,7 +184,7 @@ impl RetryPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Config, Runtime};
+    use crate::Runtime;
     use std::sync::atomic::{AtomicU32, Ordering};
     use std::sync::Arc;
 
@@ -239,7 +239,7 @@ mod tests {
 
     #[test]
     fn run_retries_until_success_by_suspending() {
-        let rt = Runtime::new(Config::default().workers(2)).unwrap();
+        let rt = Runtime::builder().workers(2).build().unwrap();
         let tries = Arc::new(AtomicU32::new(0));
         let t2 = tries.clone();
         let policy = RetryPolicy::new(5).base_delay(Duration::from_micros(100));
@@ -267,7 +267,7 @@ mod tests {
 
     #[test]
     fn run_surfaces_last_error_when_exhausted() {
-        let rt = Runtime::new(Config::default().workers(1)).unwrap();
+        let rt = Runtime::builder().workers(1).build().unwrap();
         let policy = RetryPolicy::new(3).base_delay(Duration::from_micros(50));
         let got: Result<(), String> = rt.block_on(async move {
             policy

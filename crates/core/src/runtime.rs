@@ -8,7 +8,7 @@ use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle as ThreadHandle;
 use std::time::{Duration, Instant};
 
-use lhws_deque::{DequeId, Registry};
+use lhws_deque::Registry;
 use parking_lot::{Condvar, Mutex};
 
 use crate::config::{Config, ConfigError, RuntimeBuilder};
@@ -19,9 +19,14 @@ use crate::metrics::{CachePadded, Counters, MetricsSnapshot};
 use crate::obs::Observer;
 use crate::sleep::Sleepers;
 use crate::task::{Task, TaskRef};
-use crate::timer::{ResumeEvent, ResumeSink, Timer, TimerEntry};
+use crate::timer::{ResumeEvent, ResumeSink, TimerEntry, WheelTimer};
 use crate::trace::{EventKind, Trace, Tracer, NONE_ID};
 use crate::worker::{self, Worker};
+
+/// Maximum resume events the timer delivers to a worker in one batch: large
+/// enough to amortize the wake-up and inbox lock over a burst, small enough
+/// to bound what one worker must absorb before its next steal check.
+const RESUME_BATCH_LIMIT: usize = 1024;
 
 /// A worker's resume inbox: expirations and external completions queue
 /// here until the worker drains them. Batches move through it by vector
@@ -49,11 +54,9 @@ pub(crate) struct RtInner {
     /// Shutdown flag checked by every worker iteration.
     shutdown: AtomicBool,
     /// The timer (set right after construction).
-    timer: OnceLock<Timer>,
+    timer: OnceLock<Arc<WheelTimer>>,
     /// Metrics counters (shared block + per-worker padded blocks).
     pub counters: Counters,
-    /// Advertised stealable deques per worker (WorkerThenDeque policy).
-    pub shared_steal: Vec<Mutex<Vec<DequeId>>>,
     /// Event tracer; `None` (the default) is the whole cost of disabled
     /// tracing. See [`crate::trace`].
     pub tracer: Option<Arc<Tracer>>,
@@ -84,7 +87,7 @@ pub(crate) struct RtInner {
 }
 
 impl RtInner {
-    pub fn timer(&self) -> &Timer {
+    pub fn timer(&self) -> &WheelTimer {
         self.timer.get().expect("timer started in Runtime::new")
     }
 
@@ -322,7 +325,7 @@ impl std::fmt::Debug for Runtime {
         f.debug_struct("Runtime")
             .field("workers", &self.inner.config.workers)
             .field("mode", &self.inner.config.mode)
-            .field("timer", &self.inner.config.timer_kind)
+            .field("timer_tick", &self.inner.config.timer_tick)
             .finish_non_exhaustive()
     }
 }
@@ -386,21 +389,15 @@ impl Runtime {
             .map(|plan| Arc::new(FaultInjector::new(plan)));
         let inner = Arc::new(RtInner {
             config,
-            registry: Registry::with_capacity_and_shards(
-                config.registry_capacity,
-                if config.registry_shards == 0 {
-                    p
-                } else {
-                    config.registry_shards
-                },
-            ),
+            // One live-set shard per worker keeps each worker's
+            // register/release traffic on its own shard.
+            registry: Registry::with_capacity_and_shards(config.registry_capacity, p),
             injector: Mutex::new(VecDeque::new()),
             inboxes: (0..p).map(|_| CachePadded::default()).collect(),
             sleepers: Sleepers::new(p),
             shutdown: AtomicBool::new(false),
             timer: OnceLock::new(),
             counters: Counters::with_workers(p),
-            shared_steal: (0..p).map(|_| Mutex::new(Vec::new())).collect(),
             tracer,
             faults,
             poisoned: OnceLock::new(),
@@ -410,7 +407,14 @@ impl Runtime {
             io_shard_stats: Mutex::new(Vec::new()),
         });
 
-        let (timer, timer_threads) = Timer::start(&config, inner.clone() as Arc<dyn ResumeSink>);
+        // One wheel shard per worker: a worker's insertions contend only
+        // with expirations of its own timers.
+        let (timer, timer_threads) = WheelTimer::start(
+            p,
+            config.timer_tick,
+            RESUME_BATCH_LIMIT,
+            inner.clone() as Arc<dyn ResumeSink>,
+        );
         inner
             .timer
             .set(timer)

@@ -1,100 +1,34 @@
-//! Per-worker steal-policy state: victim affinity and adaptive tuning.
+//! Per-worker steal-policy state: victim affinity.
 //!
 //! The paper's thief is memoryless — every probe draws a fresh uniform
-//! victim ([`StealPolicy::Uniform`]). The alternative policies keep a
+//! victim ([`StealPolicy::Uniform`]). [`StealPolicy::Affinity`] keeps a
 //! little state per worker, all of it thread-local to the thief (no
-//! shared writes, no atomics):
-//!
-//! * **Affinity** ([`StealPolicy::Affinity`]): remember the last victim
-//!   a steal succeeded against and try it again first; if the id has
-//!   retired, prefer a draw from the same registry shard (deques of the
-//!   same owner hash to one shard, so "same shard" approximates "same
-//!   busy worker"); otherwise fall back to the uniform draw.
-//! * **Adaptive** ([`StealPolicy::Adaptive`]): the affinity chain plus
-//!   two feedback loops — the probe burst per idle step ramps between
-//!   [`MIN_PROBES`] and [`MAX_PROBES`] on the observed hit rate (long
-//!   dry spells mean work is scarce or contended: probe harder before
-//!   parking), and the steal-half batch cap ramps between 1 and
-//!   [`Config::steal_batch_limit`](crate::Config::steal_batch_limit) on
-//!   observed victim depth (full batches mean deep victims: take more).
-//!
-//! All tuning is deliberately coarse (powers of two, fixed windows):
-//! the point is to be robust across workloads, not optimal on one.
+//! shared writes, no atomics): remember the last victim a steal
+//! succeeded against and try it again first; if the id has retired,
+//! prefer a draw from the same registry shard (deques of the same owner
+//! hash to one shard, so "same shard" approximates "same busy worker");
+//! otherwise fall back to the uniform draw.
 
 use lhws_deque::DequeId;
 
-use crate::config::StealPolicy;
-
-/// Baseline probe-burst length: how many victim draws one idle step
-/// makes before giving the step back (re-checking resumes, then
-/// parking). With the live-set index a draw hits a stealable target in
-/// O(1) expected probes, so a short burst either finds work or strongly
-/// suggests there is none. Every policy starts here; Adaptive ramps.
-pub(crate) const MIN_PROBES: usize = 4;
-
-/// Adaptive's probe-burst ceiling: bounded so an idle worker still
-/// returns to its resume inbox and the parking check promptly.
-pub(crate) const MAX_PROBES: usize = 16;
-
-/// Steal attempts per adaptive tuning window. Hit rates are judged per
-/// window, not per attempt, so one lucky steal cannot whipsaw the budget.
-const WINDOW: u32 = 64;
+/// Probe-burst length: how many victim draws one idle step makes before
+/// giving the step back (re-checking resumes, then parking). With the
+/// live-set index a draw hits a stealable target in O(1) expected probes,
+/// so a short burst either finds work or strongly suggests there is none.
+pub(crate) const STEAL_PROBES: usize = 4;
 
 /// Thief-local policy state. Owned by the worker, mutated only from its
 /// own thread.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct PolicyState {
-    policy: StealPolicy,
-    /// Hard batch cap from [`Config::steal_batch_limit`](crate::Config::steal_batch_limit).
-    limit: usize,
-    /// Current steal-half cap: pinned at `limit` for fixed policies,
-    /// ramped within `[1, limit]` by Adaptive.
-    batch_cap: usize,
-    /// Current probe budget per idle burst.
-    probes: usize,
-    /// Last victim a steal succeeded against (Affinity/Adaptive).
+    /// Last victim a steal succeeded against (Affinity).
     last_victim: Option<DequeId>,
     /// Owner of the last successful victim; indexes the registry shard
     /// preferred once the victim id itself retires.
     preferred_owner: Option<usize>,
-    window_attempts: u32,
-    window_hits: u32,
 }
 
 impl PolicyState {
-    pub fn new(policy: StealPolicy, limit: usize) -> Self {
-        let limit = limit.max(1);
-        PolicyState {
-            policy,
-            limit,
-            // Adaptive earns its batch size from evidence of depth;
-            // everyone else takes the configured cap at face value.
-            batch_cap: if policy == StealPolicy::Adaptive {
-                1
-            } else {
-                limit
-            },
-            probes: MIN_PROBES,
-            last_victim: None,
-            preferred_owner: None,
-            window_attempts: 0,
-            window_hits: 0,
-        }
-    }
-
-    /// Number of victim draws the current idle burst makes.
-    #[inline]
-    pub fn probe_budget(&self) -> usize {
-        self.probes
-    }
-
-    /// Current steal-half cap passed to the deque layer (1 = the plain
-    /// single-item steal path).
-    #[inline]
-    pub fn batch_cap(&self) -> usize {
-        self.batch_cap
-    }
-
     /// The remembered last-successful victim, if any.
     #[inline]
     pub fn cached_victim(&self) -> Option<DequeId> {
@@ -127,46 +61,6 @@ impl PolicyState {
         self.last_victim = None;
         self.preferred_owner = None;
     }
-
-    /// Records one probe outcome. Adaptive retunes its probe budget
-    /// every [`WINDOW`] attempts: a hit rate under 1/4 doubles the burst
-    /// (work is scarce or contended — search harder before parking), a
-    /// rate of 1/2 or better halves it back toward the baseline. No-op
-    /// for the other policies.
-    pub fn record_attempt(&mut self, hit: bool) {
-        if self.policy != StealPolicy::Adaptive {
-            return;
-        }
-        self.window_attempts += 1;
-        self.window_hits += hit as u32;
-        if self.window_attempts < WINDOW {
-            return;
-        }
-        let (hits, attempts) = (self.window_hits, self.window_attempts);
-        self.window_attempts = 0;
-        self.window_hits = 0;
-        if hits * 4 < attempts {
-            self.probes = (self.probes * 2).min(MAX_PROBES);
-        } else if hits * 2 >= attempts {
-            self.probes = (self.probes / 2).max(MIN_PROBES);
-        }
-    }
-
-    /// Records a successful claim of `n` tasks against cap `cap`.
-    /// Adaptive grows its cap while victims run deep (the claim filled
-    /// the cap) and shrinks it when claims come up short (`n ≤ cap/2`,
-    /// i.e. the victim held few tasks — batching a shallow deque only
-    /// strips the owner). No-op for the other policies.
-    pub fn record_batch(&mut self, n: usize, cap: usize) {
-        if self.policy != StealPolicy::Adaptive {
-            return;
-        }
-        if n >= cap {
-            self.batch_cap = (self.batch_cap * 2).min(self.limit);
-        } else if n * 2 <= cap {
-            self.batch_cap = (self.batch_cap / 2).max(1);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -174,77 +68,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fixed_policies_pin_cap_and_probes() {
-        for policy in [
-            StealPolicy::Uniform,
-            StealPolicy::Affinity,
-            StealPolicy::WorkerThenDeque,
-        ] {
-            let mut s = PolicyState::new(policy, 8);
-            assert_eq!(s.batch_cap(), 8);
-            assert_eq!(s.probe_budget(), MIN_PROBES);
-            for _ in 0..10 * WINDOW {
-                s.record_attempt(false);
-                s.record_batch(1, 8);
-            }
-            assert_eq!(s.batch_cap(), 8, "{policy:?} cap never moves");
-            assert_eq!(s.probe_budget(), MIN_PROBES, "{policy:?} probes never move");
-        }
-        // limit 0 is clamped, matching the deque layer.
-        assert_eq!(PolicyState::new(StealPolicy::Uniform, 0).batch_cap(), 1);
-    }
-
-    #[test]
-    fn adaptive_probes_ramp_on_dry_windows_and_decay_on_hits() {
-        let mut s = PolicyState::new(StealPolicy::Adaptive, 1);
-        assert_eq!(s.probe_budget(), MIN_PROBES);
-        // Two bone-dry windows: 4 → 8 → 16, then saturate.
-        for _ in 0..3 * WINDOW {
-            s.record_attempt(false);
-        }
-        assert_eq!(s.probe_budget(), MAX_PROBES);
-        // Hot windows decay back to the floor, never below.
-        for _ in 0..3 * WINDOW {
-            s.record_attempt(true);
-        }
-        assert_eq!(s.probe_budget(), MIN_PROBES);
-        // A middling window (1/4 ≤ rate < 1/2) holds steady.
-        for i in 0..WINDOW {
-            s.record_attempt(i % 3 == 0);
-        }
-        assert_eq!(s.probe_budget(), MIN_PROBES);
-    }
-
-    #[test]
-    fn adaptive_batch_cap_tracks_victim_depth() {
-        let mut s = PolicyState::new(StealPolicy::Adaptive, 16);
-        assert_eq!(s.batch_cap(), 1, "adaptive starts at single steals");
-        // Full claims grow the cap geometrically up to the limit.
-        s.record_batch(1, 1);
-        assert_eq!(s.batch_cap(), 2);
-        s.record_batch(2, 2);
-        s.record_batch(4, 4);
-        s.record_batch(8, 8);
-        assert_eq!(s.batch_cap(), 16);
-        s.record_batch(16, 16);
-        assert_eq!(s.batch_cap(), 16, "capped at the configured limit");
-        // Short claims shrink it back down to single steals.
-        s.record_batch(8, 16);
-        assert_eq!(s.batch_cap(), 8);
-        s.record_batch(1, 8);
-        s.record_batch(1, 4);
-        s.record_batch(1, 2);
-        assert_eq!(s.batch_cap(), 1);
-        // A claim of just over half the cap holds steady.
-        s.record_batch(1, 1);
-        s.record_batch(2, 2);
-        s.record_batch(3, 4);
-        assert_eq!(s.batch_cap(), 4);
-    }
-
-    #[test]
     fn affinity_cache_lifecycle() {
-        let mut s = PolicyState::new(StealPolicy::Affinity, 1);
+        let mut s = PolicyState::default();
         assert_eq!(s.cached_victim(), None);
         assert_eq!(s.preferred_owner(), None);
         s.record_hit(DequeId(7), Some(3));

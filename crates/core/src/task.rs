@@ -103,19 +103,6 @@ impl Task {
         self.trace_seq.swap(0, Ordering::Relaxed)
     }
 
-    /// Current state (diagnostics and tests).
-    #[allow(dead_code)]
-    #[inline]
-    pub fn state(&self) -> u8 {
-        self.state.load(Ordering::Acquire)
-    }
-
-    /// True once the task has completed and dropped its future.
-    #[allow(dead_code)]
-    pub fn is_done(&self) -> bool {
-        self.state() == state::DONE
-    }
-
     /// Claims an `IDLE` task for scheduling: `IDLE → QUEUED`. Returns true
     /// if this caller must now deliver the task to a queue.
     pub fn try_claim_for_queue(&self) -> bool {

@@ -11,26 +11,16 @@
 //! of per suspension, and can build a single pfor reinjection tree over
 //! the burst.
 //!
-//! Two interchangeable implementations exist (selected by
-//! [`TimerKind`](crate::config::TimerKind)):
-//!
-//! * [`wheel`] — the default: a sharded hierarchical timer wheel with
-//!   per-shard locks, amortized O(1) insertion, and per-(worker, tick)
-//!   batch delivery.
-//! * [`heap`] — the original global-mutex binary heap, kept as the
-//!   ablation baseline; it delivers singleton batches.
+//! The implementation is [`wheel`]: a sharded hierarchical timer wheel with
+//! per-shard locks, amortized O(1) insertion, and per-(worker, tick) batch
+//! delivery.
 
-mod heap;
 mod wheel;
 
-use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Instant;
 
-use crate::config::{Config, TimerKind};
 use crate::task::TaskRef;
 
-pub(crate) use heap::HeapTimer;
 pub(crate) use wheel::WheelTimer;
 
 /// A latency expiration to deliver.
@@ -84,85 +74,15 @@ pub(crate) struct ResumeEvent {
 pub(crate) trait ResumeSink: Send + Sync + 'static {
     /// Delivers a non-empty batch of events to worker `worker`'s inbox and
     /// wakes it (at most one unpark for the whole batch). `tick` is the
-    /// timer tick the batch expired on (`0` for tick-free timers); it only
-    /// labels trace events.
+    /// timer tick the batch expired on; it only labels trace events.
     fn deliver_batch(&self, worker: usize, tick: u64, events: Vec<ResumeEvent>);
-}
-
-/// Handle to the configured timer implementation. Cloning shares the
-/// underlying timer.
-#[derive(Clone)]
-pub(crate) enum Timer {
-    /// Global-mutex binary heap (ablation baseline).
-    Heap(Arc<HeapTimer>),
-    /// Sharded hierarchical timer wheel (default).
-    Wheel(Arc<WheelTimer>),
-}
-
-impl Timer {
-    /// Creates the timer selected by `config` and spawns its thread(s),
-    /// delivering into `sink`. The returned handles must be joined after
-    /// [`Timer::shutdown`].
-    pub fn start(config: &Config, sink: Arc<dyn ResumeSink>) -> (Timer, Vec<JoinHandle<()>>) {
-        match config.timer_kind {
-            TimerKind::Heap => {
-                let (t, h) = HeapTimer::start(sink);
-                (Timer::Heap(t), vec![h])
-            }
-            TimerKind::Wheel => {
-                let shards = if config.timer_shards == 0 {
-                    config.workers
-                } else {
-                    config.timer_shards
-                };
-                let (t, hs) =
-                    WheelTimer::start(shards, config.timer_tick, config.resume_batch_limit, sink);
-                (Timer::Wheel(t), hs)
-            }
-        }
-    }
-
-    /// Registers a latency expiration.
-    pub fn register(&self, entry: TimerEntry) {
-        match self {
-            Timer::Heap(t) => t.register(entry),
-            Timer::Wheel(t) => t.register(entry),
-        }
-    }
-
-    /// Registers a deadline callback: `cb(true)` fires when `deadline`
-    /// passes, `cb(false)` when the timer shuts down first.
-    pub fn register_deadline(&self, deadline: Instant, cb: DeadlineCallback) {
-        match self {
-            Timer::Heap(t) => t.register_deadline(deadline, cb),
-            Timer::Wheel(t) => t.register_deadline(deadline, cb),
-        }
-    }
-
-    /// Signals the timer thread(s) to exit. Pending resume entries are
-    /// dropped (counted in [`Timer::canceled_ops`]); pending deadline
-    /// callbacks fire with `false`.
-    pub fn shutdown(&self) {
-        match self {
-            Timer::Heap(t) => t.shutdown(),
-            Timer::Wheel(t) => t.shutdown(),
-        }
-    }
-
-    /// Operations canceled by shutdown: resume entries dropped undelivered
-    /// plus deadline callbacks fired with `false` (including registrations
-    /// that arrived after shutdown).
-    pub fn canceled_ops(&self) -> u64 {
-        match self {
-            Timer::Heap(t) => t.canceled_ops(),
-            Timer::Wheel(t) => t.canceled_ops(),
-        }
-    }
 }
 
 #[cfg(test)]
 pub(crate) mod test_support {
-    //! Shared helpers for heap/wheel timer tests.
+    //! Helpers for the timer wheel's tests.
+
+    use std::sync::Arc;
 
     use super::*;
     use parking_lot::Mutex;

@@ -1,18 +1,19 @@
-//! Sharded hierarchical timer wheel — the default timer.
+//! Sharded hierarchical timer wheel — the runtime's timer.
 //!
 //! # Why a wheel
 //!
 //! Under latency-hiding work stealing every suspension registers a timer,
 //! so with P workers each suspending at rate λ the timer sees P·λ
-//! insertions per second. The original heap timer serializes all of them
-//! behind one mutex and pays O(log n) per insert; at P ≥ 8 the lock is the
-//! bottleneck of the whole suspend path. The wheel removes both costs:
+//! insertions per second. A binary heap behind one mutex serializes all of
+//! them and pays O(log n) per insert; at P ≥ 8 the lock is the bottleneck
+//! of the whole suspend path (1.21–2.43× slower, EXPERIMENTS.md "Retired
+//! arms"). The wheel removes both costs:
 //!
 //! * **Sharding** — the wheel is split into `nshards` independent shards
-//!   (default: one per worker). An insertion locks only the shard of the
-//!   suspending worker (`worker % nshards`), so with the default shard
-//!   count a worker's insertions contend only with the expiration thread
-//!   of its own shard, never with other workers.
+//!   (the runtime uses one per worker). An insertion locks only the shard
+//!   of the suspending worker (`worker % nshards`), so a worker's
+//!   insertions contend only with the expiration thread of its own shard,
+//!   never with other workers.
 //! * **Hashed hierarchical slots** — each shard keeps [`LEVELS`] rings of
 //!   [`SLOTS`] slots. Level `l` slots are `64^l` ticks wide; an entry
 //!   lands in the lowest level whose span covers its remaining delay, and

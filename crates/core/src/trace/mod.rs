@@ -78,9 +78,9 @@ pub enum StealOutcome {
     /// retry budget ran out.
     LostRace,
     /// The victim deque was dead: freed into its owner's recycling pool
-    /// and not yet reused. Only the slot-array baseline sampler
-    /// (`Registry::random_id`) produces these in steady state; the
-    /// live-set index drives them to ~0.
+    /// and not yet reused. The live-set draw never returns a freed deque,
+    /// so this only happens when the victim retires between the draw and
+    /// the steal.
     Dead,
 }
 

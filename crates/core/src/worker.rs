@@ -32,7 +32,7 @@ use std::sync::{Arc, Weak};
 use std::task::Waker;
 use std::time::{Duration, Instant};
 
-use lhws_deque::{DequeId, Steal, WorkerHandle};
+use lhws_deque::{DequeId, DequeKind, Steal, WorkerHandle};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -40,8 +40,8 @@ use crate::config::{LatencyMode, StealPolicy};
 use crate::fault::FaultInjector;
 use crate::metrics::CounterBlock;
 use crate::runtime::RtInner;
-use crate::steal::PolicyState;
-use crate::task::{Task, TaskRef};
+use crate::steal::{PolicyState, STEAL_PROBES};
+use crate::task::TaskRef;
 use crate::timer::{ResumeEvent, TimerEntry};
 use crate::trace::{EventKind, StealOutcome, SuspendKind, Tracer, NONE_ID};
 
@@ -333,19 +333,14 @@ pub(crate) struct Worker {
     rng: StdRng,
     /// Reused buffer for inbox batch drains (swap target).
     inbox_scratch: Vec<ResumeEvent>,
-    /// Last-published advertisement; skipping identical publishes keeps
-    /// the hot loop off the shared_steal mutex.
-    advertised: Vec<DequeId>,
-    /// Reused build buffer for [`Worker::advertise`].
-    adv_scratch: Vec<DequeId>,
     /// Cached from `rt.tracer` so every event site is one local branch;
     /// `None` (tracing disabled) costs nothing on the hot path.
     tracer: Option<Arc<Tracer>>,
     /// Cached from `rt.faults` — same zero-cost-when-`None` pattern as
     /// the tracer. See [`crate::fault`].
     faults: Option<Arc<FaultInjector>>,
-    /// Thief-local steal-policy state (probe budget, batch cap, victim
-    /// affinity). See [`crate::steal`].
+    /// Thief-local steal-policy state (victim affinity). See
+    /// [`crate::steal`].
     policy: PolicyState,
     /// Reused landing buffer for steal-half batches: the first task
     /// becomes the assigned task, the rest is pushed into the fresh
@@ -366,7 +361,6 @@ impl Worker {
             .wrapping_add(crate::rng::GOLDEN_GAMMA.wrapping_mul(index as u64 + 1));
         let tracer = rt.tracer.clone();
         let faults = rt.faults.clone();
-        let policy = PolicyState::new(rt.config.steal_policy, rt.config.steal_batch_limit);
         Worker {
             rt,
             index,
@@ -379,11 +373,9 @@ impl Worker {
             assigned: None,
             rng: StdRng::seed_from_u64(seed),
             inbox_scratch: Vec::new(),
-            advertised: Vec::new(),
-            adv_scratch: Vec::new(),
             tracer,
             faults,
-            policy,
+            policy: PolicyState::default(),
             steal_scratch: Vec::new(),
             epoch: 0,
         }
@@ -454,19 +446,14 @@ impl Worker {
                 let q = self.new_deque();
                 self.activate(q);
             } else {
-                // Thief mode: a bounded burst of probes, sized by the steal
-                // policy (a fixed baseline, or ramped under contention by
-                // Adaptive). Every probe is one full steal attempt (one
-                // `steals_attempted` bump paired with exactly one `Steal`
-                // trace event); the exponential backoff between failed
-                // probes keeps a pack of idle thieves from hammering the
-                // registry shards.
-                let probes = self.policy.probe_budget();
-                for probe in 0..probes {
+                // Thief mode: a bounded burst of probes. Every probe is one
+                // full steal attempt (one `steals_attempted` bump paired
+                // with exactly one `Steal` trace event); the exponential
+                // backoff between failed probes keeps a pack of idle
+                // thieves from hammering the registry shards.
+                for probe in 0..STEAL_PROBES {
                     self.ctr().bump(&self.ctr().steals_attempted);
-                    let got = self.try_steal();
-                    self.policy.record_attempt(got.is_some());
-                    if let Some(task) = got {
+                    if let Some(task) = self.try_steal() {
                         self.ctr().bump(&self.ctr().steals_succeeded);
                         self.assigned = Some(task);
                         let q = self.new_deque();
@@ -619,7 +606,6 @@ impl Worker {
         for t in pending {
             self.owned[a].handle.push_bottom(t);
         }
-        self.advertise();
     }
 
     // ------------------------------------------------------------------
@@ -709,7 +695,6 @@ impl Worker {
             }
             self.mark_ready(q);
         }
-        self.advertise();
     }
 
     /// Fault hook: demote a non-empty active deque to the ready list, as
@@ -730,7 +715,6 @@ impl Worker {
             }
         });
         self.mark_ready(a);
-        self.advertise();
     }
 
     fn mark_ready(&mut self, q: usize) {
@@ -762,7 +746,7 @@ impl Worker {
                 q
             }
             None => {
-                let (worker_end, stealer) = WorkerHandle::new(self.rt.config.deque_kind);
+                let (worker_end, stealer) = WorkerHandle::new(DequeKind::ChaseLev);
                 let global = self
                     .rt
                     .registry
@@ -815,7 +799,6 @@ impl Worker {
                 tls.active_local.set(q);
             }
         });
-        self.advertise();
     }
 
     fn release_active_if_empty(&mut self) {
@@ -834,7 +817,6 @@ impl Worker {
             self.free_deque(a);
         }
         // Otherwise the deque parks as a suspended deque until a resume.
-        self.advertise();
     }
 
     // ------------------------------------------------------------------
@@ -862,19 +844,13 @@ impl Worker {
     }
 
     /// One steal against victim `id`, single or steal-half depending on
-    /// the policy's current batch cap. On a multi-task claim the first
+    /// the configured batch cap. On a multi-task claim the first
     /// task is returned as the assigned task and the remainder stays in
     /// `steal_scratch` for [`Worker::land_batch_overflow`].
     fn steal_victim(&mut self, id: DequeId) -> (Option<TaskRef>, StealOutcome) {
-        let cap = self.policy.batch_cap();
+        let cap = self.rt.config.steal_batch_limit;
         if cap <= 1 {
-            let r = self.steal_from(id);
-            if r.0.is_some() {
-                // Feed Adaptive's depth loop from the single path too, or
-                // its cap could never leave 1.
-                self.policy.record_batch(1, 1);
-            }
-            return r;
+            return self.steal_from(id);
         }
         debug_assert!(self.steal_scratch.is_empty());
         for _ in 0..STEAL_RETRIES {
@@ -885,7 +861,6 @@ impl Worker {
             {
                 Steal::Success(n) => {
                     debug_assert_eq!(n, self.steal_scratch.len());
-                    self.policy.record_batch(n, cap);
                     if n >= 2 {
                         let c = self.ctr();
                         c.add(&c.steal_batch_tasks, n as u64);
@@ -920,7 +895,6 @@ impl Worker {
             self.owned[q].handle.push_bottom(t);
         }
         self.steal_scratch = rest;
-        self.advertise();
     }
 
     /// One steal attempt (exactly one `Steal` trace event — including
@@ -942,26 +916,7 @@ impl Worker {
         }
         let (victim, victim_worker, got, outcome) = match self.rt.config.steal_policy {
             StealPolicy::Uniform => self.steal_uniform(),
-            StealPolicy::Affinity | StealPolicy::Adaptive => self.steal_affinity(),
-            StealPolicy::WorkerThenDeque => {
-                let p = self.rt.config.workers;
-                if p == 1 {
-                    (None, NONE_ID, None, StealOutcome::Empty)
-                } else {
-                    let mut victim = self.rng.gen_range(0..p - 1);
-                    if victim >= self.index {
-                        victim += 1;
-                    }
-                    let ids: Vec<DequeId> = self.rt.shared_steal[victim].lock().clone();
-                    if ids.is_empty() {
-                        (None, victim as u32, None, StealOutcome::Empty)
-                    } else {
-                        let id = ids[self.rng.gen_range(0..ids.len())];
-                        let (task, outcome) = self.steal_victim(id);
-                        (Some(id), victim as u32, task, outcome)
-                    }
-                }
-            }
+            StealPolicy::Affinity => self.steal_affinity(),
         };
         self.trace(EventKind::Steal {
             victim_deque: victim.map_or(NONE_ID, |id| id.index() as u32),
@@ -972,20 +927,9 @@ impl Worker {
     }
 
     /// Uniform victim draw: the paper's memoryless `randomDeque()` over
-    /// the live set (or the slot-array baseline when the live index is
-    /// off or faulted stale).
+    /// the live set.
     fn steal_uniform(&mut self) -> (Option<DequeId>, u32, Option<TaskRef>, StealOutcome) {
-        // Stale-live-index fault: pretend the live index lagged and
-        // fall back to the slot-array draw, which can land on a
-        // freed slot — exercising the dead-target accounting below.
-        let use_live = self.rt.config.live_index
-            && !self.faults.as_ref().is_some_and(|f| f.stale_live_index());
-        let drawn = if use_live {
-            self.rt.registry.random_live_id(self.rng.gen())
-        } else {
-            self.rt.registry.random_id(self.rng.gen())
-        };
-        match drawn {
+        match self.rt.registry.random_live_id(self.rng.gen()) {
             None => (None, NONE_ID, None, StealOutcome::Empty),
             Some(id) => self.steal_checked(id),
         }
@@ -999,9 +943,11 @@ impl Worker {
     ) -> (Option<DequeId>, u32, Option<TaskRef>, StealOutcome) {
         let (task, mut outcome) = self.steal_victim(id);
         if task.is_none() && !self.rt.registry.is_live(id) {
-            // The draw landed on a freed slot. The paper's
-            // `randomDeque()` simply eats such failures; counting them is
-            // what lets the live-set index be shown to remove them.
+            // The victim retired between the draw and the steal (the
+            // live-set draw never returns an already-freed slot, so this
+            // is the only way to land on one). The paper's
+            // `randomDeque()` simply eats such failures; they stay
+            // counted so a regression of the index shows up.
             self.ctr().bump(&self.ctr().steals_dead_target);
             outcome = StealOutcome::Dead;
         }
@@ -1068,33 +1014,6 @@ impl Worker {
             }
         }
         r
-    }
-
-    /// Publishes this worker's stealable deques (active + ready) for the
-    /// WorkerThenDeque policy. Skips the publish — no allocation, no
-    /// mutex — when the set is unchanged since last time, which is the
-    /// overwhelmingly common case in the poll loop (`activate`/`flush`
-    /// re-advertise the same single active deque).
-    fn advertise(&mut self) {
-        if self.rt.config.steal_policy != StealPolicy::WorkerThenDeque {
-            return;
-        }
-        let mut ids = std::mem::take(&mut self.adv_scratch);
-        ids.clear();
-        if let Some(a) = self.active {
-            ids.push(self.owned[a].global);
-        }
-        for &q in &self.ready {
-            ids.push(self.owned[q].global);
-        }
-        if ids == self.advertised {
-            self.adv_scratch = ids;
-            return;
-        }
-        self.rt.shared_steal[self.index].lock().clone_from(&ids);
-        // `ids` becomes the cached fingerprint; the old one is the next
-        // build buffer.
-        self.adv_scratch = std::mem::replace(&mut self.advertised, ids);
     }
 
     // ------------------------------------------------------------------
@@ -1181,11 +1100,6 @@ impl Worker {
         self.steal_scratch.clear();
         self.inbox_scratch.clear();
         self.policy.poison();
-        if self.rt.config.steal_policy == StealPolicy::WorkerThenDeque {
-            self.rt.shared_steal[self.index].lock().clear();
-            self.advertised.clear();
-            self.adv_scratch.clear();
-        }
 
         // Void the dead incarnation's suspension registrations. Every
         // read on the registration paths happens on this same thread, so
@@ -1265,11 +1179,4 @@ pub(crate) fn schedule_resumed_batch(tasks: Vec<TaskRef>) {
 /// task must already be in the QUEUED state.
 pub(crate) fn push_queued_task(task: TaskRef) {
     spawn_local(task);
-}
-
-/// Marker impl so `Task::state` reads in this module optimize well.
-#[allow(dead_code)]
-fn _assert_send() {
-    fn is_send<T: Send>() {}
-    is_send::<Task>();
 }

@@ -128,7 +128,14 @@ fn worker_panic_unblocks_try_block_on() {
     drop(completer);
     let report = rt.shutdown();
     assert!(report.poisoned_worker.is_some());
-    assert_eq!(report.faults_injected, 1, "exactly one worker-loop panic");
+    // `worker_panic_after` counts per worker and the first panic poisons:
+    // the other worker can reach its own 50th iteration before that
+    // poison lands, so between one and `workers` panics are injected.
+    assert!(
+        (1..=2).contains(&report.faults_injected),
+        "one to `workers` worker-loop panics, got {}",
+        report.faults_injected
+    );
 }
 
 #[test]

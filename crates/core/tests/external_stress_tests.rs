@@ -10,12 +10,14 @@ use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
 use std::time::Duration;
 
-use lhws_core::{
-    external_op, join_all, Canceled, Config, DeadlineExt, LatencyMode, OpError, Runtime,
-};
+use lhws_core::{external_op, join_all, Canceled, DeadlineExt, LatencyMode, OpError, Runtime};
 
 fn hide_rt(workers: usize) -> Runtime {
-    Runtime::new(Config::default().workers(workers).mode(LatencyMode::Hide)).unwrap()
+    Runtime::builder()
+        .workers(workers)
+        .mode(LatencyMode::Hide)
+        .build()
+        .unwrap()
 }
 
 struct Noop;

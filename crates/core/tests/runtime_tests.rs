@@ -5,13 +5,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use lhws_core::{
-    fork2, par_map_reduce, simulate_latency, spawn, yield_now, Config, LatencyMode, LatencyProfile,
-    RemoteService, Runtime, StealPolicy,
+    fork2, par_map_reduce, simulate_latency, spawn, yield_now, LatencyMode, LatencyProfile,
+    RemoteService, Runtime,
 };
-use lhws_deque::DequeKind;
 
 fn rt(workers: usize) -> Runtime {
-    Runtime::new(Config::default().workers(workers)).unwrap()
+    Runtime::builder().workers(workers).build().unwrap()
 }
 
 /// Sequential fib for cross-checking.
@@ -111,7 +110,11 @@ fn latency_hiding_overlaps_sleeps() {
 
 #[test]
 fn blocking_mode_serializes_latency() {
-    let rt = Runtime::new(Config::default().workers(2).mode(LatencyMode::Block)).unwrap();
+    let rt = Runtime::builder()
+        .workers(2)
+        .mode(LatencyMode::Block)
+        .build()
+        .unwrap();
     let start = Instant::now();
     rt.block_on(async {
         let handles: Vec<_> = (0..8)
@@ -286,31 +289,6 @@ fn runtime_survives_panicked_task() {
 }
 
 #[test]
-fn worker_then_deque_policy_works() {
-    let rt = Runtime::new(
-        Config::default()
-            .workers(4)
-            .steal_policy(StealPolicy::WorkerThenDeque),
-    )
-    .unwrap();
-    assert_eq!(rt.block_on(pfib(18)), fib(18));
-    rt.block_on(async {
-        let hs: Vec<_> = (0..64)
-            .map(|_| spawn(async { simulate_latency(Duration::from_millis(2)).await }))
-            .collect();
-        for h in hs {
-            h.await;
-        }
-    });
-}
-
-#[test]
-fn mutex_deque_backend_works() {
-    let rt = Runtime::new(Config::default().workers(4).deque_kind(DequeKind::Mutex)).unwrap();
-    assert_eq!(rt.block_on(pfib(17)), fib(17));
-}
-
-#[test]
 fn yield_now_roundtrip() {
     let rt = rt(2);
     let v = rt.block_on(async {
@@ -375,41 +353,33 @@ fn metrics_accumulate_sensibly() {
 }
 
 #[test]
-fn live_index_eliminates_dead_steal_targets() {
+fn live_set_draw_keeps_dead_steal_targets_near_zero() {
     // Phase 1 inflates the registry's allocated prefix with a burst of
     // concurrent suspensions (each suspension parks a deque; the worker
     // moves on to a fresh one). Phase 2 holds one long latency while every
     // other deque sits freed, so idle thieves probe a registry that is
-    // mostly dead slots — the paper's `randomDeque()` eats those misses.
-    fn churn_then_idle(rt: &Runtime) -> u64 {
-        rt.block_on(async {
-            let hs: Vec<_> = (0..200)
-                .map(|_| spawn(async { simulate_latency(Duration::from_millis(10)).await }))
-                .collect();
-            for h in hs {
-                h.await;
-            }
-            simulate_latency(Duration::from_millis(80)).await;
-        });
-        rt.metrics().steals_dead_target
-    }
-    let baseline = Runtime::new(Config::default().workers(4).live_index(false)).unwrap();
-    let dead_baseline = churn_then_idle(&baseline);
-    let live = Runtime::new(Config::default().workers(4)).unwrap();
-    let dead_live = churn_then_idle(&live);
+    // mostly dead slots. The live-set draw never returns an already-freed
+    // slot; the only dead targets left are victims that retire between
+    // the draw and the steal, a vanishing share of the probes.
+    let rt = rt(4);
+    rt.block_on(async {
+        let hs: Vec<_> = (0..200)
+            .map(|_| spawn(async { simulate_latency(Duration::from_millis(10)).await }))
+            .collect();
+        for h in hs {
+            h.await;
+        }
+        simulate_latency(Duration::from_millis(80)).await;
+    });
+    let m = rt.metrics();
+    assert!(m.steals_attempted > 0, "idle thieves must have probed: {m}");
     assert!(
-        dead_baseline > 0,
-        "slot-array sampling must hit freed slots during the idle phase"
-    );
-    assert!(
-        dead_live * 10 <= dead_baseline,
-        "live-set sampling should all but eliminate dead targets: \
-         live={dead_live} baseline={dead_baseline}"
+        m.steals_dead_target * 100 <= m.steals_attempted,
+        "dead targets must stay under 1% of probes: {m}"
     );
     // The registry-backed gauges flow through the snapshot. (The absolute
     // high water is workload-shaped — a fast owner absorbs most
     // suspensions onto one deque — so only pin that it is plumbed.)
-    let m = live.metrics();
     assert!(m.live_deques_high_water >= 1, "gauge must be plumbed");
 }
 

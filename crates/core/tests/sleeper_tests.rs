@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use lhws_core::{join_all, simulate_latency, spawn, Config, Runtime};
+use lhws_core::{join_all, simulate_latency, spawn, Runtime};
 
 /// An injected task always wakes a parked worker. The park timeout is
 /// cranked to 500ms so the fallback cannot mask a lost wake-up: if the
@@ -16,10 +16,11 @@ use lhws_core::{join_all, simulate_latency, spawn, Config, Runtime};
 /// start promptly. Repeated so a racy handshake would be caught.
 #[test]
 fn injected_task_always_wakes_a_parked_worker() {
-    let rt = Runtime::new(
-        Config::default().workers(8).park_micros(500_000), // fallback far beyond the assertion bound
-    )
-    .unwrap();
+    let rt = Runtime::builder()
+        .workers(8)
+        .park_micros(500_000) // fallback far beyond the assertion bound
+        .build()
+        .unwrap();
     let before = rt.metrics();
 
     for round in 0..30 {
@@ -49,7 +50,7 @@ fn injected_task_always_wakes_a_parked_worker() {
 #[test]
 fn at_most_one_unpark_per_injected_task() {
     const ROUNDS: u64 = 50;
-    let rt = Runtime::new(Config::default().workers(8)).unwrap();
+    let rt = Runtime::builder().workers(8).build().unwrap();
     let before = rt.metrics();
 
     for _ in 0..ROUNDS {
@@ -75,14 +76,13 @@ fn at_most_one_unpark_per_injected_task() {
 #[test]
 fn resume_batches_do_not_broadcast_unparks() {
     const TASKS: u64 = 400;
-    let rt = Runtime::new(
-        Config::default()
-            .workers(8)
-            // One coarse tick collects the whole wave into per-worker
-            // batches.
-            .timer_tick(Duration::from_millis(20)),
-    )
-    .unwrap();
+    let rt = Runtime::builder()
+        .workers(8)
+        // One coarse tick collects the whole wave into per-worker
+        // batches.
+        .timer_tick(Duration::from_millis(20))
+        .build()
+        .unwrap();
     let before = rt.metrics();
 
     let total = rt.block_on(async {
@@ -119,10 +119,11 @@ fn resume_batches_do_not_broadcast_unparks() {
 /// entirely).
 #[test]
 fn wakeup_is_sufficient_without_timeout_fallback() {
-    let rt = Runtime::new(
-        Config::default().workers(4).park_micros(1_000_000_000), // no fallback within test lifetime
-    )
-    .unwrap();
+    let rt = Runtime::builder()
+        .workers(4)
+        .park_micros(1_000_000_000) // no fallback within test lifetime
+        .build()
+        .unwrap();
     std::thread::sleep(Duration::from_millis(20));
 
     let hits = Arc::new(AtomicU64::new(0));

@@ -1,5 +1,5 @@
 //! Integration tests for the steal-policy layer: victim affinity,
-//! adaptive batching, and the `AffinityStale` chaos fault.
+//! steal-half batching, and the `AffinityStale` chaos fault.
 
 use lhws_core::{join_all, spawn, FaultPlan, Runtime, StealPolicy};
 
@@ -106,10 +106,10 @@ fn uniform_steal_half_lands_batches() {
 }
 
 #[test]
-fn adaptive_policy_completes_with_batching_and_faults() {
+fn affinity_policy_completes_with_batching_and_faults() {
     let rt = Runtime::builder()
         .workers(4)
-        .steal_policy(StealPolicy::Adaptive)
+        .steal_policy(StealPolicy::Affinity)
         .steal_batch_limit(16)
         .fault_plan(
             FaultPlan::new(5)

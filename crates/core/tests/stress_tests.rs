@@ -6,12 +6,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use lhws_core::channel::{mpsc, oneshot};
-use lhws_core::{
-    fork2, join_all, simulate_latency, spawn, Config, LatencyMode, Runtime, StealPolicy,
-};
+use lhws_core::{fork2, join_all, simulate_latency, spawn, LatencyMode, Runtime};
 
 fn rt(workers: usize) -> Runtime {
-    Runtime::new(Config::default().workers(workers)).unwrap()
+    Runtime::builder().workers(workers).build().unwrap()
 }
 
 #[test]
@@ -97,7 +95,7 @@ fn interleaved_suspend_resume_cycles_per_task() {
 fn steal_storm_single_producer() {
     // One task floods its own deque; the other workers must drain it by
     // stealing. More workers than cores is fine (they interleave).
-    let rt = Runtime::new(Config::default().workers(8)).unwrap();
+    let rt = Runtime::builder().workers(8).build().unwrap();
     let done = rt.block_on(async {
         let hs: Vec<_> = (0..4_000)
             .map(|i| spawn(async move { std::hint::black_box(i) & 1 }))
@@ -107,28 +105,6 @@ fn steal_storm_single_producer() {
     assert_eq!(done, 4_000);
     let m = rt.metrics();
     assert!(m.steals_succeeded > 0, "someone must have stolen: {m:?}");
-}
-
-#[test]
-fn worker_then_deque_under_load() {
-    let rt = Runtime::new(
-        Config::default()
-            .workers(4)
-            .steal_policy(StealPolicy::WorkerThenDeque),
-    )
-    .unwrap();
-    let out = rt.block_on(async {
-        let hs: Vec<_> = (0..512)
-            .map(|i| {
-                spawn(async move {
-                    simulate_latency(Duration::from_micros((i % 13) * 100)).await;
-                    1u64
-                })
-            })
-            .collect();
-        join_all(hs).await.into_iter().sum::<u64>()
-    });
-    assert_eq!(out, 512);
 }
 
 #[test]
@@ -193,7 +169,7 @@ fn oneshot_chains() {
 fn runtime_churn() {
     // Create and destroy many runtimes with pending latency work.
     for i in 0..20 {
-        let rt = Runtime::new(Config::default().workers(2).seed(i)).unwrap();
+        let rt = Runtime::builder().workers(2).seed(i).build().unwrap();
         let v = rt.block_on(async move {
             let (a, b) = fork2(async { 1u64 }, async {
                 simulate_latency(Duration::from_micros(500)).await;
@@ -217,7 +193,11 @@ fn runtime_churn() {
 #[test]
 fn blocking_mode_stress_correctness() {
     // Blocking mode must still compute correct results with many tasks.
-    let rt = Runtime::new(Config::default().workers(8).mode(LatencyMode::Block)).unwrap();
+    let rt = Runtime::builder()
+        .workers(8)
+        .mode(LatencyMode::Block)
+        .build()
+        .unwrap();
     let sum = rt.block_on(async {
         let hs: Vec<_> = (0..64)
             .map(|i| {
@@ -241,7 +221,7 @@ fn hundred_thousand_concurrent_suspensions() {
     use std::time::Instant;
 
     const N: u64 = 100_000;
-    let rt = Runtime::new(Config::default().workers(8)).unwrap();
+    let rt = Runtime::builder().workers(8).build().unwrap();
 
     // Warm-up wave, which also calibrates the common deadline: every task
     // must register *before* the first expiration for the peak to hit N,
@@ -303,8 +283,12 @@ fn hundred_thousand_concurrent_suspensions() {
 
 #[test]
 fn mixed_modes_coexisting_runtimes() {
-    let hide = Runtime::new(Config::default().workers(2)).unwrap();
-    let block = Runtime::new(Config::default().workers(2).mode(LatencyMode::Block)).unwrap();
+    let hide = Runtime::builder().workers(2).build().unwrap();
+    let block = Runtime::builder()
+        .workers(2)
+        .mode(LatencyMode::Block)
+        .build()
+        .unwrap();
     let a = hide.block_on(async {
         simulate_latency(Duration::from_millis(2)).await;
         1

@@ -171,19 +171,6 @@ fn builder_rejects_zero_workers() {
 }
 
 #[test]
-fn builder_rejects_explicit_zero_timer_shards() {
-    let err = Runtime::builder()
-        .workers(2)
-        .timer_shards(0)
-        .build()
-        .unwrap_err();
-    rejects(err, ConfigError::ZeroTimerShards);
-    // Not setting the knob at all means "one shard per worker" and is fine.
-    let rt = Runtime::builder().workers(2).build().unwrap();
-    drop(rt);
-}
-
-#[test]
 fn builder_rejects_zero_timer_tick() {
     let err = Runtime::builder()
         .workers(1)
@@ -191,26 +178,6 @@ fn builder_rejects_zero_timer_tick() {
         .build()
         .unwrap_err();
     rejects(err, ConfigError::ZeroTimerTick);
-}
-
-#[test]
-fn builder_rejects_zero_resume_batch_limit() {
-    let err = Runtime::builder()
-        .workers(1)
-        .resume_batch_limit(0)
-        .build()
-        .unwrap_err();
-    rejects(err, ConfigError::ZeroResumeBatchLimit);
-}
-
-#[test]
-fn builder_rejects_zero_pfor_grain() {
-    let err = Runtime::builder()
-        .workers(1)
-        .pfor_grain(0)
-        .build()
-        .unwrap_err();
-    rejects(err, ConfigError::ZeroPforGrain);
 }
 
 #[test]
@@ -246,8 +213,10 @@ fn config_validate_catches_direct_field_writes() {
         ..Config::default()
     };
     assert_eq!(cfg.validate(), Err(ConfigError::ZeroWorkers));
-    // The fluent setters clamp, so a setter-built Config always passes.
-    assert_eq!(Config::default().workers(0).validate(), Ok(()));
+    assert!(matches!(
+        Runtime::new(cfg),
+        Err(RuntimeError::InvalidConfig(ConfigError::ZeroWorkers))
+    ));
 }
 
 #[test]

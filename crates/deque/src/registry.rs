@@ -14,9 +14,11 @@
 //!   case the steal simply fails. The worst-case analysis already accounts
 //!   for these failed steals.
 //!
-//! This module keeps that contract — [`Registry::random_id`] still samples
-//! the whole allocated prefix, and slots are written once and never removed
-//! — but adds two scalability layers on top:
+//! This module keeps the allocation half of that contract — slots are
+//! written once and never removed — but thieves draw from a live-set index
+//! instead of the allocated prefix (sampling the prefix is at parity with
+//! no dead slots and 2–33× worse otherwise; EXPERIMENTS.md "Retired
+//! arms"). Two scalability layers sit on top:
 //!
 //! 1. **Segmented slot storage.** Slots live in power-of-two-sized segments
 //!    (8, 16, 32, …) allocated lazily on first use, so a registry configured
@@ -510,35 +512,15 @@ impl<T: Send> Registry<T> {
         }
     }
 
-    /// Maps a uniform random value onto an allocated deque id, i.e. the
-    /// paper's `randomDeque()` over `[0, gTotalDeques)`. Returns `None`
-    /// when no deque exists yet.
-    ///
-    /// The sampled slot may be dead (freed); the caller eats a failed
-    /// steal, exactly as the paper's analysis assumes. This is the
-    /// ablation baseline for [`random_live_id`](Self::random_live_id).
-    ///
-    /// Uses the widening-multiply mapping `(uniform * n) >> 64` instead of
-    /// `uniform % n`: same cost, and the result is uniform to within
-    /// 2⁻⁶⁴·n instead of the modulo's bias toward small ids (which for the
-    /// analyzed `randomDeque()` would systematically favor the deques
-    /// allocated first).
-    pub fn random_id(&self, uniform: u64) -> Option<DequeId> {
-        let n = self.len() as u64;
-        if n == 0 {
-            None
-        } else {
-            Some(DequeId(((uniform as u128 * n as u128) >> 64) as u32))
-        }
-    }
-
     /// Maps a uniform random value onto a **live** deque id: uniform over
     /// the live set (to within the race window of concurrent
     /// register/release traffic). Returns `None` when the live set is
     /// empty.
     ///
     /// The thief sums the shard lengths without locks, widening-multiplies
-    /// the uniform value onto the total, walks shards to the target, and
+    /// the uniform value onto the total (`(uniform * n) >> 64`: the cost of
+    /// `uniform % n` without its bias toward small indices), walks shards
+    /// to the target, and
     /// reads the landing entry with a single atomic load — the entire draw
     /// is lock-free and RMW-free, so consecutive draws pipeline instead of
     /// serializing on a mutex. If concurrent releases shrink a shard
@@ -665,28 +647,8 @@ mod tests {
     }
 
     #[test]
-    fn random_id_distribution_covers_all() {
-        let reg: Registry<u32> = Registry::with_capacity(16);
-        for _ in 0..5 {
-            let (_w, s) = WorkerHandle::new(DequeKind::Mutex);
-            reg.register(0, s).unwrap();
-        }
-        let mut seen = std::collections::HashSet::new();
-        // Uniform values spread across the whole u64 range (the mapping is
-        // `(u * n) >> 64`, so coverage needs full-range inputs).
-        for i in 0..100u64 {
-            let u = i.wrapping_mul(u64::MAX / 100);
-            let id = reg.random_id(u).unwrap();
-            assert!(id.index() < 5, "id out of range");
-            seen.insert(id);
-        }
-        assert_eq!(seen.len(), 5);
-    }
-
-    #[test]
-    fn random_id_empty_registry() {
+    fn random_live_id_empty_registry() {
         let reg: Registry<u32> = Registry::with_capacity(4);
-        assert_eq!(reg.random_id(12345), None);
         assert_eq!(reg.random_live_id(12345), None);
     }
 
@@ -804,6 +766,15 @@ mod tests {
             seen.insert(id);
         }
         assert_eq!(seen.len(), 3, "all live deques reachable");
+
+        // Retire between draw and steal — the one way a thief still lands
+        // on a dead target (the worker's `StealOutcome::Dead`): the drawn
+        // id was live, its owner frees it, the steal reads empty and the
+        // id is no longer live.
+        let drawn = reg.random_live_id(0).unwrap();
+        reg.release(drawn);
+        assert!(reg.steal(drawn).is_empty());
+        assert!(!reg.is_live(drawn));
     }
 
     #[test]

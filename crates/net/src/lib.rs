@@ -24,10 +24,10 @@
 //! paper's two schedulers identical application code to disagree over.
 //!
 //! ```no_run
-//! use lhws_core::{Config, LatencyMode, Runtime};
+//! use lhws_core::{LatencyMode, Runtime};
 //! use lhws_net::{Reactor, TcpListener};
 //!
-//! let rt = Runtime::new(Config::default().workers(4).mode(LatencyMode::Hide)).unwrap();
+//! let rt = Runtime::builder().workers(4).mode(LatencyMode::Hide).build().unwrap();
 //! let reactor = Reactor::builder(&rt).shards(2).build().unwrap();
 //! let report = rt.block_on(async move {
 //!     let listener = TcpListener::bind(&reactor, "127.0.0.1:0")?;
@@ -49,7 +49,7 @@ mod tcp;
 
 pub use driver::{Interest, InterestSet, IoDriver, IoEvent, WaitOutcome};
 pub use epoll::EpollDriver;
-pub use reactor::{Reactor, ReactorBuilder, ReadyFuture, TimedReadyFuture};
+pub use reactor::{Reactor, ReactorBuilder, ReadyFuture, TimedReadyFuture, MAX_REACTOR_SHARDS};
 pub use shard::EpollShard;
 // Re-exported so readiness futures can be deadline-bounded without a
 // direct lhws-core dependency.

@@ -40,7 +40,7 @@ use parking_lot::Mutex;
 
 use lhws_core::{
     external_op, DeadlineExt, DeadlineOp, Driver, DriverHooks, DriverReport, ExternalOp,
-    IoShardStats, LatencyMode, OpError, Runtime, MAX_REACTOR_SHARDS,
+    LatencyMode, OpError, Runtime,
 };
 
 use crate::driver::Interest;
@@ -51,9 +51,6 @@ struct Inner {
     hooks: DriverHooks,
     /// The shard map; empty in blocking mode. Routing is `fd % len`.
     shards: Vec<Arc<EpollShard>>,
-    /// Per-shard counters, registered with the runtime's observer.
-    #[allow(dead_code)]
-    stats: Arc<IoShardStats>,
     /// Set exactly once by the first successful [`Driver::shutdown`];
     /// later callers return the stored report (idempotence).
     report: Mutex<Option<DriverReport>>,
@@ -96,19 +93,24 @@ impl std::fmt::Debug for Reactor {
 #[must_use = "builders do nothing until `build()` is called"]
 pub struct ReactorBuilder<'rt> {
     rt: &'rt Runtime,
-    shards: Option<usize>,
+    shards: usize,
     edge_triggered: bool,
 }
+
+/// Hard cap on [`ReactorBuilder::shards`]: each shard is an epoll
+/// instance, an eventfd, and an OS thread, so a runaway value is a
+/// resource bug, not a tuning choice.
+pub const MAX_REACTOR_SHARDS: usize = 1024;
 
 impl<'rt> ReactorBuilder<'rt> {
     /// Sets the shard count: independent epoll instances + event
     /// threads, with fds routed by `fd % shards`. `0` means one shard
-    /// per worker. Omit to inherit the runtime's
-    /// [`Config::reactor_shards`](lhws_core::Config) (default `1`, the
-    /// historical single-threaded reactor). Clamped to
-    /// [`MAX_REACTOR_SHARDS`].
+    /// per worker; omitted, the reactor runs `1` shard (the historical
+    /// single-threaded reactor). More than [`MAX_REACTOR_SHARDS`] is
+    /// rejected by [`build`](Self::build) with
+    /// [`io::ErrorKind::InvalidInput`].
     pub fn shards(mut self, n: usize) -> Self {
-        self.shards = Some(n);
+        self.shards = n;
         self
     }
 
@@ -133,15 +135,19 @@ impl<'rt> ReactorBuilder<'rt> {
         let shard_count = if blocking {
             0
         } else {
-            let configured = self
-                .shards
-                .unwrap_or_else(|| hooks.reactor_shards().unwrap_or(1));
-            let resolved = if configured == 0 {
-                hooks.workers().unwrap_or(1)
-            } else {
-                configured
-            };
-            resolved.clamp(1, MAX_REACTOR_SHARDS)
+            if self.shards > MAX_REACTOR_SHARDS {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!(
+                        "reactor shards ({}) exceeds MAX_REACTOR_SHARDS ({MAX_REACTOR_SHARDS})",
+                        self.shards
+                    ),
+                ));
+            }
+            match self.shards {
+                0 => hooks.workers().unwrap_or(1),
+                n => n,
+            }
         };
         let stats = hooks.register_io_shards(shard_count);
         let mut shards = Vec::with_capacity(shard_count);
@@ -163,7 +169,6 @@ impl<'rt> ReactorBuilder<'rt> {
             inner: Arc::new(Inner {
                 hooks,
                 shards,
-                stats,
                 report: Mutex::new(None),
                 next_token: AtomicU64::new(1),
                 blocking,
@@ -182,20 +187,9 @@ impl Reactor {
     pub fn builder(rt: &Runtime) -> ReactorBuilder<'_> {
         ReactorBuilder {
             rt,
-            shards: None,
+            shards: 1,
             edge_triggered: false,
         }
-    }
-
-    /// Creates a reactor for `rt` with the runtime's configured shard
-    /// count and attaches it as a driver.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `Reactor::builder(rt).shards(n).edge_triggered(b).build()`; \
-                `new` is equivalent to `Reactor::builder(rt).build()`"
-    )]
-    pub fn new(rt: &Runtime) -> io::Result<Reactor> {
-        Reactor::builder(rt).build()
     }
 
     /// True when this reactor serves a [`LatencyMode::Block`] runtime:

@@ -7,7 +7,7 @@
 //! per shard, with no cross-shard state beyond the shared
 //! [`IoShardStats`] counter block (cache-padded per shard). The code is
 //! the former single-threaded reactor loop, unchanged in protocol:
-//! `reactor_shards = 1` is byte-compatible with the historical reactor.
+//! One shard (the default) is byte-compatible with the historical reactor.
 
 use std::collections::HashMap;
 use std::os::fd::RawFd;

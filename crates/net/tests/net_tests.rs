@@ -5,11 +5,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use lhws_core::{audit, fork2, Config, FaultPlan, LatencyMode, Runtime};
-use lhws_net::{DeadlineExt, Reactor, TcpListener, TcpStream};
+use lhws_core::{audit, fork2, FaultPlan, LatencyMode, Runtime};
+use lhws_net::{DeadlineExt, Reactor, TcpListener, TcpStream, MAX_REACTOR_SHARDS};
 
 fn hide_rt(workers: usize) -> Runtime {
-    Runtime::new(Config::default().workers(workers).mode(LatencyMode::Hide)).unwrap()
+    Runtime::builder()
+        .workers(workers)
+        .mode(LatencyMode::Hide)
+        .build()
+        .unwrap()
 }
 
 /// One echo round trip per connection, several connections in flight: the
@@ -63,13 +67,12 @@ fn loopback_echo_round_trips() {
 /// A traced run passes `Trace::audit`, including the Io pairing checks.
 #[test]
 fn traced_run_audits_clean() {
-    let rt = Runtime::new(
-        Config::default()
-            .workers(2)
-            .mode(LatencyMode::Hide)
-            .trace_capacity(4096),
-    )
-    .unwrap();
+    let rt = Runtime::builder()
+        .workers(2)
+        .mode(LatencyMode::Hide)
+        .trace_capacity(4096)
+        .build()
+        .unwrap();
     let reactor = Reactor::builder(&rt).build().unwrap();
 
     let r2 = reactor.clone();
@@ -240,37 +243,25 @@ fn shutdown_cancels_inflight_waits() {
     assert_eq!(canceled_seen.load(Ordering::SeqCst), 101);
 }
 
-/// The deprecated `Reactor::new` stays byte-compatible with the default
-/// builder: one shard, level-triggered, same echo behavior and clean
-/// shutdown accounting.
+/// Shard-count resolution: omitted means the single level-triggered shard
+/// of the historical reactor, `0` means one shard per worker, and a count
+/// above the cap is rejected instead of spawning a thread per shard.
 #[test]
-#[allow(deprecated)]
-fn deprecated_new_matches_default_builder() {
-    let rt = hide_rt(2);
-    let reactor = Reactor::new(&rt).unwrap();
+fn shard_count_default_per_worker_and_cap() {
+    let rt = hide_rt(3);
+    let reactor = Reactor::builder(&rt).build().unwrap();
     assert_eq!(reactor.shard_count(), 1);
     assert!(!reactor.is_edge_triggered());
 
-    let r2 = reactor.clone();
-    rt.block_on(async move {
-        let listener = TcpListener::bind(&r2, "127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let serve = async {
-            let (mut conn, _) = listener.accept().await.unwrap();
-            let mut buf = [0u8; 8];
-            let n = conn.read(&mut buf).await.unwrap();
-            conn.write_all(&buf[..n]).await.unwrap();
-        };
-        let r3 = r2.clone();
-        let drive = async move {
-            let mut s = TcpStream::connect(&r3, addr).unwrap();
-            s.write_all(b"old").await.unwrap();
-            let mut buf = [0u8; 8];
-            let n = s.read(&mut buf).await.unwrap();
-            assert_eq!(&buf[..n], b"old");
-        };
-        fork2(serve, drive).await;
-    });
+    let per_worker = Reactor::builder(&rt).shards(0).build().unwrap();
+    assert_eq!(per_worker.shard_count(), 3);
+
+    let err = Reactor::builder(&rt)
+        .shards(MAX_REACTOR_SHARDS + 1)
+        .build()
+        .unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+
     let report = rt.shutdown();
     assert_eq!(report.canceled_io_waits, 0);
     assert_eq!(report.leaked_suspensions, 0, "unclean: {report:?}");
@@ -280,7 +271,11 @@ fn deprecated_new_matches_default_builder() {
 /// application code runs on blocking sockets.
 #[test]
 fn block_mode_runs_same_code_without_reactor_thread() {
-    let rt = Runtime::new(Config::default().workers(2).mode(LatencyMode::Block)).unwrap();
+    let rt = Runtime::builder()
+        .workers(2)
+        .mode(LatencyMode::Block)
+        .build()
+        .unwrap();
     let reactor = Reactor::builder(&rt).build().unwrap();
     assert!(reactor.is_blocking());
     assert_eq!(reactor.shard_count(), 0, "Block mode spawns no shards");
@@ -320,14 +315,13 @@ fn block_mode_runs_same_code_without_reactor_thread() {
 /// re-arming recovers every wait: the run completes and audits clean.
 #[test]
 fn dropped_readiness_recovers_via_level_trigger() {
-    let rt = Runtime::new(
-        Config::default()
-            .workers(2)
-            .mode(LatencyMode::Hide)
-            .trace_capacity(8192)
-            .fault_plan(FaultPlan::new(0xfeed_beef).dropped_readiness(400_000)),
-    )
-    .unwrap();
+    let rt = Runtime::builder()
+        .workers(2)
+        .mode(LatencyMode::Hide)
+        .trace_capacity(8192)
+        .fault_plan(FaultPlan::new(0xfeed_beef).dropped_readiness(400_000))
+        .build()
+        .unwrap();
     let reactor = Reactor::builder(&rt).build().unwrap();
 
     let r2 = reactor.clone();

@@ -3,11 +3,15 @@
 
 use std::time::{Duration, Instant};
 
-use lhws_core::{fork2, Config, FaultPlan, LatencyMode, Runtime};
+use lhws_core::{fork2, FaultPlan, LatencyMode, Runtime};
 use lhws_net::{DeadlineExt, Reactor, TcpListener, TcpStream};
 
 fn hide_rt(workers: usize) -> Runtime {
-    Runtime::new(Config::default().workers(workers).mode(LatencyMode::Hide)).unwrap()
+    Runtime::builder()
+        .workers(workers)
+        .mode(LatencyMode::Hide)
+        .build()
+        .unwrap()
 }
 
 /// Total (events, wakeups) per shard right now.
@@ -261,13 +265,12 @@ fn readiness_survives_worker_respawn_under_load() {
 /// fault's losslessness).
 #[test]
 fn dropped_readiness_recovers_under_edge_trigger() {
-    let rt = Runtime::new(
-        Config::default()
-            .workers(2)
-            .mode(LatencyMode::Hide)
-            .fault_plan(FaultPlan::new(0xeded_0001).dropped_readiness(400_000)),
-    )
-    .unwrap();
+    let rt = Runtime::builder()
+        .workers(2)
+        .mode(LatencyMode::Hide)
+        .fault_plan(FaultPlan::new(0xeded_0001).dropped_readiness(400_000))
+        .build()
+        .unwrap();
     let reactor = Reactor::builder(&rt)
         .shards(2)
         .edge_triggered(true)

@@ -17,7 +17,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use lhws::{par_map_reduce, Config, LatencyMode, LatencyProfile, RemoteService, Runtime};
+use lhws::{par_map_reduce, LatencyMode, LatencyProfile, RemoteService, Runtime};
 
 fn fib(n: u64) -> u64 {
     if n < 2 {
@@ -30,7 +30,11 @@ fn fib(n: u64) -> u64 {
 const MODULUS: u64 = 1_000_000_007;
 
 fn run(workers: usize, mode: LatencyMode, n: u64, delta: Duration, fib_n: u64) -> Duration {
-    let rt = Runtime::new(Config::default().workers(workers).mode(mode)).unwrap();
+    let rt = Runtime::builder()
+        .workers(workers)
+        .mode(mode)
+        .build()
+        .unwrap();
     let svc = Arc::new(RemoteService::new("values", LatencyProfile::Fixed(delta)));
     let start = Instant::now();
     let sum = rt.block_on(async move {

@@ -8,8 +8,7 @@
 //! ```
 //!
 //! `--reactor-shards S` spreads the reactor over `S` independent epoll
-//! shards (`0` = one per worker; default inherits the runtime config,
-//! i.e. 1). Accepted connections land on shard `fd % S` and the accept
+//! shards (`0` = one per worker; default 1). Accepted connections land on shard `fd % S` and the accept
 //! loop drains bursts with `accept_batch`, so one readiness wakeup fans
 //! a whole burst of connections out across the worker pool.
 //!
@@ -47,7 +46,7 @@ use std::time::Duration;
 
 use lhws::obs::ObsServer;
 use lhws::{
-    fork2, simulate_latency, spawn, Config, LatencyMode, LineReader, Reactor, Runtime, TcpListener,
+    fork2, simulate_latency, spawn, LatencyMode, LineReader, Reactor, Runtime, TcpListener,
     TcpStream,
 };
 
@@ -75,7 +74,7 @@ struct Args {
     mode: LatencyMode,
     conns: usize,
     max_live: usize,
-    reactor_shards: Option<usize>,
+    reactor_shards: usize,
     edge_triggered: bool,
     trace: bool,
     obs: bool,
@@ -88,7 +87,7 @@ fn parse_args() -> Result<Args, String> {
         mode: LatencyMode::Hide,
         conns: 8,
         max_live: 0,
-        reactor_shards: None,
+        reactor_shards: 1,
         edge_triggered: false,
         trace: false,
         obs: false,
@@ -121,11 +120,9 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("--max-live: {e}"))?;
             }
             "--reactor-shards" => {
-                args.reactor_shards = Some(
-                    val("--reactor-shards")?
-                        .parse()
-                        .map_err(|e| format!("--reactor-shards: {e}"))?,
-                );
+                args.reactor_shards = val("--reactor-shards")?
+                    .parse()
+                    .map_err(|e| format!("--reactor-shards: {e}"))?;
             }
             "--edge-triggered" => args.edge_triggered = true,
             "--trace" => args.trace = true,
@@ -163,22 +160,22 @@ fn main() -> ExitCode {
         }
     };
 
-    let mut cfg = Config::default().workers(args.workers).mode(args.mode);
+    let mut builder = Runtime::builder().workers(args.workers).mode(args.mode);
     if args.trace {
-        cfg = cfg.trace_capacity(1 << 16);
+        builder = builder.trace_capacity(1 << 16);
     }
-    let rt = match Runtime::new(cfg) {
+    let rt = match builder.build() {
         Ok(rt) => rt,
         Err(e) => {
             eprintln!("server: runtime: {e}");
             return ExitCode::FAILURE;
         }
     };
-    let mut reactor_builder = Reactor::builder(&rt).edge_triggered(args.edge_triggered);
-    if let Some(shards) = args.reactor_shards {
-        reactor_builder = reactor_builder.shards(shards);
-    }
-    let reactor = match reactor_builder.build() {
+    let reactor = match Reactor::builder(&rt)
+        .shards(args.reactor_shards)
+        .edge_triggered(args.edge_triggered)
+        .build()
+    {
         Ok(r) => r,
         Err(e) => {
             eprintln!("server: reactor: {e}");

@@ -16,7 +16,7 @@
 use std::time::{Duration, Instant};
 
 use lhws::channel::mpsc;
-use lhws::{fork2, spawn, Config, Runtime};
+use lhws::{fork2, spawn, Runtime};
 
 fn fib(n: u64) -> u64 {
     if n < 2 {
@@ -30,7 +30,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let items: u64 = args.first().and_then(|s| s.parse().ok()).unwrap_or(500);
 
-    let rt = Runtime::new(Config::default().workers(4)).unwrap();
+    let rt = Runtime::builder().workers(4).build().unwrap();
 
     // Stage channels.
     let (raw_tx, mut raw_rx) = mpsc::<String>();

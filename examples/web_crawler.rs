@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use lhws::{fork2, Config, LatencyMode, LatencyProfile, RemoteService, Runtime};
+use lhws::{fork2, LatencyMode, LatencyProfile, RemoteService, Runtime};
 
 struct Web {
     pages: u64,
@@ -69,7 +69,7 @@ fn crawl(
 }
 
 fn run(mode: LatencyMode, pages: u64, max_ms: u64) -> (Duration, u64) {
-    let rt = Runtime::new(Config::default().workers(4).mode(mode)).unwrap();
+    let rt = Runtime::builder().workers(4).mode(mode).build().unwrap();
     let web = Arc::new(Web {
         pages,
         net: RemoteService::new(

@@ -102,13 +102,11 @@ pub use lhws_core::{
     RuntimeError,
     ShutdownReport,
     StealPolicy,
-    TimerKind,
     Trace,
     TraceBatch,
     TraceReader,
     TraceStats,
     YieldNow,
-    MAX_REACTOR_SHARDS,
 };
 
 // The blessed networking surface: construct reactors through
@@ -116,11 +114,8 @@ pub use lhws_core::{
 // Import these from here (or [`prelude`]) rather than from `lhws_net`.
 pub use lhws_net::{
     Interest, LineReader, Reactor, ReactorBuilder, ReadyFuture, TcpListener, TcpStream,
-    TimedReadyFuture,
+    TimedReadyFuture, MAX_REACTOR_SHARDS,
 };
-
-// Deque substrate knobs that surface through `Config`.
-pub use lhws_deque::DequeKind;
 
 // Module entry points with their own vocabularies.
 pub use lhws_core::channel;
@@ -152,8 +147,7 @@ pub mod prelude {
 
 // The `lhws::runtime` / `lhws::deque` crate aliases were deprecated for
 // one release and are now gone: import from the flat `lhws::` surface
-// (or `lhws::prelude`); the deque substrate is internal behind
-// `DequeKind`.
+// (or `lhws::prelude`); the deque substrate is internal.
 
 /// Crate version string, for tooling output headers.
 pub const VERSION: &str = env!("CARGO_PKG_VERSION");

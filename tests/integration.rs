@@ -12,8 +12,7 @@ use lhws::dag::{suspension_width, Metrics};
 use lhws::sim::speedup::{run_lhws, run_ws, speedup_sweep};
 use lhws::sim::{LhwsSim, SimConfig};
 use lhws::{
-    fork2, par_map_reduce, simulate_latency, Config, LatencyMode, LatencyProfile, RemoteService,
-    Runtime,
+    fork2, par_map_reduce, simulate_latency, LatencyMode, LatencyProfile, RemoteService, Runtime,
 };
 
 // ---------------------------------------------------------------------
@@ -111,7 +110,7 @@ fn runtime_and_simulator_agree_on_who_wins() {
     assert!(sim_ws > 2 * sim_lh, "simulator: LHWS wins");
 
     let run = |mode| {
-        let rt = Runtime::new(Config::default().workers(2).mode(mode)).unwrap();
+        let rt = Runtime::builder().workers(2).mode(mode).build().unwrap();
         let start = Instant::now();
         rt.block_on(async {
             let hs: Vec<_> = (0..32)
@@ -142,7 +141,7 @@ fn u_zero_reduction_on_both() {
     assert_eq!(s.max_deques_per_worker, 1);
     assert_eq!(s.pfor_vertices, 0);
 
-    let rt = Runtime::new(Config::default().workers(4)).unwrap();
+    let rt = Runtime::builder().workers(4).build().unwrap();
     fn pfib(n: u64) -> std::pin::Pin<Box<dyn std::future::Future<Output = u64> + Send>> {
         Box::pin(async move {
             if n < 10 {
@@ -165,7 +164,7 @@ fn u_zero_reduction_on_both() {
 
 #[test]
 fn facade_map_reduce_end_to_end() {
-    let rt = Runtime::new(Config::default().workers(3)).unwrap();
+    let rt = Runtime::builder().workers(3).build().unwrap();
     let svc = Arc::new(RemoteService::new(
         "s",
         LatencyProfile::Uniform(Duration::from_millis(1), Duration::from_millis(6)),
@@ -191,7 +190,7 @@ fn facade_map_reduce_end_to_end() {
 
 #[test]
 fn metrics_pair_suspensions_and_resumes() {
-    let rt = Runtime::new(Config::default().workers(2)).unwrap();
+    let rt = Runtime::builder().workers(2).build().unwrap();
     rt.block_on(async {
         for _ in 0..3 {
             let (_, _) = fork2(

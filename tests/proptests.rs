@@ -15,8 +15,7 @@ use lhws::dag::offline::{greedy_bound, greedy_schedule, validate_schedule};
 use lhws::dag::suspension::{max_prefix_crossing, suspension_width, suspension_width_witness};
 use lhws::dag::Metrics;
 use lhws::sim::speedup::{run_lhws, run_ws};
-use lhws::DequeKind;
-use lhws_deque::{Steal, WorkerHandle};
+use lhws_deque::{DequeKind, Steal, WorkerHandle};
 
 // ---------------------------------------------------------------------
 // Random block programs.
