@@ -135,10 +135,24 @@ fn forkjoin(rt: &Runtime, depth: u64) -> Result<(), String> {
             }
         })
     }
+    let before = rt.metrics();
     let got = rt.block_on(fib(depth));
+    let after = rt.metrics();
     let want = lhws_bench::fib(depth);
     if got != want {
         return Err(format!("forkjoin: got {got}, want {want}"));
+    }
+    // Unstolen children are popped back and run inside the parent's poll,
+    // faults or not: were every join to suspend its parent (child poll +
+    // parent re-poll) there would be two polls per task.
+    let (polls, spawned) = (
+        after.polls - before.polls,
+        after.tasks_spawned - before.tasks_spawned,
+    );
+    if polls >= 2 * spawned {
+        return Err(format!(
+            "forkjoin: {polls} polls for {spawned} tasks — no join ran its child inline"
+        ));
     }
     Ok(())
 }

@@ -1,6 +1,7 @@
 //! The scenario library: each module checks one concurrency core.
 
 pub mod deque;
+pub mod join;
 pub mod registry;
 pub mod settle;
 pub mod triangle;
@@ -69,6 +70,22 @@ pub fn all() -> Vec<Scenario> {
             about:
                 "external-op settle race: cancel (completer drop) vs deadline, op still resolves",
             run: settle::cancel_vs_deadline,
+            expect_refuted: false,
+            strategy: Strategy::Dfs,
+        },
+        Scenario {
+            name: "join_fast_path_vs_steal",
+            about:
+                "owner's pop-back vs a thief for a forked child: one poll, one read, no lost wake",
+            run: join::fast_path_vs_steal,
+            expect_refuted: false,
+            strategy: Strategy::Dfs,
+        },
+        Scenario {
+            name: "task_join_handshake",
+            about:
+                "fused task: complete vs JoinHandle poll vs drop in every order, output freed once",
+            run: join::join_handshake,
             expect_refuted: false,
             strategy: Strategy::Dfs,
         },

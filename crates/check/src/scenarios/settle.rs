@@ -26,7 +26,7 @@ use lhws_core::external_op;
 
 /// A waker that sets a checker [`Event`]; `wake` is called by whichever
 /// settler wins, making the wake-up a schedule point.
-struct EventWake(Arc<Event>);
+pub(crate) struct EventWake(pub(crate) Arc<Event>);
 
 impl Wake for EventWake {
     fn wake(self: Arc<Self>) {
@@ -37,7 +37,7 @@ impl Wake for EventWake {
 /// Polls `fut` to completion with an [`Event`]-backed waker. The event
 /// is one-shot, which suffices: the op registers its waker on the first
 /// `Pending` poll and wakes it at most once, on settle.
-fn block_on_op<F: Future>(fut: F) -> F::Output {
+pub(crate) fn block_on_op<F: Future>(fut: F) -> F::Output {
     let ev = Arc::new(Event::new());
     let waker = Waker::from(Arc::new(EventWake(Arc::clone(&ev))));
     let mut cx = Context::from_waker(&waker);

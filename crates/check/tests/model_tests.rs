@@ -70,6 +70,16 @@ fn settle_cancel_vs_deadline_holds() {
 }
 
 #[test]
+fn join_fast_path_vs_steal_holds() {
+    check("join_fast_path_vs_steal");
+}
+
+#[test]
+fn task_join_handshake_holds() {
+    check("task_join_handshake");
+}
+
+#[test]
 fn suspend_resume_steal_holds() {
     check("suspend_resume_steal");
 }

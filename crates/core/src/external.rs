@@ -286,12 +286,13 @@ impl<T: Send + 'static> Future for DeadlineOp<T> {
         let this = self.get_mut();
         if !this.arm_attempted {
             this.arm_attempted = true;
-            if let Some(rt) = worker::current_runtime() {
-                // Arm before taking the state lock: timer registration
-                // takes a shard lock, and the callback takes the state
-                // lock — never both at once, in either order.
+            // Arm before taking the state lock: timer registration takes
+            // a shard lock, and the callback takes the state lock — never
+            // both at once, in either order.
+            this.timer_armed = worker::with_worker(|w| {
+                let Some(w) = w else { return false };
                 let shared = this.shared.clone();
-                rt.timer().register_deadline(
+                w.rt().timer().register_deadline(
                     this.deadline,
                     Box::new(move |expired| {
                         let outcome = if expired {
@@ -302,8 +303,8 @@ impl<T: Send + 'static> Future for DeadlineOp<T> {
                         settle(&shared, Err(outcome));
                     }),
                 );
-                this.timer_armed = true;
-            }
+                true
+            });
         }
         let mut st = this.shared.state.lock();
         match &mut *st {

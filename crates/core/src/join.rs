@@ -1,91 +1,66 @@
 //! Join handles: awaiting another task's result.
 //!
-//! A join edge is a *light* synchronization edge in the paper's model: the
-//! joining task suspends without charging the active deque's suspension
-//! counter, and the completing child re-enables it through the ordinary
-//! waker path (pushed onto the completer's active deque — the enabling-edge
-//! semantics of work stealing).
+//! A join is Figure 3's pop-bottom. `spawn` pushed the child on the bottom
+//! of the forking worker's active deque; if it is still there when its
+//! [`JoinHandle`] is polled — nobody stole it — the worker pops it back
+//! and runs it right there, inside the parent's poll, and the parent reads
+//! the output without ever suspending. Only a child that *was* stolen (or
+//! is itself suspended) makes the join a *light* synchronization edge in
+//! the paper's model: the joining task suspends without charging the
+//! active deque's suspension counter, and the completing child re-enables
+//! it through the ordinary waker path (pushed onto the completer's active
+//! deque — the enabling-edge semantics of work stealing).
 
 use std::any::Any;
 use std::future::Future;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::pin::Pin;
 use std::sync::Arc;
-use std::task::{Context, Poll, Waker};
+use std::task::{Context, Poll};
 
-use parking_lot::Mutex;
+use lhws_deque::WorkerHandle;
+
+use crate::task::{Joinable, Task, TaskRef};
+use crate::worker;
 
 /// Payload of a propagated panic.
 pub(crate) type PanicPayload = Box<dyn Any + Send + 'static>;
 
-/// Shared completion cell between a task and its join handle.
-#[derive(Debug)]
-pub(crate) struct JoinCell<T> {
-    inner: Mutex<JoinState<T>>,
-}
-
-#[derive(Debug)]
-struct JoinState<T> {
-    result: Option<Result<T, PanicPayload>>,
-    waker: Option<Waker>,
-}
-
-impl<T> JoinCell<T> {
-    pub fn new() -> Arc<Self> {
-        Arc::new(JoinCell {
-            inner: Mutex::new(JoinState {
-                result: None,
-                waker: None,
-            }),
-        })
-    }
-
-    /// Stores the result and wakes the joiner, if any.
-    pub fn complete(&self, result: Result<T, PanicPayload>) {
-        let waker = {
-            let mut s = self.inner.lock();
-            debug_assert!(s.result.is_none(), "task completed twice");
-            s.result = Some(result);
-            s.waker.take()
-        };
-        if let Some(w) = waker {
-            w.wake();
-        }
-    }
-
-    fn poll_result(&self, cx: &mut Context<'_>) -> Poll<Result<T, PanicPayload>> {
-        let mut s = self.inner.lock();
-        if let Some(r) = s.result.take() {
-            Poll::Ready(r)
-        } else {
-            // Replace rather than clone_from: wakers are cheap Arc clones.
-            s.waker = Some(cx.waker().clone());
-            Poll::Pending
-        }
-    }
-
-    /// Non-blocking check used by `JoinHandle::is_finished`.
-    pub fn is_done(&self) -> bool {
-        self.inner.lock().result.is_some()
-    }
-}
-
 /// Handle to a spawned task. Awaiting it yields the task's output; if the
 /// task panicked, the panic is propagated to the awaiter (matching the
 /// fork-join semantics where a child's panic surfaces at the join point).
-#[derive(Debug)]
+///
+/// Dropping the handle detaches the task: it still runs, and its output is
+/// dropped with it.
 pub struct JoinHandle<T> {
-    cell: Arc<JoinCell<T>>,
+    task: Arc<Task<dyn Joinable<T>>>,
+}
+
+impl<T> std::fmt::Debug for JoinHandle<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("JoinHandle")
+            .field("finished", &self.is_finished())
+            .finish_non_exhaustive()
+    }
 }
 
 impl<T> JoinHandle<T> {
-    pub(crate) fn new(cell: Arc<JoinCell<T>>) -> Self {
-        JoinHandle { cell }
+    pub(crate) fn new(task: Arc<Task<dyn Joinable<T>>>) -> Self {
+        JoinHandle { task }
     }
 
     /// True if the task has completed (successfully or by panic).
     pub fn is_finished(&self) -> bool {
-        self.cell.is_done()
+        self.task.is_complete()
+    }
+
+    /// The pop-back half of the join: takes the awaited task off the owner
+    /// end of `deque` if it is the bottom element — still queued, never
+    /// started — for the caller to run. Anything else at the bottom costs
+    /// a peek and stays where it is.
+    pub(crate) fn pop_if_bottom(&self, deque: &WorkerHandle<TaskRef>) -> Option<TaskRef> {
+        let me: *const () = Arc::as_ptr(&self.task).cast();
+        deque.pop_bottom_if(|image| TaskRef::image_addr(image) == me)
     }
 }
 
@@ -93,16 +68,26 @@ impl<T> Future for JoinHandle<T> {
     type Output = T;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<T> {
-        match self.cell.poll_result(cx) {
-            Poll::Ready(Ok(v)) => Poll::Ready(v),
-            Poll::Ready(Err(payload)) => std::panic::resume_unwind(payload),
-            Poll::Pending => Poll::Pending,
+        let task = &self.task;
+        if !task.is_complete() {
+            worker::join_inline(&*self);
+            if !task.is_complete() && !task.register_joiner(cx.waker()) {
+                return Poll::Pending;
+            }
+        }
+        // SAFETY: `&mut self` is the task's only handle, and COMPLETE was
+        // observed on every path here (`is_complete`, or `register_joiner`
+        // returning true).
+        match unsafe { task.take_output() } {
+            Ok(v) => Poll::Ready(v),
+            Err(payload) => std::panic::resume_unwind(payload),
         }
     }
 }
 
 /// Future adapter that converts a panic during `poll` into a
-/// `Ready(Err(payload))`, so task bodies never unwind through the worker.
+/// `Ready(Err(payload))`: `Runtime::block_on` carries a panic in its
+/// future back to the blocked thread with it.
 pub(crate) struct CatchUnwind<F> {
     inner: F,
 }
@@ -130,7 +115,7 @@ impl<F: Future> Future for CatchUnwind<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::task::Wake;
+    use std::task::{Wake, Waker};
 
     struct NoopWake;
     impl Wake for NoopWake {
@@ -139,53 +124,6 @@ mod tests {
 
     fn noop_cx_waker() -> Waker {
         Waker::from(Arc::new(NoopWake))
-    }
-
-    #[test]
-    fn complete_then_poll() {
-        let cell = JoinCell::new();
-        cell.complete(Ok(42));
-        let mut h = JoinHandle::new(cell);
-        let waker = noop_cx_waker();
-        let mut cx = Context::from_waker(&waker);
-        assert!(matches!(Pin::new(&mut h).poll(&mut cx), Poll::Ready(42)));
-    }
-
-    #[test]
-    fn poll_then_complete_wakes() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        struct Flag(AtomicBool);
-        impl Wake for Flag {
-            fn wake(self: Arc<Self>) {
-                self.0.store(true, Ordering::SeqCst);
-            }
-        }
-        let flag = Arc::new(Flag(AtomicBool::new(false)));
-        let waker = Waker::from(flag.clone());
-        let mut cx = Context::from_waker(&waker);
-
-        let cell = JoinCell::new();
-        let mut h = JoinHandle::new(cell.clone());
-        assert!(Pin::new(&mut h).poll(&mut cx).is_pending());
-        assert!(!h.is_finished());
-        cell.complete(Ok("done"));
-        assert!(flag.0.load(Ordering::SeqCst), "completion wakes the joiner");
-        assert!(h.is_finished());
-        assert!(matches!(
-            Pin::new(&mut h).poll(&mut cx),
-            Poll::Ready("done")
-        ));
-    }
-
-    #[test]
-    #[should_panic(expected = "child panicked")]
-    fn panic_propagates_at_join() {
-        let cell = JoinCell::<()>::new();
-        cell.complete(Err(Box::new("child panicked".to_string())));
-        let mut h = JoinHandle::new(cell);
-        let waker = noop_cx_waker();
-        let mut cx = Context::from_waker(&waker);
-        let _ = Pin::new(&mut h).poll(&mut cx);
     }
 
     #[test]

@@ -91,11 +91,14 @@ pub use retry::RetryPolicy;
 pub use runtime::{Runtime, RuntimeError, ShutdownReport};
 pub use trace::{LiveStats, Trace, TraceBatch, TraceReader, TraceStats};
 
+/// Model-checker entry points into the fused task (see `lhws-check`).
+pub use task::check_hooks as task_check_hooks;
+
 use std::future::Future;
 
-/// Spawns a task onto the current runtime's active deque (the fork of a
-/// fork-join). Must be called from inside a task (`Runtime::block_on` /
-/// `Runtime::spawn`).
+/// Spawns a task onto the bottom of the current worker's active deque (the
+/// fork of a fork-join), where idle workers can steal it at once. Must be
+/// called from inside a task (`Runtime::block_on` / `Runtime::spawn`).
 ///
 /// # Panics
 /// Panics when called off a runtime worker thread.
@@ -104,32 +107,20 @@ where
     F: Future + Send + 'static,
     F::Output: Send + 'static,
 {
-    let rt = worker_runtime_or_panic();
-    runtime_spawn(&rt, fut)
-}
-
-fn worker_runtime_or_panic() -> std::sync::Arc<runtime::RtInner> {
-    worker_current().expect(
-        "lhws::spawn / lhws::fork2 require a worker context: \
-         call them inside Runtime::block_on or Runtime::spawn",
-    )
-}
-
-fn worker_current() -> Option<std::sync::Arc<runtime::RtInner>> {
-    worker::current_runtime()
-}
-
-fn runtime_spawn<F>(rt: &std::sync::Arc<runtime::RtInner>, fut: F) -> JoinHandle<F::Output>
-where
-    F: Future + Send + 'static,
-    F::Output: Send + 'static,
-{
-    runtime::spawn_on(rt, fut)
+    worker::with_worker(|w| {
+        w.expect(
+            "lhws::spawn / lhws::fork2 require a worker context: \
+             call them inside Runtime::block_on or Runtime::spawn",
+        )
+        .spawn(fut)
+    })
 }
 
 /// Binary fork-join: spawns `right` as a stealable child task, runs `left`
 /// inline as the continuation (the left child keeps the higher priority,
-/// as in the paper's edge ordering), then joins.
+/// as in the paper's edge ordering), then joins — by popping `right` back
+/// and running it inline too when no thief took it, so an unstolen fork
+/// never suspends its parent.
 ///
 /// Mirrors the paper's `fork2(e1, e2)` (Figures 8 and 10). A panic in
 /// either branch propagates at the join point.

@@ -14,11 +14,10 @@
 
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::Arc;
 use std::task::{Context, Poll};
 
 use crate::runtime::RtInner;
-use crate::task::{Task, TaskRef};
+use crate::task::{self, TaskRef};
 use crate::worker;
 
 /// Pfor unfolding grain: batches of at most this many resumed tasks are
@@ -35,22 +34,27 @@ impl Future for PforFuture {
 
     fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
         let mut tasks = std::mem::take(&mut self.tasks);
-        // Split off stealable halves until the remainder fits the grain.
-        while tasks.len() > PFOR_GRAIN {
-            let right = tasks.split_off(tasks.len() / 2);
-            let rt = worker::current_runtime().expect("pfor tasks only run on worker threads");
-            let sub = new_pfor_task(&rt, right);
-            worker::push_queued_task(sub);
-        }
-        worker::schedule_resumed_batch(tasks);
+        worker::with_worker(|w| {
+            let w = w.expect("pfor tasks only run on worker threads");
+            // Split off stealable halves until the remainder fits the grain.
+            while tasks.len() > PFOR_GRAIN {
+                let right = tasks.split_off(tasks.len() / 2);
+                w.push_spawned(new_pfor_task(w.rt(), right));
+            }
+            // Each task that is still idle is claimed and scheduled.
+            for task in tasks {
+                if task.try_claim_for_queue() {
+                    w.push_spawned(task);
+                }
+            }
+        });
         Poll::Ready(())
     }
 }
 
 /// Creates a QUEUED pfor task over `tasks` (ready to be pushed to a deque).
-pub(crate) fn new_pfor_task(rt: &Arc<RtInner>, tasks: Vec<TaskRef>) -> TaskRef {
+pub(crate) fn new_pfor_task(rt: &RtInner, tasks: Vec<TaskRef>) -> TaskRef {
     debug_assert!(!tasks.is_empty());
     rt.counters.bump(&rt.counters.tasks_spawned);
-    let fut = PforFuture { tasks };
-    Task::new_queued(Arc::downgrade(rt), Box::pin(fut))
+    task::new_detached(rt.id, PforFuture { tasks })
 }

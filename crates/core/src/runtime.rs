@@ -4,7 +4,7 @@
 use std::collections::VecDeque;
 use std::future::Future;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, Weak};
 use std::thread::JoinHandle as ThreadHandle;
 use std::time::{Duration, Instant};
 
@@ -14,11 +14,11 @@ use parking_lot::{Condvar, Mutex};
 use crate::config::{Config, ConfigError, RuntimeBuilder};
 use crate::driver::{Driver, DriverHooks, DriverReport};
 use crate::fault::{FaultInjector, PanicInjected};
-use crate::join::{CatchUnwind, JoinCell, JoinHandle, PanicPayload};
+use crate::join::{CatchUnwind, JoinHandle, PanicPayload};
 use crate::metrics::{CachePadded, Counters, MetricsSnapshot};
 use crate::obs::Observer;
 use crate::sleep::Sleepers;
-use crate::task::{Task, TaskRef};
+use crate::task::{self, TaskRef};
 use crate::timer::{ResumeEvent, ResumeSink, TimerEntry, WheelTimer};
 use crate::trace::{EventKind, Trace, Tracer, NONE_ID};
 use crate::worker::{self, Worker};
@@ -39,8 +39,35 @@ struct Inbox {
     queue: Mutex<Vec<ResumeEvent>>,
 }
 
+/// Every live runtime of the process, by [`RtInner::id`]. Tasks name their
+/// runtime by id; this is where a thread that is not one of its workers
+/// turns the id into a (counted) reference — see [`lookup`].
+static RUNTIMES: std::sync::Mutex<Vec<(u64, Weak<RtInner>)>> = std::sync::Mutex::new(Vec::new());
+
+/// Source of [`RtInner::id`]; starts at 1 so that 0 names no runtime.
+static NEXT_RUNTIME_ID: AtomicU64 = AtomicU64::new(1);
+
+fn runtimes() -> std::sync::MutexGuard<'static, Vec<(u64, Weak<RtInner>)>> {
+    // Every update is a single push or retain, so the table is valid even
+    // if a holder panicked.
+    RUNTIMES.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// The runtime with this id, if it is still alive. The off-worker half of
+/// wake and resume delivery: worker threads reach their runtime through
+/// their TLS instead and never come here for it.
+pub(crate) fn lookup(id: u64) -> Option<Arc<RtInner>> {
+    runtimes()
+        .iter()
+        .find(|(rid, _)| *rid == id)
+        .and_then(|(_, rt)| rt.upgrade())
+}
+
 /// Shared runtime internals.
 pub(crate) struct RtInner {
+    /// Process-unique name of this runtime; what tasks carry instead of a
+    /// reference to it.
+    pub id: u64,
     /// Immutable configuration.
     pub config: Config,
     /// The global deque registry (`gDeques` + `gTotalDeques`).
@@ -84,6 +111,12 @@ pub(crate) struct RtInner {
     /// ([`DriverHooks::register_io_shards`]); read by the observer /
     /// Prometheus exporter. One entry per registered driver.
     pub io_shard_stats: Mutex<Vec<Arc<crate::driver::IoShardStats>>>,
+}
+
+impl Drop for RtInner {
+    fn drop(&mut self) {
+        runtimes().retain(|(id, _)| *id != self.id);
+    }
 }
 
 impl RtInner {
@@ -388,6 +421,7 @@ impl Runtime {
             .fault_plan
             .map(|plan| Arc::new(FaultInjector::new(plan)));
         let inner = Arc::new(RtInner {
+            id: NEXT_RUNTIME_ID.fetch_add(1, Ordering::Relaxed),
             config,
             // One live-set shard per worker keeps each worker's
             // register/release traffic on its own shard.
@@ -406,6 +440,7 @@ impl Runtime {
             driver_report: Mutex::new(DriverReport::default()),
             io_shard_stats: Mutex::new(Vec::new()),
         });
+        runtimes().push((inner.id, Arc::downgrade(&inner)));
 
         // One wheel shard per worker: a worker's insertions contend only
         // with expirations of its own timers.
@@ -422,12 +457,14 @@ impl Runtime {
 
         let mut workers = Vec::with_capacity(p);
         for i in 0..p {
-            let mut w = Worker::new(inner.clone(), i);
             let supervisor = inner.clone();
             let budget = inner.config.worker_respawn_budget;
             let handle = std::thread::Builder::new()
                 .name(format!("lhws-worker-{i}"))
                 .spawn(move || {
+                    // Built here: a worker shares its deques' owner ends
+                    // with its thread-local context and cannot be sent.
+                    let mut w = Worker::new(supervisor.clone(), i);
                     // Supervision: a panic escaping the scheduler loop
                     // (not a task panic — those are caught per-poll)
                     // orphans this worker's deques and suspensions. With
@@ -507,13 +544,11 @@ impl Runtime {
         F: Future + Send + 'static,
         F::Output: Send + 'static,
     {
-        if let Some(cur) = worker::current_runtime() {
-            assert!(
-                !Arc::ptr_eq(&cur, &self.inner),
-                "Runtime::block_on called from one of this runtime's own worker threads; \
-                 this would deadlock — use spawn instead"
-            );
-        }
+        assert!(
+            worker::current_worker_index_in(&self.inner).is_none(),
+            "Runtime::block_on called from one of this runtime's own worker threads; \
+             this would deadlock — use spawn instead"
+        );
         struct BlockCell<T> {
             slot: Mutex<Option<Result<T, PanicPayload>>>,
             cond: Condvar,
@@ -530,8 +565,7 @@ impl Runtime {
             c2.cond.notify_all();
         };
         self.inner.counters.bump(&self.inner.counters.tasks_spawned);
-        let task = Task::new_queued(Arc::downgrade(&self.inner), Box::pin(body));
-        self.inner.inject(task);
+        self.inner.inject(task::new_detached(self.inner.id, body));
 
         // Timed wait: the completion notify is the fast path; the timeout
         // exists solely so a poisoned runtime is noticed. A completed
@@ -701,28 +735,21 @@ impl Drop for Runtime {
     }
 }
 
-/// Spawns `fut` as a task on `rt` (worker-local push when possible).
+/// Spawns `fut` as a task on `rt`: a fork on the active deque from one of
+/// `rt`'s own workers, through the injector from anywhere else.
 pub(crate) fn spawn_on<F>(rt: &Arc<RtInner>, fut: F) -> JoinHandle<F::Output>
 where
     F: Future + Send + 'static,
     F::Output: Send + 'static,
 {
-    let cell = JoinCell::new();
-    let c2 = cell.clone();
-    // `PanicInjected` sits *inside* `CatchUnwind`, so an injected task
-    // panic takes the exact same unwind path as a user panic: caught
-    // here, surfaced at the join point.
-    let faults = rt.faults.clone();
-    let body = async move {
-        let result = CatchUnwind::new(PanicInjected::new(fut, faults)).await;
-        c2.complete(result);
-    };
-    let task = Task::new_queued(Arc::downgrade(rt), Box::pin(body));
-    // The local path bumps the worker's own counter block inside the TLS
-    // access; only the injector path touches the shared block.
-    if !worker::enqueue_local_if_same_runtime(rt, &task, true) {
+    let forked = worker::with_worker(|w| match w {
+        Some(w) if Arc::ptr_eq(w.rt(), rt) => Ok(w.spawn(fut)),
+        _ => Err(fut),
+    });
+    forked.unwrap_or_else(|fut| {
+        let (task, handle) = task::new_joinable(rt.id, PanicInjected::new(fut, rt.faults.clone()));
         rt.counters.bump(&rt.counters.tasks_spawned);
         rt.inject(task);
-    }
-    JoinHandle::new(cell)
+        handle
+    })
 }

@@ -121,9 +121,7 @@ pub(crate) mod test_support {
     }
 
     pub fn dummy_task() -> TaskRef {
-        use crate::task::{BoxFuture, Task};
-        let fut: BoxFuture = Box::pin(async {});
-        Task::new_queued(std::sync::Weak::new(), fut)
+        crate::task::new_detached(0, async {})
     }
 
     pub fn entry(deadline: Instant, worker: usize, local_deque: usize) -> TimerEntry {

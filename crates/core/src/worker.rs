@@ -2,10 +2,13 @@
 //!
 //! Each worker owns a collection of deques, one active at a time:
 //!
-//! * With an **assigned task**, the worker polls it. Children spawned
-//!   during the poll (fork2's right children) and wake-ups delivered on
-//!   this thread land in a thread-local pending buffer, flushed to the
-//!   bottom of the active deque after the poll — then resumed vertices are
+//! * With an **assigned task**, the worker polls it. A child spawned
+//!   during the poll (fork2's right child) is pushed on the bottom of the
+//!   active deque at once — thieves can take it while the left branch
+//!   still runs — and popped back and run inline when the parent reaches
+//!   the join, if nobody did ([`join_inline`]). Wake-ups delivered on this
+//!   thread land in a thread-local pending buffer, flushed to the bottom
+//!   of the active deque after the poll — then resumed vertices are
 //!   injected (`addResumedVertices`), and the next assigned task is popped
 //!   from the bottom.
 //! * Without one, the worker releases its active deque (freeing it when it
@@ -23,12 +26,16 @@
 //! every event, and the batched reinjection through a pfor task is
 //! `addResumedVertices()`.
 //!
-//! Hot-path discipline: a poll costs one TLS access (install current task,
-//! poll, read back the suspend count — all under a single `TLS.with`), and
-//! counters are bumped on the worker's own cache-padded block.
+//! Hot-path discipline: everything a task does to the scheduler from
+//! inside a poll — spawn, join, wake, suspend — goes through the thread's
+//! [`WorkerTls`] by reference ([`with_worker`]): no reference count that
+//! workers share is touched, and counters are bumped on the worker's own
+//! cache-padded block.
 
 use std::cell::{Cell, RefCell};
-use std::sync::{Arc, Weak};
+use std::future::Future;
+use std::rc::Rc;
+use std::sync::Arc;
 use std::task::Waker;
 use std::time::{Duration, Instant};
 
@@ -37,16 +44,14 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::config::{LatencyMode, StealPolicy};
-use crate::fault::FaultInjector;
+use crate::fault::{FaultInjector, PanicInjected};
+use crate::join::JoinHandle;
 use crate::metrics::CounterBlock;
-use crate::runtime::RtInner;
+use crate::runtime::{self, RtInner};
 use crate::steal::{PolicyState, STEAL_PROBES};
-use crate::task::TaskRef;
+use crate::task::{self, Polled, TaskRef};
 use crate::timer::{ResumeEvent, TimerEntry};
 use crate::trace::{EventKind, StealOutcome, SuspendKind, Tracer, NONE_ID};
-
-/// Sentinel for "no active deque" in the TLS cell.
-const NO_DEQUE: usize = usize::MAX;
 
 /// How many times a steal attempt re-tries the same deque when the
 /// underlying pop-top reports a benign race ([`Steal::Retry`]) before
@@ -55,81 +60,251 @@ const NO_DEQUE: usize = usize::MAX;
 /// unbounded loop could livelock against a fast owner.
 const STEAL_RETRIES: usize = 4;
 
-/// Thread-local context installed on worker threads.
-struct WorkerTls {
-    rt: Weak<RtInner>,
+/// How deep [`join_inline`] may nest: an inline-run child that forks and
+/// joins runs *its* child one level further down the same worker stack.
+/// Past the cap a join takes the waker path instead, which unwinds the
+/// stack, so a right-leaning chain of any length runs in bounded stack. A
+/// constant, not a knob: balanced fork-join nests logarithmically and
+/// never gets near it, and the right value depends on the worker stack
+/// size, which is not configurable either.
+const MAX_INLINE_DEPTH: u32 = 64;
+
+/// The active deque as a poll sees it: its owner-local index (what
+/// suspensions are charged to) and its owner end (what spawns push on and
+/// joins pop from).
+struct ActiveDeque {
+    local: usize,
+    handle: Rc<WorkerHandle<TaskRef>>,
+}
+
+/// Thread-local context installed on worker threads. The worker loop
+/// keeps it current ([`Worker::activate`] and friends); everything here is
+/// only ever touched by the worker thread itself.
+pub(crate) struct WorkerTls {
+    /// The worker's own reference, for the life of the thread: what lets
+    /// polls reach the runtime by `&` instead of by upgrade.
+    rt: Arc<RtInner>,
     index: usize,
-    active_local: Cell<usize>,
-    current_task: RefCell<Option<TaskRef>>,
-    /// Latency registrations made during the current poll.
+    /// `None` between deques; always `Some` during a poll.
+    active: RefCell<Option<ActiveDeque>>,
+    /// The task being polled right now (innermost, under inline joins);
+    /// null outside polls. Points at [`WorkerTls::run_task`]'s own local.
+    current_task: Cell<*const TaskRef>,
+    /// Latency registrations made during the current outermost poll.
     suspend_count: Cell<u32>,
-    /// Tasks enabled on this thread during the current poll (fork2 spawns,
-    /// join wake-ups, pfor unfolding); flushed to the active deque.
+    /// Tasks woken on this thread (join wake-ups, yields, spurious
+    /// wakes); flushed to the active deque after the poll.
     pending_local: RefCell<Vec<TaskRef>>,
     /// Running count of trace suspension tags handed out by this worker
     /// (only advanced while tracing is enabled).
     suspend_seq: Cell<u64>,
-}
-
-/// Allocates a trace suspension tag: worker-unique by construction
-/// (worker index in the high bits, per-worker counter in the low 40), and
-/// never `0` — `0` is the "untraced" sentinel carried through
-/// [`TimerEntry::seq`] / [`ResumeEvent::seq`].
-fn alloc_seq(tls: &WorkerTls) -> u64 {
-    let n = tls.suspend_seq.get() + 1;
-    tls.suspend_seq.set(n);
-    ((tls.index as u64 + 1) << 40) | (n & ((1 << 40) - 1))
+    /// Current nesting of [`join_inline`] runs.
+    inline_depth: Cell<u32>,
 }
 
 thread_local! {
     static TLS: RefCell<Option<WorkerTls>> = const { RefCell::new(None) };
 }
 
-/// If the current thread is a worker of `rt`, buffer `task` for its active
-/// deque and return true. Used for both wake-up requeues and fresh
-/// spawns; `bump_spawned` distinguishes them so the worker-local
-/// `tasks_spawned` counter only counts the latter.
-pub(crate) fn enqueue_local_if_same_runtime(
-    rt: &Arc<RtInner>,
-    task: &TaskRef,
-    bump_spawned: bool,
-) -> bool {
-    TLS.with(|t| {
-        let borrow = t.borrow();
-        match &*borrow {
-            Some(tls) if std::ptr::eq(tls.rt.as_ptr(), Arc::as_ptr(rt)) => {
-                if bump_spawned {
-                    let c = rt.counters.worker(tls.index);
-                    c.bump(&c.tasks_spawned);
-                }
-                tls.pending_local.borrow_mut().push(task.clone());
-                true
+/// Runs `f` with the current thread's worker context — `None` off worker
+/// threads. Calls nest (a poll runs inside one and makes more).
+pub(crate) fn with_worker<R>(f: impl FnOnce(Option<&WorkerTls>) -> R) -> R {
+    TLS.with(|t| f(t.borrow().as_ref()))
+}
+
+/// Hands `item` to runtime `rt_id`: through `local` on one of its own
+/// worker threads, which reach the runtime by reference; through `remote`
+/// on any other thread (a reactor, a user thread, another runtime's
+/// worker), which is the one place a wake or resume takes a counted
+/// reference, from the process-wide table. Dropped if the runtime is gone.
+pub(crate) fn route<T>(
+    rt_id: u64,
+    item: T,
+    local: impl FnOnce(&WorkerTls, T),
+    remote: impl FnOnce(&RtInner, T),
+) {
+    let elsewhere = with_worker(|w| match w {
+        Some(w) if w.rt.id == rt_id => {
+            local(w, item);
+            None
+        }
+        _ => Some(item),
+    });
+    if let Some(item) = elsewhere {
+        if let Some(rt) = runtime::lookup(rt_id) {
+            remote(&rt, item);
+        }
+    }
+}
+
+impl WorkerTls {
+    /// The runtime this thread works for.
+    #[inline]
+    pub fn rt(&self) -> &Arc<RtInner> {
+        &self.rt
+    }
+
+    #[inline]
+    fn ctr(&self) -> &CounterBlock {
+        self.rt.counters.worker(self.index)
+    }
+
+    /// Allocates a trace suspension tag: worker-unique by construction
+    /// (worker index in the high bits, per-worker counter in the low 40),
+    /// and never `0` — `0` is the "untraced" sentinel carried through
+    /// [`TimerEntry::seq`] / [`ResumeEvent::seq`].
+    fn alloc_seq(&self) -> u64 {
+        let n = self.suspend_seq.get() + 1;
+        self.suspend_seq.set(n);
+        ((self.index as u64 + 1) << 40) | (n & ((1 << 40) - 1))
+    }
+
+    /// The fork of a fork-join: creates the task and pushes it on the
+    /// bottom of the active deque (Figure 3's push-bottom).
+    pub fn spawn<F>(&self, fut: F) -> JoinHandle<F::Output>
+    where
+        F: Future + Send + 'static,
+        F::Output: Send + 'static,
+    {
+        // `PanicInjected` sits inside the task's own panic containment,
+        // so an injected task panic takes the exact same road as a user
+        // panic: caught at the poll, surfaced at the join point.
+        let fut = PanicInjected::new(fut, self.rt.faults.clone());
+        let (task, handle) = task::new_joinable(self.rt.id, fut);
+        self.ctr().bump(&self.ctr().tasks_spawned);
+        self.push_spawned(task);
+        handle
+    }
+
+    /// Pushes a `QUEUED` task on the bottom of the active deque, where
+    /// thieves see it at once.
+    pub fn push_spawned(&self, task: TaskRef) {
+        match &*self.active.borrow() {
+            Some(active) => active.handle.push_bottom(task),
+            // Between deques (not during a poll): the next flush opens one.
+            None => self.push_enabled(task),
+        }
+    }
+
+    /// Buffers a `QUEUED` task woken on this thread; the worker loop
+    /// flushes the buffer to the bottom of the active deque after the
+    /// poll, so a woken continuation runs next.
+    pub fn push_enabled(&self, task: TaskRef) {
+        self.pending_local.borrow_mut().push(task);
+    }
+
+    /// The task being polled and the deque it is charged to, for a
+    /// suspension registration. `None` outside a poll.
+    fn suspension_site(&self) -> Option<(TaskRef, usize)> {
+        let current = self.current_task.get();
+        if current.is_null() {
+            return None;
+        }
+        // SAFETY: `run_task` points `current_task` at its own `task` local
+        // for exactly the duration of the poll and restores it on the way
+        // out (guard), and this runs inside that poll on the same thread.
+        let task = unsafe { &*current }.clone();
+        let local = self.active.borrow().as_ref()?.local;
+        Some((task, local))
+    }
+
+    /// Records the `Suspend` trace event and the counters of one
+    /// registration on deque `local`; returns the event's tag (`0` when
+    /// untraced).
+    fn note_suspension(&self, local: usize, kind: SuspendKind) -> u64 {
+        let mut seq = 0;
+        if let Some(tr) = &self.rt.tracer {
+            seq = self.alloc_seq();
+            tr.record(
+                self.index,
+                EventKind::Suspend {
+                    deque: local as u32,
+                    kind,
+                    seq,
+                },
+            );
+        }
+        self.suspend_count.set(self.suspend_count.get() + 1);
+        self.ctr().bump(&self.ctr().suspensions);
+        seq
+    }
+
+    /// One poll of `task`, the same for the scheduler loop and for a
+    /// join's inline run: fault hooks, state machine, `polls`, the
+    /// `ResumeExec` trace event, the current-task scope, and the requeue
+    /// of a task woken while it ran.
+    fn run_task(&self, task: TaskRef) {
+        let mut inject_spurious = false;
+        if let Some(f) = &self.rt.faults {
+            // Emulate OS preemption between deadline computation and the
+            // poll — the window behind the resume_path flake.
+            if let Some(delay) = f.poll_delay() {
+                std::thread::sleep(delay);
             }
-            _ => false,
+            inject_spurious = f.spurious_wake();
+        }
+        self.ctr().bump(&self.ctr().polls);
+        if let Some(tr) = &self.rt.tracer {
+            // A resumed suspension reaches its next poll: the vertex
+            // *executed*. (The tag is only ever set while tracing.)
+            let seq = task.take_trace_seq();
+            if seq != 0 {
+                tr.record(self.index, EventKind::ResumeExec { seq });
+            }
+        }
+        /// Restores the outer poll's current task, also on unwind.
+        struct Scope<'a>(&'a Cell<*const TaskRef>, *const TaskRef);
+        impl Drop for Scope<'_> {
+            fn drop(&mut self) {
+                self.0.set(self.1);
+            }
+        }
+        let polled = {
+            let _scope = Scope(&self.current_task, self.current_task.replace(&task));
+            task.run()
+        };
+        match polled {
+            Polled::Done => {}
+            // Woken during the poll: runnable again right away.
+            Polled::Requeue => self.push_enabled(task),
+            // Spurious wake before completion: the task re-polls while its
+            // registrations stay armed. Suspending futures must keep their
+            // original registration (one registration ↔ one resume event).
+            Polled::Idle if inject_spurious => task.wake(),
+            Polled::Idle => {}
+        }
+    }
+}
+
+/// Figure 3's pop-bottom at a join: if the task `handle` awaits is still
+/// the bottom element of this worker's active deque, pops it back and
+/// runs it here, inside the joining task's poll, through
+/// [`WorkerTls::run_task`]. Whatever happens — not a worker thread,
+/// something else at the bottom, a thief won the race, the cap — the
+/// caller just looks at the task again and falls back to its waker.
+pub(crate) fn join_inline<T>(handle: &JoinHandle<T>) {
+    with_worker(|w| {
+        let Some(w) = w else { return };
+        let depth = w.inline_depth.get();
+        if depth >= MAX_INLINE_DEPTH {
+            return;
+        }
+        // The borrow of `active` ends before the child runs (and spawns).
+        let child = match &*w.active.borrow() {
+            Some(active) => handle.pop_if_bottom(&active.handle),
+            None => None,
+        };
+        if let Some(child) = child {
+            w.inline_depth.set(depth + 1);
+            w.run_task(child);
+            w.inline_depth.set(depth);
         }
     })
 }
 
-/// Buffers a freshly created (QUEUED) task for the current worker's active
-/// deque. Panics when called off a worker thread.
-pub(crate) fn spawn_local(task: TaskRef) {
-    TLS.with(|t| {
-        let borrow = t.borrow();
-        let tls = borrow
-            .as_ref()
-            .expect("spawn/fork2 requires a worker context: run inside Runtime::block_on");
-        tls.pending_local.borrow_mut().push(task);
-    });
-}
-
-/// The runtime owning the current worker thread, if any.
-pub(crate) fn current_runtime() -> Option<Arc<RtInner>> {
-    TLS.with(|t| t.borrow().as_ref().and_then(|tls| tls.rt.upgrade()))
-}
-
 /// The runtime's latency mode as seen from the current thread.
 pub(crate) fn current_latency_mode() -> Option<LatencyMode> {
-    current_runtime().map(|rt| rt.config.mode)
+    with_worker(|w| w.map(|w| w.rt.config.mode))
 }
 
 /// The current thread's worker index, when it is a worker of `rt`. Lets
@@ -137,62 +312,34 @@ pub(crate) fn current_latency_mode() -> Option<LatencyMode> {
 /// single-producer contract requires being that thread) and counter bumps
 /// to its cache-padded block.
 pub(crate) fn current_worker_index_in(rt: &Arc<RtInner>) -> Option<usize> {
-    TLS.with(|t| {
-        t.borrow()
-            .as_ref()
-            .and_then(|tls| std::ptr::eq(tls.rt.as_ptr(), Arc::as_ptr(rt)).then_some(tls.index))
-    })
+    with_worker(|w| w.and_then(|w| Arc::ptr_eq(&w.rt, rt).then_some(w.index)))
 }
 
 /// Registers a latency expiration for the currently polled task against
 /// the current active deque, marking this poll as suspending. Returns
 /// false (no registration) off worker threads.
 pub(crate) fn register_latency(deadline: Instant) -> bool {
-    TLS.with(|t| {
-        let borrow = t.borrow();
-        let Some(tls) = borrow.as_ref() else {
+    with_worker(|w| {
+        let Some(w) = w else { return false };
+        let Some((task, local_deque)) = w.suspension_site() else {
             return false;
         };
-        let Some(rt) = tls.rt.upgrade() else {
-            return false;
-        };
-        let task = match &*tls.current_task.borrow() {
-            Some(task) => task.clone(),
-            None => return false,
-        };
-        let local_deque = tls.active_local.get();
-        if local_deque == NO_DEQUE {
-            return false;
-        }
-        let mut seq = 0;
-        if let Some(tr) = &rt.tracer {
-            seq = alloc_seq(tls);
-            tr.record(
-                tls.index,
-                EventKind::Suspend {
-                    deque: local_deque as u32,
-                    kind: SuspendKind::Timer,
-                    seq,
-                },
-            );
-        }
-        rt.timer().register(TimerEntry {
+        let seq = w.note_suspension(local_deque, SuspendKind::Timer);
+        w.rt.timer().register(TimerEntry {
             deadline,
             task,
-            worker: tls.index,
+            worker: w.index,
             local_deque,
             seq,
-            epoch: rt.epoch_of(tls.index),
+            epoch: w.rt.epoch_of(w.index),
         });
-        tls.suspend_count.set(tls.suspend_count.get() + 1);
-        let c = rt.counters.worker(tls.index);
-        c.bump(&c.suspensions);
         true
     })
 }
 
-/// A task's suspension placement: which runtime/worker/deque it suspended
-/// on, recorded when a suspending operation registers during a poll.
+/// A task's suspension placement: which worker/deque it suspended on,
+/// recorded when a suspending operation registers during a poll. The
+/// runtime is the task's.
 ///
 /// **Contract: one registration pairs with exactly one resume event.**
 /// Whoever holds the registration owes the deque one [`ResumeEvent`] —
@@ -201,7 +348,6 @@ pub(crate) fn register_latency(deadline: Instant) -> bool {
 /// `suspendCtr` always balances. Spurious re-polls while registered must
 /// keep the original registration rather than creating a second one.
 pub(crate) struct SuspensionRegistration {
-    rt: Weak<RtInner>,
     worker: usize,
     local_deque: usize,
     task: TaskRef,
@@ -216,18 +362,21 @@ impl SuspensionRegistration {
     /// Delivers the one resume event owed by this registration — the
     /// paper's `callback(v, q)` — to the owning worker's inbox.
     pub fn resume(self) {
-        if let Some(rt) = self.rt.upgrade() {
-            rt.deliver_resume(
-                self.worker,
-                ResumeEvent {
-                    task: self.task,
-                    local_deque: self.local_deque,
-                    seq: self.seq,
-                    enabled_at: 0,
-                    epoch: self.epoch,
-                },
-            );
-        }
+        let worker = self.worker;
+        let rt_id = self.task.rt_id();
+        let event = ResumeEvent {
+            task: self.task,
+            local_deque: self.local_deque,
+            seq: self.seq,
+            enabled_at: 0,
+            epoch: self.epoch,
+        };
+        route(
+            rt_id,
+            event,
+            |w, event| w.rt.deliver_resume(worker, event),
+            |rt, event| rt.deliver_resume(worker, event),
+        );
     }
 }
 
@@ -269,49 +418,29 @@ pub(crate) fn register_suspension(waker: &Waker) -> SuspendWait {
 /// The deque half of [`register_suspension`]: `None` off worker threads,
 /// in blocking mode, or outside a poll.
 fn try_register_deque() -> Option<SuspensionRegistration> {
-    TLS.with(|t| {
-        let borrow = t.borrow();
-        let tls = borrow.as_ref()?;
-        let rt = tls.rt.upgrade()?;
-        if rt.config.mode != crate::config::LatencyMode::Hide {
+    with_worker(|w| {
+        let w = w?;
+        if w.rt.config.mode != LatencyMode::Hide {
             return None;
         }
-        let task = tls.current_task.borrow().clone()?;
-        let local_deque = tls.active_local.get();
-        if local_deque == NO_DEQUE {
-            return None;
-        }
-        let mut seq = 0;
-        if let Some(tr) = &rt.tracer {
-            seq = alloc_seq(tls);
-            tr.record(
-                tls.index,
-                EventKind::Suspend {
-                    deque: local_deque as u32,
-                    kind: SuspendKind::External,
-                    seq,
-                },
-            );
-        }
-        tls.suspend_count.set(tls.suspend_count.get() + 1);
-        let c = rt.counters.worker(tls.index);
-        c.bump(&c.suspensions);
+        let (task, local_deque) = w.suspension_site()?;
         Some(SuspensionRegistration {
-            rt: tls.rt.clone(),
-            worker: tls.index,
+            worker: w.index,
             local_deque,
             task,
-            seq,
-            epoch: rt.epoch_of(tls.index),
+            seq: w.note_suspension(local_deque, SuspendKind::External),
+            epoch: w.rt.epoch_of(w.index),
         })
     })
 }
 
-/// One deque owned by this worker. The owner end lives here forever; the
-/// thief end was registered in the global registry at allocation.
+/// One deque owned by this worker. The owner end lives here forever
+/// (shared with the TLS while the deque is active — `Rc`, so it cannot
+/// leave the thread); the thief end was registered in the global registry
+/// at allocation.
 struct OwnedDeque {
     global: DequeId,
-    handle: WorkerHandle<TaskRef>,
+    handle: Rc<WorkerHandle<TaskRef>>,
     suspend_ctr: u64,
     resumed: Vec<TaskRef>,
     in_ready: bool,
@@ -333,6 +462,8 @@ pub(crate) struct Worker {
     rng: StdRng,
     /// Reused buffer for inbox batch drains (swap target).
     inbox_scratch: Vec<ResumeEvent>,
+    /// Reused buffer for pending-enable flushes (swap target).
+    pending_scratch: Vec<TaskRef>,
     /// Cached from `rt.tracer` so every event site is one local branch;
     /// `None` (tracing disabled) costs nothing on the hot path.
     tracer: Option<Arc<Tracer>>,
@@ -373,6 +504,7 @@ impl Worker {
             assigned: None,
             rng: StdRng::seed_from_u64(seed),
             inbox_scratch: Vec::new(),
+            pending_scratch: Vec::new(),
             tracer,
             faults,
             policy: PolicyState::default(),
@@ -510,69 +642,16 @@ impl Worker {
     // Polling.
     // ------------------------------------------------------------------
 
+    /// Polls the assigned task ([`WorkerTls::run_task`]) and charges the
+    /// suspensions registered during the poll — by the task or by children
+    /// it ran inline — to the active deque.
     fn poll_task(&mut self, task: TaskRef) {
-        let mut inject_spurious = false;
-        if let Some(f) = &self.faults {
-            // Emulate OS preemption between deadline computation and the
-            // poll — the window behind the resume_path flake.
-            if let Some(delay) = f.poll_delay() {
-                std::thread::sleep(delay);
-            }
-            inject_spurious = f.spurious_wake();
-        }
-        task.begin_poll();
-        self.ctr().bump(&self.ctr().polls);
-        if self.tracer.is_some() {
-            // A resumed suspension reaches its next poll: the vertex
-            // *executed*. (The tag is only ever set while tracing.)
-            let seq = task.take_trace_seq();
-            if seq != 0 {
-                self.trace(EventKind::ResumeExec { seq });
-            }
-        }
-        // One TLS access per poll: install the current task, run the poll,
-        // and read back the suspend count under the same borrow. Nested
-        // TLS uses during the poll (spawn_local, register_latency, …) take
-        // their own shared borrows, which is fine — only install/clear
-        // take the outer RefCell mutably.
-        let suspends = TLS.with(|t| {
-            let borrow = t.borrow();
-            let tls = borrow.as_ref().expect("worker TLS installed");
-            *tls.current_task.borrow_mut() = Some(task.clone());
-            tls.suspend_count.set(0);
-
-            // Task bodies are wrapped in CatchUnwind, so a panic here
-            // indicates a bug in runtime-internal futures; contain it
-            // anyway.
-            let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| task.poll_future()));
-
-            *tls.current_task.borrow_mut() = None;
-            let suspends = tls.suspend_count.get();
-
-            match res {
-                Ok(std::task::Poll::Ready(())) => task.complete(),
-                Ok(std::task::Poll::Pending) => {
-                    if task.finish_pending() {
-                        // Woken during the poll: runnable again right away.
-                        tls.pending_local.borrow_mut().push(task.clone());
-                    } else if inject_spurious {
-                        // Spurious wake before completion: the task re-polls
-                        // while its registrations stay armed. Suspending
-                        // futures must keep their original registration
-                        // (one registration ↔ one resume event).
-                        crate::task::wake_task(task.clone());
-                    }
-                }
-                Err(_panic) => {
-                    // Internal future panicked; mark done so joiners don't
-                    // hang forever on a poisoned task (user-facing panics
-                    // travel via CatchUnwind + JoinCell instead).
-                    task.complete();
-                }
-            }
-            suspends
+        let suspends = with_worker(|w| {
+            let w = w.expect("worker TLS installed");
+            w.suspend_count.set(0);
+            w.run_task(task);
+            w.suspend_count.get()
         });
-
         if suspends > 0 {
             let a = self
                 .active
@@ -583,28 +662,34 @@ impl Worker {
 
     /// Flushes the TLS pending buffer to the bottom of the active deque.
     fn flush_pending(&mut self) {
-        let pending: Vec<TaskRef> = TLS.with(|t| {
-            let borrow = t.borrow();
-            let tls = borrow.as_ref().expect("worker TLS installed");
-            let taken = std::mem::take(&mut *tls.pending_local.borrow_mut());
-            taken
+        // Swap, not take: both vectors keep their capacity across polls.
+        let mut pending = std::mem::take(&mut self.pending_scratch);
+        with_worker(|w| {
+            let w = w.expect("worker TLS installed");
+            std::mem::swap(&mut *w.pending_local.borrow_mut(), &mut pending);
         });
-        if pending.is_empty() {
-            return;
+        if !pending.is_empty() {
+            // Wakes can arrive while idling between deques (e.g. a steal
+            // victim's child completing our joined task): give them a
+            // fresh deque.
+            let a = self.active_or_new();
+            for t in pending.drain(..) {
+                self.owned[a].handle.push_bottom(t);
+            }
         }
-        let a = match self.active {
+        self.pending_scratch = pending;
+    }
+
+    /// The active deque, opening a fresh one if the worker is between
+    /// deques.
+    fn active_or_new(&mut self) -> usize {
+        match self.active {
             Some(a) => a,
             None => {
-                // Wakes can arrive while idling between deques (e.g. a
-                // steal victim's child completing our joined task): give
-                // them a fresh deque.
                 let q = self.new_deque();
                 self.activate(q);
                 q
             }
-        };
-        for t in pending {
-            self.owned[a].handle.push_bottom(t);
         }
     }
 
@@ -650,14 +735,7 @@ impl Worker {
                 // seq pairing stay balanced across the death.
                 self.ctr().bump(&self.ctr().resumes_rerouted);
                 if ev.task.try_claim_for_queue() {
-                    let a = match self.active {
-                        Some(a) => a,
-                        None => {
-                            let q = self.new_deque();
-                            self.activate(q);
-                            q
-                        }
-                    };
+                    let a = self.active_or_new();
                     self.owned[a].handle.push_bottom(ev.task);
                 }
                 continue;
@@ -707,13 +785,7 @@ impl Worker {
         if self.owned[a].handle.is_empty() || !f.force_deque_switch() {
             return;
         }
-        self.active = None;
-        TLS.with(|t| {
-            let borrow = t.borrow();
-            if let Some(tls) = borrow.as_ref() {
-                tls.active_local.set(NO_DEQUE);
-            }
-        });
+        self.deactivate();
         self.mark_ready(a);
     }
 
@@ -755,7 +827,7 @@ impl Worker {
                 self.ctr().bump(&self.ctr().deques_allocated);
                 self.owned.push(OwnedDeque {
                     global,
-                    handle: worker_end,
+                    handle: Rc::new(worker_end),
                     suspend_ctr: 0,
                     resumed: Vec::new(),
                     in_ready: false,
@@ -791,13 +863,22 @@ impl Worker {
         }
     }
 
+    /// Makes `q` the active deque, for the loop and — through the TLS —
+    /// for the spawns, joins and suspensions of the polls it runs.
     fn activate(&mut self, q: usize) {
         self.active = Some(q);
-        TLS.with(|t| {
-            let borrow = t.borrow();
-            if let Some(tls) = borrow.as_ref() {
-                tls.active_local.set(q);
-            }
+        let handle = self.owned[q].handle.clone();
+        with_worker(|w| {
+            let w = w.expect("worker TLS installed");
+            *w.active.borrow_mut() = Some(ActiveDeque { local: q, handle });
+        });
+    }
+
+    fn deactivate(&mut self) {
+        self.active = None;
+        with_worker(|w| {
+            let w = w.expect("worker TLS installed");
+            *w.active.borrow_mut() = None;
         });
     }
 
@@ -806,13 +887,7 @@ impl Worker {
         if !self.owned[a].handle.is_empty() {
             return;
         }
-        self.active = None;
-        TLS.with(|t| {
-            let borrow = t.borrow();
-            if let Some(tls) = borrow.as_ref() {
-                tls.active_local.set(NO_DEQUE);
-            }
-        });
+        self.deactivate();
         if self.owned[a].suspend_ctr == 0 && self.owned[a].resumed.is_empty() {
             self.free_deque(a);
         }
@@ -1053,16 +1128,17 @@ impl Worker {
         if let Some(t) = self.assigned.take() {
             salvaged.push(t);
         }
-        // The TLS pending buffer can hold fork children / wake-ups
-        // buffered by the interrupted poll; reset the rest of the TLS
-        // poll state while we're here.
-        TLS.with(|t| {
-            let borrow = t.borrow();
-            if let Some(tls) = borrow.as_ref() {
-                salvaged.append(&mut tls.pending_local.borrow_mut());
-                *tls.current_task.borrow_mut() = None;
-                tls.suspend_count.set(0);
-                tls.active_local.set(NO_DEQUE);
+        // The TLS pending buffer can hold wake-ups buffered by the
+        // interrupted poll; reset the rest of the TLS poll state while
+        // we're here — above all the active deque's owner end, so the
+        // respawned incarnation never pushes on a rescued deque.
+        with_worker(|w| {
+            if let Some(w) = w {
+                salvaged.append(&mut w.pending_local.borrow_mut());
+                *w.active.borrow_mut() = None;
+                w.current_task.set(std::ptr::null());
+                w.suspend_count.set(0);
+                w.inline_depth.set(0);
             }
         });
         // Resumed-but-not-reinjected tasks staged on deques are still
@@ -1099,6 +1175,7 @@ impl Worker {
         self.live_deques = 0;
         self.steal_scratch.clear();
         self.inbox_scratch.clear();
+        self.pending_scratch.clear();
         self.policy.poison();
 
         // Void the dead incarnation's suspension registrations. Every
@@ -1140,43 +1217,23 @@ impl Worker {
                 return;
             }
             *borrow = Some(WorkerTls {
-                rt: Arc::downgrade(&self.rt),
+                rt: self.rt.clone(),
                 index: self.index,
-                active_local: Cell::new(NO_DEQUE),
-                current_task: RefCell::new(None),
+                active: RefCell::new(None),
+                current_task: Cell::new(std::ptr::null()),
                 suspend_count: Cell::new(0),
                 pending_local: RefCell::new(Vec::new()),
                 suspend_seq: Cell::new(0),
+                inline_depth: Cell::new(0),
             });
         });
     }
 
     fn clear_tls(&self) {
-        TLS.with(|t| {
-            *t.borrow_mut() = None;
-        });
+        // Taken out first, dropped after the borrow: dropping buffered
+        // tasks can drop futures whose destructors wake or spawn, which
+        // looks the TLS up again.
+        let tls = TLS.with(|t| t.borrow_mut().take());
+        drop(tls);
     }
-}
-
-/// Schedules a batch of resumed tasks from inside a pfor task's poll: each
-/// task that is still idle is claimed and buffered for the active deque.
-pub(crate) fn schedule_resumed_batch(tasks: Vec<TaskRef>) {
-    TLS.with(|t| {
-        let borrow = t.borrow();
-        let tls = borrow
-            .as_ref()
-            .expect("pfor tasks only run on worker threads");
-        let mut pending = tls.pending_local.borrow_mut();
-        for task in tasks {
-            if task.try_claim_for_queue() {
-                pending.push(task);
-            }
-        }
-    });
-}
-
-/// Creates and immediately buffers a task (used by pfor splitting); the
-/// task must already be in the QUEUED state.
-pub(crate) fn push_queued_task(task: TaskRef) {
-    spawn_local(task);
 }

@@ -51,6 +51,19 @@ fn fault_schedule_is_a_pure_function_of_the_seed() {
 // Chaos soak: the full plan, audited.
 // ---------------------------------------------------------------------
 
+/// A spurious wake makes a task register its latency a second time, on
+/// whichever worker re-polls it; the duplicate's resume can still be in
+/// the other worker's inbox (or held back by an injected resume delay)
+/// when the first one has completed the task and the job. Bounded window
+/// for it to drain, as the chaos soak binary has, so that the balance
+/// checks after shutdown test the scheduler and not shutdown's timing.
+fn settle_duplicate_resumes(rt: &Runtime) {
+    let drain_by = std::time::Instant::now() + Duration::from_millis(250);
+    while rt.metrics().resumes < rt.metrics().suspensions && std::time::Instant::now() < drain_by {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
 fn chaos_run(seed: u64) -> (u64, lhws_core::AuditReport) {
     let rt = Runtime::builder()
         .workers(2)
@@ -69,6 +82,7 @@ fn chaos_run(seed: u64) -> (u64, lhws_core::AuditReport) {
             .collect();
         join_all(handles).await.into_iter().sum::<u64>()
     });
+    settle_duplicate_resumes(&rt);
     let report = rt.shutdown();
     assert!(report.poisoned_worker.is_none());
     let audit = report.trace.expect("tracing enabled").audit();
@@ -356,6 +370,7 @@ fn single_fault_run(plan: FaultPlan) -> lhws_core::AuditReport {
         join_all(handles).await.into_iter().sum::<u64>()
     });
     assert_eq!(out, (0..32u64).map(|i| i * 2).sum::<u64>());
+    settle_duplicate_resumes(&rt);
     let report = rt.shutdown();
     assert_eq!(report.metrics.suspensions, report.metrics.resumes);
     report.trace.expect("tracing enabled").audit()

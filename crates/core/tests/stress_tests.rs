@@ -95,10 +95,22 @@ fn interleaved_suspend_resume_cycles_per_task() {
 fn steal_storm_single_producer() {
     // One task floods its own deque; the other workers must drain it by
     // stealing. More workers than cores is fine (they interleave).
+    // Each leaf spins for 10 µs of wall time: the producer alone would
+    // need 40 ms, hundreds of the thieves' 100 µs park intervals, so "no
+    // thief woke up in time" cannot be what a zero below means (with empty
+    // leaves the whole job is over in about one millisecond).
     let rt = Runtime::builder().workers(8).build().unwrap();
     let done = rt.block_on(async {
         let hs: Vec<_> = (0..4_000)
-            .map(|i| spawn(async move { std::hint::black_box(i) & 1 }))
+            .map(|i| {
+                spawn(async move {
+                    let start = std::time::Instant::now();
+                    while start.elapsed() < Duration::from_micros(10) {
+                        std::hint::spin_loop();
+                    }
+                    std::hint::black_box(i) & 1
+                })
+            })
             .collect();
         join_all(hs).await.len()
     });

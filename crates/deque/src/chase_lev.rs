@@ -217,6 +217,37 @@ impl<T: Send> ChaseLevWorker<T> {
         }
     }
 
+    /// Pops the bottom item only if `pred` accepts it; a mismatch costs a
+    /// peek (two loads and a slot read), not a pop and a push back.
+    ///
+    /// `pred` sees the bit image of the item at the bottom index, which a
+    /// thief may already be claiming — hence `MaybeUninit`: the image
+    /// says what was pushed there (compare an address, a key), not that
+    /// the item is still the deque's, so `pred` must not follow pointers
+    /// in it. On a match the ordinary [`pop_bottom`](Self::pop_bottom)
+    /// decides the race and returns exactly that item, or `None` if a
+    /// thief won it.
+    pub fn pop_bottom_if(&self, pred: impl FnOnce(&MaybeUninit<T>) -> bool) -> Option<T> {
+        let inner = &*self.inner;
+        let b = inner.bottom.load(Ordering::Relaxed);
+        let t = inner.top.load(Ordering::Relaxed);
+        if b - t <= 0 {
+            return None;
+        }
+        let buf = inner.buffer.load(Ordering::Relaxed);
+        // SAFETY: only the owner — this thread — writes slots, moves
+        // `bottom` or retires `buffer`, so slot `b - 1` of `buf` holds
+        // what this thread last pushed there and nothing writes it
+        // during the borrow; thieves only read slots. Viewed as
+        // `MaybeUninit<T>` the borrow claims nothing about ownership.
+        let image = unsafe { &*(*buf).storage[((b - 1) & (*buf).mask) as usize].get() };
+        if pred(image) {
+            self.pop_bottom()
+        } else {
+            None
+        }
+    }
+
     /// Owner-side emptiness check.
     pub fn is_empty(&self) -> bool {
         self.len() == 0

@@ -120,6 +120,16 @@ impl<T: Send> WorkerHandle<T> {
         }
     }
 
+    /// Pops the bottom item only if `pred` accepts its bit image — the
+    /// owner's pop-back at a join. See
+    /// [`ChaseLevWorker::pop_bottom_if`] for what `pred` may rely on.
+    pub fn pop_bottom_if(&self, pred: impl FnOnce(&std::mem::MaybeUninit<T>) -> bool) -> Option<T> {
+        match self {
+            WorkerHandle::ChaseLev(w) => w.pop_bottom_if(pred),
+            WorkerHandle::Mutex(w) => w.pop_bottom_if(pred),
+        }
+    }
+
     /// True if the deque appears empty from the owner's side.
     pub fn is_empty(&self) -> bool {
         match self {
@@ -231,6 +241,25 @@ mod tests {
             out.clear();
             assert_eq!(s.steal_batch_into(1, &mut out), Steal::Success(1));
             assert_eq!(out, vec![3], "{kind:?} limit=1 degenerate case");
+        }
+    }
+
+    #[test]
+    fn pop_bottom_if_both_kinds() {
+        for kind in [DequeKind::ChaseLev, DequeKind::Mutex] {
+            let (w, s) = WorkerHandle::new(kind);
+            // SAFETY (all three closures): `u32` images are plain values.
+            let is = |want: u32| {
+                move |img: &std::mem::MaybeUninit<u32>| unsafe { img.assume_init_read() } == want
+            };
+            assert_eq!(w.pop_bottom_if(is(1)), None, "{kind:?} empty");
+            w.push_bottom(1);
+            w.push_bottom(2);
+            assert_eq!(w.pop_bottom_if(is(1)), None, "{kind:?} mismatch");
+            assert_eq!(w.len(), 2, "{kind:?} a mismatch leaves the deque alone");
+            assert_eq!(w.pop_bottom_if(is(2)), Some(2), "{kind:?} match");
+            assert_eq!(s.steal().success(), Some(1));
+            assert_eq!(w.pop_bottom_if(is(1)), None, "{kind:?} stolen");
         }
     }
 

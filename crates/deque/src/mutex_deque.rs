@@ -16,6 +16,7 @@
 use std::collections::VecDeque;
 use std::fmt;
 use std::marker::PhantomData;
+use std::mem::MaybeUninit;
 use std::sync::Arc;
 
 use crate::sync::Mutex;
@@ -50,6 +51,21 @@ impl<T: Send> MutexWorker<T> {
     /// Pops an item from the bottom.
     pub fn pop_bottom(&self) -> Option<T> {
         self.inner.lock().pop_back()
+    }
+
+    /// Pops the bottom item only if `pred` accepts its bit image, in one
+    /// locked critical section; mirrors
+    /// [`ChaseLevWorker::pop_bottom_if`](crate::ChaseLevWorker::pop_bottom_if).
+    pub fn pop_bottom_if(&self, pred: impl FnOnce(&MaybeUninit<T>) -> bool) -> Option<T> {
+        let mut q = self.inner.lock();
+        let back: *const T = q.back()?;
+        // SAFETY: `MaybeUninit<T>` has `T`'s layout, and the lock keeps
+        // the item in place for the borrow.
+        if pred(unsafe { &*back.cast::<MaybeUninit<T>>() }) {
+            q.pop_back()
+        } else {
+            None
+        }
     }
 
     /// True if the deque is currently empty.
