@@ -23,22 +23,6 @@ pub enum LatencyMode {
     Block,
 }
 
-/// Victim-selection policy for steals.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StealPolicy {
-    /// The analyzed algorithm: a uniformly random deque from the global
-    /// registry (possibly freed or empty — a failed attempt). The
-    /// paper-validated default.
-    #[default]
-    Uniform,
-    /// Locality-aware victim selection: retry the last successful victim
-    /// while it stays live, then prefer a deque from that victim's
-    /// live-set shard, and only then fall back to the uniform draw
-    /// (Suksompong/Leiserson/Schardl, arXiv:1804.04773: localized
-    /// stealing retains near-optimal bounds).
-    Affinity,
-}
-
 /// Configuration for [`crate::Runtime`]: plain data, set through
 /// [`RuntimeBuilder`] and checked by [`Config::validate`].
 #[derive(Debug, Clone, Copy)]
@@ -47,13 +31,6 @@ pub struct Config {
     pub workers: usize,
     /// Latency handling mode.
     pub mode: LatencyMode,
-    /// Steal policy.
-    pub steal_policy: StealPolicy,
-    /// Hard cap on how many tasks one steal may transfer (steal-half
-    /// claims `ceil(live/2)` up to this limit). The default of `1` is the
-    /// paper's analyzed single-task steal; raising it enables batching
-    /// for either policy.
-    pub steal_batch_limit: usize,
     /// Capacity of the global deque registry (`gDeques`). By Lemma 7 the
     /// algorithm needs at most `P · (U + 1)` deques; the default of 65 536
     /// is comfortable for any realistic suspension width.
@@ -108,8 +85,6 @@ impl Default for Config {
                 .map(|n| n.get())
                 .unwrap_or(4),
             mode: LatencyMode::default(),
-            steal_policy: StealPolicy::default(),
-            steal_batch_limit: 1,
             registry_capacity: 1 << 16,
             park_micros: 100,
             seed: 0x1A7E_11C1,
@@ -133,9 +108,6 @@ impl Config {
         }
         if self.timer_tick.is_zero() {
             return Err(ConfigError::ZeroTimerTick);
-        }
-        if self.steal_batch_limit == 0 {
-            return Err(ConfigError::ZeroStealBatchLimit);
         }
         if self.park_micros == 0 {
             return Err(ConfigError::ZeroParkInterval);
@@ -165,8 +137,6 @@ pub enum ConfigError {
     ZeroWorkers,
     /// `timer_tick == 0`: the wheel cannot advance in zero-length ticks.
     ZeroTimerTick,
-    /// `steal_batch_limit == 0`: a steal could never transfer a task.
-    ZeroStealBatchLimit,
     /// `park_micros == 0`: idle workers would spin without ever parking.
     ZeroParkInterval,
     /// `io_safety_timeout == 0`: Block-mode reads would block forever on a
@@ -195,9 +165,6 @@ impl fmt::Display for ConfigError {
         match self {
             ConfigError::ZeroWorkers => write!(f, "workers must be >= 1"),
             ConfigError::ZeroTimerTick => write!(f, "timer_tick must be non-zero"),
-            ConfigError::ZeroStealBatchLimit => {
-                write!(f, "steal_batch_limit must be >= 1")
-            }
             ConfigError::ZeroParkInterval => write!(f, "park_micros must be >= 1"),
             ConfigError::ZeroIoSafetyTimeout => {
                 write!(f, "io_safety_timeout must be non-zero")
@@ -250,20 +217,6 @@ impl RuntimeBuilder {
     /// Sets the latency-handling mode.
     pub fn mode(mut self, m: LatencyMode) -> Self {
         self.cfg.mode = m;
-        self
-    }
-
-    /// Sets the steal policy.
-    pub fn steal_policy(mut self, p: StealPolicy) -> Self {
-        self.cfg.steal_policy = p;
-        self
-    }
-
-    /// Sets the per-steal task transfer cap (steal-half batching). `0` is
-    /// rejected at build time; `1` (the default) is the paper's
-    /// single-task steal.
-    pub fn steal_batch_limit(mut self, n: usize) -> Self {
-        self.cfg.steal_batch_limit = n;
         self
     }
 
@@ -347,27 +300,10 @@ mod tests {
         let c = Config::default();
         assert!(c.workers >= 1);
         assert_eq!(c.mode, LatencyMode::Hide);
-        assert_eq!(c.steal_policy, StealPolicy::Uniform);
-        assert_eq!(c.steal_batch_limit, 1, "single-task steal by default");
         assert!(c.registry_capacity >= c.workers);
         assert_eq!(c.worker_respawn_budget, 0, "fail-stop by default");
         assert_eq!(c.io_safety_timeout, Duration::from_secs(30));
         assert_eq!(c.validate(), Ok(()));
-    }
-
-    #[test]
-    fn steal_knobs() {
-        assert_eq!(
-            RuntimeBuilder::new().steal_batch_limit(0).validate().err(),
-            Some(ConfigError::ZeroStealBatchLimit)
-        );
-        let cfg = RuntimeBuilder::new()
-            .steal_policy(StealPolicy::Affinity)
-            .steal_batch_limit(8)
-            .validate()
-            .unwrap();
-        assert_eq!(cfg.steal_policy, StealPolicy::Affinity);
-        assert_eq!(cfg.steal_batch_limit, 8);
     }
 
     #[test]

@@ -36,7 +36,6 @@
 //! | `deque_switch_ppm` | after draining resumes | the non-empty active deque is demoted to the ready list |
 //! | `drop_unpark_ppm` | inject/delivery | the wake-up is skipped; the park timeout is the only backstop |
 //! | `dropped_readiness_ppm` | reactor event loop | a kernel readiness event is swallowed without firing the completer or disarming interest; level-triggered epoll re-reports it on the next wait |
-//! | `affinity_stale_ppm` | affinity victim draw | the thief's cached last-successful victim is poisoned before the draw, forcing the [`StealPolicy::Affinity`](crate::StealPolicy::Affinity) fallback path as if the victim had just retired |
 //! | `peer_reset_ppm` | socket read/write | the operation fails with `ECONNRESET`, as if the peer sent RST mid-stream — the connection handler must surface or recover the error honestly |
 //! | `partial_write_ppm` | socket write | the kernel accepts only half the buffer (a short write), forcing the `write_all` continuation loop to finish the rest |
 //! | `accept_burst_ppm` | listener accept | an accept-ready listener reports `WouldBlock` once, emulating accept-queue churn under bursty connection load (the caller re-arms readiness) |
@@ -76,10 +75,6 @@ pub enum FaultSite {
     /// Swallowed kernel readiness event in a reactor driver's event loop
     /// (recovered by level-triggered re-reporting).
     DroppedReadiness,
-    /// Poisoned affinity cache at the thief's victim draw: the cached
-    /// last-successful victim is dropped before it is consulted, forcing
-    /// the affinity fallback path as if the victim had just retired.
-    AffinityStale,
     /// Simulated peer RST on a socket read or write: the operation fails
     /// with `ECONNRESET` without touching the kernel.
     PeerReset,
@@ -94,7 +89,7 @@ pub enum FaultSite {
 impl FaultSite {
     /// Every site, in decision-stream order (the order
     /// [`FaultPlan::schedule_digest`] folds them in).
-    pub const ALL: [FaultSite; 13] = [
+    pub const ALL: [FaultSite; 12] = [
         FaultSite::StealFail,
         FaultSite::ResumeDelay,
         FaultSite::ResumeReorder,
@@ -104,7 +99,6 @@ impl FaultSite {
         FaultSite::DequeSwitch,
         FaultSite::DropUnpark,
         FaultSite::DroppedReadiness,
-        FaultSite::AffinityStale,
         FaultSite::PeerReset,
         FaultSite::PartialWrite,
         FaultSite::AcceptBurst,
@@ -122,10 +116,9 @@ impl FaultSite {
             FaultSite::DequeSwitch => 6,
             FaultSite::DropUnpark => 7,
             FaultSite::DroppedReadiness => 8,
-            FaultSite::AffinityStale => 9,
-            FaultSite::PeerReset => 10,
-            FaultSite::PartialWrite => 11,
-            FaultSite::AcceptBurst => 12,
+            FaultSite::PeerReset => 9,
+            FaultSite::PartialWrite => 10,
+            FaultSite::AcceptBurst => 11,
         }
     }
 
@@ -144,7 +137,6 @@ impl FaultSite {
             0xDE0E_5312_7C11_000D,
             0xD209_0213_9A12_000F,
             0x10C4_77A1_7ED1_0011,
-            0xAFF1_2175_7A1E_0015,
             0x9EE2_2E5E_7C05_0017,
             0x9A27_1A1C_3217_0019,
             0xACCE_9718_0257_001B,
@@ -202,12 +194,6 @@ pub struct FaultPlan {
     /// swallow recoverable (the fd stays ready, the next `epoll_wait`
     /// re-reports it). A rate of 1 000 000 would livelock the reactor.
     pub dropped_readiness_ppm: u32,
-    /// Rate of poisoned affinity caches: the thief's remembered
-    /// last-successful victim is dropped before the affinity draw,
-    /// forcing the fallback path. Only visited under
-    /// [`StealPolicy::Affinity`](crate::StealPolicy::Affinity) with a
-    /// cached victim.
-    pub affinity_stale_ppm: u32,
     /// Rate of simulated peer resets on socket reads/writes: the
     /// operation fails with `ECONNRESET` without touching the kernel.
     /// Only visited by lhws-net connection paths.
@@ -251,7 +237,6 @@ impl FaultPlan {
             deque_switch_ppm: 0,
             drop_unpark_ppm: 0,
             dropped_readiness_ppm: 0,
-            affinity_stale_ppm: 0,
             peer_reset_ppm: 0,
             partial_write_ppm: 0,
             accept_burst_ppm: 0,
@@ -273,7 +258,6 @@ impl FaultPlan {
             .deque_switch(80_000)
             .drop_unpark(150_000)
             .dropped_readiness(150_000)
-            .affinity_stale(200_000)
     }
 
     /// Sets the forced-steal-failure rate.
@@ -332,12 +316,6 @@ impl FaultPlan {
         self
     }
 
-    /// Sets the poisoned-affinity-cache rate for affinity victim draws.
-    pub fn affinity_stale(mut self, ppm: u32) -> Self {
-        self.affinity_stale_ppm = ppm;
-        self
-    }
-
     /// Sets the simulated-peer-reset rate for socket reads/writes.
     pub fn peer_reset(mut self, ppm: u32) -> Self {
         self.peer_reset_ppm = ppm;
@@ -375,7 +353,6 @@ impl FaultPlan {
             FaultSite::DequeSwitch => self.deque_switch_ppm,
             FaultSite::DropUnpark => self.drop_unpark_ppm,
             FaultSite::DroppedReadiness => self.dropped_readiness_ppm,
-            FaultSite::AffinityStale => self.affinity_stale_ppm,
             FaultSite::PeerReset => self.peer_reset_ppm,
             FaultSite::PartialWrite => self.partial_write_ppm,
             FaultSite::AcceptBurst => self.accept_burst_ppm,
@@ -508,12 +485,6 @@ impl FaultInjector {
     /// Whether a reactor driver should swallow this readiness event.
     pub fn dropped_readiness(&self) -> bool {
         self.roll(FaultSite::DroppedReadiness).is_some()
-    }
-
-    /// Whether this affinity victim draw should poison the thief's cached
-    /// last-successful victim, forcing the fallback path.
-    pub fn affinity_stale(&self) -> bool {
-        self.roll(FaultSite::AffinityStale).is_some()
     }
 
     /// Whether this socket read/write should fail with a simulated
@@ -1423,22 +1394,6 @@ mod tests {
             FaultPlan::new(5).schedule_digest(128),
             FaultPlan::new(5)
                 .dropped_readiness(500_000)
-                .schedule_digest(128),
-        );
-    }
-
-    #[test]
-    fn affinity_stale_site_rolls_and_digests() {
-        let inj = FaultInjector::new(FaultPlan::new(5).affinity_stale(1_000_000));
-        assert!(inj.affinity_stale());
-        assert_eq!(inj.injected_total(), 1);
-        let off = FaultInjector::new(FaultPlan::new(5));
-        assert!(!off.affinity_stale());
-        // The new site participates in the digest.
-        assert_ne!(
-            FaultPlan::new(5).schedule_digest(128),
-            FaultPlan::new(5)
-                .affinity_stale(500_000)
                 .schedule_digest(128),
         );
     }

@@ -77,7 +77,7 @@ mod timer;
 pub mod trace;
 mod worker;
 
-pub use config::{Config, ConfigError, LatencyMode, RuntimeBuilder, StealPolicy};
+pub use config::{Config, ConfigError, LatencyMode, RuntimeBuilder};
 pub use driver::{Driver, DriverHooks, DriverReport, IoShardSnapshot, IoShardStats, IoTraceEvent};
 pub use external::{
     external_op, Canceled, Completer, DeadlineExt, DeadlineOp, ExternalOp, OpError,

@@ -47,8 +47,6 @@ pub(crate) struct CounterBlock {
     pub steals_dead_target: AtomicU64,
     pub steal_retries: AtomicU64,
     pub steal_batch_tasks: AtomicU64,
-    pub steal_affinity_hits: AtomicU64,
-    pub steal_fallbacks: AtomicU64,
     pub deque_switches: AtomicU64,
     pub deques_allocated: AtomicU64,
     pub suspensions: AtomicU64,
@@ -140,8 +138,6 @@ impl Counters {
             steals_dead_target: self.sum(|b| &b.steals_dead_target),
             steal_retries: self.sum(|b| &b.steal_retries),
             steal_batch_tasks: self.sum(|b| &b.steal_batch_tasks),
-            steal_affinity_hits: self.sum(|b| &b.steal_affinity_hits),
-            steal_fallbacks: self.sum(|b| &b.steal_fallbacks),
             deque_switches: self.sum(|b| &b.deque_switches),
             deques_allocated: self.sum(|b| &b.deques_allocated),
             suspensions: self.sum(|b| &b.suspensions),
@@ -191,17 +187,9 @@ pub struct MetricsSnapshot {
     /// the backoff spin — so the count is exact contention, not retries
     /// folded silently into one attempt.
     pub steal_retries: u64,
-    /// Tasks transferred by batched (steal-half) steals, counting every
-    /// task in each batch. `0` under the default single-task steal.
+    /// Tasks transferred by multi-task (steal-half) steals, counting every
+    /// task in each batch of two or more.
     pub steal_batch_tasks: u64,
-    /// Successful steals whose victim came from the affinity cache or the
-    /// preferred-shard draw rather than the uniform fallback (Affinity
-    /// policy only).
-    pub steal_affinity_hits: u64,
-    /// Affinity probes that fell back to the uniform live-index
-    /// draw because no cached victim or shard-local candidate was
-    /// available.
-    pub steal_fallbacks: u64,
     /// Deque switches (idle worker resumed one of its ready deques).
     pub deque_switches: u64,
     /// Deques ever allocated in the global registry.
@@ -264,8 +252,6 @@ impl MetricsSnapshot {
         m.steals_dead_target = self.steals_dead_target - earlier.steals_dead_target;
         m.steal_retries = self.steal_retries - earlier.steal_retries;
         m.steal_batch_tasks = self.steal_batch_tasks - earlier.steal_batch_tasks;
-        m.steal_affinity_hits = self.steal_affinity_hits - earlier.steal_affinity_hits;
-        m.steal_fallbacks = self.steal_fallbacks - earlier.steal_fallbacks;
         m.deque_switches = self.deque_switches - earlier.deque_switches;
         m.deques_allocated = self.deques_allocated - earlier.deques_allocated;
         m.suspensions = self.suspensions - earlier.suspensions;
@@ -305,11 +291,6 @@ impl fmt::Display for MetricsSnapshot {
         )?;
         writeln!(f, "steal retries:         {}", self.steal_retries)?;
         writeln!(f, "steal batch tasks:     {}", self.steal_batch_tasks)?;
-        writeln!(
-            f,
-            "steal affinity:        {} hits, {} fallbacks",
-            self.steal_affinity_hits, self.steal_fallbacks
-        )?;
         writeln!(f, "deque switches:        {}", self.deque_switches)?;
         writeln!(f, "deques allocated:      {}", self.deques_allocated)?;
         writeln!(f, "suspensions:           {}", self.suspensions)?;
@@ -383,7 +364,6 @@ tasks spawned:         0
 steals:                0 attempted, 0 succeeded, 0 dead targets
 steal retries:         0
 steal batch tasks:     0
-steal affinity:        0 hits, 0 fallbacks
 deque switches:        0
 deques allocated:      0
 suspensions:           0
@@ -403,22 +383,14 @@ live deques:           0 (high water 0)";
     }
 
     #[test]
-    fn delta_covers_steal_policy_counters() {
+    fn delta_covers_steal_counters() {
         let c = Counters::default();
         let a = c.snapshot();
         c.bump(&c.steal_batch_tasks);
-        c.bump(&c.steal_affinity_hits);
-        c.bump(&c.steal_affinity_hits);
-        c.bump(&c.steal_fallbacks);
+        c.bump(&c.steal_retries);
+        c.bump(&c.steal_retries);
         let d = c.snapshot().delta(&a);
-        assert_eq!(
-            (
-                d.steal_batch_tasks,
-                d.steal_affinity_hits,
-                d.steal_fallbacks
-            ),
-            (1, 2, 1)
-        );
+        assert_eq!((d.steal_batch_tasks, d.steal_retries), (1, 2));
     }
 
     #[test]
@@ -430,7 +402,6 @@ live deques:           0 (high water 0)";
         assert!(s.contains("steals:                1 attempted"));
         assert!(s.contains("steal retries:         0"));
         assert!(s.contains("steal batch tasks:     0"));
-        assert!(s.contains("steal affinity:        0 hits, 0 fallbacks"));
         assert!(s.contains("max deques per worker: 5"));
         assert!(s.contains("io registrations:      0"));
         assert!(s.contains("registry compactions:  0"));
@@ -456,21 +427,18 @@ live deques:           0 (high water 0)";
     }
 
     #[test]
-    fn steal_policy_counters_sum_and_delta() {
+    fn steal_counters_sum_and_delta() {
         let c = Counters::with_workers(2);
         c.worker(0).add(&c.worker(0).steal_batch_tasks, 7);
-        c.worker(1).bump(&c.worker(1).steal_affinity_hits);
-        c.bump(&c.steal_fallbacks);
+        c.worker(1).bump(&c.worker(1).steal_retries);
         c.bump(&c.steal_retries);
         let a = c.snapshot();
         assert_eq!(a.steal_batch_tasks, 7);
-        assert_eq!(a.steal_affinity_hits, 1);
-        assert_eq!(a.steal_fallbacks, 1);
-        assert_eq!(a.steal_retries, 1);
+        assert_eq!(a.steal_retries, 2);
         c.add(&c.steal_batch_tasks, 3);
         let d = c.snapshot().delta(&a);
         assert_eq!(d.steal_batch_tasks, 3);
-        assert_eq!(d.steal_affinity_hits, 0);
+        assert_eq!(d.steal_retries, 0);
     }
 
     #[test]

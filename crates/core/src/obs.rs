@@ -300,20 +300,6 @@ pub fn encode_prometheus(
     );
     sample(
         &mut o,
-        "lhws_steal_affinity_hits_total",
-        c,
-        "Steals satisfied by the cached affinity victim.",
-        m.steal_affinity_hits,
-    );
-    sample(
-        &mut o,
-        "lhws_steal_fallbacks_total",
-        c,
-        "Affinity misses that fell back to a uniform draw.",
-        m.steal_fallbacks,
-    );
-    sample(
-        &mut o,
         "lhws_deque_switches_total",
         c,
         "Active-deque switches on suspension or steal.",
@@ -480,8 +466,8 @@ mod tests {
         }
         assert_eq!(
             names.len(),
-            27,
-            "23 counters (incl. trace drops) + 4 gauges"
+            25,
+            "21 counters (incl. trace drops) + 4 gauges"
         );
         let mut sorted = names.clone();
         sorted.sort();

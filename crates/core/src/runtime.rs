@@ -175,15 +175,26 @@ impl RtInner {
         if let Some(t) = &self.tracer {
             t.record_shared(NONE_ID, EventKind::Inject);
         }
+        self.unpark(None);
+    }
+
+    /// The tail of every delivery: wakes `target` if it is parked — or,
+    /// with `None`, at most one sleeper, whichever it is — counting and
+    /// tracing the wake.
+    fn unpark(&self, target: Option<usize>) {
         // Fault: swallow the unpark. Safe because parks are timed
-        // (`Config::park_micros`), so a sleeping worker re-polls the
-        // injector within one park interval.
+        // (`Config::park_micros`), so a sleeping worker re-polls its inbox
+        // and the injector within one park interval.
         if let Some(f) = &self.faults {
             if f.drop_unpark() {
                 return;
             }
         }
-        if let Some(woken) = self.sleepers.unpark_one() {
+        let woken = match target {
+            Some(worker) => self.sleepers.unpark_worker(worker).then_some(worker),
+            None => self.sleepers.unpark_one(),
+        };
+        if let Some(woken) = woken {
             self.counters.bump(&self.counters.unparks);
             if let Some(t) = &self.tracer {
                 t.record_shared(
@@ -266,23 +277,7 @@ impl RtInner {
             );
         }
         self.inboxes[worker].queue.lock().push(event);
-        // Fault: swallow the unpark (timed parks bound the damage).
-        if let Some(f) = &self.faults {
-            if f.drop_unpark() {
-                return;
-            }
-        }
-        if self.sleepers.unpark_worker(worker) {
-            self.counters.bump(&self.counters.unparks);
-            if let Some(t) = &self.tracer {
-                t.record_shared(
-                    NONE_ID,
-                    EventKind::Unpark {
-                        worker: worker as u32,
-                    },
-                );
-            }
-        }
+        self.unpark(Some(worker));
     }
 }
 
@@ -321,25 +316,8 @@ impl ResumeSink for RtInner {
                 q.append(&mut events);
             }
         }
-        // Fault: swallow the unpark (timed parks bound the damage).
-        if let Some(f) = &self.faults {
-            if f.drop_unpark() {
-                return;
-            }
-        }
-        // One unpark for the whole batch, and only if the worker is
-        // actually parked.
-        if self.sleepers.unpark_worker(worker) {
-            self.counters.bump(&self.counters.unparks);
-            if let Some(t) = &self.tracer {
-                t.record_shared(
-                    NONE_ID,
-                    EventKind::Unpark {
-                        worker: worker as u32,
-                    },
-                );
-            }
-        }
+        // One unpark for the whole batch.
+        self.unpark(Some(worker));
     }
 }
 

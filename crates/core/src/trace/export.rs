@@ -274,12 +274,8 @@ mod tests {
         assert!(s.contains("\"dur\": 1.400"));
         // Null victims serialize as JSON null, not a sentinel number.
         assert!(s.contains("\"victim_deque\": null"));
-        // Balanced braces/brackets as a cheap well-formedness check.
-        let balance = |open: char, close: char| {
-            s.chars().filter(|&c| c == open).count() == s.chars().filter(|&c| c == close).count()
-        };
-        assert!(balance('{', '}'));
-        assert!(balance('[', ']'));
+        // Well-formedness is `tests/trace_tests.rs`'s job: it runs a strict
+        // JSON validator over the export of a real traced run.
     }
 
     #[test]

@@ -113,11 +113,10 @@ pub enum EventKind {
         /// How the attempt ended.
         outcome: StealOutcome,
     },
-    /// A steal attempt claimed a multi-task batch (steal-half with
-    /// [`crate::Config::steal_batch_limit`] > 1). Emitted **in addition
-    /// to** the per-attempt [`EventKind::Steal`] event, so `Steal`
-    /// events still count attempts exactly; only batches of two or more
-    /// tasks are recorded (a single-task claim is just a steal).
+    /// A steal attempt claimed a multi-task batch (steal-half). Emitted
+    /// **in addition to** the per-attempt [`EventKind::Steal`] event, so
+    /// `Steal` events still count attempts exactly; only batches of two or
+    /// more tasks are recorded (a single-task claim is just a steal).
     StealBatch {
         /// Global registry id of the victim deque.
         victim: u32,

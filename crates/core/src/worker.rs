@@ -39,26 +39,17 @@ use std::sync::Arc;
 use std::task::Waker;
 use std::time::{Duration, Instant};
 
-use lhws_deque::{DequeId, DequeKind, Steal, WorkerHandle};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use lhws_deque::{DequeId, DequeKind, WorkerHandle};
 
-use crate::config::{LatencyMode, StealPolicy};
+use crate::config::LatencyMode;
 use crate::fault::{FaultInjector, PanicInjected};
 use crate::join::JoinHandle;
 use crate::metrics::CounterBlock;
 use crate::runtime::{self, RtInner};
-use crate::steal::{PolicyState, STEAL_PROBES};
+use crate::steal::Thief;
 use crate::task::{self, Polled, TaskRef};
 use crate::timer::{ResumeEvent, TimerEntry};
-use crate::trace::{EventKind, StealOutcome, SuspendKind, Tracer, NONE_ID};
-
-/// How many times a steal attempt re-tries the same deque when the
-/// underlying pop-top reports a benign race ([`Steal::Retry`]) before
-/// giving the attempt up. Retrying the same victim a few times is cheaper
-/// than a fresh random victim draw while the race window is tiny; an
-/// unbounded loop could livelock against a fast owner.
-const STEAL_RETRIES: usize = 4;
+use crate::trace::{EventKind, SuspendKind, Tracer};
 
 /// How deep [`join_inline`] may nest: an inline-run child that forks and
 /// joins runs *its* child one level further down the same worker stack.
@@ -459,7 +450,9 @@ pub(crate) struct Worker {
     empty: Vec<usize>,
     live_deques: u64,
     assigned: Option<TaskRef>,
-    rng: StdRng,
+    /// What this worker does when it has nothing of its own to run. See
+    /// [`crate::steal`].
+    thief: Thief,
     /// Reused buffer for inbox batch drains (swap target).
     inbox_scratch: Vec<ResumeEvent>,
     /// Reused buffer for pending-enable flushes (swap target).
@@ -470,13 +463,6 @@ pub(crate) struct Worker {
     /// Cached from `rt.faults` — same zero-cost-when-`None` pattern as
     /// the tracer. See [`crate::fault`].
     faults: Option<Arc<FaultInjector>>,
-    /// Thief-local steal-policy state (victim affinity). See
-    /// [`crate::steal`].
-    policy: PolicyState,
-    /// Reused landing buffer for steal-half batches: the first task
-    /// becomes the assigned task, the rest is pushed into the fresh
-    /// deque by [`Worker::land_batch_overflow`].
-    steal_scratch: Vec<TaskRef>,
     /// This incarnation's epoch, mirroring `rt.epochs[index]` (which is
     /// only ever written by this thread). Resume events carrying an
     /// older epoch were registered by a dead incarnation and are
@@ -486,13 +472,10 @@ pub(crate) struct Worker {
 
 impl Worker {
     pub fn new(rt: Arc<RtInner>, index: usize) -> Self {
-        let seed = rt
-            .config
-            .seed
-            .wrapping_add(crate::rng::GOLDEN_GAMMA.wrapping_mul(index as u64 + 1));
         let tracer = rt.tracer.clone();
         let faults = rt.faults.clone();
         Worker {
+            thief: Thief::new(rt.clone(), index),
             rt,
             index,
             owned: Vec::new(),
@@ -502,13 +485,10 @@ impl Worker {
             empty: Vec::new(),
             live_deques: 0,
             assigned: None,
-            rng: StdRng::seed_from_u64(seed),
             inbox_scratch: Vec::new(),
             pending_scratch: Vec::new(),
             tracer,
             faults,
-            policy: PolicyState::default(),
-            steal_scratch: Vec::new(),
             epoch: 0,
         }
     }
@@ -577,34 +557,12 @@ impl Worker {
                 self.assigned = Some(task);
                 let q = self.new_deque();
                 self.activate(q);
-            } else {
-                // Thief mode: a bounded burst of probes. Every probe is one
-                // full steal attempt (one `steals_attempted` bump paired
-                // with exactly one `Steal` trace event); the exponential
-                // backoff between failed probes keeps a pack of idle
-                // thieves from hammering the registry shards.
-                for probe in 0..STEAL_PROBES {
-                    self.ctr().bump(&self.ctr().steals_attempted);
-                    if let Some(task) = self.try_steal() {
-                        self.ctr().bump(&self.ctr().steals_succeeded);
-                        self.assigned = Some(task);
-                        let q = self.new_deque();
-                        self.activate(q);
-                        self.land_batch_overflow(q);
-                        break;
-                    }
-                    // Between failed probes: bail out to the outer step if
-                    // anything newsworthy arrived, else back off briefly.
-                    if self.rt.is_shutdown()
-                        || self.rt.injector_nonempty()
-                        || self.rt.inbox_nonempty(self.index)
-                    {
-                        break;
-                    }
-                    for _ in 0..(1usize << probe.min(6)) {
-                        std::hint::spin_loop();
-                    }
-                }
+            } else if let Some(task) = self.thief.steal_burst() {
+                // Stolen work starts a fresh deque (Figure 3).
+                self.assigned = Some(task);
+                let q = self.new_deque();
+                self.activate(q);
+                self.thief.land_overflow(&self.owned[q].handle);
             }
         }
         self.drain_resumes();
@@ -895,203 +853,6 @@ impl Worker {
     }
 
     // ------------------------------------------------------------------
-    // Stealing.
-    // ------------------------------------------------------------------
-
-    /// One pop-top on victim deque `id`. A [`Steal::Retry`] from the deque
-    /// (a benign race) re-tries the same victim up to [`STEAL_RETRIES`]
-    /// times before the attempt counts as failed — previously a Retry was
-    /// swallowed as a failure outright, wasting the victim draw. Each
-    /// inner retry is counted (`steal_retries`) *before* the backoff
-    /// spin, so the counter is exact even mid-spin.
-    fn steal_from(&self, id: DequeId) -> (Option<TaskRef>, StealOutcome) {
-        for _ in 0..STEAL_RETRIES {
-            match self.rt.registry.steal(id) {
-                Steal::Success(task) => return (Some(task), StealOutcome::Success),
-                Steal::Empty => return (None, StealOutcome::Empty),
-                Steal::Retry => {
-                    self.ctr().bump(&self.ctr().steal_retries);
-                    std::hint::spin_loop();
-                }
-            }
-        }
-        (None, StealOutcome::LostRace)
-    }
-
-    /// One steal against victim `id`, single or steal-half depending on
-    /// the configured batch cap. On a multi-task claim the first
-    /// task is returned as the assigned task and the remainder stays in
-    /// `steal_scratch` for [`Worker::land_batch_overflow`].
-    fn steal_victim(&mut self, id: DequeId) -> (Option<TaskRef>, StealOutcome) {
-        let cap = self.rt.config.steal_batch_limit;
-        if cap <= 1 {
-            return self.steal_from(id);
-        }
-        debug_assert!(self.steal_scratch.is_empty());
-        for _ in 0..STEAL_RETRIES {
-            match self
-                .rt
-                .registry
-                .steal_batch(id, cap, &mut self.steal_scratch)
-            {
-                Steal::Success(n) => {
-                    debug_assert_eq!(n, self.steal_scratch.len());
-                    if n >= 2 {
-                        let c = self.ctr();
-                        c.add(&c.steal_batch_tasks, n as u64);
-                        self.trace(EventKind::StealBatch {
-                            victim: id.index() as u32,
-                            n: n as u32,
-                        });
-                    }
-                    let first = self.steal_scratch.remove(0);
-                    return (Some(first), StealOutcome::Success);
-                }
-                Steal::Empty => return (None, StealOutcome::Empty),
-                Steal::Retry => {
-                    self.ctr().bump(&self.ctr().steal_retries);
-                    std::hint::spin_loop();
-                }
-            }
-        }
-        (None, StealOutcome::LostRace)
-    }
-
-    /// Lands the overflow of a multi-task steal (everything past the
-    /// assigned first task) in fresh deque `q`, pushed in reverse so the
-    /// owner's LIFO pops replay the batch in its original top-to-bottom
-    /// order. No-op after single-item steals.
-    fn land_batch_overflow(&mut self, q: usize) {
-        if self.steal_scratch.is_empty() {
-            return;
-        }
-        let mut rest = std::mem::take(&mut self.steal_scratch);
-        for t in rest.drain(..).rev() {
-            self.owned[q].handle.push_bottom(t);
-        }
-        self.steal_scratch = rest;
-    }
-
-    /// One steal attempt (exactly one `Steal` trace event — including
-    /// attempts that never reach a victim deque — so trace steal counts
-    /// match `steals_attempted` exactly).
-    fn try_steal(&mut self) -> Option<TaskRef> {
-        if let Some(f) = &self.faults {
-            // Forced failure before the victim draw: from the scheduler's
-            // perspective, a steal that lost its race (retry storms under
-            // high rates). Still exactly one Steal event per attempt.
-            if f.steal_fail() {
-                self.trace(EventKind::Steal {
-                    victim_deque: NONE_ID,
-                    victim_worker: NONE_ID,
-                    outcome: StealOutcome::LostRace,
-                });
-                return None;
-            }
-        }
-        let (victim, victim_worker, got, outcome) = match self.rt.config.steal_policy {
-            StealPolicy::Uniform => self.steal_uniform(),
-            StealPolicy::Affinity => self.steal_affinity(),
-        };
-        self.trace(EventKind::Steal {
-            victim_deque: victim.map_or(NONE_ID, |id| id.index() as u32),
-            victim_worker,
-            outcome,
-        });
-        got
-    }
-
-    /// Uniform victim draw: the paper's memoryless `randomDeque()` over
-    /// the live set.
-    fn steal_uniform(&mut self) -> (Option<DequeId>, u32, Option<TaskRef>, StealOutcome) {
-        match self.rt.registry.random_live_id(self.rng.gen()) {
-            None => (None, NONE_ID, None, StealOutcome::Empty),
-            Some(id) => self.steal_checked(id),
-        }
-    }
-
-    /// One steal against `id` with dead-target accounting and the
-    /// trace-only owner lookup.
-    fn steal_checked(
-        &mut self,
-        id: DequeId,
-    ) -> (Option<DequeId>, u32, Option<TaskRef>, StealOutcome) {
-        let (task, mut outcome) = self.steal_victim(id);
-        if task.is_none() && !self.rt.registry.is_live(id) {
-            // The victim retired between the draw and the steal (the
-            // live-set draw never returns an already-freed slot, so this
-            // is the only way to land on one). The paper's
-            // `randomDeque()` simply eats such failures; they stay
-            // counted so a regression of the index shows up.
-            self.ctr().bump(&self.ctr().steals_dead_target);
-            outcome = StealOutcome::Dead;
-        }
-        // The owner lookup is trace-only metadata; skip it when no one is
-        // recording.
-        let owner = if self.tracer.is_some() {
-            self.rt.registry.owner_of(id).map_or(NONE_ID, |w| w as u32)
-        } else {
-            NONE_ID
-        };
-        (Some(id), owner, task, outcome)
-    }
-
-    /// Affinity victim draw: retry the last successful victim while it
-    /// stays live, then prefer a draw from its owner's registry shard,
-    /// then fall back to the uniform draw (counted in `steal_fallbacks`).
-    fn steal_affinity(&mut self) -> (Option<DequeId>, u32, Option<TaskRef>, StealOutcome) {
-        // Chaos hook: poison the cached victim before consulting it, as
-        // if it had just retired under us.
-        if self.policy.cached_victim().is_some()
-            && self.faults.as_ref().is_some_and(|f| f.affinity_stale())
-        {
-            self.policy.poison();
-        }
-        if let Some(id) = self.policy.cached_victim() {
-            if self.rt.registry.is_live(id) {
-                let r = self.steal_checked(id);
-                if r.2.is_some() {
-                    self.ctr().bump(&self.ctr().steal_affinity_hits);
-                    let owner = self.rt.registry.owner_of(id);
-                    self.policy.record_hit(id, owner);
-                    return r;
-                }
-            }
-            // Missed or retired: forget the id, keep the shard preference.
-            self.policy.clear_victim();
-        }
-        if let Some(owner) = self.policy.preferred_owner() {
-            let drawn = self
-                .rt
-                .registry
-                .random_live_id_in_shard(owner, self.rng.gen());
-            if let Some(id) = drawn {
-                let r = self.steal_checked(id);
-                if r.2.is_some() {
-                    self.ctr().bump(&self.ctr().steal_affinity_hits);
-                    let owner = self.rt.registry.owner_of(id);
-                    self.policy.record_hit(id, owner);
-                    return r;
-                }
-            }
-            // The preferred shard has gone cold; drop the preference so
-            // the next attempt goes straight to the uniform draw.
-            self.policy.poison();
-        }
-        // No affinity signal left: uniform live-index draw, reseeding the
-        // cache on success.
-        self.ctr().bump(&self.ctr().steal_fallbacks);
-        let r = self.steal_uniform();
-        if r.2.is_some() {
-            if let Some(id) = r.0 {
-                let owner = self.rt.registry.owner_of(id);
-                self.policy.record_hit(id, owner);
-            }
-        }
-        r
-    }
-
-    // ------------------------------------------------------------------
     // Supervision (respawn after a scheduler-loop panic).
     // ------------------------------------------------------------------
 
@@ -1124,7 +885,7 @@ impl Worker {
             worker: self.index as u32,
         });
 
-        let mut salvaged: Vec<TaskRef> = Vec::new();
+        let mut salvaged: Vec<TaskRef> = self.thief.take_unlanded();
         if let Some(t) = self.assigned.take() {
             salvaged.push(t);
         }
@@ -1173,10 +934,8 @@ impl Worker {
         self.resumed_list.clear();
         self.empty.clear();
         self.live_deques = 0;
-        self.steal_scratch.clear();
         self.inbox_scratch.clear();
         self.pending_scratch.clear();
-        self.policy.poison();
 
         // Void the dead incarnation's suspension registrations. Every
         // read on the registration paths happens on this same thread, so

@@ -7,8 +7,7 @@
 //!    implemented from scratch on atomics. The owner pushes and pops at the
 //!    bottom; any number of thieves steal from the top.
 //! 2. **A mutex-based deque** ([`mutex_deque`]) with the same handle API,
-//!    used as a correctness oracle in tests and as an ablation point for the
-//!    benchmarks ("how much does the lock-free deque matter?").
+//!    used as a correctness oracle in tests.
 //! 3. **The global deque registry** ([`registry`]) — the paper's `gDeques`
 //!    array plus `gTotalDeques` counter (Figure 5). Deques are allocated with
 //!    a fetch-and-add, are never deallocated, and are recycled through

@@ -1,13 +1,9 @@
 //! A mutex-protected deque with the same owner/thief handle API as the
 //! Chase–Lev implementation.
 //!
-//! Serves two purposes:
-//!
-//! * **Correctness oracle** — property tests drive both implementations with
-//!   identical operation sequences and require identical results.
-//! * **Ablation point** — the benchmark harness can swap this in to measure
-//!   how much the lock-free deque contributes to end-to-end performance
-//!   (`ablation -- deque`).
+//! It is the **correctness oracle**: property tests drive both
+//! implementations with identical operation sequences and require identical
+//! results. It is not a runtime backend and nothing times it.
 //!
 //! The paper notes its prototype "sometimes uses theoretically less
 //! efficient data structures or policies, favoring simplicity and

@@ -565,29 +565,6 @@ impl<T: Send> Registry<T> {
         }
         None
     }
-
-    /// Maps a uniform random value onto a live deque id **within shard
-    /// `shard`** (taken modulo the shard count), or `None` when that shard
-    /// is currently empty. Same lock-free single-entry-load draw as
-    /// [`random_live_id`](Self::random_live_id), restricted to one shard —
-    /// the locality-preferring half of an affinity steal policy (deques
-    /// land in shard `owner % shards`, so one shard groups the deques of
-    /// related workers). Racy like every live-set read: a returned id may
-    /// die before the steal reaches it.
-    pub fn random_live_id_in_shard(&self, shard: usize, uniform: u64) -> Option<DequeId> {
-        let shard = &self.shards[shard % self.shards.len()];
-        let n = shard.len.load(Ordering::Acquire);
-        if n == 0 {
-            return None;
-        }
-        let mut target = ((uniform as u128 * n as u128) >> 64) as usize;
-        // Clamp against a concurrent shrink between the length load and
-        // the entry read; a stale entry just yields a failed steal.
-        target = target.min(n - 1);
-        shard
-            .entry(target)
-            .map(|e| DequeId(e.load(Ordering::Acquire)))
-    }
 }
 
 impl<T> std::fmt::Debug for Registry<T> {
@@ -866,34 +843,6 @@ mod tests {
         assert_eq!(out, vec![0, 1, 2, 3]);
         // Unset slot reads as empty.
         assert_eq!(reg.steal_batch(DequeId(5), 16, &mut out), Steal::Empty);
-    }
-
-    #[test]
-    fn shard_scoped_draw_stays_in_shard() {
-        let reg: Registry<u32> = Registry::with_capacity_and_shards(64, 4);
-        // Owners 0..8 spread over 4 shards; shard k holds owners k, k+4.
-        let mut ids = Vec::new();
-        for owner in 0..8 {
-            let (_w, s) = WorkerHandle::new(DequeKind::Mutex);
-            ids.push(reg.register(owner, s).unwrap());
-        }
-        for shard in 0..4 {
-            let expect: Vec<DequeId> = vec![ids[shard], ids[shard + 4]];
-            let mut seen = std::collections::HashSet::new();
-            for i in 0..100u64 {
-                let u = i.wrapping_mul(u64::MAX / 100);
-                let id = reg.random_live_id_in_shard(shard, u).unwrap();
-                assert!(expect.contains(&id), "draw left shard {shard}");
-                seen.insert(id);
-            }
-            assert_eq!(seen.len(), 2, "both shard members reachable");
-        }
-        // Draining a shard makes its draw return None.
-        reg.release(ids[1]);
-        reg.release(ids[5]);
-        assert_eq!(reg.random_live_id_in_shard(1, 12345), None);
-        // Out-of-range shard indices wrap instead of panicking.
-        assert!(reg.random_live_id_in_shard(4, 12345).is_some());
     }
 
     #[test]

@@ -23,12 +23,12 @@
 //!   [`Health`] handle the served application updates: `200 OK` with
 //!   `"status":"ok"` normally, `503` with `"status":"degraded"` while the
 //!   application has declared itself overloaded (e.g. shedding
-//!   connections past its cap). Load balancers and the loadgen overload
-//!   smoke key off the status code alone.
+//!   connections past its cap). Load balancers and CI's overload smoke
+//!   key off the status code alone.
 //!
 //! The [`promtext`] module is the matching dependency-free parser /
-//! validator for the exposition format, used by the CI smoke job and the
-//! loadgen `--scrape` mode to reject malformed output (duplicate
+//! validator for the exposition format, used by the CI smoke job through
+//! `examples/loadgen.rs --scrape` to reject malformed output (duplicate
 //! families, non-monotonic counters).
 
 #![warn(missing_docs)]

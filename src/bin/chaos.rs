@@ -2,7 +2,7 @@
 //! plan, then audit the recorded trace against the scheduler invariants.
 //!
 //! ```text
-//! cargo run -p lhws-bench --release --bin chaos -- \
+//! cargo run --release --bin chaos -- \
 //!     [--seed N] [--workers P] [--rounds R] [--quick] [--live-audit]
 //!     [--kill [--respawn-budget B]] [--replay SEED[@0xDIGEST]]
 //! ```
@@ -26,7 +26,7 @@
 //! `WorkerDeath`/`WorkerRespawn` trace events, and the audit clean.
 //!
 //! With `--live-audit` the invariants are checked *during* the soak, not
-//! after it: an incremental [`TraceReader`](lhws_core::TraceReader) is
+//! after it: an incremental [`TraceReader`](lhws::TraceReader) is
 //! polled from a separate thread while the faults fire, feeding an
 //! [`AuditState`] that flags monotone violations the moment they appear.
 //! At shutdown the drain's leftovers are folded in and the streaming
@@ -38,13 +38,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use lhws_bench::Args;
-use lhws_core::channel::mpsc;
-use lhws_core::trace::TraceEvent;
-use lhws_core::{
-    join_all, simulate_latency, AuditReport, AuditState, FaultPlan, Runtime, StealPolicy, Trace,
+use lhws::channel::mpsc;
+use lhws::trace::TraceEvent;
+use lhws::{
+    fork2, join_all, simulate_latency, spawn, AuditReport, AuditState, FaultPlan, Reactor, Runtime,
+    TcpListener, TcpStream, Trace,
 };
-use lhws_net::{Reactor, TcpListener, TcpStream};
 
 const TRACE_CAPACITY: usize = 1 << 18;
 
@@ -58,7 +57,21 @@ const DIGEST_VISITS: u64 = 100_000;
 /// while every worker still owns live deques full of work to rescue.
 const KILL_AT_ITERATION: u64 = 40;
 
-fn chaos_rt(seed: u64, workers: usize, affinity: bool, respawn_budget: Option<u64>) -> Runtime {
+/// `--name value` from the command line, parsed; `default` when the flag is
+/// absent. A flag with a missing or malformed value ends the process.
+fn arg<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
+    let Some(i) = args.iter().position(|a| a == name) else {
+        return default;
+    };
+    args.get(i + 1)
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| {
+            eprintln!("chaos: {name} needs a value of the right type");
+            std::process::exit(2)
+        })
+}
+
+fn chaos_rt(seed: u64, workers: usize, respawn_budget: Option<u64>) -> Runtime {
     let mut plan = FaultPlan::chaos(seed);
     if respawn_budget.is_some() {
         plan = plan.worker_panic_after(KILL_AT_ITERATION);
@@ -70,12 +83,6 @@ fn chaos_rt(seed: u64, workers: usize, affinity: bool, respawn_budget: Option<u6
     if let Some(budget) = respawn_budget {
         b = b.worker_respawn_budget(budget);
     }
-    if affinity {
-        // The affinity round: steal-half batching plus the affinity
-        // cache, so the chaos preset's `AffinityStale` site actually
-        // gets visited (it only rolls when a victim is cached).
-        b = b.steal_policy(StealPolicy::Affinity).steal_batch_limit(8);
-    }
     b.build().expect("chaos plan is valid")
 }
 
@@ -84,7 +91,7 @@ fn scatter(rt: &Runtime, n: u64) -> Result<(), String> {
     let got = rt.block_on(async move {
         let handles: Vec<_> = (0..n)
             .map(|i| {
-                lhws_core::spawn(async move {
+                spawn(async move {
                     simulate_latency(Duration::from_micros(150 + (i % 11) * 60)).await;
                     i
                 })
@@ -103,7 +110,7 @@ fn scatter(rt: &Runtime, n: u64) -> Result<(), String> {
 fn pingpong(rt: &Runtime, n: u64) -> Result<(), String> {
     let got = rt.block_on(async move {
         let (tx, mut rx) = mpsc::<u64>();
-        let producer = lhws_core::spawn(async move {
+        let producer = spawn(async move {
             for i in 0..n {
                 simulate_latency(Duration::from_micros(100)).await;
                 tx.send(i).unwrap();
@@ -130,7 +137,7 @@ fn forkjoin(rt: &Runtime, depth: u64) -> Result<(), String> {
             if n < 2 {
                 n
             } else {
-                let (a, b) = lhws_core::fork2(fib(n - 1), fib(n - 2)).await;
+                let (a, b) = fork2(fib(n - 1), fib(n - 2)).await;
                 a + b
             }
         })
@@ -138,7 +145,8 @@ fn forkjoin(rt: &Runtime, depth: u64) -> Result<(), String> {
     let before = rt.metrics();
     let got = rt.block_on(fib(depth));
     let after = rt.metrics();
-    let want = lhws_bench::fib(depth);
+    // fib(depth), iteratively.
+    let want = (0..depth).fold((0u64, 1u64), |(a, b), _| (b, a + b)).0;
     if got != want {
         return Err(format!("forkjoin: got {got}, want {want}"));
     }
@@ -199,7 +207,7 @@ fn netecho(rt: &Runtime, conns: u64) -> Result<(), String> {
             }
             Ok(())
         };
-        let (served, drove) = lhws_core::fork2(serve, drive).await;
+        let (served, drove) = fork2(serve, drive).await;
         drove?;
         served
     })?;
@@ -249,13 +257,39 @@ impl LiveAuditRig {
         LiveAuditRig { stop, poller }
     }
 
-    /// Stops the poller, folds the shutdown drain's leftovers, and
-    /// returns `(live, posthoc)`: the streaming verdict and the classic
-    /// auditor's verdict over the reassembled complete stream.
-    fn finish(self, leftover: &Trace) -> (AuditReport, AuditReport) {
+    /// Stops the poller and returns what it had seen. Must run before the
+    /// runtime's shutdown drain: the drain is destructive, so a poll that
+    /// lands after it is told it *missed* the drained events, and the live
+    /// verdict turns INCONCLUSIVE although the drain holds every one.
+    fn stop(self) -> LiveAudit {
         self.stop.store(true, Ordering::Release);
-        let (mut state, mut events, polled_dropped) =
+        let (state, events, polled_dropped) =
             self.poller.join().expect("live-audit poller panicked");
+        LiveAudit {
+            state,
+            events,
+            polled_dropped,
+        }
+    }
+}
+
+/// The stopped poller's view of one round.
+struct LiveAudit {
+    state: AuditState,
+    events: Vec<TraceEvent>,
+    polled_dropped: u64,
+}
+
+impl LiveAudit {
+    /// Folds the shutdown drain's leftovers and returns `(live, posthoc)`:
+    /// the streaming verdict and the classic auditor's verdict over the
+    /// reassembled complete stream.
+    fn finish(self, leftover: &Trace) -> (AuditReport, AuditReport) {
+        let LiveAudit {
+            mut state,
+            mut events,
+            polled_dropped,
+        } = self;
         state.observe(&leftover.events);
         state.observe_dropped(leftover.dropped.saturating_sub(polled_dropped));
         let live = state.report();
@@ -286,17 +320,19 @@ fn audits_agree(live: &AuditReport, posthoc: &AuditReport) -> bool {
 }
 
 fn main() -> ExitCode {
-    let args = Args::parse();
-    let mut seed: u64 = args.get("seed", 1);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let flag = |name: &str| args.iter().any(|a| a == name);
+    let mut seed: u64 = arg(&args, "--seed", 1);
     // --replay SEED[@0xDIGEST]: reproduce a failing soak. The digest
     // half, when present, is checked against this binary's fault plan
     // before any workload runs.
     let mut expect_digest: Option<u64> = None;
-    let replaying = args.value("replay").is_some();
-    if let Some(spec) = args.value("replay") {
-        let (s, d) = match spec.split_once('@') {
+    let replay: String = arg(&args, "--replay", String::new());
+    let replaying = !replay.is_empty();
+    if replaying {
+        let (s, d) = match replay.split_once('@') {
             Some((s, d)) => (s, Some(d)),
-            None => (spec, None),
+            None => (replay.as_str(), None),
         };
         seed = match s.parse() {
             Ok(v) => v,
@@ -316,12 +352,12 @@ fn main() -> ExitCode {
             };
         }
     }
-    let workers: usize = args.get("workers", 2);
-    let quick = args.flag("quick");
-    let live_audit = args.flag("live-audit");
-    let kill = args.flag("kill");
-    let respawn_budget: u64 = args.get("respawn-budget", 4);
-    let rounds: u64 = args.get("rounds", if quick { 1 } else { 4 });
+    let workers: usize = arg(&args, "--workers", 2);
+    let quick = flag("--quick");
+    let live_audit = flag("--live-audit");
+    let kill = flag("--kill");
+    let respawn_budget: u64 = arg(&args, "--respawn-budget", 4);
+    let rounds: u64 = arg(&args, "--rounds", if quick { 1 } else { 4 });
     let n: u64 = if quick { 48 } else { 256 };
     let fib_depth: u64 = if quick { 10 } else { 14 };
 
@@ -351,13 +387,8 @@ fn main() -> ExitCode {
     }
 
     let mut failures = 0u32;
-    // The final round swaps the default scheduler for Affinity with
-    // steal-half batching: same fault plan, same invariants, but the
-    // steal path now exercises batch claims, the affinity cache, and
-    // the `AffinityStale` poison site.
-    for round in 0..=rounds {
-        let affinity = round == rounds;
-        let rt = chaos_rt(seed, workers, affinity, kill.then_some(respawn_budget));
+    for round in 0..rounds {
+        let rt = chaos_rt(seed, workers, kill.then_some(respawn_budget));
         let rig = live_audit.then(|| LiveAuditRig::start(&rt, round));
         let results = [
             ("scatter", scatter(&rt, n)),
@@ -377,6 +408,7 @@ fn main() -> ExitCode {
         {
             std::thread::sleep(Duration::from_millis(1));
         }
+        let live = rig.map(LiveAuditRig::stop);
         let report = rt.shutdown();
         for (name, r) in results {
             if let Err(e) = r {
@@ -439,13 +471,13 @@ fn main() -> ExitCode {
                 }
             }
         }
-        let audit = match rig {
+        let audit = match live {
             // Continuous mode: the live reader consumed the stream as it
             // was produced, so the shutdown trace holds only leftovers.
             // Fold them, then require the streaming verdict to agree
             // exactly with the post-hoc auditor over the full replay.
-            Some(rig) => {
-                let (live, posthoc) = rig.finish(&leftover);
+            Some(seen) => {
+                let (live, posthoc) = seen.finish(&leftover);
                 if !audits_agree(&live, &posthoc) {
                     eprintln!(
                         "FAIL round {round}: live audit diverged from post-hoc:\nlive: {live}\npost-hoc: {posthoc}"
@@ -461,11 +493,9 @@ fn main() -> ExitCode {
             failures += 1;
         }
         println!(
-            "round {round}{}: faults_injected={} suspensions={} batch_tasks={}{} audit={}{}",
-            if affinity { " (affinity)" } else { "" },
+            "round {round}: faults_injected={} suspensions={}{} audit={}{}",
             report.faults_injected,
             report.metrics.suspensions,
-            report.metrics.steal_batch_tasks,
             if kill {
                 format!(
                     " restarted={} rescued={} rerouted={}",

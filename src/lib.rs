@@ -101,7 +101,6 @@ pub use lhws_core::{
     RuntimeBuilder,
     RuntimeError,
     ShutdownReport,
-    StealPolicy,
     Trace,
     TraceBatch,
     TraceReader,
@@ -140,8 +139,7 @@ pub mod prelude {
     pub use crate::{
         external_op, fork2, join_all, par_map_reduce, simulate_latency, spawn, yield_now, Config,
         DeadlineExt, Interest, JoinHandle, LatencyMode, LatencyProfile, Reactor, ReactorBuilder,
-        ReadyFuture, RemoteService, RetryPolicy, Runtime, RuntimeBuilder, StealPolicy, TcpListener,
-        TcpStream,
+        ReadyFuture, RemoteService, RetryPolicy, Runtime, RuntimeBuilder, TcpListener, TcpStream,
     };
 }
 
