@@ -14,37 +14,67 @@
 //!   cache-padded block when possible), the `IoRegister`/`IoReady`/
 //!   `IoDeregister` trace events (routed to the worker's own SPSC ring
 //!   when the calling thread is a worker of this runtime, to the shared
-//!   side buffer otherwise), and the
-//!   [`DroppedReadiness`](crate::FaultSite::DroppedReadiness) fault site.
-//! * [`Driver`] — the shutdown half. A driver registered via
-//!   [`Runtime::attach_driver`](crate::Runtime::attach_driver) is shut
-//!   down by [`Runtime::shutdown`](crate::Runtime::shutdown) **before**
-//!   the workers are stopped, so the cancellations it settles (dropped
+//!   side buffer otherwise), and the connection fault sites. On a worker
+//!   of its runtime a hook reaches the runtime through the worker's own
+//!   thread-local reference; only other threads upgrade a `Weak`.
+//! * [`Driver`] — the harvest and shutdown halves. A runtime has **one**
+//!   driver ([`Runtime::attach_driver`](crate::Runtime::attach_driver)).
+//!   Its harvest half is run by the workers themselves: an idle worker
+//!   that takes the *poller role* blocks in [`Driver::poll`] instead of
+//!   the futex, and fires the completions it harvests on its own thread —
+//!   Figure 3's `callback(v, q)` with no helper thread in between. A
+//!   producer waking the poller kicks it with [`Driver::unpark`]. The
+//!   shutdown half runs from
+//!   [`Runtime::shutdown`](crate::Runtime::shutdown) **before** the
+//!   workers are stopped, so the cancellations it settles (dropped
 //!   completers → `Err(Canceled)` resumes) are still drained and counted
-//!   rather than leaked. The waits it cancels are summed into
+//!   rather than leaked. The waits it cancels are reported as
 //!   [`ShutdownReport::canceled_io_waits`](crate::ShutdownReport::canceled_io_waits).
 
+use std::any::Any;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
+use std::time::Duration;
 
 use crate::config::LatencyMode;
-use crate::metrics::CachePadded;
+use crate::fault::FaultInjector;
+use crate::metrics::{CachePadded, CounterBlock};
 use crate::runtime::RtInner;
-use crate::trace::{EventKind, NONE_ID};
+use crate::trace::{EventKind, Tracer, NONE_ID};
 use crate::worker;
 
 /// An external event source attached to a runtime.
 ///
-/// The only protocol obligation is deterministic shutdown: when the
-/// runtime shuts down it calls [`Driver::shutdown`] exactly once, while
-/// the workers are still running, and expects the driver to stop its
-/// threads, drain its registration table (settling every in-flight wait
-/// as canceled) and report what it cancelled.
-pub trait Driver: Send + Sync + 'static {
+/// Two obligations. **Harvest** ([`poll`](Self::poll) /
+/// [`unpark`](Self::unpark), both no-ops by default): the workers call
+/// `poll` between task polls — at most one at a time, the holder of the
+/// runtime's poller role — and any thread may call `unpark` to cut a
+/// blocked `poll` short. **Shutdown**: when the runtime shuts down it
+/// calls [`Driver::shutdown`] while the workers are still running, and
+/// expects the driver to stop harvesting, drain its registration table
+/// (settling every in-flight wait as canceled) and report what it
+/// cancelled.
+pub trait Driver: Any + Send + Sync + 'static {
     /// Short human-readable name, for diagnostics.
     fn name(&self) -> &'static str;
 
-    /// Stops the driver: joins its threads, drains every registered wait
+    /// Blocks the calling worker for up to `timeout` waiting for events,
+    /// and fires the completions of whatever arrived on this thread.
+    /// `Duration::ZERO` harvests what is already pending without
+    /// blocking. Returns `false` when the driver has nothing to wait on
+    /// (no harvest half, or already shut down): the worker then parks on
+    /// its futex for `timeout` instead.
+    fn poll(&self, _timeout: Duration) -> bool {
+        false
+    }
+
+    /// Cuts a concurrent [`poll`](Self::poll) short. Callable from any
+    /// thread, with or without a `poll` in flight, and after
+    /// [`shutdown`](Self::shutdown); a kick with no `poll` in flight may
+    /// end the next one early.
+    fn unpark(&self) {}
+
+    /// Stops the driver: ends harvesting, drains every registered wait
     /// (each must settle — typically `Err(Canceled)` via a dropped
     /// completer) and returns the tally. Must be idempotent; the runtime
     /// calls it once, but a standalone driver handle may race it.
@@ -85,16 +115,16 @@ pub enum IoTraceEvent {
     },
 }
 
-/// Per-shard counters for a sharded I/O driver, registered through
+/// Per-queue counters for an I/O driver, one cell per kernel readiness
+/// queue (the in-tree reactor has one), registered through
 /// [`DriverHooks::register_io_shards`] and exported as the
 /// `lhws_io_shard_events_total{shard="N"}` /
 /// `lhws_io_shard_wakeups_total{shard="N"}` Prometheus families (and the
 /// matching `/stats` arrays).
 ///
-/// Shard threads bump their own cache-padded cell, so the counters add no
-/// cross-shard contention to the readiness hot path. The runtime keeps a
-/// strong reference for the exporter; the driver keeps its own and bumps
-/// through it even after the runtime is gone.
+/// Each cell is cache-padded. The runtime keeps a strong reference for the
+/// exporter; the driver keeps its own and bumps through it even after the
+/// runtime is gone.
 pub struct IoShardStats {
     shards: Box<[CachePadded<IoShardCell>]>,
 }
@@ -169,102 +199,100 @@ pub struct IoShardSnapshot {
 /// A driver's handle into the runtime's metrics, trace, and fault layers.
 ///
 /// Obtained from [`Runtime::driver_hooks`](crate::Runtime::driver_hooks).
-/// Holds only a weak reference: every method is a no-op (or `false`/`None`)
-/// once the runtime is gone, so a driver outliving its runtime is safe.
+/// The runtime's immutable parts a driver consults on every request — the
+/// fault plan, the tracer, the latency mode, the I/O safety timeout — are
+/// copied in at construction. The counters are reached through the worker's
+/// thread-local runtime reference on a worker of this runtime and through a
+/// `Weak` upgrade elsewhere; counter bumps are no-ops once the runtime is
+/// gone, so a driver outliving its runtime is safe.
 #[derive(Clone)]
 pub struct DriverHooks {
     rt: Weak<RtInner>,
+    rt_id: u64,
+    tracer: Option<Arc<Tracer>>,
+    faults: Option<Arc<FaultInjector>>,
+    mode: LatencyMode,
+    io_safety_timeout: Duration,
 }
 
 impl std::fmt::Debug for DriverHooks {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DriverHooks")
             .field("runtime_alive", &(self.rt.strong_count() > 0))
+            .field("mode", &self.mode)
             .finish()
     }
 }
 
 impl DriverHooks {
-    pub(crate) fn new(rt: Weak<RtInner>) -> DriverHooks {
-        DriverHooks { rt }
+    pub(crate) fn new(rt: &Arc<RtInner>) -> DriverHooks {
+        DriverHooks {
+            rt: Arc::downgrade(rt),
+            rt_id: rt.id,
+            tracer: rt.tracer.clone(),
+            faults: rt.faults.clone(),
+            mode: rt.config.mode,
+            io_safety_timeout: rt.config.io_safety_timeout,
+        }
+    }
+
+    /// Bumps one `io_*` counter: on the calling worker's own block when it
+    /// is a worker of this runtime, on the shared block otherwise.
+    fn bump(&self, pick: impl Fn(&CounterBlock) -> &AtomicU64) {
+        let on_worker = worker::on_own_worker(self.rt_id, |rt, w| {
+            let c = rt.counters.worker(w);
+            c.bump(pick(c));
+        });
+        if on_worker.is_none() {
+            if let Some(rt) = self.rt.upgrade() {
+                rt.counters.bump(pick(&rt.counters));
+            }
+        }
     }
 
     /// Counts one I/O readiness registration (a wait that reached the
     /// kernel). Call where the wait is filed — usually on a worker
     /// thread mid-poll, so the bump lands on its padded counter block.
     pub fn count_io_registration(&self) {
-        if let Some(rt) = self.rt.upgrade() {
-            match worker::current_worker_index_in(&rt) {
-                Some(w) => {
-                    let c = rt.counters.worker(w);
-                    c.bump(&c.io_registrations);
-                }
-                None => rt.counters.bump(&rt.counters.io_registrations),
-            }
-        }
+        self.bump(|c| &c.io_registrations);
     }
 
     /// Counts one kernel readiness event turned into a completion.
     pub fn count_io_readiness(&self) {
-        if let Some(rt) = self.rt.upgrade() {
-            match worker::current_worker_index_in(&rt) {
-                Some(w) => {
-                    let c = rt.counters.worker(w);
-                    c.bump(&c.io_readiness_events);
-                }
-                None => rt.counters.bump(&rt.counters.io_readiness_events),
-            }
-        }
+        self.bump(|c| &c.io_readiness_events);
     }
 
     /// Counts one I/O wait resolved by deadline expiry instead of
     /// readiness.
     pub fn count_io_timeout(&self) {
-        if let Some(rt) = self.rt.upgrade() {
-            match worker::current_worker_index_in(&rt) {
-                Some(w) => {
-                    let c = rt.counters.worker(w);
-                    c.bump(&c.io_timeouts);
-                }
-                None => rt.counters.bump(&rt.counters.io_timeouts),
-            }
-        }
+        self.bump(|c| &c.io_timeouts);
     }
 
     /// Traces one I/O wait lifecycle event. The single entry point for
     /// all driver-side trace emission — new event kinds extend
     /// [`IoTraceEvent`], not this type's method list.
     pub fn trace_io(&self, event: IoTraceEvent) {
-        self.trace(match event {
+        let Some(t) = &self.tracer else { return };
+        let kind = match event {
             IoTraceEvent::Register { token } => EventKind::IoRegister { token },
             IoTraceEvent::Ready { token } => EventKind::IoReady { token },
             IoTraceEvent::Deregister { token } => EventKind::IoDeregister { token },
-        });
-    }
-
-    fn trace(&self, kind: EventKind) {
-        if let Some(rt) = self.rt.upgrade() {
-            if let Some(t) = &rt.tracer {
-                // The worker's own ring requires being its producer
-                // thread; everything else goes to the side buffer.
-                match worker::current_worker_index_in(&rt) {
-                    Some(w) => t.record(w, kind),
-                    None => t.record_shared(NONE_ID, kind),
-                }
-            }
+        };
+        // The worker's own ring requires being its producer thread;
+        // everything else goes to the side buffer.
+        match worker::on_own_worker(self.rt_id, |_, w| w) {
+            Some(w) => t.record(w, kind),
+            None => t.record_shared(NONE_ID, kind),
         }
     }
 
     /// Rolls the [`DroppedReadiness`](crate::FaultSite::DroppedReadiness)
     /// fault site: `true` means the driver should swallow this readiness
-    /// event (neither firing the completer nor disarming interest) and
-    /// rely on level-triggered re-reporting for recovery. Always `false`
+    /// event (leave the waiter filed, fire nothing) and re-arm the fd so
+    /// the kernel reports the still-true condition again. Always `false`
     /// without a fault plan.
     pub fn drop_readiness(&self) -> bool {
-        self.rt
-            .upgrade()
-            .and_then(|rt| rt.faults.clone())
-            .is_some_and(|f| f.dropped_readiness())
+        self.faults.as_ref().is_some_and(|f| f.dropped_readiness())
     }
 
     /// Rolls the [`PeerReset`](crate::FaultSite::PeerReset) fault site:
@@ -272,10 +300,7 @@ impl DriverHooks {
     /// peer had reset the connection (`ECONNRESET`) without touching the
     /// kernel. Always `false` without a fault plan.
     pub fn peer_reset(&self) -> bool {
-        self.rt
-            .upgrade()
-            .and_then(|rt| rt.faults.clone())
-            .is_some_and(|f| f.peer_reset())
+        self.faults.as_ref().is_some_and(|f| f.peer_reset())
     }
 
     /// Rolls the [`PartialWrite`](crate::FaultSite::PartialWrite) fault
@@ -283,10 +308,7 @@ impl DriverHooks {
     /// exercising the caller's short-write resumption loop. Always
     /// `false` without a fault plan.
     pub fn partial_write(&self) -> bool {
-        self.rt
-            .upgrade()
-            .and_then(|rt| rt.faults.clone())
-            .is_some_and(|f| f.partial_write())
+        self.faults.as_ref().is_some_and(|f| f.partial_write())
     }
 
     /// Rolls the [`AcceptBurst`](crate::FaultSite::AcceptBurst) fault
@@ -294,54 +316,39 @@ impl DriverHooks {
     /// `WouldBlock` once (a raced accept queue), exercising the
     /// accept-loop's re-arm path. Always `false` without a fault plan.
     pub fn accept_burst(&self) -> bool {
-        self.rt
-            .upgrade()
-            .and_then(|rt| rt.faults.clone())
-            .is_some_and(|f| f.accept_burst())
+        self.faults.as_ref().is_some_and(|f| f.accept_burst())
     }
 
     /// The runtime's I/O safety timeout
-    /// ([`Config::io_safety_timeout`](crate::Config)), or `None` once
-    /// the runtime is gone. In [`LatencyMode::Block`] drivers apply it as
-    /// the kernel-level read/write timeout bounding a worker-thread
-    /// stall; in Hide mode it is ignored (the reactor never blocks a
-    /// worker).
-    pub fn io_safety_timeout(&self) -> Option<std::time::Duration> {
-        self.rt.upgrade().map(|rt| rt.config.io_safety_timeout)
+    /// ([`Config::io_safety_timeout`](crate::Config)). In
+    /// [`LatencyMode::Block`] drivers apply it as the kernel-level
+    /// read/write timeout bounding a worker-thread stall; in Hide mode it
+    /// is ignored (the reactor never blocks a worker).
+    pub fn io_safety_timeout(&self) -> Duration {
+        self.io_safety_timeout
     }
 
-    /// Allocates a per-shard counter block for a sharded I/O driver and
-    /// registers it with the runtime's observability plane, so the shard
+    /// The runtime's latency mode. Drivers use this to skip their kernel
+    /// queue entirely in [`LatencyMode::Block`] — the paper's blocking
+    /// baseline.
+    pub fn mode(&self) -> LatencyMode {
+        self.mode
+    }
+
+    /// The runtime's I/O counter block for a driver with `shards`
+    /// readiness queues, registered with its observability plane so the
     /// counters appear in [`Observer::io_shards`](crate::Observer::io_shards),
-    /// the Prometheus export, and `/stats`. The driver bumps through the
-    /// returned [`Arc`]; if the runtime is already gone the block still
-    /// works, it is just never exported.
+    /// the Prometheus export, and `/stats`. One block per runtime: the
+    /// first call allocates it and later calls return the same block. The
+    /// driver bumps through the returned [`Arc`]; if the runtime is
+    /// already gone the block still works, it is just never exported.
     pub fn register_io_shards(&self, shards: usize) -> Arc<IoShardStats> {
-        let stats = Arc::new(IoShardStats::new(shards));
-        if let Some(rt) = self.rt.upgrade() {
-            rt.io_shard_stats.lock().push(Arc::clone(&stats));
-        }
-        stats
-    }
-
-    /// The runtime's worker-thread count, or `None` once it is gone. Used
-    /// by drivers to resolve a "one shard per worker" setting.
-    pub fn workers(&self) -> Option<usize> {
-        self.rt.upgrade().map(|rt| rt.config.workers)
-    }
-
-    /// The runtime's latency mode, or `None` once it is gone. Drivers use
-    /// this to skip their event thread entirely in
-    /// [`LatencyMode::Block`] — the paper's blocking baseline.
-    pub fn mode(&self) -> Option<LatencyMode> {
-        self.rt.upgrade().map(|rt| rt.config.mode)
-    }
-
-    /// True once the runtime has begun shutting down (or is gone).
-    pub fn is_shutdown(&self) -> bool {
         match self.rt.upgrade() {
-            Some(rt) => rt.is_shutdown(),
-            None => true,
+            Some(rt) => Arc::clone(
+                rt.io_shard_stats
+                    .get_or_init(|| Arc::new(IoShardStats::new(shards))),
+            ),
+            None => Arc::new(IoShardStats::new(shards)),
         }
     }
 }

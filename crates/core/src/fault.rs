@@ -35,7 +35,7 @@
 //! | `task_panic_ppm` | first poll of a spawned task | the task panics (propagates at its join, as a user panic would) |
 //! | `deque_switch_ppm` | after draining resumes | the non-empty active deque is demoted to the ready list |
 //! | `drop_unpark_ppm` | inject/delivery | the wake-up is skipped; the park timeout is the only backstop |
-//! | `dropped_readiness_ppm` | reactor event loop | a kernel readiness event is swallowed without firing the completer or disarming interest; level-triggered epoll re-reports it on the next wait |
+//! | `dropped_readiness_ppm` | reactor dispatch (on the harvesting worker) | a kernel readiness event is swallowed without firing the completer; the waiter stays filed and the reactor re-arms its one-shot arm, so the kernel reports it again |
 //! | `peer_reset_ppm` | socket read/write | the operation fails with `ECONNRESET`, as if the peer sent RST mid-stream — the connection handler must surface or recover the error honestly |
 //! | `partial_write_ppm` | socket write | the kernel accepts only half the buffer (a short write), forcing the `write_all` continuation loop to finish the rest |
 //! | `accept_burst_ppm` | listener accept | an accept-ready listener reports `WouldBlock` once, emulating accept-queue churn under bursty connection load (the caller re-arms readiness) |
@@ -72,8 +72,8 @@ pub enum FaultSite {
     DequeSwitch,
     /// Dropped wake-up after publishing work (park-timeout backstop).
     DropUnpark,
-    /// Swallowed kernel readiness event in a reactor driver's event loop
-    /// (recovered by level-triggered re-reporting).
+    /// Swallowed kernel readiness event in a reactor driver's dispatch
+    /// (recovered by the reactor's explicit re-arm).
     DroppedReadiness,
     /// Simulated peer RST on a socket read or write: the operation fails
     /// with `ECONNRESET` without touching the kernel.
@@ -190,9 +190,10 @@ pub struct FaultPlan {
     /// Rate of dropped wake-ups.
     pub drop_unpark_ppm: u32,
     /// Rate of swallowed reactor readiness events. Only visited when a
-    /// reactor driver is attached; level-triggered epoll makes every
-    /// swallow recoverable (the fd stays ready, the next `epoll_wait`
-    /// re-reports it). A rate of 1 000 000 would livelock the reactor.
+    /// reactor driver is attached; every swallow is recoverable (the
+    /// waiter stays filed and its fd is re-armed, so the next harvest
+    /// re-reports the still-true condition). A rate of 1 000 000 would
+    /// livelock the reactor.
     pub dropped_readiness_ppm: u32,
     /// Rate of simulated peer resets on socket reads/writes: the
     /// operation fails with `ECONNRESET` without touching the kernel.

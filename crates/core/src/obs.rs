@@ -97,10 +97,10 @@ impl Observer {
             .and_then(|rt| rt.tracer.as_ref().map(|t| t.dropped_total()))
     }
 
-    /// Per-shard I/O counters from every sharded driver registered with
-    /// this runtime (empty when no sharded reactor is attached, e.g. in
-    /// Block mode), or `None` once the runtime is gone. Shard indices are
-    /// global across drivers and match the exported `{shard="N"}` labels.
+    /// The I/O driver's per-queue counters — one entry for the in-tree
+    /// reactor, none without a reactor or in Block mode — or `None` once
+    /// the runtime is gone. Indices match the exported `{shard="N"}`
+    /// labels.
     pub fn io_shards(&self) -> Option<Vec<IoShardSnapshot>> {
         self.inner().map(|rt| rt.io_shards_snapshot())
     }
@@ -232,12 +232,12 @@ fn shard_family(out: &mut String, name: &str, kind: &str, help: &str, values: &[
 }
 
 /// Renders a [`MetricsSnapshot`] (plus the worker count, the optional
-/// cumulative trace-overflow count, and any per-shard I/O counters from
+/// cumulative trace-overflow count, and any per-queue I/O counters from
 /// [`Observer::io_shards`]) in the Prometheus text exposition format,
 /// version 0.0.4: `# HELP` / `# TYPE` preamble per family, `lhws_`
 /// prefix, `_total` suffix on counters, stable order. Scalar families
-/// carry one sample; the two shard families carry one `{shard="N"}`
-/// sample per reactor shard and are omitted when `io_shards` is empty.
+/// carry one sample; the two I/O families carry one `{shard="N"}`
+/// sample per readiness queue and are omitted when `io_shards` is empty.
 /// Hand-rolled so the build stays dependency-free; validated by the
 /// `lhws-obs` crate's parser in CI.
 pub fn encode_prometheus(
@@ -432,14 +432,14 @@ pub fn encode_prometheus(
         &mut o,
         "lhws_io_shard_events_total",
         c,
-        "Kernel readiness entries delivered to each reactor shard.",
+        "Kernel readiness entries delivered by each reactor readiness queue.",
         &events,
     );
     shard_family(
         &mut o,
         "lhws_io_shard_wakeups_total",
         c,
-        "Productive batched-wait returns per reactor shard (readiness or kick; timeouts and EINTR excluded).",
+        "Productive batched-wait returns per reactor readiness queue (readiness or kick; timeouts and EINTR excluded).",
         &wakeups,
     );
     o

@@ -3,7 +3,7 @@
 
 use std::collections::VecDeque;
 use std::future::Future;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::thread::JoinHandle as ThreadHandle;
 use std::time::{Duration, Instant};
@@ -12,7 +12,7 @@ use lhws_deque::Registry;
 use parking_lot::{Condvar, Mutex};
 
 use crate::config::{Config, ConfigError, RuntimeBuilder};
-use crate::driver::{Driver, DriverHooks, DriverReport};
+use crate::driver::{Driver, DriverHooks, DriverReport, IoShardSnapshot, IoShardStats};
 use crate::fault::{FaultInjector, PanicInjected};
 use crate::join::{CatchUnwind, JoinHandle, PanicPayload};
 use crate::metrics::{CachePadded, Counters, MetricsSnapshot};
@@ -101,16 +101,39 @@ pub(crate) struct RtInner {
     /// registration's owner-local deque numbering died with the old
     /// incarnation and the resume must be re-routed instead of indexed.
     pub epochs: Box<[AtomicU64]>,
-    /// Attached event-source drivers (I/O reactors), shut down *before*
-    /// the workers so their cancellations still resume and get counted.
-    /// Drained on shutdown, making driver shutdown idempotent.
-    drivers: Mutex<Vec<Arc<dyn Driver>>>,
-    /// Accumulated reports from drained drivers.
-    driver_report: Mutex<DriverReport>,
-    /// Per-shard I/O counter blocks registered by sharded drivers
-    /// ([`DriverHooks::register_io_shards`]); read by the observer /
-    /// Prometheus exporter. One entry per registered driver.
-    pub io_shard_stats: Mutex<Vec<Arc<crate::driver::IoShardStats>>>,
+    /// The attached event-source driver (the I/O reactor), if any: idle
+    /// workers harvest it ([`RtInner::take_poller`]) and it is shut down
+    /// *before* the workers so its cancellations still resume and get
+    /// counted. One per runtime; the first attached wins.
+    driver: OnceLock<Arc<dyn Driver>>,
+    /// Who holds the poller role: `worker + 1`, or `0` for nobody. The
+    /// holder is the only thread inside [`Driver::poll`]; a producer that
+    /// wakes it must kick the driver, since a futex unpark cannot reach a
+    /// thread blocked in the kernel's readiness wait.
+    poller: AtomicUsize,
+    /// The driver's I/O counter block ([`DriverHooks::register_io_shards`]);
+    /// read by the observer / Prometheus exporter.
+    pub io_shard_stats: OnceLock<Arc<IoShardStats>>,
+}
+
+/// The poller role, held by one idle or harvesting worker at a time;
+/// released on drop (also when a panic unwinds through the holder).
+pub(crate) struct Poller<'a> {
+    poller: &'a AtomicUsize,
+    driver: &'a dyn Driver,
+}
+
+impl Poller<'_> {
+    /// [`Driver::poll`]: `false` when the driver has nothing to wait on.
+    pub fn poll(&self, timeout: Duration) -> bool {
+        self.driver.poll(timeout)
+    }
+}
+
+impl Drop for Poller<'_> {
+    fn drop(&mut self) {
+        self.poller.store(0, Ordering::SeqCst);
+    }
 }
 
 impl Drop for RtInner {
@@ -140,7 +163,7 @@ impl RtInner {
         if let Some(timer) = self.timer.get() {
             timer.shutdown();
         }
-        self.sleepers.unpark_all();
+        self.unpark_all();
     }
 
     /// The worker whose panic poisoned the runtime, if any.
@@ -148,15 +171,48 @@ impl RtInner {
         self.poisoned.get().copied()
     }
 
-    /// Concatenated per-shard I/O counter snapshots across every
-    /// registered sharded driver, in registration order (shard indices
-    /// are global across drivers, matching the exported label values).
-    pub fn io_shards_snapshot(&self) -> Vec<crate::driver::IoShardSnapshot> {
+    /// The attached driver's per-queue I/O counters (empty without one).
+    pub fn io_shards_snapshot(&self) -> Vec<IoShardSnapshot> {
         self.io_shard_stats
-            .lock()
-            .iter()
-            .flat_map(|s| s.snapshot())
-            .collect()
+            .get()
+            .map(|s| s.snapshot())
+            .unwrap_or_default()
+    }
+
+    /// Takes the poller role for worker `index`: the attached driver to
+    /// harvest, or `None` when there is no driver or another worker holds
+    /// the role.
+    pub fn take_poller(&self, index: usize) -> Option<Poller<'_>> {
+        let driver = self.driver.get()?;
+        self.poller
+            .compare_exchange(0, index + 1, Ordering::SeqCst, Ordering::Relaxed)
+            .ok()?;
+        Some(Poller {
+            poller: &self.poller,
+            driver: &**driver,
+        })
+    }
+
+    /// The tail of waking `worker`: when it holds the poller role it is
+    /// (or is about to be) blocked in the driver's wait, where the futex
+    /// unpark cannot reach it, so the driver is kicked too — unless the
+    /// caller *is* that worker, awake and firing its own harvest.
+    fn kick_poller(&self, worker: usize) {
+        if self.poller.load(Ordering::SeqCst) == worker + 1
+            && worker::on_own_worker(self.id, |_, w| w) != Some(worker)
+        {
+            if let Some(d) = self.driver.get() {
+                d.unpark();
+            }
+        }
+    }
+
+    /// Wakes every parked worker, the poller included (poison, shutdown).
+    fn unpark_all(&self) {
+        self.sleepers.unpark_all();
+        if let Some(worker) = self.poller.load(Ordering::SeqCst).checked_sub(1) {
+            self.kick_poller(worker);
+        }
     }
 
     /// Worker `worker`'s current incarnation. Read at suspension
@@ -195,6 +251,7 @@ impl RtInner {
             None => self.sleepers.unpark_one(),
         };
         if let Some(woken) = woken {
+            self.kick_poller(woken);
             self.counters.bump(&self.counters.unparks);
             if let Some(t) = &self.tracer {
                 t.record_shared(
@@ -414,9 +471,9 @@ impl Runtime {
             faults,
             poisoned: OnceLock::new(),
             epochs: (0..p).map(|_| AtomicU64::new(0)).collect(),
-            drivers: Mutex::new(Vec::new()),
-            driver_report: Mutex::new(DriverReport::default()),
-            io_shard_stats: Mutex::new(Vec::new()),
+            driver: OnceLock::new(),
+            poller: AtomicUsize::new(0),
+            io_shard_stats: OnceLock::new(),
         });
         runtimes().push((inner.id, Arc::downgrade(&inner)));
 
@@ -523,7 +580,7 @@ impl Runtime {
         F::Output: Send + 'static,
     {
         assert!(
-            worker::current_worker_index_in(&self.inner).is_none(),
+            worker::on_own_worker(self.inner.id, |_, _| ()).is_none(),
             "Runtime::block_on called from one of this runtime's own worker threads; \
              this would deadlock — use spawn instead"
         );
@@ -590,15 +647,18 @@ impl Runtime {
     /// `IoRegister`/`IoReady`/`IoDeregister` trace events and the
     /// `DroppedReadiness` fault site. See [`crate::driver`].
     pub fn driver_hooks(&self) -> DriverHooks {
-        DriverHooks::new(Arc::downgrade(&self.inner))
+        DriverHooks::new(&self.inner)
     }
 
-    /// Attaches `driver` to this runtime's shutdown sequence:
-    /// [`Runtime::shutdown`] (and `Drop`) calls [`Driver::shutdown`]
-    /// exactly once, *before* stopping the workers, and folds its
-    /// [`DriverReport`] into [`ShutdownReport::canceled_io_waits`].
-    pub fn attach_driver(&self, driver: Arc<dyn Driver>) {
-        self.inner.drivers.lock().push(driver);
+    /// Attaches `driver` to this runtime: idle workers harvest it through
+    /// [`Driver::poll`], and [`Runtime::shutdown`] (and `Drop`) calls
+    /// [`Driver::shutdown`] *before* stopping the workers, folding its
+    /// [`DriverReport`] into [`ShutdownReport::canceled_io_waits`]. A
+    /// runtime has one driver: the first attached wins, and every call
+    /// returns the attached one (`Arc::ptr_eq` tells a caller whether it
+    /// was its own).
+    pub fn attach_driver(&self, driver: Arc<dyn Driver>) -> Arc<dyn Driver> {
+        Arc::clone(self.inner.driver.get_or_init(|| driver))
     }
 
     /// Number of worker threads.
@@ -616,9 +676,8 @@ impl Runtime {
     /// no event or counter bump races the snapshot, every delivered
     /// suspension has its full lifecycle recorded.
     pub fn shutdown(mut self) -> ShutdownReport {
-        self.join_now();
+        let driver_report = self.join_now();
         let metrics = self.inner.registry_metrics();
-        let driver_report = *self.inner.driver_report.lock();
         ShutdownReport {
             leaked_suspensions: metrics.suspensions.saturating_sub(metrics.resumes),
             canceled_ops: self.inner.timer().canceled_ops(),
@@ -630,54 +689,53 @@ impl Runtime {
         }
     }
 
-    /// Stops and joins all threads. Idempotent — `shutdown` runs it
-    /// before snapshotting and `Drop` runs it again on the drained lists.
+    /// Stops and joins all threads, returning the driver's report. Runs
+    /// once — `shutdown` runs it before snapshotting, and `Drop` finds the
+    /// worker list already drained.
     ///
-    /// Ordering matters: attached drivers are shut down **first**, while
-    /// the workers are still running. A driver's shutdown drain drops the
+    /// Ordering matters: the attached driver is shut down **first**, while
+    /// the workers are still running. Its shutdown drain drops the
     /// completers of every in-flight wait, each of which settles
     /// `Err(Canceled)` and delivers a resume event — events only live
     /// workers can drain into the `resumes` counter. Only then is the
     /// worker shutdown flag raised. Between the two, a bounded quiesce
     /// wait gives the workers a chance to drain those cancellations so
     /// they are counted rather than reported as leaked.
-    fn join_now(&mut self) {
-        let drivers: Vec<Arc<dyn Driver>> = std::mem::take(&mut *self.inner.drivers.lock());
-        if !drivers.is_empty() {
-            let mut agg = DriverReport::default();
-            for d in drivers {
-                let r = d.shutdown();
-                agg.canceled_waits += r.canceled_waits;
-                agg.drained_registrations += r.drained_registrations;
-            }
-            {
-                let mut stored = self.inner.driver_report.lock();
-                stored.canceled_waits += agg.canceled_waits;
-                stored.drained_registrations += agg.drained_registrations;
-            }
-            if agg.canceled_waits > 0 && self.inner.poisoned_worker().is_none() {
-                // Bounded: balance may be unreachable if non-I/O
-                // suspensions (timers, channels) are also in flight.
+    fn join_now(&mut self) -> DriverReport {
+        let mut report = DriverReport::default();
+        if self.workers.is_empty() {
+            return report;
+        }
+        if let Some(driver) = self.inner.driver.get() {
+            report = driver.shutdown();
+            if report.canceled_waits > 0 && self.inner.poisoned_worker().is_none() {
+                // Balanced *and* idle: a drained cancellation still has to
+                // be polled, and a worker sets its sleeper bit only with
+                // nothing left to run. Bounded: balance may be unreachable
+                // if non-I/O suspensions (timers, channels) are also in
+                // flight.
                 let deadline = Instant::now() + Duration::from_millis(250);
                 loop {
                     let m = self.inner.counters.snapshot();
-                    if m.resumes >= m.suspensions || Instant::now() >= deadline {
+                    let idle = self.inner.sleepers.sleeping() == self.inner.config.workers;
+                    if (m.resumes >= m.suspensions && idle) || Instant::now() >= deadline {
                         break;
                     }
-                    self.inner.sleepers.unpark_all();
+                    self.inner.unpark_all();
                     std::thread::sleep(Duration::from_micros(200));
                 }
             }
         }
         self.inner.shutdown.store(true, Ordering::Release);
         self.inner.timer().shutdown();
-        self.inner.sleepers.unpark_all();
+        self.inner.unpark_all();
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
         for t in self.timer_threads.drain(..) {
             let _ = t.join();
         }
+        report
     }
 }
 
@@ -697,7 +755,7 @@ pub struct ShutdownReport {
     /// Timer registrations (latency resumes and deadline callbacks)
     /// canceled by shutdown rather than delivered.
     pub canceled_ops: u64,
-    /// In-flight I/O waits canceled by attached drivers' shutdown drains
+    /// In-flight I/O waits canceled by the attached driver's shutdown drain
     /// (each settled `Err(Canceled)` before the workers stopped). Zero
     /// for a quiescent runtime — and always zero without a driver.
     pub canceled_io_waits: u64,

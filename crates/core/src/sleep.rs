@@ -143,10 +143,18 @@ impl Sleepers {
         woken
     }
 
+    /// How many workers are currently in the set.
+    pub fn sleeping(&self) -> usize {
+        self.words
+            .iter()
+            .map(|w| w.load(Ordering::SeqCst).count_ones() as usize)
+            .sum()
+    }
+
     /// True if any worker is currently in the set.
     #[cfg(test)]
     pub fn any_sleeping(&self) -> bool {
-        self.words.iter().any(|w| w.load(Ordering::SeqCst) != 0)
+        self.sleeping() != 0
     }
 }
 

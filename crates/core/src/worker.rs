@@ -60,6 +60,19 @@ use crate::trace::{EventKind, SuspendKind, Tracer};
 /// size, which is not configurable either.
 const MAX_INLINE_DEPTH: u32 = 64;
 
+/// A worker whose active deque runs dry while other work is queued (ready
+/// deques, the injector) harvests the attached I/O driver without blocking
+/// before taking that work, at most once every this many task polls, so
+/// readiness does not wait for some worker to park.
+///
+/// Never mid-deque: resumes land on the bottom of their deque, so a harvest
+/// into a non-empty active deque buries the tasks an earlier harvest
+/// resumed under newer ones — with one worker and a closed loop, that
+/// starves a few connections for up to a second. A constant, not a knob;
+/// prime, so it does not beat with the power-of-two structure of fork-join
+/// work.
+const IO_POLL_INTERVAL: u32 = 61;
+
 /// The active deque as a poll sees it: its owner-local index (what
 /// suspensions are charged to) and its owner end (what spawns push on and
 /// joins pop from).
@@ -298,12 +311,17 @@ pub(crate) fn current_latency_mode() -> Option<LatencyMode> {
     with_worker(|w| w.map(|w| w.rt.config.mode))
 }
 
-/// The current thread's worker index, when it is a worker of `rt`. Lets
-/// driver hooks route trace events to the worker's own SPSC ring (whose
-/// single-producer contract requires being that thread) and counter bumps
-/// to its cache-padded block.
-pub(crate) fn current_worker_index_in(rt: &Arc<RtInner>) -> Option<usize> {
-    with_worker(|w| w.and_then(|w| Arc::ptr_eq(&w.rt, rt).then_some(w.index)))
+/// Runs `f` with the runtime and this thread's worker index when the
+/// current thread is one of runtime `rt_id`'s workers — by reference, no
+/// reference count touched — and returns `None` without running it on any
+/// other thread. Lets driver hooks route trace events to the worker's own
+/// SPSC ring (whose single-producer contract requires being that thread)
+/// and counter bumps to its cache-padded block.
+pub(crate) fn on_own_worker<R>(rt_id: u64, f: impl FnOnce(&RtInner, usize) -> R) -> Option<R> {
+    with_worker(|w| match w {
+        Some(w) if w.rt.id == rt_id => Some(f(&w.rt, w.index)),
+        _ => None,
+    })
 }
 
 /// Registers a latency expiration for the currently polled task against
@@ -468,6 +486,9 @@ pub(crate) struct Worker {
     /// older epoch were registered by a dead incarnation and are
     /// re-routed by [`Worker::drain_resumes`] instead of indexed.
     epoch: u64,
+    /// This worker's `polls` count from which a deque boundary may harvest
+    /// without blocking again ([`IO_POLL_INTERVAL`]).
+    next_harvest: u64,
 }
 
 impl Worker {
@@ -490,6 +511,7 @@ impl Worker {
             tracer,
             faults,
             epoch: 0,
+            next_harvest: 0,
         }
     }
 
@@ -549,6 +571,7 @@ impl Worker {
     fn idle_step(&mut self) {
         self.release_active_if_empty();
         if self.active.is_none() {
+            self.harvest_io();
             if let Some(q) = self.pop_ready() {
                 self.ctr().bump(&self.ctr().deque_switches);
                 self.trace(EventKind::DequeSwitch { deque: q as u32 });
@@ -581,7 +604,14 @@ impl Worker {
     /// publish our bit, re-check every work source, and only then park.
     /// Producers wake at most one sleeper per event; the timeout bounds
     /// staleness if a wake-up races with parking.
+    ///
+    /// With an I/O driver attached, the worker that gets the poller role
+    /// parks *in the driver* — blocking in its readiness wait and firing
+    /// the completions it harvests on this thread — instead of on the
+    /// futex. The role is taken before the bit is published: a producer
+    /// that clears the bit then also sees the role and kicks the driver.
     fn park(&mut self) {
+        let poller = self.rt.take_poller(self.index);
         let sleepers = &self.rt.sleepers;
         sleepers.prepare_park(self.index);
         if self.rt.is_shutdown()
@@ -592,8 +622,34 @@ impl Worker {
             return;
         }
         self.trace(EventKind::Park);
-        std::thread::park_timeout(Duration::from_micros(self.rt.config.park_micros));
+        let timeout = Duration::from_micros(self.rt.config.park_micros);
+        if poller.is_some_and(|p| p.poll(timeout)) {
+            self.next_harvest = self.polls() + u64::from(IO_POLL_INTERVAL);
+        } else {
+            std::thread::park_timeout(timeout);
+        }
         sleepers.cancel_park(self.index);
+    }
+
+    /// At a deque boundary, once [`IO_POLL_INTERVAL`] task polls have
+    /// passed since this worker's last harvest, harvests the I/O driver
+    /// without blocking — if one is attached and no other worker holds the
+    /// poller role. Reads the `polls` counter the worker keeps anyway, so
+    /// a task poll pays nothing for the cadence.
+    fn harvest_io(&mut self) {
+        let polls = self.polls();
+        if polls < self.next_harvest {
+            return;
+        }
+        if let Some(p) = self.rt.take_poller(self.index) {
+            self.next_harvest = polls + u64::from(IO_POLL_INTERVAL);
+            p.poll(Duration::ZERO);
+        }
+    }
+
+    /// Task polls this worker has run (its `polls` counter).
+    fn polls(&self) -> u64 {
+        self.ctr().polls.load(std::sync::atomic::Ordering::Relaxed)
     }
 
     // ------------------------------------------------------------------

@@ -1,46 +1,45 @@
-//! The backend-pluggable I/O driver seam: [`IoDriver`] is the narrow
-//! kernel-facing API every readiness backend implements — `epoll` today
-//! ([`EpollDriver`](crate::EpollDriver)), `io_uring` tomorrow —
-//! and everything above it (the per-shard waiter tables, the shard map,
-//! the [`Reactor`](crate::Reactor) public surface) is backend-agnostic.
+//! The backend seam: [`IoDriver`] is the narrow kernel-facing API a
+//! readiness backend implements — `epoll` ([`EpollDriver`](crate::EpollDriver))
+//! is the one in tree — and everything above it (the waiter table, the
+//! arm-once protocol, the [`Reactor`](crate::Reactor) public surface) is
+//! backend-agnostic.
 //!
 //! # Layering and contracts
 //!
-//! The stack, top to bottom:
+//! 1. [`Reactor`](crate::Reactor) — public API and the waiter table. It
+//!    owns the **one-waiter-per-direction** invariant (a second
+//!    registration for an occupied direction of an fd is rejected as an
+//!    application bug) and **token-matched deregistration** (a cancel
+//!    removes a waiter only if its token matches, so a cancel racing a
+//!    readiness-fired replacement wait can never unfile the newer waiter).
+//! 2. [`IoDriver`] — this trait. It sees only fd-level arm state. Arms
+//!    are **one-shot**: an fd is [`register`](IoDriver::register)ed once,
+//!    reports at most one event per arm, and is re-armed by
+//!    [`modify`](IoDriver::modify); it is
+//!    [`deregister`](IoDriver::deregister)ed only when it is closed.
 //!
-//! 1. [`Reactor`](crate::Reactor) — public API. `ready(fd, Interest)`
-//!    routes to shard `fd % shards`; tokens are minted reactor-wide so
-//!    trace events stay unique across shards.
-//! 2. [`EpollShard`](crate::EpollShard) — one waiter table + one event
-//!    thread per shard. The shard owns the **one-waiter-per-direction**
-//!    invariant: at most one read waiter and one write waiter may be
-//!    filed per fd, and a second registration for an occupied direction
-//!    is rejected as an application bug. It also owns **token-matched
-//!    deregistration**: a cancel (future drop, deadline expiry, shutdown
-//!    drain) removes a waiter only if its token matches, so a cancel
-//!    racing a readiness-fired replacement wait can never unfile the
-//!    newer waiter.
-//! 3. [`IoDriver`] — this trait. It sees only fd-level arm state: the
-//!    shard translates its table into [`register`](IoDriver::register) /
-//!    [`modify`](IoDriver::modify) / [`deregister`](IoDriver::deregister)
-//!    calls and consumes batched readiness from
-//!    [`wait`](IoDriver::wait).
+//! # Who waits
+//!
+//! No thread of the reactor's own: the runtime's workers call
+//! [`wait`](IoDriver::wait) through the [`Driver`](lhws_core::Driver)
+//! harvest half — one worker at a time, the one holding the poller role —
+//! while registrations arrive from every worker. Every method therefore
+//! takes `&self` and must be thread-safe.
 //!
 //! # Shutdown ordering
 //!
-//! [`Runtime::shutdown`](lhws_core::Runtime::shutdown) stops attached
-//! drivers **before** the workers. The reactor fans the
-//! [`Driver`](lhws_core::Driver) protocol out across its shards; each
-//! shard, in order: sets its shutdown flag, [`wake`](IoDriver::wake)s the
-//! event thread out of `wait`, joins it, then — under the table lock, so
-//! a racing registration that saw the flag clear still sees live kernel
-//! resources — drains every waiter (settling each `Err(Canceled)`) and
-//! [`close`](IoDriver::close)s the backend. Per-shard drain tallies are
-//! summed into
+//! [`Runtime::shutdown`](lhws_core::Runtime::shutdown) stops the driver
+//! **before** the workers, in this order: set the shutdown flag,
+//! [`wake`](IoDriver::wake) any worker blocked in `wait`, wait until no
+//! worker is inside `wait`, drain every waiter (settling each
+//! `Err(Canceled)`), [`close`](IoDriver::close) the backend — the last
+//! two under the table lock, so a racing registration that saw the flag
+//! clear still sees live kernel resources. The drain tally is
 //! [`ShutdownReport::canceled_io_waits`](lhws_core::ShutdownReport::canceled_io_waits).
 
 use std::io;
 use std::os::fd::RawFd;
+use std::time::Duration;
 
 /// Which direction of readiness a wait is for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,9 +50,9 @@ pub enum Interest {
     Write,
 }
 
-/// The directions currently armed for one fd — the driver-facing
-/// projection of a shard's waiter table entry (at most one waiter per
-/// direction, so two booleans suffice).
+/// The directions to arm for one fd — the driver-facing projection of a
+/// waiter table entry (at most one waiter per direction, so two booleans
+/// suffice).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct InterestSet {
     /// Wait for readability (includes peer hang-up and errors).
@@ -88,9 +87,9 @@ impl InterestSet {
 /// Error and hang-up conditions set **both** flags: either direction's
 /// pending syscall would return immediately, so both waiters (if filed)
 /// must fire and observe the condition from the syscall itself.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct IoEvent {
-    /// The cookie the fd was armed with (the shard uses the fd itself).
+    /// The cookie the fd was armed with (the reactor uses the fd itself).
     pub cookie: u64,
     /// A read would not block (data, EOF, hang-up, or error).
     pub read: bool,
@@ -101,9 +100,9 @@ pub struct IoEvent {
 /// Outcome of one batched [`IoDriver::wait`].
 ///
 /// `Interrupted` is deliberately distinct from an empty `Ready` batch:
-/// an `EINTR`-ed wait did no work and must not count as a shard wakeup
-/// in the per-shard metrics (`lhws_io_shard_wakeups_total`), while a
-/// zero-event `Ready` means the shard was explicitly kicked by
+/// an `EINTR`-ed wait did no work and must not count as a wakeup in the
+/// I/O metrics (`lhws_io_shard_wakeups_total`), while a zero-event
+/// `Ready` means the waiter was explicitly kicked by
 /// [`wake`](IoDriver::wake).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WaitOutcome {
@@ -120,58 +119,46 @@ pub enum WaitOutcome {
 }
 
 /// A pluggable kernel readiness backend: one readiness queue (an epoll
-/// instance today; an io_uring tomorrow) plus a self-wake mechanism.
+/// instance) plus a self-wake mechanism.
 ///
-/// Implementations are driven by exactly one [`EpollShard`](crate::EpollShard):
-/// one thread calls [`wait`](Self::wait) in a loop while registrations
-/// arrive from worker threads, so every method takes `&self` and must be
-/// thread-safe. See the [module docs](self) for the invariants the shard
-/// maintains *above* this seam (one waiter per direction, token-matched
-/// deregistration) and the shutdown ordering contract.
+/// See the [module docs](self) for who calls [`wait`](Self::wait), the
+/// invariants the reactor maintains *above* this seam (one waiter per
+/// direction, token-matched deregistration) and the shutdown ordering
+/// contract.
 pub trait IoDriver: Send + Sync + 'static {
-    /// Short human-readable backend name, for diagnostics.
-    fn name(&self) -> &'static str;
-
-    /// Arms a **previously unarmed** fd with `set`, tagging it with
-    /// `cookie` (returned verbatim in [`IoEvent::cookie`]). The caller
-    /// guarantees the fd is not currently armed.
+    /// Adds a not-yet-registered fd, armed once for `set` and tagged with
+    /// `cookie` (returned verbatim in [`IoEvent::cookie`]).
     fn register(&self, fd: RawFd, set: InterestSet, cookie: u64) -> io::Result<()>;
 
-    /// Replaces an armed fd's interest set. Also used as the re-arm
-    /// primitive: backends must re-evaluate current readiness on
-    /// `modify` (epoll does, even in edge-triggered mode), so a
-    /// condition that is already true when a direction is re-armed is
-    /// re-reported by the next [`wait`](Self::wait).
+    /// Re-arms a registered fd once for `set`. The backend re-evaluates
+    /// current readiness here (epoll does), so a condition that is
+    /// already true when the fd is re-armed is reported by the next
+    /// [`wait`](Self::wait).
     fn modify(&self, fd: RawFd, set: InterestSet, cookie: u64) -> io::Result<()>;
 
-    /// Fully disarms an fd. The caller guarantees it is currently armed;
-    /// errors are tolerated on teardown paths (the fd may already be
-    /// closed).
+    /// Removes a registered fd. Called before the fd is closed, so a
+    /// reused fd number (or a surviving `dup`) never inherits the
+    /// registration.
     fn deregister(&self, fd: RawFd) -> io::Result<()>;
 
-    /// Blocks up to `timeout_ms` (`-1` = forever) for readiness, filling
-    /// `events` (cleared first) with up to its capacity in entries.
-    /// Self-wake tokens are consumed internally and never surfaced. An
-    /// `Err` means the backend itself failed and the event loop must
-    /// exit.
-    fn wait(&self, events: &mut Vec<IoEvent>, timeout_ms: i32) -> io::Result<WaitOutcome>;
+    /// Blocks up to `timeout` (`Duration::ZERO`: not at all) for
+    /// readiness, filling the front of `events` and reporting how many
+    /// entries it filled in [`WaitOutcome::Ready`]. Each reported fd is
+    /// disarmed until its next [`modify`](Self::modify). Self-wake kicks
+    /// are consumed internally and never surfaced. An `Err` means the
+    /// backend itself failed.
+    fn wait(&self, events: &mut [IoEvent], timeout: Duration) -> io::Result<WaitOutcome>;
 
     /// Kicks a concurrent [`wait`](Self::wait) awake (it returns
-    /// [`WaitOutcome::Ready`], possibly with zero events). Used by
-    /// shutdown; must be callable from any thread and safe to call when
-    /// no wait is in flight.
+    /// [`WaitOutcome::Ready`], possibly with zero events); a kick with no
+    /// wait in flight ends the next one early. Callable from any thread,
+    /// also after [`close`](Self::close).
     fn wake(&self);
 
-    /// `true` when arms are edge-triggered: the kernel reports each
-    /// readiness transition once, and re-reporting requires a
-    /// [`modify`](Self::modify) re-arm. Level-triggered backends
-    /// re-report a still-true condition on every wait.
-    fn edge_triggered(&self) -> bool;
-
-    /// Releases the backend's kernel resources. Called exactly once by
-    /// the shard's shutdown drain, after the event thread has exited and
-    /// under the same lock that gates new registrations — so no
-    /// register/modify/wait can observe a closed (possibly reused)
-    /// descriptor. Must be idempotent with `Drop`.
+    /// Releases the readiness queue. Called exactly once by the shutdown
+    /// drain, after no thread is inside [`wait`](Self::wait) and under
+    /// the same lock that gates every other call — so none can observe a
+    /// closed (possibly reused) descriptor. The self-wake channel stays
+    /// open until `Drop`, so [`wake`](Self::wake) stays safe.
     fn close(&self);
 }

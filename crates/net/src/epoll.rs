@@ -1,17 +1,16 @@
-//! The in-tree [`IoDriver`] backend: one `epoll` instance per shard,
-//! raw-FFI syscalls (the crate-private `sys` bindings), no `libc`
-//! dependency.
+//! The in-tree [`IoDriver`] backend: one `epoll` instance, raw-FFI
+//! syscalls (the crate-private `sys` bindings), no `libc` dependency.
 //!
-//! Level-triggered by default — a still-true condition is re-reported on
-//! every wait, which is what the `DroppedReadiness` fault site's
-//! "swallow and recover" semantics rely on. The edge-triggered option
-//! (`EPOLLET`) reports each readiness *transition* once; the shard
-//! compensates by re-arming through [`IoDriver::modify`], which epoll
-//! re-evaluates even under `EPOLLET`.
+//! Every arm is `EPOLLONESHOT`: the kernel reports an fd once and then
+//! disarms it (it stays registered) until the next `EPOLL_CTL_MOD`. A
+//! wait therefore costs one `epoll_ctl` — `ADD` the first time an fd
+//! waits, `MOD` every time after — and `DEL` runs once, when the fd is
+//! closed.
 
 use std::io;
 use std::os::fd::RawFd;
 use std::sync::atomic::{AtomicI32, Ordering};
+use std::time::Duration;
 
 use crate::driver::{InterestSet, IoDriver, IoEvent, WaitOutcome};
 use crate::sys;
@@ -19,37 +18,34 @@ use crate::sys;
 /// Epoll data cookie reserved for the self-wake eventfd.
 const WAKE_COOKIE: u64 = u64::MAX;
 
-/// Per-wait kernel batch size. Readiness beyond this arrives on the next
-/// loop iteration, so it bounds per-iteration latency, not throughput.
+/// Per-wait kernel batch size bound. Readiness beyond the caller's buffer
+/// arrives on the next wait, so it bounds per-wait latency, not throughput.
 const BATCH: usize = 64;
 
 /// One epoll instance + its wake eventfd: the `epoll` implementation of
-/// [`IoDriver`], owned by one [`EpollShard`](crate::EpollShard).
+/// [`IoDriver`], owned by the [`Reactor`](crate::Reactor).
 ///
-/// Fds are stored atomically and swapped to `-1` on [`close`], making
-/// teardown idempotent with `Drop`; the shard's shutdown protocol
-/// guarantees no register/modify/wait is in flight when `close` runs.
+/// The epoll fd is swapped to `-1` on [`close`] (idempotent with `Drop`);
+/// the wake eventfd lives until `Drop`, so a kick after shutdown writes to
+/// a descriptor that is still ours.
 ///
 /// [`close`]: IoDriver::close
 pub struct EpollDriver {
     epfd: AtomicI32,
-    wake_fd: AtomicI32,
-    edge: bool,
+    wake_fd: RawFd,
 }
 
 impl std::fmt::Debug for EpollDriver {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EpollDriver")
             .field("epfd", &self.epfd.load(Ordering::Relaxed))
-            .field("edge", &self.edge)
             .finish()
     }
 }
 
 impl EpollDriver {
-    /// Creates the epoll instance and its wake eventfd. `edge` selects
-    /// `EPOLLET` arms (see [`IoDriver::edge_triggered`]).
-    pub fn new(edge: bool) -> io::Result<EpollDriver> {
+    /// Creates the epoll instance and its wake eventfd.
+    pub fn new() -> io::Result<EpollDriver> {
         let epfd = sys::epoll_create()?;
         let wake_fd = match sys::eventfd_new() {
             Ok(fd) => fd,
@@ -58,8 +54,8 @@ impl EpollDriver {
                 return Err(e);
             }
         };
-        // The wake channel stays level-triggered even in edge mode: a
-        // kick posted between wait calls must not be lost.
+        // The wake channel is level-triggered and never one-shot: a kick
+        // posted between waits must end the next one.
         if let Err(e) =
             sys::epoll_ctl_op(epfd, sys::EPOLL_CTL_ADD, wake_fd, sys::EPOLLIN, WAKE_COOKIE)
         {
@@ -69,13 +65,12 @@ impl EpollDriver {
         }
         Ok(EpollDriver {
             epfd: AtomicI32::new(epfd),
-            wake_fd: AtomicI32::new(wake_fd),
-            edge,
+            wake_fd,
         })
     }
 
-    fn bits(&self, set: InterestSet) -> u32 {
-        let mut bits = 0;
+    fn bits(set: InterestSet) -> u32 {
+        let mut bits = sys::EPOLLONESHOT;
         if set.read {
             // ERR/HUP are delivered regardless of the requested mask; the
             // extra bits document which mask we *wait* on.
@@ -84,79 +79,56 @@ impl EpollDriver {
         if set.write {
             bits |= sys::EPOLLOUT;
         }
-        if self.edge {
-            bits |= sys::EPOLLET;
-        }
         bits
+    }
+
+    fn ctl(&self, op: i32, fd: RawFd, set: InterestSet, cookie: u64) -> io::Result<()> {
+        let epfd = self.epfd.load(Ordering::Relaxed);
+        sys::epoll_ctl_op(epfd, op, fd, Self::bits(set), cookie)
     }
 }
 
 impl IoDriver for EpollDriver {
-    fn name(&self) -> &'static str {
-        "epoll"
-    }
-
     fn register(&self, fd: RawFd, set: InterestSet, cookie: u64) -> io::Result<()> {
-        sys::epoll_ctl_op(
-            self.epfd.load(Ordering::Relaxed),
-            sys::EPOLL_CTL_ADD,
-            fd,
-            self.bits(set),
-            cookie,
-        )
+        self.ctl(sys::EPOLL_CTL_ADD, fd, set, cookie)
     }
 
     fn modify(&self, fd: RawFd, set: InterestSet, cookie: u64) -> io::Result<()> {
-        sys::epoll_ctl_op(
-            self.epfd.load(Ordering::Relaxed),
-            sys::EPOLL_CTL_MOD,
-            fd,
-            self.bits(set),
-            cookie,
-        )
+        self.ctl(sys::EPOLL_CTL_MOD, fd, set, cookie)
     }
 
     fn deregister(&self, fd: RawFd) -> io::Result<()> {
-        sys::epoll_ctl_op(
-            self.epfd.load(Ordering::Relaxed),
-            sys::EPOLL_CTL_DEL,
-            fd,
-            0,
-            0,
-        )
+        self.ctl(sys::EPOLL_CTL_DEL, fd, InterestSet::default(), 0)
     }
 
-    fn wait(&self, events: &mut Vec<IoEvent>, timeout_ms: i32) -> io::Result<WaitOutcome> {
-        events.clear();
+    fn wait(&self, events: &mut [IoEvent], timeout: Duration) -> io::Result<WaitOutcome> {
         let mut buf = [sys::EpollEvent { events: 0, data: 0 }; BATCH];
-        let outcome =
-            sys::epoll_wait_events(self.epfd.load(Ordering::Relaxed), &mut buf, timeout_ms)?;
-        let n = match outcome {
+        let cap = events.len().min(BATCH);
+        let epfd = self.epfd.load(Ordering::Relaxed);
+        let n = match sys::epoll_wait_events(epfd, &mut buf[..cap], timeout)? {
             WaitOutcome::Ready(n) => n,
             other => return Ok(other),
         };
+        let mut filled = 0;
         for ev in &buf[..n] {
             // Copy the packed fields by value before use.
             let (mask, data) = (ev.events, ev.data);
             if data == WAKE_COOKIE {
-                sys::eventfd_drain(self.wake_fd.load(Ordering::Relaxed));
+                sys::eventfd_drain(self.wake_fd);
                 continue;
             }
-            events.push(IoEvent {
+            events[filled] = IoEvent {
                 cookie: data,
                 read: mask & (sys::EPOLLIN | sys::EPOLLRDHUP | sys::EPOLLERR | sys::EPOLLHUP) != 0,
                 write: mask & (sys::EPOLLOUT | sys::EPOLLERR | sys::EPOLLHUP) != 0,
-            });
+            };
+            filled += 1;
         }
-        Ok(WaitOutcome::Ready(events.len()))
+        Ok(WaitOutcome::Ready(filled))
     }
 
     fn wake(&self) {
-        sys::eventfd_write(self.wake_fd.load(Ordering::Relaxed));
-    }
-
-    fn edge_triggered(&self) -> bool {
-        self.edge
+        sys::eventfd_write(self.wake_fd);
     }
 
     fn close(&self) {
@@ -164,16 +136,13 @@ impl IoDriver for EpollDriver {
         if epfd >= 0 {
             sys::close_fd(epfd);
         }
-        let wake_fd = self.wake_fd.swap(-1, Ordering::AcqRel);
-        if wake_fd >= 0 {
-            sys::close_fd(wake_fd);
-        }
     }
 }
 
 impl Drop for EpollDriver {
     fn drop(&mut self) {
         self.close();
+        sys::close_fd(self.wake_fd);
     }
 }
 
@@ -183,37 +152,50 @@ mod tests {
 
     #[test]
     fn wake_surfaces_as_zero_event_ready() {
-        let d = EpollDriver::new(false).unwrap();
-        let mut events = Vec::with_capacity(BATCH);
+        let d = EpollDriver::new().unwrap();
+        let mut events = [IoEvent::default(); BATCH];
         // Nothing armed, nothing posted: a zero-timeout wait times out.
-        assert_eq!(d.wait(&mut events, 0).unwrap(), WaitOutcome::TimedOut);
+        assert_eq!(
+            d.wait(&mut events, Duration::ZERO).unwrap(),
+            WaitOutcome::TimedOut
+        );
         d.wake();
         // The kick is consumed internally: Ready, but zero entries.
-        assert_eq!(d.wait(&mut events, 1000).unwrap(), WaitOutcome::Ready(0));
-        assert!(events.is_empty());
+        assert_eq!(
+            d.wait(&mut events, Duration::from_secs(1)).unwrap(),
+            WaitOutcome::Ready(0)
+        );
         // Drained: the next zero-timeout wait times out again.
-        assert_eq!(d.wait(&mut events, 0).unwrap(), WaitOutcome::TimedOut);
+        assert_eq!(
+            d.wait(&mut events, Duration::ZERO).unwrap(),
+            WaitOutcome::TimedOut
+        );
         d.close();
+        // The wake channel outlives close: a late kick is harmless.
+        d.wake();
     }
 
     #[test]
-    fn edge_bits_include_epollet() {
-        let d = EpollDriver::new(true).unwrap();
-        assert!(d.edge_triggered());
-        let bits = d.bits(InterestSet {
-            read: true,
-            write: true,
-        });
-        assert_ne!(bits & sys::EPOLLET, 0);
-        assert_ne!(bits & sys::EPOLLIN, 0);
-        assert_ne!(bits & sys::EPOLLOUT, 0);
-        let d = EpollDriver::new(false).unwrap();
-        assert_eq!(
-            d.bits(InterestSet {
-                read: true,
-                write: false
-            }) & sys::EPOLLET,
-            0
-        );
+    fn arms_are_oneshot_until_modify() {
+        let d = EpollDriver::new().unwrap();
+        let (a, _b) = std::os::unix::net::UnixStream::pair().unwrap();
+        let fd = std::os::fd::AsRawFd::as_raw_fd(&a);
+        let write = InterestSet::only(crate::Interest::Write);
+        assert_ne!(EpollDriver::bits(write) & sys::EPOLLONESHOT, 0);
+        assert_ne!(EpollDriver::bits(write) & sys::EPOLLOUT, 0);
+        let mut events = [IoEvent::default(); BATCH];
+        // A fresh socket is writable: one arm, one report.
+        d.register(fd, write, 7).unwrap();
+        let ready = d.wait(&mut events, Duration::from_secs(1)).unwrap();
+        assert_eq!(ready, WaitOutcome::Ready(1));
+        assert!(events[0].write && events[0].cookie == 7);
+        // Still writable, but the arm is spent: nothing more is reported.
+        let idle = d.wait(&mut events, Duration::from_millis(1)).unwrap();
+        assert_eq!(idle, WaitOutcome::TimedOut);
+        // MOD re-arms and re-evaluates: the condition is reported again.
+        d.modify(fd, write, 7).unwrap();
+        let again = d.wait(&mut events, Duration::from_secs(1)).unwrap();
+        assert_eq!(again, WaitOutcome::Ready(1));
+        d.deregister(fd).unwrap();
     }
 }

@@ -3,19 +3,18 @@
 //! A network I/O reactor for the latency-hiding work-stealing runtime.
 //! The scheduler's claim is that *interaction latency* can be hidden by
 //! suspending the waiting computation and working on something else; this
-//! crate makes the waits real. A sharded, epoll-backed [`Reactor`] turns
-//! kernel readiness into the runtime's external-completion resumes, so a
-//! task awaiting a socket suspends against its deque exactly like any
-//! other heavy edge — the suspension width `U` is literally the number of
-//! live connections blocked on the kernel, and the live-deque bound of
-//! Lemma 7 applies to them unchanged.
+//! crate makes the waits real. An epoll-backed [`Reactor`] turns kernel
+//! readiness into the runtime's external-completion resumes, so a task
+//! awaiting a socket suspends against its deque exactly like any other
+//! heavy edge — the suspension width `U` is literally the number of live
+//! connections blocked on the kernel, and the live-deque bound of Lemma 7
+//! applies to them unchanged.
 //!
-//! The reactor is built over a backend-pluggable seam: each shard drives
-//! an [`IoDriver`] (today [`EpollDriver`]; the seam is where an io_uring
-//! backend plugs in), and descriptors route to shard `fd % shards`. One
-//! shard — the default — is byte-compatible with the historical
-//! single-threaded reactor; more shards spread readiness dispatch across
-//! event threads for multicore scale-out.
+//! The reactor has no thread of its own: it is the runtime's
+//! [`Driver`](lhws_core::Driver), and an idle worker blocks in its
+//! readiness wait instead of its futex, firing completions on its own
+//! thread. Each socket is armed once and re-armed with one `epoll_ctl`
+//! per wait, through the [`IoDriver`] seam ([`EpollDriver`]).
 //!
 //! [`TcpListener`] / [`TcpStream`] retry nonblocking syscalls around
 //! [`ReadyFuture`] waits under [`LatencyMode::Hide`](lhws_core::LatencyMode::Hide),
@@ -28,7 +27,7 @@
 //! use lhws_net::{Reactor, TcpListener};
 //!
 //! let rt = Runtime::builder().workers(4).mode(LatencyMode::Hide).build().unwrap();
-//! let reactor = Reactor::builder(&rt).shards(2).build().unwrap();
+//! let reactor = Reactor::builder(&rt).build().unwrap();
 //! let report = rt.block_on(async move {
 //!     let listener = TcpListener::bind(&reactor, "127.0.0.1:0")?;
 //!     let (mut conn, _peer) = listener.accept().await?; // suspends, never blocks
@@ -43,14 +42,12 @@
 pub mod driver;
 mod epoll;
 mod reactor;
-mod shard;
 mod sys;
 mod tcp;
 
 pub use driver::{Interest, InterestSet, IoDriver, IoEvent, WaitOutcome};
 pub use epoll::EpollDriver;
-pub use reactor::{Reactor, ReactorBuilder, ReadyFuture, TimedReadyFuture, MAX_REACTOR_SHARDS};
-pub use shard::EpollShard;
+pub use reactor::{Reactor, ReactorBuilder, ReadyFuture, TimedReadyFuture};
 // Re-exported so readiness futures can be deadline-bounded without a
 // direct lhws-core dependency.
 pub use lhws_core::DeadlineExt;

@@ -1,66 +1,346 @@
-//! The sharded reactor: kernel readiness in, scheduler resume events out.
+//! The reactor: kernel readiness in, scheduler resume events out — with
+//! no thread of its own.
 //!
-//! N shards ([`EpollShard`]) each own an [`IoDriver`](crate::IoDriver)
-//! backend (an epoll instance + wake eventfd), a registration table with
-//! at most one waiter per direction per fd, and a dedicated event thread
-//! (`lhws-net-shard-N`). A descriptor's home shard is `fd % shards` —
-//! stateless routing, no shard-map lock on the hot path. Registering a
-//! wait files a [`Completer`] in the home shard's table and arms
-//! interest; when the kernel reports readiness the shard removes the
-//! waiter, disarms that direction, and fires the completer
-//! **off-worker** — exactly the external-completion path the scheduler
-//! already treats as a heavy-edge resume. A task awaiting [`ReadyFuture`]
-//! therefore suspends against its deque on first poll and is routed back
-//! through its owner's inbox on readiness, so every socket wait is a real
-//! heavy edge and the live-deque bound `U + 1` counts connections
-//! blocked in the kernel.
+//! One [`IoDriver`] backend (an epoll instance + wake eventfd) and a
+//! registration table holding at most one waiter per direction per fd.
+//! Registering a wait files a [`Completer`] in the table and arms the fd.
+//! The reactor is the runtime's [`Driver`]: an idle worker holding the
+//! poller role blocks in [`Driver::poll`] — the backend's wait — instead
+//! of its futex, and fires each readiness's completer on its own thread,
+//! the external-completion path the scheduler already treats as a
+//! heavy-edge resume. A worker whose active deque runs dry also harvests
+//! without blocking, at most every few dozen task polls, before it looks
+//! for other work. A task awaiting [`ReadyFuture`] therefore suspends
+//! against its deque on first poll and resumes through its owner's inbox
+//! (Figure 3's `callback(v, q)`, no helper thread in between), so every
+//! socket wait is a real heavy edge and the live-deque bound `U + 1`
+//! counts connections blocked in the kernel.
 //!
-//! `shards = 1` (the default) is byte-compatible with the historical
-//! single-threaded reactor. `shards = 0` on the builder means one shard
-//! per worker. The reactor is a [`Driver`]:
-//! [`Runtime::shutdown`](lhws_core::Runtime::shutdown) stops it *before*
-//! the workers, fanning the shutdown out across shards and summing each
-//! shard's drain-cancel tally into
+//! **Arm once.** An fd is added to epoll the first time it waits and
+//! removed only when it is closed ([`TcpStream`](crate::TcpStream) and
+//! [`TcpListener`](crate::TcpListener) deregister in `Drop`, before the
+//! close). Every arm is one-shot, so a wait costs one `EPOLL_CTL_MOD`:
+//! the report disarms the fd, and the next wait re-arms it. A canceled
+//! wait costs nothing; if its stale arm fires later, dispatch finds no
+//! waiter and the arm is spent.
+//!
+//! [`Runtime::shutdown`](lhws_core::Runtime::shutdown) stops the reactor
+//! *before* the workers (see the [`driver`](crate::driver) module for the
+//! ordering) and reports its drain-cancel tally as
 //! [`ShutdownReport::canceled_io_waits`](lhws_core::ShutdownReport::canceled_io_waits).
 //!
-//! Under [`LatencyMode::Block`] the reactor spawns no shards and arms no
-//! epoll: sockets stay in blocking mode and workers park in the kernel —
-//! the paper's blocking baseline, byte-for-byte the same application code.
+//! Under [`LatencyMode::Block`] the reactor opens no epoll: sockets stay in
+//! blocking mode and workers park in the kernel — the paper's blocking
+//! baseline, byte-for-byte the same application code.
 
+use std::any::Any;
+use std::collections::hash_map::{Entry, HashMap};
 use std::future::Future;
 use std::io;
 use std::os::fd::RawFd;
 use std::pin::Pin;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::task::{Context, Poll};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
 use lhws_core::{
-    external_op, DeadlineExt, DeadlineOp, Driver, DriverHooks, DriverReport, ExternalOp,
-    LatencyMode, OpError, Runtime,
+    external_op, Completer, DeadlineExt, DeadlineOp, Driver, DriverHooks, DriverReport, ExternalOp,
+    IoShardStats, IoTraceEvent, LatencyMode, OpError, Runtime,
 };
 
-use crate::driver::Interest;
+use crate::driver::{Interest, InterestSet, IoDriver, IoEvent, WaitOutcome};
 use crate::epoll::EpollDriver;
-use crate::shard::EpollShard;
+
+/// Readiness entries one harvest takes from the kernel; the rest wait for
+/// the next harvest.
+const BATCH: usize = 64;
+
+/// One registered wait: the token ties trace events together; dropping
+/// the completer settles the wait `Err(Canceled)`.
+struct Waiter {
+    token: u64,
+    completer: Completer<()>,
+}
+
+/// One fd's table entry. Its presence means the fd is registered with the
+/// backend (armed, or disarmed by a report); the slots are its waiters.
+#[derive(Default)]
+struct FdWaiters {
+    read: Option<Waiter>,
+    write: Option<Waiter>,
+}
+
+impl FdWaiters {
+    fn set(&self) -> InterestSet {
+        InterestSet {
+            read: self.read.is_some(),
+            write: self.write.is_some(),
+        }
+    }
+
+    fn slot(&mut self, interest: Interest) -> &mut Option<Waiter> {
+        match interest {
+            Interest::Read => &mut self.read,
+            Interest::Write => &mut self.write,
+        }
+    }
+}
+
+/// The kernel half of a latency-hiding reactor.
+struct Io {
+    driver: Box<dyn IoDriver>,
+    table: Mutex<HashMap<RawFd, FdWaiters>>,
+    /// Raised once by shutdown. Every path that touches the backend
+    /// checks it (or finds the table drained) under the table lock.
+    shutdown: AtomicBool,
+    /// Threads inside `driver.wait`; shutdown closes the backend only at 0.
+    in_wait: AtomicUsize,
+    stats: Arc<IoShardStats>,
+}
+
+impl Io {
+    /// Files `completer` and arms the fd: one `epoll_ctl` per wait — ADD
+    /// the first time the fd waits, MOD (re-arm) every time after.
+    /// Rejected once shutdown has begun: the completer is dropped, so the
+    /// caller's future observes `Err(Canceled)`.
+    fn register(
+        &self,
+        hooks: &DriverHooks,
+        fd: RawFd,
+        interest: Interest,
+        token: u64,
+        completer: Completer<()>,
+    ) -> io::Result<()> {
+        let mut table = self.table.lock();
+        if self.shutdown.load(Ordering::SeqCst) {
+            drop(completer);
+            return Err(io::Error::other("reactor is shut down"));
+        }
+        // An entry means the fd is already in epoll (it waited before).
+        let (registered, entry) = match table.entry(fd) {
+            Entry::Occupied(e) => (true, e.into_mut()),
+            Entry::Vacant(e) => (false, e.insert(FdWaiters::default())),
+        };
+        let slot = entry.slot(interest);
+        if slot.is_some() {
+            // One waiter per direction per fd: a second reader/writer on
+            // the same socket is an application bug, not a race to paper
+            // over silently.
+            return Err(io::Error::other(
+                "a readiness wait is already registered for this fd and direction",
+            ));
+        }
+        *slot = Some(Waiter { token, completer });
+        let (set, cookie) = (entry.set(), fd as u32 as u64);
+        let armed = if registered {
+            // ENOENT: the fd was closed behind the reactor's back (a raw
+            // `ready(fd)` user) and the number reused — add it afresh.
+            self.driver
+                .modify(fd, set, cookie)
+                .or_else(|e| match e.kind() {
+                    io::ErrorKind::NotFound => self.driver.register(fd, set, cookie),
+                    _ => Err(e),
+                })
+        } else {
+            self.driver.register(fd, set, cookie)
+        };
+        if let Err(e) = armed {
+            // Roll back so the failed wait leaves no table state.
+            *entry.slot(interest) = None;
+            if !registered {
+                table.remove(&fd);
+            }
+            return Err(e);
+        }
+        // Count + trace inside the lock, after the insert: the register
+        // event is recorded before any readiness/deregister for the token.
+        hooks.count_io_registration();
+        hooks.trace_io(IoTraceEvent::Register { token });
+        Ok(())
+    }
+
+    /// Unfiles the wait `(fd, interest, token)` if it is still filed,
+    /// tracing `IoDeregister`. No syscall: the fd stays armed, and a
+    /// report for it finds no waiter. A no-op when readiness, a close or
+    /// shutdown already claimed the waiter.
+    fn cancel(&self, hooks: &DriverHooks, fd: RawFd, interest: Interest, token: u64) {
+        let waiter = {
+            let mut table = self.table.lock();
+            let Some(slot) = table.get_mut(&fd).map(|e| e.slot(interest)) else {
+                return;
+            };
+            if !matches!(slot, Some(w) if w.token == token) {
+                return;
+            }
+            hooks.trace_io(IoTraceEvent::Deregister { token });
+            slot.take()
+        };
+        // Dropping the completer settles the wait Err(Canceled) outside
+        // the table lock; if the future was suspended the cancellation
+        // still delivers its one resume event, so counters balance.
+        drop(waiter);
+    }
+
+    /// Removes a closing fd from the backend and the table, canceling any
+    /// waiter still filed on it — before the close, so a reused fd number
+    /// or a surviving `dup` never inherits the registration.
+    fn deregister(&self, hooks: &DriverHooks, fd: RawFd) {
+        let entry = {
+            let mut table = self.table.lock();
+            let Some(entry) = table.remove(&fd) else {
+                return; // never waited, or drained by shutdown
+            };
+            let _ = self.driver.deregister(fd);
+            for w in [&entry.read, &entry.write].into_iter().flatten() {
+                hooks.trace_io(IoTraceEvent::Deregister { token: w.token });
+            }
+            entry
+        };
+        drop(entry);
+    }
+
+    /// One harvest: wait up to `timeout`, then fire every waiter the
+    /// reported readiness unblocks, on this thread.
+    fn poll(&self, hooks: &DriverHooks, timeout: Duration) -> bool {
+        self.in_wait.fetch_add(1, Ordering::SeqCst);
+        if self.shutdown.load(Ordering::SeqCst) {
+            self.in_wait.fetch_sub(1, Ordering::SeqCst);
+            return false;
+        }
+        let mut events = [IoEvent::default(); BATCH];
+        let outcome = self.driver.wait(&mut events, timeout);
+        self.in_wait.fetch_sub(1, Ordering::SeqCst);
+        // EINTR is not a wakeup and a timeout did no work; an Err means
+        // the readiness queue itself failed — park on the futex instead.
+        let n = match outcome {
+            Ok(WaitOutcome::Ready(n)) => n,
+            Ok(WaitOutcome::TimedOut | WaitOutcome::Interrupted) => return true,
+            Err(_) => return false,
+        };
+        self.stats.count_wakeup(0);
+        self.stats.count_events(0, n as u64);
+        for ev in &events[..n] {
+            self.dispatch(hooks, *ev);
+        }
+        true
+    }
+
+    /// Fires the waiters one readiness entry unblocks.
+    fn dispatch(&self, hooks: &DriverHooks, ev: IoEvent) {
+        let fd = ev.cookie as u32 as RawFd;
+        let fired = {
+            let mut table = self.table.lock();
+            let Some(entry) = table.get_mut(&fd) else {
+                return; // closed between the wait and here
+            };
+            // Fault: swallow this readiness — the waiter stays filed and
+            // is re-armed below, so the kernel reports the still-true
+            // condition again.
+            let claim = |hit: bool, slot: &mut Option<Waiter>| {
+                (hit && slot.is_some() && !hooks.drop_readiness())
+                    .then(|| slot.take())
+                    .flatten()
+            };
+            let fired = [
+                claim(ev.read, &mut entry.read),
+                claim(ev.write, &mut entry.write),
+            ];
+            // The report disarmed the fd: re-arm whatever still waits.
+            let set = entry.set();
+            if !set.is_empty() {
+                let _ = self.driver.modify(fd, set, ev.cookie);
+            }
+            fired
+        };
+        // Fire outside the table lock: each complete() routes a resume
+        // event to the suspended task's owner.
+        for waiter in fired.into_iter().flatten() {
+            hooks.trace_io(IoTraceEvent::Ready {
+                token: waiter.token,
+            });
+            hooks.count_io_readiness();
+            waiter.completer.complete(());
+        }
+    }
+
+    /// Stops the reactor: raises the flag, kicks any worker out of the
+    /// wait and waits for it to leave, then — under the table lock,
+    /// closing the backend before releasing it, so a racing register can
+    /// never arm a closed (possibly reused) descriptor — drains every
+    /// waiter.
+    fn shutdown_drain(&self, hooks: &DriverHooks) -> DriverReport {
+        self.shutdown.store(true, Ordering::SeqCst);
+        self.driver.wake();
+        while self.in_wait.load(Ordering::SeqCst) != 0 {
+            std::thread::yield_now();
+        }
+        let mut report = DriverReport::default();
+        let canceled: Vec<Waiter> = {
+            let mut table = self.table.lock();
+            let mut canceled = Vec::new();
+            for (_fd, entry) in table.drain() {
+                report.drained_registrations += 1;
+                for waiter in [entry.read, entry.write].into_iter().flatten() {
+                    hooks.trace_io(IoTraceEvent::Deregister {
+                        token: waiter.token,
+                    });
+                    report.canceled_waits += 1;
+                    canceled.push(waiter);
+                }
+            }
+            self.driver.close();
+            canceled
+        };
+        // Settle outside the lock: each dropped completer delivers an
+        // Err(Canceled) resume that the still-running workers drain.
+        drop(canceled);
+        report
+    }
+}
 
 struct Inner {
     hooks: DriverHooks,
-    /// The shard map; empty in blocking mode. Routing is `fd % len`.
-    shards: Vec<Arc<EpollShard>>,
-    /// Set exactly once by the first successful [`Driver::shutdown`];
-    /// later callers return the stored report (idempotence).
+    /// `None` under [`LatencyMode::Block`]: no epoll, and waits complete
+    /// immediately so callers fall through to blocking syscalls.
+    io: Option<Io>,
+    /// Set exactly once by the first [`Driver::shutdown`]; later callers
+    /// return the stored report (idempotence).
     report: Mutex<Option<DriverReport>>,
-    /// Reactor-wide token mint: tokens stay unique across shards.
     next_token: AtomicU64,
-    /// [`LatencyMode::Block`]: no shards, waits complete immediately so
-    /// callers fall through to blocking syscalls.
-    blocking: bool,
-    /// Whether the shards' backends arm edge-triggered.
-    edge: bool,
+}
+
+impl Driver for Inner {
+    fn name(&self) -> &'static str {
+        "lhws-net-reactor"
+    }
+
+    fn poll(&self, timeout: Duration) -> bool {
+        self.io
+            .as_ref()
+            .is_some_and(|io| io.poll(&self.hooks, timeout))
+    }
+
+    fn unpark(&self) {
+        if let Some(io) = &self.io {
+            io.driver.wake();
+        }
+    }
+
+    fn shutdown(&self) -> DriverReport {
+        let mut stored = self.report.lock();
+        if let Some(r) = *stored {
+            return r;
+        }
+        let report = self
+            .io
+            .as_ref()
+            .map_or_else(DriverReport::default, |io| io.shutdown_drain(&self.hooks));
+        *stored = Some(report);
+        report
+    }
 }
 
 /// Handle to the reactor; cheap to clone, shared by every socket wrapper.
@@ -72,156 +352,80 @@ pub struct Reactor {
 impl std::fmt::Debug for Reactor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Reactor")
-            .field("blocking", &self.inner.blocking)
-            .field("shards", &self.inner.shards.len())
-            .field("edge_triggered", &self.inner.edge)
+            .field("blocking", &self.is_blocking())
             .field("registered_fds", &self.registered_fds())
             .finish()
     }
 }
 
-/// Configures and builds a [`Reactor`]; from [`Reactor::builder`].
+/// Builds a runtime's [`Reactor`]; from [`Reactor::builder`].
 ///
 /// ```no_run
 /// use lhws_core::Runtime;
 /// use lhws_net::Reactor;
 ///
 /// let rt = Runtime::builder().workers(2).build().unwrap();
-/// let reactor = Reactor::builder(&rt).shards(4).build().unwrap();
-/// assert_eq!(reactor.shard_count(), 4);
+/// let reactor = Reactor::builder(&rt).build().unwrap();
+/// assert_eq!(reactor.registered_fds(), 0);
 /// ```
 #[must_use = "builders do nothing until `build()` is called"]
 pub struct ReactorBuilder<'rt> {
     rt: &'rt Runtime,
-    shards: usize,
-    edge_triggered: bool,
 }
 
-/// Hard cap on [`ReactorBuilder::shards`]: each shard is an epoll
-/// instance, an eventfd, and an OS thread, so a runaway value is a
-/// resource bug, not a tuning choice.
-pub const MAX_REACTOR_SHARDS: usize = 1024;
-
 impl<'rt> ReactorBuilder<'rt> {
-    /// Sets the shard count: independent epoll instances + event
-    /// threads, with fds routed by `fd % shards`. `0` means one shard
-    /// per worker; omitted, the reactor runs `1` shard (the historical
-    /// single-threaded reactor). More than [`MAX_REACTOR_SHARDS`] is
-    /// rejected by [`build`](Self::build) with
-    /// [`io::ErrorKind::InvalidInput`].
-    pub fn shards(mut self, n: usize) -> Self {
-        self.shards = n;
-        self
-    }
-
-    /// Arms interest edge-triggered (`EPOLLET`): the kernel reports each
-    /// readiness transition once instead of re-reporting still-true
-    /// conditions on every wait, trading re-report robustness for fewer
-    /// wakeups under sustained readiness. The waiter protocol disarms on
-    /// fire and re-evaluates on every (re-)arm, so both modes deliver
-    /// the same completions.
-    pub fn edge_triggered(mut self, on: bool) -> Self {
-        self.edge_triggered = on;
-        self
-    }
-
-    /// Builds the reactor, spawns its shard threads (none under
-    /// [`LatencyMode::Block`]), and attaches it to the runtime as a
-    /// [`Driver`] so [`Runtime::shutdown`](lhws_core::Runtime::shutdown)
-    /// stops it deterministically.
+    /// Builds the reactor and attaches it to the runtime as its
+    /// [`Driver`]: the workers harvest it, and
+    /// [`Runtime::shutdown`](lhws_core::Runtime::shutdown) stops it
+    /// deterministically. A runtime has one reactor — building again
+    /// returns the first.
     pub fn build(self) -> io::Result<Reactor> {
         let hooks = self.rt.driver_hooks();
-        let blocking = hooks.mode() == Some(LatencyMode::Block);
-        let shard_count = if blocking {
-            0
-        } else {
-            if self.shards > MAX_REACTOR_SHARDS {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!(
-                        "reactor shards ({}) exceeds MAX_REACTOR_SHARDS ({MAX_REACTOR_SHARDS})",
-                        self.shards
-                    ),
-                ));
-            }
-            match self.shards {
-                0 => hooks.workers().unwrap_or(1),
-                n => n,
-            }
-        };
-        let stats = hooks.register_io_shards(shard_count);
-        let mut shards = Vec::with_capacity(shard_count);
-        for index in 0..shard_count {
-            let driver = EpollDriver::new(self.edge_triggered)?;
-            let shard = EpollShard::new(index, hooks.clone(), Arc::clone(&stats), Box::new(driver));
-            if let Err(e) = shard.spawn() {
-                // Unwind the shards already running so no thread leaks.
-                shard.shutdown_drain();
-                for s in &shards {
-                    let s: &Arc<EpollShard> = s;
-                    s.shutdown_drain();
-                }
-                return Err(e);
-            }
-            shards.push(shard);
-        }
-        let reactor = Reactor {
-            inner: Arc::new(Inner {
-                hooks,
-                shards,
-                report: Mutex::new(None),
-                next_token: AtomicU64::new(1),
-                blocking,
-                edge: self.edge_triggered,
+        let io = match hooks.mode() {
+            LatencyMode::Block => None,
+            LatencyMode::Hide => Some(Io {
+                driver: Box::new(EpollDriver::new()?),
+                table: Mutex::new(HashMap::new()),
+                shutdown: AtomicBool::new(false),
+                in_wait: AtomicUsize::new(0),
+                stats: hooks.register_io_shards(1),
             }),
         };
-        self.rt.attach_driver(Arc::new(reactor.clone()));
-        Ok(reactor)
+        let ours = Arc::new(Inner {
+            hooks,
+            io,
+            report: Mutex::new(None),
+            next_token: AtomicU64::new(1),
+        });
+        let attached: Arc<dyn Any + Send + Sync> = self.rt.attach_driver(ours);
+        match attached.downcast::<Inner>() {
+            Ok(inner) => Ok(Reactor { inner }),
+            Err(_) => Err(io::Error::other(
+                "the runtime already has a different driver attached",
+            )),
+        }
     }
 }
 
 impl Reactor {
-    /// Starts configuring a reactor for `rt`. See [`ReactorBuilder`] for
-    /// the knobs; `build()` spawns the shard threads and attaches the
-    /// reactor as a [`Driver`].
+    /// Starts building the reactor for `rt`; `build()` attaches it as the
+    /// runtime's [`Driver`].
     pub fn builder(rt: &Runtime) -> ReactorBuilder<'_> {
-        ReactorBuilder {
-            rt,
-            shards: 1,
-            edge_triggered: false,
-        }
+        ReactorBuilder { rt }
     }
 
     /// True when this reactor serves a [`LatencyMode::Block`] runtime:
     /// sockets should stay in blocking mode and readiness waits are no-ops.
     pub fn is_blocking(&self) -> bool {
-        self.inner.blocking
+        self.inner.io.is_none()
     }
 
-    /// Number of shards (epoll instances + event threads). `0` in
-    /// blocking mode.
-    pub fn shard_count(&self) -> usize {
-        self.inner.shards.len()
-    }
-
-    /// The shard index `fd` routes to: `fd % shards`. Panics in blocking
-    /// mode (there are no shards).
-    pub fn shard_of(&self, fd: RawFd) -> usize {
-        (fd as usize) % self.inner.shards.len()
-    }
-
-    /// Whether the shards arm interest edge-triggered.
-    pub fn is_edge_triggered(&self) -> bool {
-        self.inner.edge
-    }
-
-    /// Total fds currently holding at least one waiter, across shards.
+    /// Fds currently holding at least one waiter.
     pub fn registered_fds(&self) -> usize {
-        self.inner.shards.iter().map(|s| s.registered_fds()).sum()
-    }
-
-    fn shard(&self, fd: RawFd) -> &Arc<EpollShard> {
-        &self.inner.shards[(fd as usize) % self.inner.shards.len()]
+        self.inner.io.as_ref().map_or(0, |io| {
+            let table = io.table.lock();
+            table.values().filter(|e| !e.set().is_empty()).count()
+        })
     }
 
     /// Rolls the `PeerReset` connection fault site (see
@@ -241,8 +445,8 @@ impl Reactor {
     }
 
     /// The runtime's Block-mode I/O safety timeout
-    /// (`Config::io_safety_timeout`), or `None` once the runtime is gone.
-    pub(crate) fn io_safety_timeout(&self) -> Option<std::time::Duration> {
+    /// (`Config::io_safety_timeout`).
+    pub(crate) fn io_safety_timeout(&self) -> Duration {
         self.inner.hooks.io_safety_timeout()
     }
 
@@ -253,21 +457,22 @@ impl Reactor {
     /// Returns a future resolving when `fd` is ready for `interest`.
     ///
     /// On a latency-hiding runtime the first `Pending` poll suspends the
-    /// task against its deque ([`lhws_core::external_op`] semantics); the
-    /// fd's home shard (`fd % shards`) fires the completion on kernel
+    /// task against its deque ([`lhws_core::external_op`] semantics); a
+    /// worker harvesting the reactor fires the completion on kernel
     /// readiness. Dropping the future before readiness deregisters the
     /// wait. In blocking mode the future completes immediately so callers
     /// retry the (blocking) syscall.
     pub fn ready(&self, fd: RawFd, interest: Interest) -> ReadyFuture {
         let token = self.inner.next_token.fetch_add(1, Ordering::Relaxed);
         let (completer, op) = external_op::<()>();
-        let err = if self.inner.blocking {
-            completer.complete(());
-            None
-        } else {
-            self.shard(fd)
-                .register(fd, interest, token, completer)
-                .err()
+        let err = match &self.inner.io {
+            None => {
+                completer.complete(());
+                None
+            }
+            Some(io) => io
+                .register(&self.inner.hooks, fd, interest, token, completer)
+                .err(),
         };
         ReadyFuture {
             reactor: self.clone(),
@@ -280,36 +485,19 @@ impl Reactor {
         }
     }
 
-    /// Routes a cancel to the fd's home shard (no-op in blocking mode).
+    /// Unfiles a wait (no-op in blocking mode).
     fn cancel(&self, fd: RawFd, interest: Interest, token: u64) {
-        if self.inner.blocking {
-            return;
+        if let Some(io) = &self.inner.io {
+            io.cancel(&self.inner.hooks, fd, interest, token);
         }
-        self.shard(fd).cancel(fd, interest, token);
-    }
-}
-
-impl Driver for Reactor {
-    fn name(&self) -> &'static str {
-        "lhws-net-reactor"
     }
 
-    /// Fans the shutdown out across shards, in index order, summing each
-    /// shard's drain tally. Idempotent: the first caller stores the
-    /// summed report and later callers return it.
-    fn shutdown(&self) -> DriverReport {
-        let mut stored = self.inner.report.lock();
-        if let Some(r) = *stored {
-            return r;
+    /// Forgets a closing fd (no-op in blocking mode). Called by the socket
+    /// wrappers' `Drop`, before the close.
+    pub(crate) fn deregister(&self, fd: RawFd) {
+        if let Some(io) = &self.inner.io {
+            io.deregister(&self.inner.hooks, fd);
         }
-        let mut report = DriverReport::default();
-        for shard in &self.inner.shards {
-            let r = shard.shutdown_drain();
-            report.canceled_waits += r.canceled_waits;
-            report.drained_registrations += r.drained_registrations;
-        }
-        *stored = Some(report);
-        report
     }
 }
 

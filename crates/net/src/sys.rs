@@ -4,7 +4,8 @@
 
 use std::io;
 use std::os::fd::RawFd;
-use std::os::raw::{c_int, c_uint, c_void};
+use std::os::raw::{c_int, c_long, c_uint, c_void};
+use std::time::Duration;
 
 use crate::driver::WaitOutcome;
 
@@ -30,9 +31,9 @@ pub const EPOLLERR: u32 = 0x008;
 pub const EPOLLHUP: u32 = 0x010;
 /// `EPOLLRDHUP`: peer closed its writing half.
 pub const EPOLLRDHUP: u32 = 0x2000;
-/// `EPOLLET`: edge-triggered delivery — report each readiness
-/// transition once instead of re-reporting a still-true condition.
-pub const EPOLLET: u32 = 1 << 31;
+/// `EPOLLONESHOT`: after one event is reported the fd is disarmed (it
+/// stays registered) until the next `EPOLL_CTL_MOD` re-arms it.
+pub const EPOLLONESHOT: u32 = 1 << 30;
 
 /// One `struct epoll_event`. On x86-64 the kernel ABI packs this struct
 /// (12 bytes, no padding before `data`); `repr(packed)` reproduces that.
@@ -51,12 +52,25 @@ pub struct EpollEvent {
 extern "C" {
     fn epoll_create1(flags: c_int) -> c_int;
     fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
-    fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int) -> c_int;
+    fn epoll_pwait2(
+        epfd: c_int,
+        events: *mut EpollEvent,
+        maxevents: c_int,
+        timeout: *const Timespec,
+        sigmask: *const c_void,
+    ) -> c_int;
     fn eventfd(initval: c_uint, flags: c_int) -> c_int;
     fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
     fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
     fn close(fd: c_int) -> c_int;
     fn listen(sockfd: c_int, backlog: c_int) -> c_int;
+}
+
+/// `struct timespec` (64-bit Linux ABIs).
+#[repr(C)]
+struct Timespec {
+    tv_sec: c_long,
+    tv_nsec: c_long,
 }
 
 /// Creates a close-on-exec epoll instance.
@@ -79,20 +93,36 @@ pub fn epoll_ctl_op(epfd: RawFd, op: c_int, fd: RawFd, events: u32, data: u64) -
     Ok(())
 }
 
-/// Blocks until events arrive (or `timeout_ms`, `-1` = forever).
+/// Blocks until events arrive or `timeout` elapses (`Duration::ZERO`
+/// polls without blocking). `epoll_pwait2` (Linux >= 5.11) rather than
+/// `epoll_wait`, because the timeout is a worker's park interval — tens of
+/// microseconds, which a millisecond timeout would round to 0 or 1000.
 ///
 /// The three non-error outcomes are kept distinct so callers can account
 /// them differently: [`WaitOutcome::Ready`] carries the filled-entry
 /// count, `rc == 0` maps to [`WaitOutcome::TimedOut`], and `EINTR` maps
-/// to [`WaitOutcome::Interrupted`] — previously folded into an empty
-/// batch, which made a signal indistinguishable from a timeout and
-/// inflated the per-shard wakeup metrics with spurious idle returns.
+/// to [`WaitOutcome::Interrupted`], so a signal is never counted as a
+/// wakeup.
 pub fn epoll_wait_events(
     epfd: RawFd,
     events: &mut [EpollEvent],
-    timeout_ms: c_int,
+    timeout: Duration,
 ) -> io::Result<WaitOutcome> {
-    let rc = unsafe { epoll_wait(epfd, events.as_mut_ptr(), events.len() as c_int, timeout_ms) };
+    let ts = Timespec {
+        tv_sec: timeout.as_secs().min(c_long::MAX as u64) as c_long,
+        tv_nsec: timeout.subsec_nanos() as c_long,
+    };
+    // SAFETY: `events` is a live, writable buffer of `events.len()`
+    // entries, `ts` outlives the call, and a null sigmask means "none".
+    let rc = unsafe {
+        epoll_pwait2(
+            epfd,
+            events.as_mut_ptr(),
+            events.len() as c_int,
+            &ts,
+            std::ptr::null(),
+        )
+    };
     if rc < 0 {
         let err = io::Error::last_os_error();
         if err.kind() == io::ErrorKind::Interrupted {
@@ -109,7 +139,7 @@ pub fn epoll_wait_events(
 /// (Re-)applies `listen` to a bound socket to deepen its accept backlog.
 /// Linux allows re-listening on an already-listening socket just to
 /// change the backlog; `std`'s hardwired 128 is far too shallow for the
-/// C1M-style connect storms the sharded reactor is built for.
+/// connect storms a loopback server sees.
 pub fn listen_backlog(fd: RawFd, backlog: i32) -> io::Result<()> {
     let rc = unsafe { listen(fd, backlog) };
     if rc < 0 {
@@ -169,12 +199,12 @@ mod tests {
         // distinct from both readiness and EINTR.
         let mut buf = [EpollEvent { events: 0, data: 0 }; 4];
         assert_eq!(
-            epoll_wait_events(ep, &mut buf, 0).unwrap(),
+            epoll_wait_events(ep, &mut buf, Duration::ZERO).unwrap(),
             WaitOutcome::TimedOut
         );
         eventfd_write(ev);
         assert_eq!(
-            epoll_wait_events(ep, &mut buf, 1000).unwrap(),
+            epoll_wait_events(ep, &mut buf, Duration::from_secs(1)).unwrap(),
             WaitOutcome::Ready(1)
         );
         // Copy packed fields by value before asserting.
@@ -183,7 +213,7 @@ mod tests {
         assert_eq!(data, 42);
         eventfd_drain(ev);
         assert_eq!(
-            epoll_wait_events(ep, &mut buf, 0).unwrap(),
+            epoll_wait_events(ep, &mut buf, Duration::from_micros(50)).unwrap(),
             WaitOutcome::TimedOut
         );
         close_fd(ev);

@@ -57,9 +57,10 @@ impl TcpListener {
         loop {
             // Fault: a listener that epoll reported ready claims
             // `WouldBlock` anyway — another thread raced the accept
-            // queue. Lossless: interest is level-triggered, so the wait
-            // below returns immediately while a connection is pending and
-            // the next iteration accepts it.
+            // queue. Lossless: registering the wait re-arms the listener,
+            // and re-arming re-evaluates readiness, so the wait returns at
+            // once while a connection is pending and the next iteration
+            // accepts it.
             if self.reactor.fault_accept_burst() {
                 self.reactor
                     .ready(self.inner.as_raw_fd(), Interest::Read)
@@ -106,7 +107,7 @@ impl TcpListener {
         let mut batch = Vec::new();
         loop {
             // Same fault semantics as `accept`: a burst-claimed accept
-            // queue is recovered by re-awaiting level-triggered interest.
+            // queue is recovered by the re-arm of the next wait.
             if batch.is_empty() && self.reactor.fault_accept_burst() {
                 self.reactor
                     .ready(self.inner.as_raw_fd(), Interest::Read)
@@ -176,9 +177,7 @@ impl TcpStream {
     /// with `read_ready().with_timeout(..)` instead.
     pub fn from_std(inner: std::net::TcpStream, reactor: &Reactor) -> io::Result<TcpStream> {
         if reactor.is_blocking() {
-            if let Some(timeout) = reactor.io_safety_timeout() {
-                inner.set_read_timeout(Some(timeout))?;
-            }
+            inner.set_read_timeout(Some(reactor.io_safety_timeout()))?;
         } else {
             inner.set_nonblocking(true)?;
         }
@@ -203,8 +202,9 @@ impl TcpStream {
         self.inner.peer_addr()
     }
 
-    /// Clones the stream (shared descriptor), e.g. to split reading and
-    /// writing across tasks.
+    /// Clones the stream (a `dup` of the descriptor), e.g. to split
+    /// reading and writing across tasks. Each handle waits on, and
+    /// deregisters, its own descriptor.
     pub fn try_clone(&self) -> io::Result<TcpStream> {
         Ok(TcpStream {
             inner: self.inner.try_clone()?,
@@ -298,6 +298,18 @@ impl TcpStream {
             }
         }
         Ok(())
+    }
+}
+
+impl Drop for TcpListener {
+    fn drop(&mut self) {
+        self.reactor.deregister(self.inner.as_raw_fd());
+    }
+}
+
+impl Drop for TcpStream {
+    fn drop(&mut self) {
+        self.reactor.deregister(self.inner.as_raw_fd());
     }
 }
 

@@ -1,0 +1,344 @@
+//! The arm-once protocol: each fd is added to epoll once, re-armed with
+//! one one-shot `MOD` per wait, and removed before it is closed — and the
+//! reactor runs on the workers, with no thread of its own.
+
+use std::io::{Read, Write};
+use std::net::SocketAddr;
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
+
+use lhws_core::{fork2, spawn, FaultPlan, LatencyMode, Runtime};
+use lhws_net::{DeadlineExt, Reactor, TcpListener, TcpStream};
+
+/// Readiness waits the tests bound themselves are bounded by this, so a
+/// lost arm fails with `TimedOut` instead of hanging.
+const WAIT_LIMIT: Duration = Duration::from_secs(5);
+
+fn hide_rt(workers: usize) -> (Runtime, Reactor) {
+    let rt = Runtime::builder()
+        .workers(workers)
+        .mode(LatencyMode::Hide)
+        .build()
+        .unwrap();
+    let reactor = Reactor::builder(&rt).build().unwrap();
+    (rt, reactor)
+}
+
+/// Runs `fut` as a task and waits for it from this thread for at most
+/// `limit`: a readiness the reactor loses fails the test rather than
+/// hanging it (dropping the runtime then cancels the stuck wait).
+fn run_bounded<T: Send + 'static>(
+    rt: &Runtime,
+    limit: Duration,
+    fut: impl std::future::Future<Output = T> + Send + 'static,
+) -> T {
+    let (tx, rx) = mpsc::channel();
+    drop(rt.spawn(async move {
+        let _ = tx.send(fut.await);
+    }));
+    rx.recv_timeout(limit)
+        .expect("the task never finished: a readiness was lost")
+}
+
+/// One bounded wait, then one read.
+async fn read_some(s: &mut TcpStream, buf: &mut [u8]) -> std::io::Result<usize> {
+    s.read_ready().with_timeout(WAIT_LIMIT).await?;
+    s.read(buf).await
+}
+
+/// Bounded waits and reads until `buf` is full (a `PartialWrite` fault
+/// can split the peer's message).
+async fn read_full(s: &mut TcpStream, buf: &mut [u8]) -> std::io::Result<()> {
+    let mut got = 0;
+    while got < buf.len() {
+        match read_some(s, &mut buf[got..]).await? {
+            0 => return Err(std::io::ErrorKind::UnexpectedEof.into()),
+            n => got += n,
+        }
+    }
+    Ok(())
+}
+
+/// `n` loopback pairs: a plain `std` client and the runtime's server end.
+fn pairs(rt: &Runtime, reactor: &Reactor, n: usize) -> Vec<(std::net::TcpStream, TcpStream)> {
+    let listener = TcpListener::bind(reactor, "127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let clients: Vec<_> = (0..n)
+        .map(|_| std::net::TcpStream::connect(addr).unwrap())
+        .collect();
+    let servers = run_bounded(rt, WAIT_LIMIT, async move {
+        let mut servers = Vec::with_capacity(n);
+        while servers.len() < n {
+            servers.push(listener.accept().await.unwrap().0);
+        }
+        servers
+    });
+    clients.into_iter().zip(servers).collect()
+}
+
+/// A closed server socket's fd number, handed out again by the next
+/// accept, still gets readiness: the close removed the old registration
+/// first, and the new socket is armed afresh.
+#[test]
+fn reused_fd_number_still_gets_readiness() {
+    let (rt, reactor) = hide_rt(2);
+    let listener = TcpListener::bind(&reactor, "127.0.0.1:0").unwrap();
+    let addr: SocketAddr = listener.local_addr().unwrap();
+    let reused = run_bounded(&rt, Duration::from_secs(60), async move {
+        let mut reused = 0;
+        for _ in 0..20 {
+            let mut client_a = std::net::TcpStream::connect(addr).unwrap();
+            let (mut a, _) = listener.accept().await.unwrap();
+            client_a.write_all(b"a").unwrap();
+            // A waits once, so its fd is registered (and the arm spent).
+            assert_eq!(read_some(&mut a, &mut [0]).await.unwrap(), 1);
+            // B's client connects before A closes, so the accept below
+            // takes the lowest free fd — A's, unless a parallel test
+            // grabbed it first.
+            let mut client_b = std::net::TcpStream::connect(addr).unwrap();
+            let a_fd = a.as_raw_fd();
+            drop(a);
+            let (mut b, _) = listener.accept().await.unwrap();
+            reused += usize::from(b.as_raw_fd() == a_fd);
+            // B's wait is filed before its data exists, then fires.
+            let wait = b.read_ready().with_timeout(WAIT_LIMIT);
+            client_b.write_all(b"b").unwrap();
+            wait.await.unwrap();
+            assert_eq!(b.read(&mut [0]).await.unwrap(), 1);
+        }
+        reused
+    });
+    assert!(reused > 0, "no accept ever reused a closed fd number");
+    let report = rt.shutdown();
+    assert_eq!(report.leaked_suspensions, 0, "unclean: {report:?}");
+}
+
+/// `try_clone` makes a second descriptor for the same socket: a reader
+/// task and a writer task each wait on (and arm) their own fd, both past
+/// the loopback buffers so both see `EAGAIN`, and neither loses a byte.
+#[test]
+fn try_clone_halves_wait_on_two_tasks() {
+    const BYTES: usize = 4 << 20;
+    let (rt, reactor) = hide_rt(2);
+    let (peer, conn) = pairs(&rt, &reactor, 1).pop().unwrap();
+    let mut peer_in = peer.try_clone().unwrap();
+    let feeder = std::thread::spawn(move || peer_in.write_all(&vec![7u8; BYTES]).unwrap());
+    let mut peer_out = peer;
+    let drainer = std::thread::spawn(move || {
+        let (mut n, mut buf) = (0, vec![0u8; 1 << 16]);
+        while n < BYTES {
+            let k = peer_out.read(&mut buf).unwrap();
+            assert!(k > 0, "server closed early");
+            assert!(buf[..k].iter().all(|&b| b == 9));
+            n += k;
+        }
+    });
+    let (read, wrote) = run_bounded(&rt, Duration::from_secs(60), async move {
+        let mut w = conn.try_clone().unwrap();
+        let mut r = conn;
+        assert_ne!(r.as_raw_fd(), w.as_raw_fd());
+        let reader = spawn(async move {
+            let (mut n, mut buf) = (0, vec![0u8; 1 << 16]);
+            while n < BYTES {
+                let k = read_some(&mut r, &mut buf).await.unwrap();
+                assert!(k > 0, "peer closed early");
+                n += k;
+            }
+            n
+        });
+        let writer = spawn(async move {
+            let chunk = vec![9u8; 1 << 16];
+            for _ in 0..BYTES / chunk.len() {
+                w.write_ready().with_timeout(WAIT_LIMIT).await.unwrap();
+                w.write_all(&chunk).await.unwrap();
+            }
+            BYTES
+        });
+        (reader.await, writer.await)
+    });
+    assert_eq!((read, wrote), (BYTES, BYTES));
+    feeder.join().unwrap();
+    drainer.join().unwrap();
+    let report = rt.shutdown();
+    assert_eq!(report.leaked_suspensions, 0, "unclean: {report:?}");
+}
+
+/// 10 000 ping-pong rounds on one connection: every server read hits
+/// `EAGAIN` and registers while the peer's next byte races it in. The
+/// re-arm re-evaluates readiness, so no byte is ever missed.
+#[test]
+fn peer_writes_racing_registration_lose_nothing() {
+    const ROUNDS: usize = 10_000;
+    let (rt, reactor) = hide_rt(2);
+    let (mut peer, mut conn) = pairs(&rt, &reactor, 1).pop().unwrap();
+    peer.set_nodelay(true).unwrap();
+    peer.set_read_timeout(Some(WAIT_LIMIT)).unwrap();
+    let pinger = std::thread::spawn(move || {
+        let mut ack = [0u8; 1];
+        for i in 0..ROUNDS {
+            let byte = (i % 251) as u8;
+            peer.write_all(&[byte]).unwrap();
+            peer.read_exact(&mut ack).unwrap();
+            assert_eq!(ack[0], byte, "round {i}");
+        }
+    });
+    run_bounded(&rt, Duration::from_secs(120), async move {
+        let mut byte = [0u8; 1];
+        for i in 0..ROUNDS {
+            assert_eq!(conn.read(&mut byte).await.unwrap(), 1, "round {i}");
+            conn.write_all(&byte).await.unwrap();
+        }
+    });
+    pinger.join().unwrap();
+    let report = rt.shutdown();
+    assert_eq!(report.leaked_suspensions, 0, "unclean: {report:?}");
+}
+
+/// The two fault sites that leaned on level-triggered re-reporting
+/// recover under one-shot arms: a swallowed readiness is re-armed by the
+/// reactor, and a burst-claimed accept queue by the re-arm of the next
+/// wait. Both `accept` and `accept_batch` take the `AcceptBurst` path.
+#[test]
+fn accept_burst_and_dropped_readiness_recover_under_arm_once() {
+    const CONNS: usize = 24;
+    let rt = Runtime::builder()
+        .workers(2)
+        .fault_plan(
+            FaultPlan::new(0xacce_0b57)
+                .accept_burst(400_000)
+                .dropped_readiness(400_000)
+                .partial_write(300_000),
+        )
+        .build()
+        .unwrap();
+    let reactor = Reactor::builder(&rt).build().unwrap();
+    let listener = TcpListener::bind(&reactor, "127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let served = run_bounded(&rt, Duration::from_secs(60), async move {
+        let serve = async move {
+            let mut served = 0;
+            while served < CONNS {
+                let batch = if served % 2 == 0 {
+                    listener.accept_batch(4).await.unwrap()
+                } else {
+                    vec![listener.accept().await.unwrap()]
+                };
+                for (mut conn, _) in batch {
+                    let mut buf = [0u8; 3];
+                    read_full(&mut conn, &mut buf).await.unwrap();
+                    conn.write_all(&buf).await.unwrap();
+                    served += 1;
+                }
+            }
+            served
+        };
+        let drive = async move {
+            for i in 0..CONNS {
+                let mut s = TcpStream::connect(&reactor, addr).unwrap();
+                let msg = format!("c{i:02}");
+                s.write_all(msg.as_bytes()).await.unwrap();
+                let mut buf = [0u8; 3];
+                read_full(&mut s, &mut buf).await.unwrap();
+                assert_eq!(&buf, msg.as_bytes());
+            }
+        };
+        fork2(serve, drive).await.0
+    });
+    assert_eq!(served, CONNS);
+    let report = rt.shutdown();
+    assert!(report.faults_injected > 0, "no fault fired: {report:?}");
+    assert_eq!(report.canceled_io_waits, 0, "{report:?}");
+    assert_eq!(report.leaked_suspensions, 0, "unclean: {report:?}");
+}
+
+/// Arms `n` connections' fds and leaves them idle: each server end reads
+/// one byte (registered, arm spent), and every other one also files a
+/// read wait and drops it (armed, no waiter).
+fn idle_armed(rt: &Runtime, reactor: &Reactor, n: usize) -> Vec<(std::net::TcpStream, TcpStream)> {
+    let mut conns = pairs(rt, reactor, n);
+    for (client, _) in conns.iter_mut() {
+        client.write_all(b"x").unwrap();
+    }
+    run_bounded(rt, Duration::from_secs(30), async move {
+        for (i, (_, server)) in conns.iter_mut().enumerate() {
+            assert_eq!(read_some(server, &mut [0]).await.unwrap(), 1);
+            if i % 2 == 0 {
+                drop(server.read_ready());
+            }
+        }
+        conns
+    })
+}
+
+/// `canceled_io_waits` counts canceled *waiters*, never fds that are
+/// merely registered: 64 idle armed connections outliving the shutdown
+/// cancel nothing.
+#[test]
+fn idle_armed_connections_cancel_no_waits() {
+    let (rt, reactor) = hide_rt(2);
+    let conns = idle_armed(&rt, &reactor, 64);
+    assert_eq!(reactor.registered_fds(), 0, "no waiter is filed");
+    let report = rt.shutdown();
+    assert_eq!(report.canceled_io_waits, 0, "{report:?}");
+    assert_eq!(report.leaked_suspensions, 0, "unclean: {report:?}");
+    drop(conns);
+}
+
+/// Beside 64 idle armed connections, exactly the N parked readers are
+/// canceled by the shutdown drain.
+#[test]
+fn shutdown_cancels_exactly_the_parked_readers() {
+    const PARKED: usize = 5;
+    let (rt, reactor) = hide_rt(2);
+    let idle = idle_armed(&rt, &reactor, 64);
+    let quiet = pairs(&rt, &reactor, PARKED);
+    let base = rt.metrics().suspensions;
+    let handles: Vec<_> = quiet
+        .iter()
+        .map(|(_, server)| {
+            let wait = server.read_ready();
+            rt.spawn(async move { wait.await.is_err() })
+        })
+        .collect();
+    let deadline = Instant::now() + WAIT_LIMIT;
+    while rt.metrics().suspensions < base + PARKED as u64 {
+        assert!(Instant::now() < deadline, "readers never parked");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    drop(handles);
+    let report = rt.shutdown();
+    assert_eq!(report.canceled_io_waits, PARKED as u64, "{report:?}");
+    assert_eq!(report.leaked_suspensions, 0, "unclean: {report:?}");
+    drop((idle, quiet));
+}
+
+/// Thread census: the reactor adds no thread. Every `lhws-` thread of
+/// this process (whichever test's runtime it serves) is a worker or a
+/// timer ticker.
+#[test]
+fn reactor_runs_on_worker_and_timer_threads_only() {
+    let (rt, reactor) = hide_rt(2);
+    let conns = idle_armed(&rt, &reactor, 2);
+    let names: Vec<String> = std::fs::read_dir("/proc/self/task")
+        .unwrap()
+        .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+        .map(|name| name.trim_end().to_string())
+        .filter(|name| name.starts_with("lhws-"))
+        .collect();
+    assert!(
+        names
+            .iter()
+            .filter(|n| n.starts_with("lhws-worker"))
+            .count()
+            >= 2,
+        "census missed the workers: {names:?}"
+    );
+    assert!(
+        names
+            .iter()
+            .all(|n| n.starts_with("lhws-worker-") || n.starts_with("lhws-timer-")),
+        "a thread that is neither worker nor timer: {names:?}"
+    );
+    drop(conns);
+    rt.shutdown();
+}

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use lhws_core::{audit, fork2, FaultPlan, LatencyMode, Runtime};
-use lhws_net::{DeadlineExt, Reactor, TcpListener, TcpStream, MAX_REACTOR_SHARDS};
+use lhws_net::{DeadlineExt, Reactor, TcpListener, TcpStream};
 
 fn hide_rt(workers: usize) -> Runtime {
     Runtime::builder()
@@ -22,8 +22,7 @@ fn hide_rt(workers: usize) -> Runtime {
 #[test]
 fn loopback_echo_round_trips() {
     let rt = hide_rt(2);
-    let reactor = Reactor::builder(&rt).shards(2).build().unwrap();
-    assert_eq!(reactor.shard_count(), 2);
+    let reactor = Reactor::builder(&rt).build().unwrap();
 
     let conns = 8u64;
     let server_reactor = reactor.clone();
@@ -143,9 +142,7 @@ fn read_ready_timeout_fires() {
 #[test]
 fn readiness_beats_deadline() {
     let rt = hide_rt(2);
-    // Edge-triggered arms deliver the same completions as level-triggered.
-    let reactor = Reactor::builder(&rt).edge_triggered(true).build().unwrap();
-    assert!(reactor.is_edge_triggered());
+    let reactor = Reactor::builder(&rt).build().unwrap();
 
     let r2 = reactor.clone();
     rt.block_on(async move {
@@ -243,31 +240,31 @@ fn shutdown_cancels_inflight_waits() {
     assert_eq!(canceled_seen.load(Ordering::SeqCst), 101);
 }
 
-/// Shard-count resolution: omitted means the single level-triggered shard
-/// of the historical reactor, `0` means one shard per worker, and a count
-/// above the cap is rejected instead of spawning a thread per shard.
+/// A runtime has one reactor: building again returns the first (a wait
+/// filed through one handle is visible through the other), and the
+/// observer reports exactly one I/O counter entry.
 #[test]
-fn shard_count_default_per_worker_and_cap() {
+fn one_reactor_per_runtime() {
     let rt = hide_rt(3);
-    let reactor = Reactor::builder(&rt).build().unwrap();
-    assert_eq!(reactor.shard_count(), 1);
-    assert!(!reactor.is_edge_triggered());
+    let first = Reactor::builder(&rt).build().unwrap();
+    let second = Reactor::builder(&rt).build().unwrap();
+    assert_eq!(rt.observe().io_shards().unwrap().len(), 1);
 
-    let per_worker = Reactor::builder(&rt).shards(0).build().unwrap();
-    assert_eq!(per_worker.shard_count(), 3);
-
-    let err = Reactor::builder(&rt)
-        .shards(MAX_REACTOR_SHARDS + 1)
-        .build()
-        .unwrap_err();
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    let listener = TcpListener::bind(&first, "127.0.0.1:0").unwrap();
+    let _client = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+    let (conn, _) = rt.block_on(async move { listener.accept().await.unwrap() });
+    let wait = conn.read_ready();
+    assert_eq!(second.registered_fds(), 1, "the second build is the first");
+    drop(wait);
+    assert_eq!(second.registered_fds(), 0);
+    drop(conn);
 
     let report = rt.shutdown();
     assert_eq!(report.canceled_io_waits, 0);
     assert_eq!(report.leaked_suspensions, 0, "unclean: {report:?}");
 }
 
-/// Under `LatencyMode::Block` the reactor spawns no thread and the same
+/// Under `LatencyMode::Block` the reactor opens no epoll and the same
 /// application code runs on blocking sockets.
 #[test]
 fn block_mode_runs_same_code_without_reactor_thread() {
@@ -278,7 +275,10 @@ fn block_mode_runs_same_code_without_reactor_thread() {
         .unwrap();
     let reactor = Reactor::builder(&rt).build().unwrap();
     assert!(reactor.is_blocking());
-    assert_eq!(reactor.shard_count(), 0, "Block mode spawns no shards");
+    assert!(
+        rt.observe().io_shards().unwrap().is_empty(),
+        "Block mode has no readiness queue"
+    );
 
     // The client is a plain OS thread: in blocking mode a worker that
     // parks in the kernel cannot expose its forked children to thieves
@@ -311,10 +311,11 @@ fn block_mode_runs_same_code_without_reactor_thread() {
     assert_eq!(report.leaked_suspensions, 0);
 }
 
-/// `DroppedReadiness` fault injection swallows events but level-triggered
-/// re-arming recovers every wait: the run completes and audits clean.
+/// `DroppedReadiness` fault injection swallows events; one-shot arms report
+/// a condition once, so the reactor's explicit `MOD` re-arm of the waiter
+/// it kept is what recovers every wait: the run completes and audits clean.
 #[test]
-fn dropped_readiness_recovers_via_level_trigger() {
+fn dropped_readiness_recovers_via_rearm() {
     let rt = Runtime::builder()
         .workers(2)
         .mode(LatencyMode::Hide)

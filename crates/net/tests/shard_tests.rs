@@ -1,5 +1,6 @@
-//! Sharded-reactor integration tests: routing, cross-shard settlement,
-//! fan-out shutdown drain, and readiness surviving worker respawn.
+//! Reactor integration tests carried over from the sharded reactor: the
+//! one I/O counter entry, deadline-vs-readiness settlement, the shutdown
+//! drain, readiness surviving worker respawn, and batched accept.
 
 use std::time::{Duration, Instant};
 
@@ -14,7 +15,7 @@ fn hide_rt(workers: usize) -> Runtime {
         .unwrap()
 }
 
-/// Total (events, wakeups) per shard right now.
+/// Total (events, wakeups) per I/O counter entry right now.
 fn shard_snapshot(rt: &Runtime) -> Vec<(u64, u64)> {
     rt.observe()
         .io_shards()
@@ -24,77 +25,53 @@ fn shard_snapshot(rt: &Runtime) -> Vec<(u64, u64)> {
         .collect()
 }
 
-/// Binds a listener and accepts loopback pairs until the pairs' fds
-/// (client and server sides together) land on every shard. Returns the
-/// listener and the `(client, server)` pairs.
-///
-/// Both sides count because loopback fd allocation is patterned: each
-/// pair takes two consecutive fds, so the client fds alone share parity
-/// and can never cover 4 shards.
-fn streams_covering_all_shards(
+/// Binds a listener and accepts `n` loopback `(client, server)` pairs.
+fn loopback_pairs(
     rt: &Runtime,
     reactor: &Reactor,
+    n: usize,
 ) -> (TcpListener, Vec<(TcpStream, TcpStream)>) {
     let reactor = reactor.clone();
     rt.block_on(async move {
         let listener = TcpListener::bind(&reactor, "127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let shards = reactor.shard_count();
-        let mut covered = vec![false; shards];
         let mut pairs = Vec::new();
-        let mut attempts = 0usize;
-        while covered.iter().any(|c| !c) {
-            attempts += 1;
-            assert!(
-                attempts <= 64 * shards,
-                "could not cover {shards} shards with fresh fds"
-            );
+        for _ in 0..n {
             let client = TcpStream::connect(&reactor, addr).unwrap();
             let (server, _) = listener.accept().await.unwrap();
-            covered[reactor.shard_of(client.as_raw_fd())] = true;
-            covered[reactor.shard_of(server.as_raw_fd())] = true;
             pairs.push((client, server));
         }
         (listener, pairs)
     })
 }
 
-/// The routing property: a readiness wait on `fd` fires on exactly shard
-/// `fd % shards` — that shard's event counter moves, no other shard's
-/// does.
+/// Every readiness wait lands on the reactor's one readiness queue: its
+/// event counter moves by at least one per completed wait, and the
+/// observer never reports a second entry.
 #[test]
-fn readiness_fires_on_exactly_the_home_shard() {
+fn readiness_is_counted_on_the_one_queue() {
     let rt = hide_rt(2);
-    let reactor = Reactor::builder(&rt).shards(4).build().unwrap();
-    assert_eq!(reactor.shard_count(), 4);
-    assert_eq!(shard_snapshot(&rt).len(), 4);
+    let reactor = Reactor::builder(&rt).build().unwrap();
+    assert_eq!(shard_snapshot(&rt).len(), 1);
 
-    let (listener, pairs) = streams_covering_all_shards(&rt, &reactor);
+    let (listener, pairs) = loopback_pairs(&rt, &reactor, 4);
     for stream in pairs.iter().flat_map(|(c, s)| [c, s]) {
-        let fd = stream.as_raw_fd();
-        let home = reactor.shard_of(fd);
-        assert_eq!(home, (fd as usize) % 4);
         let before = shard_snapshot(&rt);
         // A fresh loopback socket is writable immediately: one arm, one
-        // kernel event, one completion — all on the home shard. The
-        // future registers at creation, so the event is counted before
-        // the await resolves.
+        // kernel event, one completion. The future registers at creation,
+        // and the harvesting worker counts the event before it fires.
         let ready = stream.write_ready();
         rt.block_on(async move { ready.await.unwrap() });
         let after = shard_snapshot(&rt);
-        for shard in 0..4 {
-            if shard == home {
-                assert!(
-                    after[shard].0 > before[shard].0,
-                    "fd {fd}: home shard {home} saw no event: {before:?} -> {after:?}"
-                );
-            } else {
-                assert_eq!(
-                    after[shard].0, before[shard].0,
-                    "fd {fd}: shard {shard} moved but {home} is home: {before:?} -> {after:?}"
-                );
-            }
-        }
+        assert_eq!(after.len(), 1);
+        assert!(
+            after[0].0 > before[0].0,
+            "no event: {before:?} -> {after:?}"
+        );
+        assert!(
+            after[0].1 > before[0].1,
+            "no wakeup: {before:?} -> {after:?}"
+        );
     }
     drop(pairs);
     drop(listener);
@@ -102,21 +79,19 @@ fn readiness_fires_on_exactly_the_home_shard() {
     assert_eq!(report.leaked_suspensions, 0, "unclean: {report:?}");
 }
 
-/// Cross-shard waits with deadlines settle exactly once each: a timeout
-/// on one shard and a readiness completion on another neither leak nor
-/// double-settle, and exactly one `io_timeout` is counted.
+/// Deadline-bounded waits on two connections settle exactly once each: a
+/// timeout on one and a readiness completion on the other neither leak
+/// nor double-settle, and exactly one `io_timeout` is counted. (The name
+/// is the sharded reactor's, where the two fds sat on different shards.)
 #[test]
 fn cross_shard_deadline_and_readiness_settle_once() {
     let rt = hide_rt(2);
-    let reactor = Reactor::builder(&rt).shards(2).build().unwrap();
+    let reactor = Reactor::builder(&rt).build().unwrap();
 
     let r2 = reactor.clone();
     rt.block_on(async move {
         let listener = TcpListener::bind(&r2, "127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        // Two pairs; with two shards consecutive accepted fds land on
-        // different shards often enough that running both legs always
-        // exercises the cross-shard path (and is correct regardless).
         let client_a = TcpStream::connect(&r2, addr).unwrap();
         let (server_a, _) = listener.accept().await.unwrap();
         let mut client_b = TcpStream::connect(&r2, addr).unwrap();
@@ -151,19 +126,17 @@ fn cross_shard_deadline_and_readiness_settle_once() {
     assert_eq!(report.leaked_suspensions, 0, "unclean: {report:?}");
 }
 
-/// Shutdown with in-flight waiters parked on every shard drains them
-/// all: the fan-out sums each shard's cancels into
-/// `canceled_io_waits` and nothing leaks or hangs.
+/// Shutdown with in-flight waiters parked on many fds drains them all
+/// into `canceled_io_waits`, and nothing leaks or hangs.
 #[test]
 fn shutdown_drains_inflight_waiters_on_every_shard() {
-    const SHARDS: usize = 3;
     let rt = hide_rt(2);
-    let reactor = Reactor::builder(&rt).shards(SHARDS).build().unwrap();
+    let reactor = Reactor::builder(&rt).build().unwrap();
 
-    let (listener, pairs) = streams_covering_all_shards(&rt, &reactor);
+    let (listener, pairs) = loopback_pairs(&rt, &reactor, 3);
 
-    // Park one never-ready read per stream side (nobody writes), spread
-    // across all shards, then shut down underneath them. The streams
+    // Park one never-ready read per stream side (nobody writes), then
+    // shut down underneath them. The streams
     // stay owned here — outliving the shutdown — so no fd is closed
     // mid-drain and no wait can complete via EOF instead of cancel.
     let futures: Vec<_> = pairs
@@ -189,7 +162,7 @@ fn shutdown_drains_inflight_waiters_on_every_shard() {
     let report = rt.shutdown();
     assert_eq!(
         report.canceled_io_waits, parked,
-        "every shard's parked wait must be drained: {report:?}"
+        "every parked wait must be drained: {report:?}"
     );
     assert_eq!(report.leaked_suspensions, 0, "unclean: {report:?}");
     drop(pairs);
@@ -208,7 +181,7 @@ fn readiness_survives_worker_respawn_under_load() {
         .fault_plan(FaultPlan::new(0xdead_10ad).worker_panic_after(60))
         .build()
         .unwrap();
-    let reactor = Reactor::builder(&rt).shards(2).build().unwrap();
+    let reactor = Reactor::builder(&rt).build().unwrap();
 
     let r2 = reactor.clone();
     let echoed = rt.block_on(async move {
@@ -259,64 +232,13 @@ fn readiness_survives_worker_respawn_under_load() {
     assert_eq!(report.leaked_suspensions, 0, "unclean: {report:?}");
 }
 
-/// `DroppedReadiness` under an edge-triggered reactor: the shard's
-/// explicit `modify` re-arm recovers the swallowed transition (level
-/// triggering would recover for free; EPOLLET must not regress the
-/// fault's losslessness).
-#[test]
-fn dropped_readiness_recovers_under_edge_trigger() {
-    let rt = Runtime::builder()
-        .workers(2)
-        .mode(LatencyMode::Hide)
-        .fault_plan(FaultPlan::new(0xeded_0001).dropped_readiness(400_000))
-        .build()
-        .unwrap();
-    let reactor = Reactor::builder(&rt)
-        .shards(2)
-        .edge_triggered(true)
-        .build()
-        .unwrap();
-    assert!(reactor.is_edge_triggered());
-
-    let r2 = reactor.clone();
-    rt.block_on(async move {
-        let listener = TcpListener::bind(&r2, "127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let serve = async {
-            for _ in 0..16 {
-                let (mut conn, _) = listener.accept().await.unwrap();
-                let mut buf = [0u8; 8];
-                let n = conn.read(&mut buf).await.unwrap();
-                conn.write_all(&buf[..n]).await.unwrap();
-            }
-        };
-        let r3 = r2.clone();
-        let drive = async move {
-            for _ in 0..16 {
-                let mut s = TcpStream::connect(&r3, addr).unwrap();
-                s.write_all(b"e").await.unwrap();
-                let mut buf = [0u8; 8];
-                s.read(&mut buf).await.unwrap();
-            }
-        };
-        fork2(serve, drive).await;
-    });
-
-    let report = rt.shutdown();
-    assert!(
-        report.faults_injected > 0,
-        "rate 40% over dozens of readiness events must fire"
-    );
-    assert_eq!(report.leaked_suspensions, 0, "unclean: {report:?}");
-}
-
 /// `accept_batch` drains a backed-up accept queue without losing or
 /// duplicating connections, and a zero `max` is clamped to one.
 #[test]
 fn accept_batch_drains_queue() {
     const CONNS: usize = 12;
     let rt = hide_rt(2);
-    let reactor = Reactor::builder(&rt).shards(2).build().unwrap();
+    let reactor = Reactor::builder(&rt).build().unwrap();
 
     let r2 = reactor.clone();
     rt.block_on(async move {

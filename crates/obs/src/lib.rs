@@ -493,8 +493,8 @@ fn encode_stats_json(
     push_kv(&mut o, "io_registrations", m.io_registrations);
     push_kv(&mut o, "io_readiness_events", m.io_readiness_events);
     push_kv(&mut o, "io_timeouts", m.io_timeouts);
-    // One entry per reactor shard, in shard order; empty arrays when no
-    // sharded reactor is attached (Block mode, or no reactor at all).
+    // One entry per reactor readiness queue (the reactor has one); empty
+    // arrays when none exists (Block mode, or no reactor at all).
     push_u64_array(
         &mut o,
         "io_shard_events",

@@ -3,14 +3,13 @@
 //!
 //! ```text
 //! cargo run --release --example server -- [--port P] [--workers N]
-//!     [--mode hide|block] [--conns C] [--max-live L]
-//!     [--reactor-shards S] [--edge-triggered] [--trace] [--obs]
+//!     [--mode hide|block] [--conns C] [--max-live L] [--trace] [--obs]
 //! ```
 //!
-//! `--reactor-shards S` spreads the reactor over `S` independent epoll
-//! shards (`0` = one per worker; default 1). Accepted connections land on shard `fd % S` and the accept
-//! loop drains bursts with `accept_batch`, so one readiness wakeup fans
-//! a whole burst of connections out across the worker pool.
+//! The reactor has no thread of its own: an idle worker blocks in its
+//! epoll wait and resumes the connections it finds ready. The accept loop
+//! drains bursts with `accept_batch`, so one readiness wakeup fans a
+//! whole burst of connections out across the worker pool.
 //!
 //! Protocol (newline-delimited): a client sends `W <n>`; the server
 //! computes `fib(n)` with the CPU work split across the pool via `fork2`
@@ -74,8 +73,6 @@ struct Args {
     mode: LatencyMode,
     conns: usize,
     max_live: usize,
-    reactor_shards: usize,
-    edge_triggered: bool,
     trace: bool,
     obs: bool,
 }
@@ -87,8 +84,6 @@ fn parse_args() -> Result<Args, String> {
         mode: LatencyMode::Hide,
         conns: 8,
         max_live: 0,
-        reactor_shards: 1,
-        edge_triggered: false,
         trace: false,
         obs: false,
     };
@@ -119,12 +114,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--max-live: {e}"))?;
             }
-            "--reactor-shards" => {
-                args.reactor_shards = val("--reactor-shards")?
-                    .parse()
-                    .map_err(|e| format!("--reactor-shards: {e}"))?;
-            }
-            "--edge-triggered" => args.edge_triggered = true,
             "--trace" => args.trace = true,
             "--obs" => args.obs = true,
             other => return Err(format!("unknown flag {other:?}")),
@@ -171,11 +160,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let reactor = match Reactor::builder(&rt)
-        .shards(args.reactor_shards)
-        .edge_triggered(args.edge_triggered)
-        .build()
-    {
+    let reactor = match Reactor::builder(&rt).build() {
         Ok(r) => r,
         Err(e) => {
             eprintln!("server: reactor: {e}");

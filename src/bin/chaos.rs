@@ -165,13 +165,12 @@ fn forkjoin(rt: &Runtime, depth: u64) -> Result<(), String> {
     Ok(())
 }
 
-/// Loopback TCP echo through the sharded epoll reactor: every socket
-/// wait is a readiness registration routed to shard `fd % 2`, so the
-/// `DroppedReadiness` site gets visited on whichever shard owns the fd
-/// and must be recovered by level-triggered re-arming there.
+/// Loopback TCP echo through the epoll reactor the workers harvest: every
+/// socket wait is a one-shot arm, so a `DroppedReadiness` swallowed by a
+/// harvesting worker must be recovered by the reactor's explicit re-arm,
+/// and an `AcceptBurst` by the re-arm of the accept loop's next wait.
 fn netecho(rt: &Runtime, conns: u64) -> Result<(), String> {
     let reactor = Reactor::builder(rt)
-        .shards(2)
         .build()
         .map_err(|e| format!("netecho: reactor: {e}"))?;
     let got = rt.block_on(async move {

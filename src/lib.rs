@@ -23,8 +23,8 @@
 //!   suspension-width metrics, offline schedulers, workload generators.
 //! * [`sim`] — a deterministic round-based simulator executing the paper's
 //!   Figure 3 pseudocode on weighted dags with any number of virtual workers.
-//! * [`net`] — a sharded, backend-pluggable I/O reactor (epoll today)
-//!   and TCP wrappers that turn kernel socket readiness into the
+//! * [`net`] — an epoll I/O reactor harvested by the runtime's own idle
+//!   workers, and TCP wrappers that turn kernel socket readiness into the
 //!   runtime's suspension/resume machinery, so real network waits are
 //!   heavy edges (see `examples/server.rs`). The blessed surface
 //!   ([`Reactor`], [`ReactorBuilder`], [`Interest`], [`ReadyFuture`],
@@ -113,7 +113,7 @@ pub use lhws_core::{
 // Import these from here (or [`prelude`]) rather than from `lhws_net`.
 pub use lhws_net::{
     Interest, LineReader, Reactor, ReactorBuilder, ReadyFuture, TcpListener, TcpStream,
-    TimedReadyFuture, MAX_REACTOR_SHARDS,
+    TimedReadyFuture,
 };
 
 // Module entry points with their own vocabularies.
