@@ -1,5 +1,6 @@
 //! The scenario library: each module checks one concurrency core.
 
+pub mod channel;
 pub mod deque;
 pub mod join;
 pub mod registry;
@@ -70,6 +71,21 @@ pub fn all() -> Vec<Scenario> {
             about:
                 "external-op settle race: cancel (completer drop) vs deadline, op still resolves",
             run: settle::cancel_vs_deadline,
+            expect_refuted: false,
+            strategy: Strategy::Dfs,
+        },
+        Scenario {
+            name: "mpsc_close_vs_recv",
+            about:
+                "two senders send and drop vs the receiver: all once, per-sender FIFO, no lost wake",
+            run: channel::close_vs_recv,
+            expect_refuted: false,
+            strategy: Strategy::Dfs,
+        },
+        Scenario {
+            name: "mpsc_swap_fifo",
+            about: "sends land while the receiver's swapped-in buffer is non-empty: order kept",
+            run: channel::swap_fifo,
             expect_refuted: false,
             strategy: Strategy::Dfs,
         },

@@ -80,6 +80,16 @@ fn task_join_handshake_holds() {
 }
 
 #[test]
+fn mpsc_close_vs_recv_holds() {
+    check("mpsc_close_vs_recv");
+}
+
+#[test]
+fn mpsc_swap_fifo_holds() {
+    check("mpsc_swap_fifo");
+}
+
+#[test]
 fn suspend_resume_steal_holds() {
     check("suspend_resume_steal");
 }

@@ -21,9 +21,8 @@ use std::pin::Pin;
 use std::sync::Arc;
 use std::task::{Context, Poll};
 
-use parking_lot::Mutex;
-
 use crate::external::{external_op, Canceled, Completer, DeadlineExt, DeadlineOp, ExternalOp};
+use crate::sync::Mutex;
 use crate::worker::{self, SuspendWait};
 
 // ---------------------------------------------------------------------
@@ -116,7 +115,10 @@ pub fn mpsc<T: Send + 'static>() -> (MpscSender<T>, MpscReceiver<T>) {
         MpscSender {
             shared: shared.clone(),
         },
-        MpscReceiver { shared },
+        MpscReceiver {
+            shared,
+            local: VecDeque::new(),
+        },
     )
 }
 
@@ -154,7 +156,7 @@ impl<T: Send + 'static> Clone for MpscSender<T> {
 
 impl<T: Send + 'static> MpscSender<T> {
     /// Enqueues a message, resuming a parked receiver. Non-blocking (the
-    /// channel is unbounded).
+    /// channel is unbounded). One lock round-trip per message.
     pub fn send(&self, value: T) -> Result<(), SendError<T>> {
         let wait = {
             let mut st = self.shared.state.lock();
@@ -187,8 +189,14 @@ impl<T: Send + 'static> Drop for MpscSender<T> {
 }
 
 /// Receiving half of an [`mpsc`] channel. Not cloneable.
+///
+/// Messages reach the receiver in batches: when its own buffer runs dry,
+/// one lock swaps the whole shared queue into it, and the receives after
+/// that pop without locking (DESIGN.md §7 "Channels").
 pub struct MpscReceiver<T: Send + 'static> {
     shared: Arc<Mpsc<T>>,
+    /// Messages already taken from the shared queue, in send order.
+    local: VecDeque<T>,
 }
 
 impl<T: Send + 'static> std::fmt::Debug for MpscReceiver<T> {
@@ -201,24 +209,32 @@ impl<T: Send + 'static> MpscReceiver<T> {
     /// Receives the next message; `None` once the channel is empty and all
     /// senders are gone.
     pub fn recv(&mut self) -> RecvFuture<'_, T> {
-        RecvFuture { rx: self }
+        RecvFuture {
+            rx: self,
+            parked: false,
+        }
     }
 
     /// Non-blocking receive.
     pub fn try_recv(&mut self) -> Option<T> {
-        self.shared.state.lock().queue.pop_front()
+        if self.local.is_empty() {
+            std::mem::swap(&mut self.shared.state.lock().queue, &mut self.local);
+        }
+        self.local.pop_front()
     }
 }
 
 impl<T: Send + 'static> Drop for MpscReceiver<T> {
     fn drop(&mut self) {
-        let mut st = self.shared.state.lock();
-        st.receiver_alive = false;
-        st.queue.clear();
-        // A registration that will never be fulfilled must still deliver
-        // its event so the deque's suspension counter balances.
-        let wait = st.wait.take();
-        drop(st);
+        let (queued, wait) = {
+            let mut st = self.shared.state.lock();
+            st.receiver_alive = false;
+            // A registration that will never be fulfilled must still
+            // deliver its event so the deque's suspension counter balances.
+            (std::mem::take(&mut st.queue), st.wait.take())
+        };
+        // Undelivered messages (these and `local`) drop outside the lock.
+        drop(queued);
         Mpsc::<T>::notify(wait);
     }
 }
@@ -226,18 +242,30 @@ impl<T: Send + 'static> Drop for MpscReceiver<T> {
 /// Future returned by [`MpscReceiver::recv`].
 pub struct RecvFuture<'a, T: Send + 'static> {
     rx: &'a mut MpscReceiver<T>,
+    /// Returned `Pending` since the last `Ready`: only then can the
+    /// channel hold a deque registration this future must balance on drop.
+    parked: bool,
 }
 
 impl<T: Send + 'static> Future for RecvFuture<'_, T> {
     type Output = Option<T>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Option<T>> {
-        let shared = self.rx.shared.clone();
-        let mut st = shared.state.lock();
-        if let Some(v) = st.queue.pop_front() {
+        let this = self.get_mut();
+        let rx = &mut *this.rx;
+        if let Some(v) = rx.local.pop_front() {
+            this.parked = false;
             return Poll::Ready(Some(v));
         }
+        let mut st = rx.shared.state.lock();
+        if !st.queue.is_empty() {
+            std::mem::swap(&mut st.queue, &mut rx.local);
+            drop(st);
+            this.parked = false;
+            return Poll::Ready(rx.local.pop_front());
+        }
         if st.senders == 0 {
+            this.parked = false;
             return Poll::Ready(None);
         }
         match &st.wait {
@@ -247,12 +275,19 @@ impl<T: Send + 'static> Future for RecvFuture<'_, T> {
             }
             _ => st.wait = Some(worker::register_suspension(cx.waker())),
         }
+        this.parked = true;
         Poll::Pending
     }
 }
 
 impl<T: Send + 'static> Drop for RecvFuture<'_, T> {
     fn drop(&mut self) {
+        // Every message and the channel's closure take the registration
+        // under the lock before the receive can see them, so a future
+        // that last returned `Ready` (or never ran) holds none.
+        if !self.parked {
+            return;
+        }
         // A canceled receive must balance its deque registration: deliver
         // the event now (the task is woken spuriously, which is harmless).
         let wait = {

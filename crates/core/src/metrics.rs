@@ -5,7 +5,9 @@
 //! therefore holds one cache-padded [`CounterBlock`] **per worker** — a
 //! worker bumps only its own block, so counter traffic never bounces cache
 //! lines between cores — plus one shared block for bumps from off-worker
-//! threads (`Runtime::spawn` from user threads, tests). [`Counters::snapshot`]
+//! threads (`Runtime::spawn` from user threads, tests). A worker's block
+//! has one writer, so its bumps are a load and a store ([`WorkerBlock`]);
+//! only the shared block pays a locked `fetch_add`. [`Counters::snapshot`]
 //! sums the blocks, so snapshot semantics are identical to a single shared
 //! block.
 
@@ -67,17 +69,42 @@ impl CounterBlock {
     pub fn bump(&self, c: &AtomicU64) {
         c.fetch_add(1, Ordering::Relaxed);
     }
+}
+
+/// A [`CounterBlock`] with exactly one writer: its owning worker thread
+/// (a respawned incarnation runs on the same thread). Its updates are a
+/// plain load and store instead of a locked read-modify-write, which is
+/// exact because no other thread writes the block; snapshots only load.
+/// The counter passed in must be a field of this block.
+#[derive(Debug, Default)]
+pub(crate) struct WorkerBlock(CounterBlock);
+
+impl Deref for WorkerBlock {
+    type Target = CounterBlock;
+    fn deref(&self) -> &CounterBlock {
+        &self.0
+    }
+}
+
+impl WorkerBlock {
+    #[inline]
+    pub fn bump(&self, c: &AtomicU64) {
+        self.add(c, 1);
+    }
 
     /// Bulk bump (batch steals add whole-batch counts at once).
     #[inline]
     pub fn add(&self, c: &AtomicU64, n: u64) {
-        c.fetch_add(n, Ordering::Relaxed);
+        c.store(c.load(Ordering::Relaxed) + n, Ordering::Relaxed);
     }
 
     /// Monotonic max update.
+    #[inline]
     pub fn observe_deques(&self, live: u64) {
-        self.max_deques_per_worker
-            .fetch_max(live, Ordering::Relaxed);
+        let max = &self.max_deques_per_worker;
+        if live > max.load(Ordering::Relaxed) {
+            max.store(live, Ordering::Relaxed);
+        }
     }
 }
 
@@ -87,7 +114,7 @@ impl CounterBlock {
 #[derive(Debug, Default)]
 pub(crate) struct Counters {
     shared: CounterBlock,
-    per_worker: Box<[CachePadded<CounterBlock>]>,
+    per_worker: Box<[CachePadded<WorkerBlock>]>,
 }
 
 impl Deref for Counters {
@@ -109,7 +136,7 @@ impl Counters {
     /// The counter block owned by worker `i` — bump through this on worker
     /// hot paths so the update stays core-local.
     #[inline]
-    pub fn worker(&self, i: usize) -> &CounterBlock {
+    pub fn worker(&self, i: usize) -> &WorkerBlock {
         &self.per_worker[i]
     }
 
@@ -331,11 +358,10 @@ mod tests {
 
     #[test]
     fn observe_deques_keeps_max() {
-        let c = Counters::default();
-        c.observe_deques(3);
-        c.observe_deques(1);
-        c.observe_deques(7);
-        c.observe_deques(2);
+        let c = Counters::with_workers(1);
+        for live in [3, 1, 7, 2] {
+            c.worker(0).observe_deques(live);
+        }
         assert_eq!(c.snapshot().max_deques_per_worker, 7);
     }
 
@@ -395,9 +421,9 @@ live deques:           0 (high water 0)";
 
     #[test]
     fn display_lists_every_counter() {
-        let c = Counters::default();
+        let c = Counters::with_workers(1);
         c.bump(&c.steals_attempted);
-        c.observe_deques(5);
+        c.worker(0).observe_deques(5);
         let s = c.snapshot().to_string();
         assert!(s.contains("steals:                1 attempted"));
         assert!(s.contains("steal retries:         0"));
@@ -435,7 +461,7 @@ live deques:           0 (high water 0)";
         let a = c.snapshot();
         assert_eq!(a.steal_batch_tasks, 7);
         assert_eq!(a.steal_retries, 2);
-        c.add(&c.steal_batch_tasks, 3);
+        c.worker(1).add(&c.worker(1).steal_batch_tasks, 3);
         let d = c.snapshot().delta(&a);
         assert_eq!(d.steal_batch_tasks, 3);
         assert_eq!(d.steal_retries, 0);
@@ -450,13 +476,13 @@ live deques:           0 (high water 0)";
         c.bump(&c.polls); // shared block
         assert_eq!(c.snapshot().polls, 5);
         c.worker(2).observe_deques(9);
-        c.observe_deques(3);
+        c.worker(3).observe_deques(3);
         assert_eq!(c.snapshot().max_deques_per_worker, 9);
     }
 
     #[test]
     fn counter_blocks_are_padded() {
-        assert_eq!(std::mem::align_of::<CachePadded<CounterBlock>>(), 128);
-        assert!(std::mem::size_of::<CachePadded<CounterBlock>>().is_multiple_of(128));
+        assert_eq!(std::mem::align_of::<CachePadded<WorkerBlock>>(), 128);
+        assert!(std::mem::size_of::<CachePadded<WorkerBlock>>().is_multiple_of(128));
     }
 }

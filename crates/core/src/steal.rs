@@ -17,7 +17,7 @@ use lhws_deque::{DequeId, Steal, WorkerHandle};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::metrics::CounterBlock;
+use crate::metrics::WorkerBlock;
 use crate::runtime::RtInner;
 use crate::task::TaskRef;
 use crate::trace::{EventKind, StealOutcome, NONE_ID};
@@ -73,7 +73,7 @@ impl Thief {
     }
 
     #[inline]
-    fn ctr(&self) -> &CounterBlock {
+    fn ctr(&self) -> &WorkerBlock {
         self.rt.counters.worker(self.index)
     }
 

@@ -44,7 +44,7 @@ use lhws_deque::{DequeId, DequeKind, WorkerHandle};
 use crate::config::LatencyMode;
 use crate::fault::{FaultInjector, PanicInjected};
 use crate::join::JoinHandle;
-use crate::metrics::CounterBlock;
+use crate::metrics::WorkerBlock;
 use crate::runtime::{self, RtInner};
 use crate::steal::Thief;
 use crate::task::{self, Polled, TaskRef};
@@ -149,7 +149,7 @@ impl WorkerTls {
     }
 
     #[inline]
-    fn ctr(&self) -> &CounterBlock {
+    fn ctr(&self) -> &WorkerBlock {
         self.rt.counters.worker(self.index)
     }
 
@@ -517,7 +517,7 @@ impl Worker {
 
     /// This worker's cache-padded counter block.
     #[inline]
-    fn ctr(&self) -> &CounterBlock {
+    fn ctr(&self) -> &WorkerBlock {
         self.rt.counters.worker(self.index)
     }
 
