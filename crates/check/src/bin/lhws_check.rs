@@ -16,8 +16,8 @@
 //! Build modes matter: a plain build explores coarse-grained (scenario
 //! steps between checker operations are atomic blocks); a
 //! `RUSTFLAGS="--cfg lhws_check"` build makes the ported structures'
-//! own atomics schedule points. The seeded-mutation scenario only
-//! exists under `--cfg lhws_check --cfg lhws_check_mutation`.
+//! own atomics schedule points. The seeded-mutation scenarios only
+//! exist under `--cfg lhws_check --cfg lhws_check_mutation`.
 
 use std::process::ExitCode;
 

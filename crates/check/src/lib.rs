@@ -3,8 +3,9 @@
 //! This crate points the [`lhws_checkrt`] exhaustive-interleaving
 //! scheduler at the *real* concurrency cores of the workspace: the
 //! Chase–Lev deque, the live-set [`Registry`](lhws_deque::Registry), the
-//! external-op settlement race, and the suspend/resume/steal triangle
-//! from the paper. Each [`Scenario`] is an ordinary closure that builds
+//! external-op settlement race, the socket readiness word
+//! ([`Readiness`](lhws_net::Readiness)), and the suspend/resume/steal
+//! triangle from the paper. Each [`Scenario`] is an ordinary closure that builds
 //! the structure under test, spawns model threads, and asserts the
 //! invariants the TLA+ specs under `specs/tla/` state abstractly:
 //!
@@ -18,6 +19,8 @@
 //!   which the checker reports with a replayable schedule).
 //! * **BatchOrderIncreasing** — `steal_batch_into` yields items in
 //!   strictly increasing push order.
+//! * **NoLostEdge** — a reader clearing its cached readable bit never
+//!   erases a kernel report for data its `recv` did not see.
 //!
 //! Scenarios run in **both** build modes. In a normal build the ported
 //! structures use raw `std` atomics, so each scenario step between two
@@ -27,8 +30,8 @@
 //! `RUSTFLAGS="--cfg lhws_check"` the structures' own atomics become
 //! schedule points and the interesting interleavings (a thief's CAS
 //! landing between an owner's two index updates) are explored for real.
-//! The seeded unsound mutation (`--cfg lhws_check_mutation`) is only
-//! refutable in that fine-grained mode, which is why its scenario is
+//! The seeded unsound mutations (`--cfg lhws_check_mutation`) are only
+//! refutable in that fine-grained mode, which is why their scenarios are
 //! compiled under `all(lhws_check, lhws_check_mutation)`.
 
 pub use lhws_checkrt::{

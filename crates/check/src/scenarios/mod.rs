@@ -3,6 +3,7 @@
 pub mod channel;
 pub mod deque;
 pub mod join;
+pub mod readiness;
 pub mod registry;
 pub mod settle;
 pub mod triangle;
@@ -10,9 +11,9 @@ pub mod triangle;
 use crate::{Scenario, Strategy};
 
 /// All registered scenarios, in presentation order. The seeded-mutation
-/// scenario is only present in `--cfg lhws_check --cfg
+/// scenarios are only present in `--cfg lhws_check --cfg
 /// lhws_check_mutation` builds: coarse mode cannot interleave inside the
-/// mutated steal, so exploring it there would (misleadingly) pass.
+/// mutated operations, so exploring them there could (misleadingly) pass.
 pub fn all() -> Vec<Scenario> {
     // `mut` is only exercised when the mutation scenario is compiled in.
     #[cfg_attr(not(all(lhws_check, lhws_check_mutation)), allow(unused_mut))]
@@ -90,6 +91,13 @@ pub fn all() -> Vec<Scenario> {
             strategy: Strategy::Dfs,
         },
         Scenario {
+            name: "io_readiness_clear_vs_report",
+            about: "reader clears its readable bit by the tick rule vs a report: no lost edge",
+            run: readiness::clear_vs_report,
+            expect_refuted: false,
+            strategy: Strategy::Dfs,
+        },
+        Scenario {
             name: "join_fast_path_vs_steal",
             about:
                 "owner's pop-back vs a thief for a forked child: one poll, one read, no lost wake",
@@ -125,12 +133,21 @@ pub fn all() -> Vec<Scenario> {
         },
     ];
     #[cfg(all(lhws_check, lhws_check_mutation))]
-    v.push(Scenario {
-        name: "chase_lev_wide_cas_unsound",
-        about: "seeded mutation: single wide-CAS steal-half — the checker must refute it",
-        run: deque::wide_cas_unsound,
-        expect_refuted: true,
-        strategy: Strategy::Dfs,
-    });
+    v.extend([
+        Scenario {
+            name: "chase_lev_wide_cas_unsound",
+            about: "seeded mutation: single wide-CAS steal-half — the checker must refute it",
+            run: deque::wide_cas_unsound,
+            expect_refuted: true,
+            strategy: Strategy::Dfs,
+        },
+        Scenario {
+            name: "io_readiness_tickless_clear_unsound",
+            about: "seeded mutation: readable bit cleared without the tick rule — must be refuted",
+            run: readiness::tickless_clear_unsound,
+            expect_refuted: true,
+            strategy: Strategy::Dfs,
+        },
+    ]);
     v
 }

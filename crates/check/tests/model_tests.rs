@@ -90,6 +90,11 @@ fn mpsc_swap_fifo_holds() {
 }
 
 #[test]
+fn io_readiness_clear_vs_report_holds() {
+    check("io_readiness_clear_vs_report");
+}
+
+#[test]
 fn suspend_resume_steal_holds() {
     check("suspend_resume_steal");
 }
@@ -99,13 +104,12 @@ fn registry_churn_random_holds() {
     check("registry_churn_random");
 }
 
-/// The soundness demonstration: the checker must *refute* the seeded
-/// single-wide-CAS steal-half within bounded depth, and the recorded
-/// schedule must reproduce the same failure deterministically.
+/// Explores a seeded-mutation scenario: the checker must *refute* it
+/// within bounded depth, and the recorded schedule must reproduce the
+/// same failure deterministically.
 #[cfg(all(lhws_check, lhws_check_mutation))]
-#[test]
-fn wide_cas_mutation_is_refuted_and_replayable() {
-    let s = lhws_check::find("chase_lev_wide_cas_unsound").expect("mutation scenario registered");
+fn refuted_and_replayable(name: &str) {
+    let s = lhws_check::find(name).expect("mutation scenario registered");
     let rep = s.check();
     let failure = rep
         .failure
@@ -122,6 +126,20 @@ fn wide_cas_mutation_is_refuted_and_replayable() {
         "replay reproduced a different failure"
     );
     assert_eq!(replayed.schedules, 1, "replay runs exactly one execution");
+}
+
+/// The soundness demonstration: the single-wide-CAS steal-half.
+#[cfg(all(lhws_check, lhws_check_mutation))]
+#[test]
+fn wide_cas_mutation_is_refuted_and_replayable() {
+    refuted_and_replayable("chase_lev_wide_cas_unsound");
+}
+
+/// A readable bit cleared without the tick rule loses an edge.
+#[cfg(all(lhws_check, lhws_check_mutation))]
+#[test]
+fn tickless_clear_mutation_is_refuted_and_replayable() {
+    refuted_and_replayable("io_readiness_tickless_clear_unsound");
 }
 
 /// Same workload with the sound per-item-CAS batch steal, for contrast:

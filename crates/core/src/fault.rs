@@ -35,7 +35,7 @@
 //! | `task_panic_ppm` | first poll of a spawned task | the task panics (propagates at its join, as a user panic would) |
 //! | `deque_switch_ppm` | after draining resumes | the non-empty active deque is demoted to the ready list |
 //! | `drop_unpark_ppm` | inject/delivery | the wake-up is skipped; the park timeout is the only backstop |
-//! | `dropped_readiness_ppm` | reactor dispatch (on the harvesting worker) | a kernel readiness event is swallowed without firing the completer; the waiter stays filed and the reactor re-arms its one-shot arm, so the kernel reports it again |
+//! | `dropped_readiness_ppm` | reactor dispatch (on the harvesting worker) | a kernel readiness event is swallowed without firing the completer; the waiter stays filed, the cached readiness bits are left untouched, and the reactor re-arms the fd, so the kernel reports the still-true condition again |
 //! | `peer_reset_ppm` | socket read/write | the operation fails with `ECONNRESET`, as if the peer sent RST mid-stream — the connection handler must surface or recover the error honestly |
 //! | `partial_write_ppm` | socket write | the kernel accepts only half the buffer (a short write), forcing the `write_all` continuation loop to finish the rest |
 //! | `accept_burst_ppm` | listener accept | an accept-ready listener reports `WouldBlock` once, emulating accept-queue churn under bursty connection load (the caller re-arms readiness) |

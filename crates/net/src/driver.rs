@@ -1,7 +1,7 @@
 //! The backend seam: [`IoDriver`] is the narrow kernel-facing API a
 //! readiness backend implements — `epoll` ([`EpollDriver`](crate::EpollDriver))
 //! is the one in tree — and everything above it (the waiter table, the
-//! arm-once protocol, the [`Reactor`](crate::Reactor) public surface) is
+//! readiness words, the [`Reactor`](crate::Reactor) public surface) is
 //! backend-agnostic.
 //!
 //! # Layering and contracts
@@ -9,13 +9,17 @@
 //! 1. [`Reactor`](crate::Reactor) — public API and the waiter table. It
 //!    owns the **one-waiter-per-direction** invariant (a second
 //!    registration for an occupied direction of an fd is rejected as an
-//!    application bug) and **token-matched deregistration** (a cancel
+//!    application bug), **token-matched deregistration** (a cancel
 //!    removes a waiter only if its token matches, so a cancel racing a
-//!    readiness-fired replacement wait can never unfile the newer waiter).
-//! 2. [`IoDriver`] — this trait. It sees only fd-level arm state. Arms
-//!    are **one-shot**: an fd is [`register`](IoDriver::register)ed once,
-//!    reports at most one event per arm, and is re-armed by
-//!    [`modify`](IoDriver::modify); it is
+//!    readiness-fired replacement wait can never unfile the newer waiter)
+//!    and each fd's cached [`Readiness`](crate::Readiness) word.
+//! 2. [`IoDriver`] — this trait. It sees only fds. An fd is
+//!    [`register`](IoDriver::register)ed once, for both directions and
+//!    **edge-triggered**: the backend reports it when its readiness
+//!    changes, not while it holds, so no wait costs a syscall of its own.
+//!    [`rearm`](IoDriver::rearm) makes the backend report a condition that
+//!    is still true; the reactor calls it only to re-check a cached bit it
+//!    cannot trust and to recover a swallowed report. An fd is
 //!    [`deregister`](IoDriver::deregister)ed only when it is closed.
 //!
 //! # Who waits
@@ -41,47 +45,6 @@ use std::io;
 use std::os::fd::RawFd;
 use std::time::Duration;
 
-/// Which direction of readiness a wait is for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Interest {
-    /// Readable (or peer hang-up / error — anything that unblocks a read).
-    Read,
-    /// Writable (or error — anything that unblocks a write).
-    Write,
-}
-
-/// The directions to arm for one fd — the driver-facing projection of a
-/// waiter table entry (at most one waiter per direction, so two booleans
-/// suffice).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct InterestSet {
-    /// Wait for readability (includes peer hang-up and errors).
-    pub read: bool,
-    /// Wait for writability (includes errors).
-    pub write: bool,
-}
-
-impl InterestSet {
-    /// A set with only `interest` armed.
-    pub fn only(interest: Interest) -> InterestSet {
-        match interest {
-            Interest::Read => InterestSet {
-                read: true,
-                write: false,
-            },
-            Interest::Write => InterestSet {
-                read: false,
-                write: true,
-            },
-        }
-    }
-
-    /// `true` when neither direction is armed.
-    pub fn is_empty(self) -> bool {
-        !self.read && !self.write
-    }
-}
-
 /// One readiness entry produced by [`IoDriver::wait`].
 ///
 /// Error and hang-up conditions set **both** flags: either direction's
@@ -89,12 +52,16 @@ impl InterestSet {
 /// must fire and observe the condition from the syscall itself.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct IoEvent {
-    /// The cookie the fd was armed with (the reactor uses the fd itself).
+    /// The cookie the fd was registered with (the reactor uses the fd
+    /// itself).
     pub cookie: u64,
     /// A read would not block (data, EOF, hang-up, or error).
     pub read: bool,
     /// A write would not block (buffer space or error).
     pub write: bool,
+    /// The peer hung up or the socket failed: a read returns at once from
+    /// now on, also after the last byte is read.
+    pub closed: bool,
 }
 
 /// Outcome of one batched [`IoDriver::wait`].
@@ -126,15 +93,15 @@ pub enum WaitOutcome {
 /// direction, token-matched deregistration) and the shutdown ordering
 /// contract.
 pub trait IoDriver: Send + Sync + 'static {
-    /// Adds a not-yet-registered fd, armed once for `set` and tagged with
-    /// `cookie` (returned verbatim in [`IoEvent::cookie`]).
-    fn register(&self, fd: RawFd, set: InterestSet, cookie: u64) -> io::Result<()>;
+    /// Adds a not-yet-registered fd for both directions, edge-triggered,
+    /// tagged with `cookie` (returned verbatim in [`IoEvent::cookie`]). A
+    /// condition already true at registration is reported once.
+    fn register(&self, fd: RawFd, cookie: u64) -> io::Result<()>;
 
-    /// Re-arms a registered fd once for `set`. The backend re-evaluates
-    /// current readiness here (epoll does), so a condition that is
-    /// already true when the fd is re-armed is reported by the next
-    /// [`wait`](Self::wait).
-    fn modify(&self, fd: RawFd, set: InterestSet, cookie: u64) -> io::Result<()>;
+    /// Makes the backend re-evaluate a registered fd: a condition that is
+    /// true now is reported by the next [`wait`](Self::wait), though no
+    /// edge occurred.
+    fn rearm(&self, fd: RawFd, cookie: u64) -> io::Result<()>;
 
     /// Removes a registered fd. Called before the fd is closed, so a
     /// reused fd number (or a surviving `dup`) never inherits the
@@ -143,8 +110,8 @@ pub trait IoDriver: Send + Sync + 'static {
 
     /// Blocks up to `timeout` (`Duration::ZERO`: not at all) for
     /// readiness, filling the front of `events` and reporting how many
-    /// entries it filled in [`WaitOutcome::Ready`]. Each reported fd is
-    /// disarmed until its next [`modify`](Self::modify). Self-wake kicks
+    /// entries it filled in [`WaitOutcome::Ready`]. An fd is reported once
+    /// per readiness change (or [`rearm`](Self::rearm)). Self-wake kicks
     /// are consumed internally and never surfaced. An `Err` means the
     /// backend itself failed.
     fn wait(&self, events: &mut [IoEvent], timeout: Duration) -> io::Result<WaitOutcome>;

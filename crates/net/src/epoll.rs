@@ -1,18 +1,19 @@
 //! The in-tree [`IoDriver`] backend: one `epoll` instance, raw-FFI
 //! syscalls (the crate-private `sys` bindings), no `libc` dependency.
 //!
-//! Every arm is `EPOLLONESHOT`: the kernel reports an fd once and then
-//! disarms it (it stays registered) until the next `EPOLL_CTL_MOD`. A
-//! wait therefore costs one `epoll_ctl` — `ADD` the first time an fd
-//! waits, `MOD` every time after — and `DEL` runs once, when the fd is
-//! closed.
+//! Every fd is added once with `EPOLLET | EPOLLIN | EPOLLRDHUP |
+//! EPOLLOUT`: the kernel reports it when its readiness changes — data
+//! arrives, send space frees up, the peer hangs up — and stays quiet while
+//! nothing changes, so a wait costs no `epoll_ctl`. `EPOLL_CTL_MOD` with
+//! the same mask is the re-arm: the kernel re-evaluates the fd and reports
+//! a condition that is still true. `DEL` runs once, when the fd is closed.
 
 use std::io;
 use std::os::fd::RawFd;
 use std::sync::atomic::{AtomicI32, Ordering};
 use std::time::Duration;
 
-use crate::driver::{InterestSet, IoDriver, IoEvent, WaitOutcome};
+use crate::driver::{IoDriver, IoEvent, WaitOutcome};
 use crate::sys;
 
 /// Epoll data cookie reserved for the self-wake eventfd.
@@ -21,6 +22,10 @@ const WAKE_COOKIE: u64 = u64::MAX;
 /// Per-wait kernel batch size bound. Readiness beyond the caller's buffer
 /// arrives on the next wait, so it bounds per-wait latency, not throughput.
 const BATCH: usize = 64;
+
+/// The one interest mask: both directions, edge-triggered. ERR/HUP are
+/// delivered regardless of the mask.
+const INTEREST: u32 = sys::EPOLLET | sys::EPOLLIN | sys::EPOLLRDHUP | sys::EPOLLOUT;
 
 /// One epoll instance + its wake eventfd: the `epoll` implementation of
 /// [`IoDriver`], owned by the [`Reactor`](crate::Reactor).
@@ -54,8 +59,8 @@ impl EpollDriver {
                 return Err(e);
             }
         };
-        // The wake channel is level-triggered and never one-shot: a kick
-        // posted between waits must end the next one.
+        // The wake channel is level-triggered: a kick posted between
+        // waits must end the next one.
         if let Err(e) =
             sys::epoll_ctl_op(epfd, sys::EPOLL_CTL_ADD, wake_fd, sys::EPOLLIN, WAKE_COOKIE)
         {
@@ -69,36 +74,23 @@ impl EpollDriver {
         })
     }
 
-    fn bits(set: InterestSet) -> u32 {
-        let mut bits = sys::EPOLLONESHOT;
-        if set.read {
-            // ERR/HUP are delivered regardless of the requested mask; the
-            // extra bits document which mask we *wait* on.
-            bits |= sys::EPOLLIN | sys::EPOLLRDHUP;
-        }
-        if set.write {
-            bits |= sys::EPOLLOUT;
-        }
-        bits
-    }
-
-    fn ctl(&self, op: i32, fd: RawFd, set: InterestSet, cookie: u64) -> io::Result<()> {
+    fn ctl(&self, op: i32, fd: RawFd, cookie: u64) -> io::Result<()> {
         let epfd = self.epfd.load(Ordering::Relaxed);
-        sys::epoll_ctl_op(epfd, op, fd, Self::bits(set), cookie)
+        sys::epoll_ctl_op(epfd, op, fd, INTEREST, cookie)
     }
 }
 
 impl IoDriver for EpollDriver {
-    fn register(&self, fd: RawFd, set: InterestSet, cookie: u64) -> io::Result<()> {
-        self.ctl(sys::EPOLL_CTL_ADD, fd, set, cookie)
+    fn register(&self, fd: RawFd, cookie: u64) -> io::Result<()> {
+        self.ctl(sys::EPOLL_CTL_ADD, fd, cookie)
     }
 
-    fn modify(&self, fd: RawFd, set: InterestSet, cookie: u64) -> io::Result<()> {
-        self.ctl(sys::EPOLL_CTL_MOD, fd, set, cookie)
+    fn rearm(&self, fd: RawFd, cookie: u64) -> io::Result<()> {
+        self.ctl(sys::EPOLL_CTL_MOD, fd, cookie)
     }
 
     fn deregister(&self, fd: RawFd) -> io::Result<()> {
-        self.ctl(sys::EPOLL_CTL_DEL, fd, InterestSet::default(), 0)
+        self.ctl(sys::EPOLL_CTL_DEL, fd, 0)
     }
 
     fn wait(&self, events: &mut [IoEvent], timeout: Duration) -> io::Result<WaitOutcome> {
@@ -121,6 +113,7 @@ impl IoDriver for EpollDriver {
                 cookie: data,
                 read: mask & (sys::EPOLLIN | sys::EPOLLRDHUP | sys::EPOLLERR | sys::EPOLLHUP) != 0,
                 write: mask & (sys::EPOLLOUT | sys::EPOLLERR | sys::EPOLLHUP) != 0,
+                closed: mask & (sys::EPOLLRDHUP | sys::EPOLLERR | sys::EPOLLHUP) != 0,
             };
             filled += 1;
         }
@@ -154,7 +147,7 @@ mod tests {
     fn wake_surfaces_as_zero_event_ready() {
         let d = EpollDriver::new().unwrap();
         let mut events = [IoEvent::default(); BATCH];
-        // Nothing armed, nothing posted: a zero-timeout wait times out.
+        // Nothing registered, nothing posted: a zero-timeout wait times out.
         assert_eq!(
             d.wait(&mut events, Duration::ZERO).unwrap(),
             WaitOutcome::TimedOut
@@ -176,26 +169,36 @@ mod tests {
     }
 
     #[test]
-    fn arms_are_oneshot_until_modify() {
+    fn edges_report_once_per_change_until_rearm() {
+        use std::io::Write;
         let d = EpollDriver::new().unwrap();
-        let (a, _b) = std::os::unix::net::UnixStream::pair().unwrap();
+        let (a, mut b) = std::os::unix::net::UnixStream::pair().unwrap();
         let fd = std::os::fd::AsRawFd::as_raw_fd(&a);
-        let write = InterestSet::only(crate::Interest::Write);
-        assert_ne!(EpollDriver::bits(write) & sys::EPOLLONESHOT, 0);
-        assert_ne!(EpollDriver::bits(write) & sys::EPOLLOUT, 0);
         let mut events = [IoEvent::default(); BATCH];
-        // A fresh socket is writable: one arm, one report.
-        d.register(fd, write, 7).unwrap();
+        let quiet = |d: &EpollDriver, events: &mut [IoEvent]| {
+            d.wait(events, Duration::from_millis(1)).unwrap() == WaitOutcome::TimedOut
+        };
+        // A fresh socket is writable: registering reports it once.
+        d.register(fd, 7).unwrap();
         let ready = d.wait(&mut events, Duration::from_secs(1)).unwrap();
         assert_eq!(ready, WaitOutcome::Ready(1));
-        assert!(events[0].write && events[0].cookie == 7);
-        // Still writable, but the arm is spent: nothing more is reported.
-        let idle = d.wait(&mut events, Duration::from_millis(1)).unwrap();
-        assert_eq!(idle, WaitOutcome::TimedOut);
-        // MOD re-arms and re-evaluates: the condition is reported again.
-        d.modify(fd, write, 7).unwrap();
+        assert!(events[0].write && !events[0].read && events[0].cookie == 7);
+        // Still writable, but nothing changed: nothing more is reported.
+        assert!(quiet(&d, &mut events));
+        // Each arrival is one edge, even onto unread data.
+        for _ in 0..2 {
+            b.write_all(b"x").unwrap();
+            let arrival = d.wait(&mut events, Duration::from_secs(1)).unwrap();
+            assert_eq!(arrival, WaitOutcome::Ready(1));
+            assert!(events[0].read);
+            assert!(quiet(&d, &mut events));
+        }
+        // The re-arm re-evaluates: the unread bytes are reported again.
+        d.rearm(fd, 7).unwrap();
         let again = d.wait(&mut events, Duration::from_secs(1)).unwrap();
         assert_eq!(again, WaitOutcome::Ready(1));
+        assert!(events[0].read && events[0].write);
+        assert!(quiet(&d, &mut events));
         d.deregister(fd).unwrap();
     }
 }

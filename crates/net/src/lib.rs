@@ -13,8 +13,10 @@
 //! The reactor has no thread of its own: it is the runtime's
 //! [`Driver`](lhws_core::Driver), and an idle worker blocks in its
 //! readiness wait instead of its futex, firing completions on its own
-//! thread. Each socket is armed once and re-armed with one `epoll_ctl`
-//! per wait, through the [`IoDriver`] seam ([`EpollDriver`]).
+//! thread. Each socket is registered once, edge-triggered, through the
+//! [`IoDriver`] seam ([`EpollDriver`]); the kernel's reports are cached in
+//! its [`Readiness`] word, so a wait costs no `epoll_ctl` and a
+//! request/reply round costs one `recv` and one `send`.
 //!
 //! [`TcpListener`] / [`TcpStream`] retry nonblocking syscalls around
 //! [`ReadyFuture`] waits under [`LatencyMode::Hide`](lhws_core::LatencyMode::Hide),
@@ -42,12 +44,16 @@
 pub mod driver;
 mod epoll;
 mod reactor;
+mod readiness;
 mod sys;
 mod tcp;
 
-pub use driver::{Interest, InterestSet, IoDriver, IoEvent, WaitOutcome};
+pub use driver::{IoDriver, IoEvent, WaitOutcome};
 pub use epoll::EpollDriver;
 pub use reactor::{Reactor, ReactorBuilder, ReadyFuture, TimedReadyFuture};
+/// The per-socket readiness word, public for the model checker
+/// (`lhws-check`'s `io_readiness_*` scenarios).
+pub use readiness::Readiness;
 // Re-exported so readiness futures can be deadline-bounded without a
 // direct lhws-core dependency.
 pub use lhws_core::DeadlineExt;

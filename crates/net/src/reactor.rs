@@ -2,8 +2,9 @@
 //! no thread of its own.
 //!
 //! One [`IoDriver`] backend (an epoll instance + wake eventfd) and a
-//! registration table holding at most one waiter per direction per fd.
-//! Registering a wait files a [`Completer`] in the table and arms the fd.
+//! registration table holding each socket's [`Readiness`] word and at
+//! most one waiter per direction. Registering a wait files a [`Completer`]
+//! in the table.
 //! The reactor is the runtime's [`Driver`]: an idle worker holding the
 //! poller role blocks in [`Driver::poll`] — the backend's wait — instead
 //! of its futex, and fires each readiness's completer on its own thread,
@@ -16,13 +17,17 @@
 //! socket wait is a real heavy edge and the live-deque bound `U + 1`
 //! counts connections blocked in the kernel.
 //!
-//! **Arm once.** An fd is added to epoll the first time it waits and
-//! removed only when it is closed ([`TcpStream`](crate::TcpStream) and
-//! [`TcpListener`](crate::TcpListener) deregister in `Drop`, before the
-//! close). Every arm is one-shot, so a wait costs one `EPOLL_CTL_MOD`:
-//! the report disarms the fd, and the next wait re-arms it. A canceled
-//! wait costs nothing; if its stale arm fires later, dispatch finds no
-//! waiter and the arm is spent.
+//! **Register once, edge-triggered.** A socket wrapper adds its fd to
+//! epoll when it is created and removes it when it is dropped, before the
+//! close; in between no wait costs an `epoll_ctl`. The kernel reports an
+//! fd when its readiness changes, and each report sets bits in the fd's
+//! [`Readiness`] word (cached by the wrapper too). The wrapper tries a
+//! syscall only while its bit is set, and clears the bit — by the tick
+//! rule — after `EAGAIN` or a short read. A wait with the bit clear files
+//! its waiter and makes no syscall; a wait with the bit set cannot trust
+//! it (a read that filled its buffer leaves it set), so it clears it and
+//! re-arms, and the kernel re-evaluates. A canceled wait costs nothing;
+//! a later report for it finds no waiter and only sets bits.
 //!
 //! [`Runtime::shutdown`](lhws_core::Runtime::shutdown) stops the reactor
 //! *before* the workers (see the [`driver`](crate::driver) module for the
@@ -51,12 +56,41 @@ use lhws_core::{
     IoShardStats, IoTraceEvent, LatencyMode, OpError, Runtime,
 };
 
-use crate::driver::{Interest, InterestSet, IoDriver, IoEvent, WaitOutcome};
+use crate::driver::{IoDriver, IoEvent, WaitOutcome};
 use crate::epoll::EpollDriver;
+use crate::readiness::Readiness;
 
 /// Readiness entries one harvest takes from the kernel; the rest wait for
 /// the next harvest.
 const BATCH: usize = 64;
+
+/// Which direction of readiness a wait is for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Interest {
+    /// Readable (or peer hang-up / error — anything that unblocks a read).
+    Read,
+    /// Writable (or error — anything that unblocks a write).
+    Write,
+}
+
+impl Interest {
+    /// The bit of a [`Readiness`] word a drained syscall clears.
+    pub(crate) fn bit(self) -> u64 {
+        match self {
+            Interest::Read => Readiness::READABLE,
+            Interest::Write => Readiness::WRITABLE,
+        }
+    }
+
+    /// The bits under which this direction's syscall is worth trying: a
+    /// read also after a hang-up, which no clear takes back.
+    pub(crate) fn mask(self) -> u64 {
+        match self {
+            Interest::Read => Readiness::READABLE | Readiness::READ_CLOSED,
+            Interest::Write => Readiness::WRITABLE,
+        }
+    }
+}
 
 /// One registered wait: the token ties trace events together; dropping
 /// the completer settles the wait `Err(Canceled)`.
@@ -66,33 +100,30 @@ struct Waiter {
 }
 
 /// One fd's table entry. Its presence means the fd is registered with the
-/// backend (armed, or disarmed by a report); the slots are its waiters.
-#[derive(Default)]
-struct FdWaiters {
+/// backend; the slots are its waiters.
+struct FdEntry {
+    readiness: Arc<Readiness>,
     read: Option<Waiter>,
     write: Option<Waiter>,
 }
 
-impl FdWaiters {
-    fn set(&self) -> InterestSet {
-        InterestSet {
-            read: self.read.is_some(),
-            write: self.write.is_some(),
-        }
-    }
-
+impl FdEntry {
     fn slot(&mut self, interest: Interest) -> &mut Option<Waiter> {
         match interest {
             Interest::Read => &mut self.read,
             Interest::Write => &mut self.write,
         }
     }
+
+    fn has_waiter(&self) -> bool {
+        self.read.is_some() || self.write.is_some()
+    }
 }
 
 /// The kernel half of a latency-hiding reactor.
 struct Io {
     driver: Box<dyn IoDriver>,
-    table: Mutex<HashMap<RawFd, FdWaiters>>,
+    table: Mutex<HashMap<RawFd, FdEntry>>,
     /// Raised once by shutdown. Every path that touches the backend
     /// checks it (or finds the table drained) under the table lock.
     shutdown: AtomicBool,
@@ -101,12 +132,42 @@ struct Io {
     stats: Arc<IoShardStats>,
 }
 
+/// The cookie an fd is registered with: the fd itself.
+fn cookie(fd: RawFd) -> u64 {
+    fd as u32 as u64
+}
+
 impl Io {
-    /// Files `completer` and arms the fd: one `epoll_ctl` per wait — ADD
-    /// the first time the fd waits, MOD (re-arm) every time after.
+    /// Adds a socket's fd to the backend (the one `epoll_ctl` before its
+    /// `DEL`) and returns its readiness word. Rejected once shutdown has
+    /// begun.
+    fn register(&self, fd: RawFd) -> io::Result<Arc<Readiness>> {
+        let mut table = self.table.lock();
+        if self.shutdown.load(Ordering::SeqCst) {
+            return Err(io::Error::other("reactor is shut down"));
+        }
+        let Entry::Vacant(slot) = table.entry(fd) else {
+            return Err(io::Error::new(
+                io::ErrorKind::AlreadyExists,
+                "fd is already registered with the reactor",
+            ));
+        };
+        self.driver.register(fd, cookie(fd))?;
+        let readiness = Arc::new(Readiness::new());
+        slot.insert(FdEntry {
+            readiness: readiness.clone(),
+            read: None,
+            write: None,
+        });
+        Ok(readiness)
+    }
+
+    /// Files `completer` as the fd's `interest` waiter. With the cached bit
+    /// clear that is all — the next report fires it. With the bit set the
+    /// bit may be stale, so the fd is re-armed and the kernel re-evaluates.
     /// Rejected once shutdown has begun: the completer is dropped, so the
     /// caller's future observes `Err(Canceled)`.
-    fn register(
+    fn wait(
         &self,
         hooks: &DriverHooks,
         fd: RawFd,
@@ -119,13 +180,10 @@ impl Io {
             drop(completer);
             return Err(io::Error::other("reactor is shut down"));
         }
-        // An entry means the fd is already in epoll (it waited before).
-        let (registered, entry) = match table.entry(fd) {
-            Entry::Occupied(e) => (true, e.into_mut()),
-            Entry::Vacant(e) => (false, e.insert(FdWaiters::default())),
+        let Some(entry) = table.get_mut(&fd) else {
+            return Err(io::Error::other("fd is not registered with the reactor"));
         };
-        let slot = entry.slot(interest);
-        if slot.is_some() {
+        if entry.slot(interest).is_some() {
             // One waiter per direction per fd: a second reader/writer on
             // the same socket is an application bug, not a race to paper
             // over silently.
@@ -133,28 +191,15 @@ impl Io {
                 "a readiness wait is already registered for this fd and direction",
             ));
         }
-        *slot = Some(Waiter { token, completer });
-        let (set, cookie) = (entry.set(), fd as u32 as u64);
-        let armed = if registered {
-            // ENOENT: the fd was closed behind the reactor's back (a raw
-            // `ready(fd)` user) and the number reused — add it afresh.
-            self.driver
-                .modify(fd, set, cookie)
-                .or_else(|e| match e.kind() {
-                    io::ErrorKind::NotFound => self.driver.register(fd, set, cookie),
-                    _ => Err(e),
-                })
-        } else {
-            self.driver.register(fd, set, cookie)
-        };
-        if let Err(e) = armed {
-            // Roll back so the failed wait leaves no table state.
-            *entry.slot(interest) = None;
-            if !registered {
-                table.remove(&fd);
-            }
-            return Err(e);
+        // Bits are set only under this lock, so the clear cannot lose a
+        // report, and the re-arm's own report is dispatched after the
+        // waiter is filed.
+        let seen = entry.readiness.snapshot();
+        if seen & interest.mask() != 0 {
+            self.driver.rearm(fd, cookie(fd))?;
+            entry.readiness.clear(interest.bit(), seen);
         }
+        *entry.slot(interest) = Some(Waiter { token, completer });
         // Count + trace inside the lock, after the insert: the register
         // event is recorded before any readiness/deregister for the token.
         hooks.count_io_registration();
@@ -163,8 +208,8 @@ impl Io {
     }
 
     /// Unfiles the wait `(fd, interest, token)` if it is still filed,
-    /// tracing `IoDeregister`. No syscall: the fd stays armed, and a
-    /// report for it finds no waiter. A no-op when readiness, a close or
+    /// tracing `IoDeregister`. No syscall: a later report for the fd finds
+    /// no waiter and only sets bits. A no-op when readiness, a close or
     /// shutdown already claimed the waiter.
     fn cancel(&self, hooks: &DriverHooks, fd: RawFd, interest: Interest, token: u64) {
         let waiter = {
@@ -191,7 +236,7 @@ impl Io {
         let entry = {
             let mut table = self.table.lock();
             let Some(entry) = table.remove(&fd) else {
-                return; // never waited, or drained by shutdown
+                return; // drained by shutdown
             };
             let _ = self.driver.deregister(fd);
             for w in [&entry.read, &entry.write].into_iter().flatten() {
@@ -228,7 +273,8 @@ impl Io {
         true
     }
 
-    /// Fires the waiters one readiness entry unblocks.
+    /// Records one report in the fd's readiness word and fires the waiters
+    /// it unblocks.
     fn dispatch(&self, hooks: &DriverHooks, ev: IoEvent) {
         let fd = ev.cookie as u32 as RawFd;
         let fired = {
@@ -236,24 +282,29 @@ impl Io {
             let Some(entry) = table.get_mut(&fd) else {
                 return; // closed between the wait and here
             };
-            // Fault: swallow this readiness — the waiter stays filed and
-            // is re-armed below, so the kernel reports the still-true
-            // condition again.
-            let claim = |hit: bool, slot: &mut Option<Waiter>| {
-                (hit && slot.is_some() && !hooks.drop_readiness())
-                    .then(|| slot.take())
-                    .flatten()
-            };
-            let fired = [
-                claim(ev.read, &mut entry.read),
-                claim(ev.write, &mut entry.write),
-            ];
-            // The report disarmed the fd: re-arm whatever still waits.
-            let set = entry.set();
-            if !set.is_empty() {
-                let _ = self.driver.modify(fd, set, ev.cookie);
+            let unblocks = (ev.read && entry.read.is_some()) || (ev.write && entry.write.is_some());
+            if unblocks && hooks.drop_readiness() {
+                // Fault: swallow this report — bits untouched, waiters
+                // filed — and re-arm, so the kernel reports the still-true
+                // condition again.
+                let _ = self.driver.rearm(fd, ev.cookie);
+                return;
             }
-            fired
+            let mut bits = 0;
+            if ev.read {
+                bits |= Readiness::READABLE;
+            }
+            if ev.write {
+                bits |= Readiness::WRITABLE;
+            }
+            if ev.closed {
+                bits |= Readiness::READ_CLOSED;
+            }
+            entry.readiness.set(bits);
+            [
+                entry.read.take_if(|_| ev.read),
+                entry.write.take_if(|_| ev.write),
+            ]
         };
         // Fire outside the table lock: each complete() routes a resume
         // event to the suspended task's owner.
@@ -380,11 +431,20 @@ impl<'rt> ReactorBuilder<'rt> {
     /// deterministically. A runtime has one reactor — building again
     /// returns the first.
     pub fn build(self) -> io::Result<Reactor> {
+        self.build_on(|| Ok(Box::new(EpollDriver::new()?)))
+    }
+
+    /// [`build`](Self::build) on the backend `backend` opens (called only
+    /// under [`LatencyMode::Hide`]).
+    fn build_on(
+        self,
+        backend: impl FnOnce() -> io::Result<Box<dyn IoDriver>>,
+    ) -> io::Result<Reactor> {
         let hooks = self.rt.driver_hooks();
         let io = match hooks.mode() {
             LatencyMode::Block => None,
             LatencyMode::Hide => Some(Io {
-                driver: Box::new(EpollDriver::new()?),
+                driver: backend()?,
                 table: Mutex::new(HashMap::new()),
                 shutdown: AtomicBool::new(false),
                 in_wait: AtomicUsize::new(0),
@@ -424,7 +484,7 @@ impl Reactor {
     pub fn registered_fds(&self) -> usize {
         self.inner.io.as_ref().map_or(0, |io| {
             let table = io.table.lock();
-            table.values().filter(|e| !e.set().is_empty()).count()
+            table.values().filter(|e| e.has_waiter()).count()
         })
     }
 
@@ -454,7 +514,14 @@ impl Reactor {
         self.inner.hooks.count_io_timeout();
     }
 
-    /// Returns a future resolving when `fd` is ready for `interest`.
+    /// Adds a socket's fd to the reactor for its lifetime; returns its
+    /// readiness word, or `None` in blocking mode (nothing to register).
+    pub(crate) fn register(&self, fd: RawFd) -> io::Result<Option<Arc<Readiness>>> {
+        self.inner.io.as_ref().map(|io| io.register(fd)).transpose()
+    }
+
+    /// Returns a future resolving when the registered `fd` is ready for
+    /// `interest`.
     ///
     /// On a latency-hiding runtime the first `Pending` poll suspends the
     /// task against its deque ([`lhws_core::external_op`] semantics); a
@@ -462,7 +529,7 @@ impl Reactor {
     /// readiness. Dropping the future before readiness deregisters the
     /// wait. In blocking mode the future completes immediately so callers
     /// retry the (blocking) syscall.
-    pub fn ready(&self, fd: RawFd, interest: Interest) -> ReadyFuture {
+    pub(crate) fn ready(&self, fd: RawFd, interest: Interest) -> ReadyFuture {
         let token = self.inner.next_token.fetch_add(1, Ordering::Relaxed);
         let (completer, op) = external_op::<()>();
         let err = match &self.inner.io {
@@ -471,7 +538,7 @@ impl Reactor {
                 None
             }
             Some(io) => io
-                .register(&self.inner.hooks, fd, interest, token, completer)
+                .wait(&self.inner.hooks, fd, interest, token, completer)
                 .err(),
         };
         ReadyFuture {
@@ -492,8 +559,8 @@ impl Reactor {
         }
     }
 
-    /// Forgets a closing fd (no-op in blocking mode). Called by the socket
-    /// wrappers' `Drop`, before the close.
+    /// Forgets a closing fd (no-op in blocking mode). Called when a socket
+    /// wrapper's registration drops, before the close.
     pub(crate) fn deregister(&self, fd: RawFd) {
         if let Some(io) = &self.inner.io {
             io.deregister(&self.inner.hooks, fd);
@@ -501,8 +568,10 @@ impl Reactor {
     }
 }
 
-/// Future returned by [`Reactor::ready`]: resolves `Ok(())` when the fd is
-/// ready, `Err` if the wait was rejected or canceled (reactor shutdown).
+/// Future returned by [`TcpStream::read_ready`](crate::TcpStream::read_ready)
+/// and [`write_ready`](crate::TcpStream::write_ready): resolves `Ok(())`
+/// when the socket is ready, `Err` if the wait was rejected or canceled
+/// (reactor shutdown).
 ///
 /// Dropping it before completion deregisters the wait. Chain
 /// [`DeadlineExt::with_timeout`] to bound the wait by the runtime timer.
@@ -634,5 +703,94 @@ impl Drop for TimedReadyFuture {
         if !self.done {
             self.reactor.cancel(self.fd, self.interest, self.token);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{LineReader, TcpStream};
+    use std::io::{BufRead, BufReader, Write};
+
+    /// The epoll backend, counting the `epoll_ctl`s the reactor asks of it.
+    struct Counting {
+        inner: EpollDriver,
+        counts: Arc<[AtomicU64; 3]>,
+    }
+
+    impl IoDriver for Counting {
+        fn register(&self, fd: RawFd, cookie: u64) -> io::Result<()> {
+            self.counts[0].fetch_add(1, Ordering::Relaxed);
+            self.inner.register(fd, cookie)
+        }
+        fn rearm(&self, fd: RawFd, cookie: u64) -> io::Result<()> {
+            self.counts[1].fetch_add(1, Ordering::Relaxed);
+            self.inner.rearm(fd, cookie)
+        }
+        fn deregister(&self, fd: RawFd) -> io::Result<()> {
+            self.counts[2].fetch_add(1, Ordering::Relaxed);
+            self.inner.deregister(fd)
+        }
+        fn wait(&self, events: &mut [IoEvent], timeout: Duration) -> io::Result<WaitOutcome> {
+            self.inner.wait(events, timeout)
+        }
+        fn wake(&self) {
+            self.inner.wake();
+        }
+        fn close(&self) {
+            self.inner.close();
+        }
+    }
+
+    /// A connection's whole life of request/reply rounds costs one
+    /// registration and one deregistration, and no wait re-arms: every
+    /// request is a short read that clears the bit, so the next wait files
+    /// its waiter without a syscall. One worker, so no harvest can land
+    /// between a read's bit check and the wait it files.
+    #[test]
+    fn request_reply_rounds_register_once_and_never_rearm() {
+        const ROUNDS: usize = 1_000;
+        let rt = Runtime::builder()
+            .workers(1)
+            .mode(LatencyMode::Hide)
+            .build()
+            .unwrap();
+        let counts: Arc<[AtomicU64; 3]> = Arc::default();
+        let backend = counts.clone();
+        let reactor = Reactor::builder(&rt)
+            .build_on(move || {
+                Ok(Box::new(Counting {
+                    inner: EpollDriver::new()?,
+                    counts: backend,
+                }))
+            })
+            .unwrap();
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let server = TcpStream::from_std(listener.accept().unwrap().0, &reactor).unwrap();
+        let echo = rt.spawn(async move {
+            let mut lines = LineReader::new(server);
+            while let Some(mut line) = lines.read_line().await? {
+                line.push('\n');
+                lines.stream_mut().write_all(line.as_bytes()).await?;
+            }
+            io::Result::Ok(())
+        });
+        client.set_nodelay(true).unwrap();
+        let mut replies = BufReader::new(client.try_clone().unwrap());
+        let mut reply = String::new();
+        for i in 0..ROUNDS {
+            writeln!(&client, "request {i}").unwrap();
+            reply.clear();
+            replies.read_line(&mut reply).unwrap();
+            assert_eq!(reply, format!("request {i}\n"));
+        }
+        drop((client, replies));
+        rt.block_on(echo).unwrap();
+        let [registered, rearmed, deregistered] =
+            counts.each_ref().map(|c| c.load(Ordering::Relaxed));
+        assert_eq!((registered, rearmed, deregistered), (1, 0, 1));
+        assert!(rt.metrics().io_registrations >= ROUNDS as u64);
+        rt.shutdown();
     }
 }

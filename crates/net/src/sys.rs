@@ -31,9 +31,9 @@ pub const EPOLLERR: u32 = 0x008;
 pub const EPOLLHUP: u32 = 0x010;
 /// `EPOLLRDHUP`: peer closed its writing half.
 pub const EPOLLRDHUP: u32 = 0x2000;
-/// `EPOLLONESHOT`: after one event is reported the fd is disarmed (it
-/// stays registered) until the next `EPOLL_CTL_MOD` re-arms it.
-pub const EPOLLONESHOT: u32 = 1 << 30;
+/// `EPOLLET`: edge-triggered — the fd is reported when its readiness
+/// changes, not for as long as it holds.
+pub const EPOLLET: u32 = 1 << 31;
 
 /// One `struct epoll_event`. On x86-64 the kernel ABI packs this struct
 /// (12 bytes, no padding before `data`); `repr(packed)` reproduces that.

@@ -1,32 +1,95 @@
 //! TCP socket wrappers that suspend through the scheduler on `WouldBlock`.
 //!
 //! Under [`LatencyMode::Hide`](lhws_core::LatencyMode::Hide) the sockets
-//! are nonblocking: every `WouldBlock` turns into a
-//! [`Reactor::ready`](crate::Reactor::ready) wait, i.e. a real heavy edge
-//! — the task suspends against its deque and its worker moves on to other
-//! work. Under [`LatencyMode::Block`](lhws_core::LatencyMode::Block) the
-//! same code runs with blocking sockets (readiness futures complete
-//! immediately, the retried syscall parks the worker in the kernel) —
-//! the paper's blocking baseline from identical application source.
+//! are nonblocking and registered with the reactor once, when they are
+//! made. Each wrapper keeps its socket's [`Readiness`] word: it tries a
+//! syscall while the direction's bit is set, clears the bit when the
+//! syscall finds the socket drained (`EAGAIN`, or a read shorter than its
+//! buffer), and while the bit is clear it waits on the reactor — a real
+//! heavy edge: the task suspends against its deque and its worker moves on
+//! to other work. A request/reply round therefore costs one `recv` and one
+//! `send`. Under [`LatencyMode::Block`](lhws_core::LatencyMode::Block) the
+//! same code runs with blocking sockets (nothing is registered, readiness
+//! futures complete immediately, the syscall parks the worker in the
+//! kernel) — the paper's blocking baseline from identical application
+//! source.
 
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, ToSocketAddrs};
 use std::os::fd::{AsRawFd, RawFd};
+use std::sync::Arc;
 
-use crate::driver::Interest;
-use crate::reactor::{Reactor, ReadyFuture};
+use crate::reactor::{Interest, Reactor, ReadyFuture};
+use crate::readiness::Readiness;
 
 /// Accept backlog applied to every [`TcpListener`]: `std` hardwires 128,
 /// which a connect storm overflows long before the runtime is the
 /// bottleneck. Linux clamps this to `net.core.somaxconn`.
 const LISTEN_BACKLOG: i32 = 4096;
 
+/// A socket's registration with the reactor, made once when its wrapper
+/// is, and its readiness word. Dropping it deregisters the fd, so each
+/// wrapper declares it **before** its socket: fields drop in order, and
+/// the `DEL` must precede the close.
+#[derive(Debug)]
+struct Registration {
+    reactor: Reactor,
+    fd: RawFd,
+    /// `None` in blocking mode: nothing is registered, and waits complete
+    /// at once.
+    readiness: Option<Arc<Readiness>>,
+}
+
+impl Registration {
+    fn new(reactor: &Reactor, fd: RawFd) -> io::Result<Registration> {
+        Ok(Registration {
+            reactor: reactor.clone(),
+            fd,
+            readiness: reactor.register(fd)?,
+        })
+    }
+
+    fn ready(&self, interest: Interest) -> ReadyFuture {
+        self.reactor.ready(self.fd, interest)
+    }
+
+    /// Waits until `interest`'s syscall is worth trying — at once, and
+    /// with no syscall, while its bit is set — and returns the word to
+    /// [`drained`](Self::drained) by.
+    async fn armed(&self, interest: Interest) -> io::Result<u64> {
+        let Some(readiness) = &self.readiness else {
+            return Ok(0);
+        };
+        loop {
+            let seen = readiness.snapshot();
+            if seen & interest.mask() != 0 {
+                return Ok(seen);
+            }
+            self.ready(interest).await?;
+        }
+    }
+
+    /// The syscall found the socket drained: clears `interest`'s bit,
+    /// unless a report arrived since `seen` (the tick rule).
+    fn drained(&self, interest: Interest, seen: u64) {
+        if let Some(readiness) = &self.readiness {
+            readiness.clear(interest.bit(), seen);
+        }
+    }
+}
+
+impl Drop for Registration {
+    fn drop(&mut self) {
+        self.reactor.deregister(self.fd);
+    }
+}
+
 /// A TCP listener whose `accept` suspends (rather than blocks) until a
 /// connection is pending.
 #[derive(Debug)]
 pub struct TcpListener {
+    reg: Registration,
     inner: std::net::TcpListener,
-    reactor: Reactor,
 }
 
 impl TcpListener {
@@ -42,8 +105,8 @@ impl TcpListener {
             inner.set_nonblocking(true)?;
         }
         Ok(TcpListener {
+            reg: Registration::new(reactor, inner.as_raw_fd())?,
             inner,
-            reactor: reactor.clone(),
         })
     }
 
@@ -57,24 +120,21 @@ impl TcpListener {
         loop {
             // Fault: a listener that epoll reported ready claims
             // `WouldBlock` anyway — another thread raced the accept
-            // queue. Lossless: registering the wait re-arms the listener,
-            // and re-arming re-evaluates readiness, so the wait returns at
-            // once while a connection is pending and the next iteration
-            // accepts it.
-            if self.reactor.fault_accept_burst() {
-                self.reactor
-                    .ready(self.inner.as_raw_fd(), Interest::Read)
-                    .await?;
+            // queue. Lossless: a wait filed with the readable bit set
+            // re-arms the listener, and re-arming re-evaluates readiness,
+            // so the wait returns at once while a connection is pending
+            // and the next iteration accepts it.
+            if self.reg.reactor.fault_accept_burst() {
+                self.reg.ready(Interest::Read).await?;
                 continue;
             }
+            let seen = self.reg.armed(Interest::Read).await?;
             match self.inner.accept() {
                 Ok((stream, peer)) => {
-                    return TcpStream::from_std(stream, &self.reactor).map(|s| (s, peer));
+                    return TcpStream::from_std(stream, &self.reg.reactor).map(|s| (s, peer));
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    self.reactor
-                        .ready(self.inner.as_raw_fd(), Interest::Read)
-                        .await?;
+                    self.reg.drained(Interest::Read, seen);
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 // A connection can die between the kernel queuing it and
@@ -108,27 +168,24 @@ impl TcpListener {
         loop {
             // Same fault semantics as `accept`: a burst-claimed accept
             // queue is recovered by the re-arm of the next wait.
-            if batch.is_empty() && self.reactor.fault_accept_burst() {
-                self.reactor
-                    .ready(self.inner.as_raw_fd(), Interest::Read)
-                    .await?;
+            if batch.is_empty() && self.reg.reactor.fault_accept_burst() {
+                self.reg.ready(Interest::Read).await?;
                 continue;
             }
+            let seen = self.reg.armed(Interest::Read).await?;
             match self.inner.accept() {
                 Ok((stream, peer)) => {
-                    let stream = TcpStream::from_std(stream, &self.reactor)?;
+                    let stream = TcpStream::from_std(stream, &self.reg.reactor)?;
                     batch.push((stream, peer));
-                    if batch.len() >= max || self.reactor.is_blocking() {
+                    if batch.len() >= max || self.reg.reactor.is_blocking() {
                         return Ok(batch);
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    self.reg.drained(Interest::Read, seen);
                     if !batch.is_empty() {
                         return Ok(batch); // queue drained: ship what we have
                     }
-                    self.reactor
-                        .ready(self.inner.as_raw_fd(), Interest::Read)
-                        .await?;
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e)
@@ -151,8 +208,8 @@ impl TcpListener {
 /// `WouldBlock`.
 #[derive(Debug)]
 pub struct TcpStream {
+    reg: Registration,
     inner: std::net::TcpStream,
-    reactor: Reactor,
 }
 
 impl TcpStream {
@@ -182,12 +239,12 @@ impl TcpStream {
             inner.set_nonblocking(true)?;
         }
         Ok(TcpStream {
+            reg: Registration::new(reactor, inner.as_raw_fd())?,
             inner,
-            reactor: reactor.clone(),
         })
     }
 
-    /// The stream's raw descriptor (for registering custom waits).
+    /// The stream's raw descriptor.
     pub fn as_raw_fd(&self) -> RawFd {
         self.inner.as_raw_fd()
     }
@@ -203,13 +260,10 @@ impl TcpStream {
     }
 
     /// Clones the stream (a `dup` of the descriptor), e.g. to split
-    /// reading and writing across tasks. Each handle waits on, and
-    /// deregisters, its own descriptor.
+    /// reading and writing across tasks. Each handle registers, waits on,
+    /// and deregisters its own descriptor.
     pub fn try_clone(&self) -> io::Result<TcpStream> {
-        Ok(TcpStream {
-            inner: self.inner.try_clone()?,
-            reactor: self.reactor.clone(),
-        })
+        TcpStream::from_std(self.inner.try_clone()?, &self.reg.reactor)
     }
 
     /// Shuts down the read, write, or both halves (see
@@ -221,13 +275,17 @@ impl TcpStream {
     /// A future resolving when the stream is readable. This is the heavy
     /// edge itself — exposed so callers can bound it:
     /// `stream.read_ready().with_timeout(d).await`.
+    ///
+    /// The wait never trusts the cached readable bit: after a read that
+    /// filled its buffer the bit is still set, so the reactor has the
+    /// kernel re-evaluate the socket, and a drained one is waited on.
     pub fn read_ready(&self) -> ReadyFuture {
-        self.reactor.ready(self.inner.as_raw_fd(), Interest::Read)
+        self.reg.ready(Interest::Read)
     }
 
     /// A future resolving when the stream is writable.
     pub fn write_ready(&self) -> ReadyFuture {
-        self.reactor.ready(self.inner.as_raw_fd(), Interest::Write)
+        self.reg.ready(Interest::Write)
     }
 
     /// Reads into `buf`, suspending until at least one byte (or EOF, which
@@ -241,16 +299,25 @@ impl TcpStream {
             // Fault: the peer reset under us. Fails the op without
             // touching the kernel — the socket itself stays healthy, so
             // the *caller's* reset handling is what gets exercised.
-            if self.reactor.fault_peer_reset() {
+            if self.reg.reactor.fault_peer_reset() {
                 return Err(io::Error::new(
                     io::ErrorKind::ConnectionReset,
                     "injected peer reset (fault plan)",
                 ));
             }
+            let seen = self.reg.armed(Interest::Read).await?;
             match (&self.inner).read(buf) {
-                Ok(n) => return Ok(n),
+                Ok(n) => {
+                    // A read that stopped short of its buffer emptied the
+                    // receive queue: it stands in for the `EAGAIN` the next
+                    // read would hit.
+                    if 0 < n && n < buf.len() {
+                        self.reg.drained(Interest::Read, seen);
+                    }
+                    return Ok(n);
+                }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    self.read_ready().await?;
+                    self.reg.drained(Interest::Read, seen);
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
@@ -267,7 +334,7 @@ impl TcpStream {
         let mut written = 0;
         while written < buf.len() {
             // Fault: the peer reset mid-write (see `read`).
-            if self.reactor.fault_peer_reset() {
+            if self.reg.reactor.fault_peer_reset() {
                 return Err(io::Error::new(
                     io::ErrorKind::ConnectionReset,
                     "injected peer reset (fault plan)",
@@ -277,11 +344,12 @@ impl TcpStream {
             // exercising this very resumption loop. Lossless by
             // construction — the bytes actually written are counted and
             // the loop continues from there.
-            let end = if buf.len() - written > 1 && self.reactor.fault_partial_write() {
+            let end = if buf.len() - written > 1 && self.reg.reactor.fault_partial_write() {
                 written + (buf.len() - written) / 2
             } else {
                 buf.len()
             };
+            let seen = self.reg.armed(Interest::Write).await?;
             match (&self.inner).write(&buf[written..end]) {
                 Ok(0) => {
                     return Err(io::Error::new(
@@ -291,25 +359,13 @@ impl TcpStream {
                 }
                 Ok(n) => written += n,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    self.write_ready().await?;
+                    self.reg.drained(Interest::Write, seen);
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
         }
         Ok(())
-    }
-}
-
-impl Drop for TcpListener {
-    fn drop(&mut self) {
-        self.reactor.deregister(self.inner.as_raw_fd());
-    }
-}
-
-impl Drop for TcpStream {
-    fn drop(&mut self) {
-        self.reactor.deregister(self.inner.as_raw_fd());
     }
 }
 

@@ -1,6 +1,8 @@
-//! The arm-once protocol: each fd is added to epoll once, re-armed with
-//! one one-shot `MOD` per wait, and removed before it is closed — and the
-//! reactor runs on the workers, with no thread of its own.
+//! Register once, edge-triggered: each fd is added to epoll when its
+//! wrapper is made and removed before it is closed, the kernel's reports
+//! are cached in a readiness word the reads and writes clear by the tick
+//! rule — after `EAGAIN` or a short read — and the reactor runs on the
+//! workers, with no thread of its own.
 
 use std::io::{Read, Write};
 use std::net::SocketAddr;
@@ -8,7 +10,7 @@ use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use lhws_core::{fork2, spawn, FaultPlan, LatencyMode, Runtime};
-use lhws_net::{DeadlineExt, Reactor, TcpListener, TcpStream};
+use lhws_net::{DeadlineExt, LineReader, Reactor, TcpListener, TcpStream};
 
 /// Readiness waits the tests bound themselves are bounded by this, so a
 /// lost arm fails with `TimedOut` instead of hanging.
@@ -78,7 +80,7 @@ fn pairs(rt: &Runtime, reactor: &Reactor, n: usize) -> Vec<(std::net::TcpStream,
 
 /// A closed server socket's fd number, handed out again by the next
 /// accept, still gets readiness: the close removed the old registration
-/// first, and the new socket is armed afresh.
+/// first, and the new socket is registered afresh.
 #[test]
 fn reused_fd_number_still_gets_readiness() {
     let (rt, reactor) = hide_rt(2);
@@ -90,7 +92,7 @@ fn reused_fd_number_still_gets_readiness() {
             let mut client_a = std::net::TcpStream::connect(addr).unwrap();
             let (mut a, _) = listener.accept().await.unwrap();
             client_a.write_all(b"a").unwrap();
-            // A waits once, so its fd is registered (and the arm spent).
+            // A waits once, so its fd has reported.
             assert_eq!(read_some(&mut a, &mut [0]).await.unwrap(), 1);
             // B's client connects before A closes, so the accept below
             // takes the lowest free fd — A's, unless a parallel test
@@ -114,8 +116,9 @@ fn reused_fd_number_still_gets_readiness() {
 }
 
 /// `try_clone` makes a second descriptor for the same socket: a reader
-/// task and a writer task each wait on (and arm) their own fd, both past
-/// the loopback buffers so both see `EAGAIN`, and neither loses a byte.
+/// task and a writer task each register and wait on their own fd, both
+/// past the loopback buffers so both see `EAGAIN`, and neither loses a
+/// byte.
 #[test]
 fn try_clone_halves_wait_on_two_tasks() {
     const BYTES: usize = 4 << 20;
@@ -163,9 +166,10 @@ fn try_clone_halves_wait_on_two_tasks() {
     assert_eq!(report.leaked_suspensions, 0, "unclean: {report:?}");
 }
 
-/// 10 000 ping-pong rounds on one connection: every server read hits
-/// `EAGAIN` and registers while the peer's next byte races it in. The
-/// re-arm re-evaluates readiness, so no byte is ever missed.
+/// 10 000 ping-pong rounds on one connection: every server read fills
+/// its one-byte buffer, so the next one hits `EAGAIN` and clears the
+/// readable bit while the peer's next byte races it in. The tick rule
+/// keeps a report that landed in between, so no byte is ever missed.
 #[test]
 fn peer_writes_racing_registration_lose_nothing() {
     const ROUNDS: usize = 10_000;
@@ -194,10 +198,130 @@ fn peer_writes_racing_registration_lose_nothing() {
     assert_eq!(report.leaked_suspensions, 0, "unclean: {report:?}");
 }
 
+/// 10 000 lines, each sent in two chunks 0–50 µs apart and read through
+/// a `LineReader`, so every read is short and clears the readable bit —
+/// sometimes just before the second chunk's report, sometimes just after.
+/// No line is lost: the peer's reply read is bounded by `WAIT_LIMIT`.
+#[test]
+fn split_lines_read_short_lose_nothing() {
+    const ROUNDS: usize = 10_000;
+    let (rt, reactor) = hide_rt(2);
+    let (mut peer, conn) = pairs(&rt, &reactor, 1).pop().unwrap();
+    peer.set_nodelay(true).unwrap();
+    peer.set_read_timeout(Some(WAIT_LIMIT)).unwrap();
+    let sender = std::thread::spawn(move || {
+        let mut reply = [0u8; 11];
+        for i in 0..ROUNDS {
+            let line = format!("line {i:05}\n");
+            let (head, tail) = line.as_bytes().split_at(1 + i % (line.len() - 1));
+            peer.write_all(head).unwrap();
+            let until = Instant::now() + Duration::from_micros((i * 37 % 51) as u64);
+            while Instant::now() < until {
+                std::hint::spin_loop();
+            }
+            peer.write_all(tail).unwrap();
+            peer.read_exact(&mut reply)
+                .unwrap_or_else(|e| panic!("round {i}: no reply ({e})"));
+            assert_eq!(&reply, line.as_bytes(), "round {i}");
+        }
+    });
+    let served = run_bounded(&rt, Duration::from_secs(120), async move {
+        let mut lines = LineReader::new(conn);
+        let mut served = 0;
+        while let Some(mut line) = lines.read_line().await.unwrap() {
+            line.push('\n');
+            lines.stream_mut().write_all(line.as_bytes()).await.unwrap();
+            served += 1;
+        }
+        served
+    });
+    sender.join().unwrap();
+    assert_eq!(served, ROUNDS);
+    let report = rt.shutdown();
+    assert_eq!(report.leaked_suspensions, 0, "unclean: {report:?}");
+}
+
+/// A read that fills its buffer may have left bytes behind, so it keeps
+/// the readable bit: the remainder is read at once, with no wait filed.
+#[test]
+fn full_read_keeps_the_bit_for_the_remainder() {
+    let (rt, reactor) = hide_rt(2);
+    let (mut peer, conn) = pairs(&rt, &reactor, 1).pop().unwrap();
+    peer.write_all(b"twelve bytes").unwrap();
+    let mut conn = run_bounded(&rt, WAIT_LIMIT, async move {
+        conn.read_ready().with_timeout(WAIT_LIMIT).await.unwrap();
+        conn
+    });
+    let before = rt.metrics().io_registrations;
+    let (first, rest) = run_bounded(&rt, WAIT_LIMIT, async move {
+        let mut first = [0u8; 8];
+        assert_eq!(conn.read(&mut first).await.unwrap(), 8);
+        let mut rest = [0u8; 8];
+        let n = conn.read(&mut rest).await.unwrap();
+        (first, rest[..n].to_vec())
+    });
+    assert_eq!((&first[..], &rest[..]), (&b"twelve b"[..], &b"ytes"[..]));
+    assert_eq!(
+        rt.metrics().io_registrations,
+        before,
+        "the remainder waited"
+    );
+    let report = rt.shutdown();
+    assert_eq!(report.leaked_suspensions, 0, "unclean: {report:?}");
+}
+
+/// A wait never trusts the bit a full read left set: after the read that
+/// drained the socket, `read_ready` on a silent peer re-checks with the
+/// kernel and times out instead of resolving on the stale bit.
+#[test]
+fn read_ready_after_a_draining_full_read_times_out() {
+    let (rt, reactor) = hide_rt(2);
+    let (mut peer, mut conn) = pairs(&rt, &reactor, 1).pop().unwrap();
+    peer.write_all(b"8 bytes!").unwrap();
+    let waited = run_bounded(&rt, WAIT_LIMIT, async move {
+        conn.read_ready().with_timeout(WAIT_LIMIT).await.unwrap();
+        assert_eq!(conn.read(&mut [0u8; 8]).await.unwrap(), 8);
+        conn.read_ready()
+            .with_timeout(Duration::from_millis(50))
+            .await
+            .map_err(|e| e.kind())
+    });
+    assert_eq!(waited, Err(std::io::ErrorKind::TimedOut));
+    assert_eq!(rt.metrics().io_timeouts, 1);
+    let report = rt.shutdown();
+    assert_eq!(report.leaked_suspensions, 0, "unclean: {report:?}");
+    drop(peer);
+}
+
+/// A hang-up is sticky: when the last line and the FIN were both reported
+/// before the read, the short read that takes the line clears the
+/// readable bit, yet the next read still returns EOF instead of waiting
+/// for an edge the kernel already sent.
+#[test]
+fn short_read_before_a_reported_hangup_still_sees_eof() {
+    let (rt, reactor) = hide_rt(2);
+    let (mut peer, conn) = pairs(&rt, &reactor, 1).pop().unwrap();
+    peer.write_all(b"last\n").unwrap();
+    peer.shutdown(std::net::Shutdown::Write).unwrap();
+    std::thread::sleep(Duration::from_millis(10));
+    let lines = run_bounded(&rt, WAIT_LIMIT, async move {
+        // The re-check reports the line and the FIN together.
+        conn.read_ready().with_timeout(WAIT_LIMIT).await.unwrap();
+        let mut lines = LineReader::new(conn);
+        let first = lines.read_line().await.unwrap();
+        (first, lines.read_line().await.unwrap())
+    });
+    assert_eq!(lines, (Some("last".to_string()), None));
+    let report = rt.shutdown();
+    assert_eq!(report.leaked_suspensions, 0, "unclean: {report:?}");
+}
+
 /// The two fault sites that leaned on level-triggered re-reporting
-/// recover under one-shot arms: a swallowed readiness is re-armed by the
-/// reactor, and a burst-claimed accept queue by the re-arm of the next
-/// wait. Both `accept` and `accept_batch` take the `AcceptBurst` path.
+/// recover under edge-triggered registration: a swallowed report leaves
+/// the bits alone and is re-armed by the reactor, and a burst-claimed
+/// accept queue by the re-arm of the next wait, filed with the readable
+/// bit still set. Both `accept` and `accept_batch` take the `AcceptBurst`
+/// path.
 #[test]
 fn accept_burst_and_dropped_readiness_recover_under_arm_once() {
     const CONNS: usize = 24;
@@ -251,9 +375,9 @@ fn accept_burst_and_dropped_readiness_recover_under_arm_once() {
     assert_eq!(report.leaked_suspensions, 0, "unclean: {report:?}");
 }
 
-/// Arms `n` connections' fds and leaves them idle: each server end reads
-/// one byte (registered, arm spent), and every other one also files a
-/// read wait and drops it (armed, no waiter).
+/// Registers `n` connections and leaves them idle: each server end reads
+/// one byte, and every other one also files a read wait and drops it
+/// (registered, no waiter).
 fn idle_armed(rt: &Runtime, reactor: &Reactor, n: usize) -> Vec<(std::net::TcpStream, TcpStream)> {
     let mut conns = pairs(rt, reactor, n);
     for (client, _) in conns.iter_mut() {
@@ -271,8 +395,8 @@ fn idle_armed(rt: &Runtime, reactor: &Reactor, n: usize) -> Vec<(std::net::TcpSt
 }
 
 /// `canceled_io_waits` counts canceled *waiters*, never fds that are
-/// merely registered: 64 idle armed connections outliving the shutdown
-/// cancel nothing.
+/// merely registered: 64 idle connections outliving the shutdown cancel
+/// nothing.
 #[test]
 fn idle_armed_connections_cancel_no_waits() {
     let (rt, reactor) = hide_rt(2);
@@ -284,8 +408,8 @@ fn idle_armed_connections_cancel_no_waits() {
     drop(conns);
 }
 
-/// Beside 64 idle armed connections, exactly the N parked readers are
-/// canceled by the shutdown drain.
+/// Beside 64 idle registered connections, exactly the N parked readers
+/// are canceled by the shutdown drain.
 #[test]
 fn shutdown_cancels_exactly_the_parked_readers() {
     const PARKED: usize = 5;

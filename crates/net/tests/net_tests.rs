@@ -311,9 +311,10 @@ fn block_mode_runs_same_code_without_reactor_thread() {
     assert_eq!(report.leaked_suspensions, 0);
 }
 
-/// `DroppedReadiness` fault injection swallows events; one-shot arms report
-/// a condition once, so the reactor's explicit `MOD` re-arm of the waiter
-/// it kept is what recovers every wait: the run completes and audits clean.
+/// `DroppedReadiness` fault injection swallows events; an edge-triggered
+/// registration reports a change once, so the reactor's explicit re-arm
+/// for the waiter it kept is what recovers every wait: the run completes
+/// and audits clean.
 #[test]
 fn dropped_readiness_recovers_via_rearm() {
     let rt = Runtime::builder()

@@ -57,9 +57,10 @@ fn readiness_is_counted_on_the_one_queue() {
     let (listener, pairs) = loopback_pairs(&rt, &reactor, 4);
     for stream in pairs.iter().flat_map(|(c, s)| [c, s]) {
         let before = shard_snapshot(&rt);
-        // A fresh loopback socket is writable immediately: one arm, one
-        // kernel event, one completion. The future registers at creation,
-        // and the harvesting worker counts the event before it fires.
+        // A fresh loopback socket is writable: the wait finds the cached
+        // bit set, re-arms, and the kernel reports once — one event, one
+        // completion. The future files its waiter at creation, and the
+        // harvesting worker counts the event before it fires.
         let ready = stream.write_ready();
         rt.block_on(async move { ready.await.unwrap() });
         let after = shard_snapshot(&rt);

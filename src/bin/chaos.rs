@@ -166,9 +166,10 @@ fn forkjoin(rt: &Runtime, depth: u64) -> Result<(), String> {
 }
 
 /// Loopback TCP echo through the epoll reactor the workers harvest: every
-/// socket wait is a one-shot arm, so a `DroppedReadiness` swallowed by a
-/// harvesting worker must be recovered by the reactor's explicit re-arm,
-/// and an `AcceptBurst` by the re-arm of the accept loop's next wait.
+/// socket is registered once, edge-triggered, so a `DroppedReadiness`
+/// swallowed by a harvesting worker must be recovered by the reactor's
+/// explicit re-arm, and an `AcceptBurst` by the re-arm of the accept
+/// loop's next wait.
 fn netecho(rt: &Runtime, conns: u64) -> Result<(), String> {
     let reactor = Reactor::builder(rt)
         .build()

@@ -27,8 +27,8 @@
 //!   workers, and TCP wrappers that turn kernel socket readiness into the
 //!   runtime's suspension/resume machinery, so real network waits are
 //!   heavy edges (see `examples/server.rs`). The blessed surface
-//!   ([`Reactor`], [`ReactorBuilder`], [`Interest`], [`ReadyFuture`],
-//!   [`TcpListener`], [`TcpStream`]) is re-exported here.
+//!   ([`Reactor`], [`ReactorBuilder`], [`ReadyFuture`], [`TcpListener`],
+//!   [`TcpStream`]) is re-exported here.
 //!
 //! ## Quickstart
 //!
@@ -112,8 +112,7 @@ pub use lhws_core::{
 // [`Reactor::builder`] and bound readiness waits with [`DeadlineExt`].
 // Import these from here (or [`prelude`]) rather than from `lhws_net`.
 pub use lhws_net::{
-    Interest, LineReader, Reactor, ReactorBuilder, ReadyFuture, TcpListener, TcpStream,
-    TimedReadyFuture,
+    LineReader, Reactor, ReactorBuilder, ReadyFuture, TcpListener, TcpStream, TimedReadyFuture,
 };
 
 // Module entry points with their own vocabularies.
@@ -138,8 +137,8 @@ pub mod prelude {
     pub use crate::channel::{mpsc, oneshot};
     pub use crate::{
         external_op, fork2, join_all, par_map_reduce, simulate_latency, spawn, yield_now, Config,
-        DeadlineExt, Interest, JoinHandle, LatencyMode, LatencyProfile, Reactor, ReactorBuilder,
-        ReadyFuture, RemoteService, RetryPolicy, Runtime, RuntimeBuilder, TcpListener, TcpStream,
+        DeadlineExt, JoinHandle, LatencyMode, LatencyProfile, Reactor, ReactorBuilder, ReadyFuture,
+        RemoteService, RetryPolicy, Runtime, RuntimeBuilder, TcpListener, TcpStream,
     };
 }
 
