@@ -36,16 +36,14 @@ pub struct Config {
     /// is comfortable for any realistic suspension width.
     pub registry_capacity: usize,
     /// How long an idle worker parks between scavenging rounds, in
-    /// microseconds. Bounds wake-up staleness for events that race with
-    /// parking.
+    /// microseconds (cut short at the worker's own next timer deadline).
+    /// Bounds wake-up staleness for events that race with parking, and is
+    /// a parked thief's steal-poll interval: pushing a task onto a deque
+    /// wakes nobody, so a parked worker finds stealable work only when
+    /// this expires.
     pub park_micros: u64,
     /// Seed for the per-worker victim-selection RNGs.
     pub seed: u64,
-    /// Tick granularity of the timer wheel. Deadlines are rounded up to
-    /// the next tick boundary, so this bounds both resume latency slop and
-    /// the batching window: suspensions expiring within one tick of each
-    /// other are delivered together.
-    pub timer_tick: Duration,
     /// Per-worker trace ring capacity in events (rounded up to a power of
     /// two). `0` (the default) disables tracing entirely: no rings are
     /// allocated and every event site reduces to one never-taken branch.
@@ -88,7 +86,6 @@ impl Default for Config {
             registry_capacity: 1 << 16,
             park_micros: 100,
             seed: 0x1A7E_11C1,
-            timer_tick: Duration::from_micros(50),
             trace_capacity: 0,
             fault_plan: None,
             worker_respawn_budget: 0,
@@ -105,9 +102,6 @@ impl Config {
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.workers == 0 {
             return Err(ConfigError::ZeroWorkers);
-        }
-        if self.timer_tick.is_zero() {
-            return Err(ConfigError::ZeroTimerTick);
         }
         if self.park_micros == 0 {
             return Err(ConfigError::ZeroParkInterval);
@@ -135,8 +129,6 @@ impl Config {
 pub enum ConfigError {
     /// `workers == 0`: the runtime needs at least one worker thread.
     ZeroWorkers,
-    /// `timer_tick == 0`: the wheel cannot advance in zero-length ticks.
-    ZeroTimerTick,
     /// `park_micros == 0`: idle workers would spin without ever parking.
     ZeroParkInterval,
     /// `io_safety_timeout == 0`: Block-mode reads would block forever on a
@@ -164,7 +156,6 @@ impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ConfigError::ZeroWorkers => write!(f, "workers must be >= 1"),
-            ConfigError::ZeroTimerTick => write!(f, "timer_tick must be non-zero"),
             ConfigError::ZeroParkInterval => write!(f, "park_micros must be >= 1"),
             ConfigError::ZeroIoSafetyTimeout => {
                 write!(f, "io_safety_timeout must be non-zero")
@@ -237,13 +228,6 @@ impl RuntimeBuilder {
     /// Sets the RNG seed.
     pub fn seed(mut self, s: u64) -> Self {
         self.cfg.seed = s;
-        self
-    }
-
-    /// Sets the timer-wheel tick granularity. A zero duration is rejected
-    /// at build time.
-    pub fn timer_tick(mut self, d: Duration) -> Self {
-        self.cfg.timer_tick = d;
         self
     }
 
@@ -330,13 +314,11 @@ mod tests {
             .workers(3)
             .mode(LatencyMode::Block)
             .seed(9)
-            .timer_tick(Duration::from_millis(2))
             .validate()
             .unwrap();
         assert_eq!(cfg.workers, 3);
         assert_eq!(cfg.mode, LatencyMode::Block);
         assert_eq!(cfg.seed, 9);
-        assert_eq!(cfg.timer_tick, Duration::from_millis(2));
         // No clamping: an out-of-range value is rejected, not repaired.
         assert_eq!(
             RuntimeBuilder::new().workers(0).validate().err(),

@@ -254,8 +254,8 @@ impl<T: Send + 'static> Future for ExternalOp<T> {
 /// An [`ExternalOp`] bounded by a deadline (see
 /// [`DeadlineExt::with_deadline`]).
 ///
-/// On a latency-hiding runtime the first poll arms a one-shot deadline on
-/// the runtime timer; whichever of {completer, deadline, runtime shutdown}
+/// Polled on a runtime worker, the first poll arms a one-shot deadline on
+/// that worker's own timer shard; whichever of {completer, deadline, runtime shutdown}
 /// settles first wins, and the suspension registered by the poll is
 /// resumed exactly once regardless — counters stay balanced. Off any
 /// runtime there is no timer, so the deadline is checked at each poll
@@ -286,19 +286,19 @@ impl<T: Send + 'static> Future for DeadlineOp<T> {
         let this = self.get_mut();
         if !this.arm_attempted {
             this.arm_attempted = true;
-            // Arm before taking the state lock: timer registration takes
-            // a shard lock, and the callback takes the state lock — never
-            // both at once, in either order.
+            // Arm before taking the state lock: the callback takes the
+            // state lock, and it runs on this worker's own drain, never
+            // inside this poll.
             this.timer_armed = worker::with_worker(|w| {
                 let Some(w) = w else { return false };
                 let shared = this.shared.clone();
-                w.rt().timer().register_deadline(
+                w.register_deadline(
                     this.deadline,
                     Box::new(move |expired| {
                         let outcome = if expired {
                             OpError::TimedOut
                         } else {
-                            OpError::Canceled // runtime shut down first
+                            OpError::Canceled // the worker exited first
                         };
                         settle(&shared, Err(outcome));
                     }),

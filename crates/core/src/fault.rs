@@ -28,8 +28,8 @@
 //! | knob | site | effect |
 //! |------|------|--------|
 //! | `steal_fail_ppm` | steal loop | the attempt fails before drawing a victim (a forced lost race / retry storm) |
-//! | `resume_delay_ppm` | `deliver_resume` | the event is re-routed through the timer with a jittered delay (late, but still exactly once) |
-//! | `resume_reorder_ppm` | `deliver_batch` | the batch's event order is reversed before delivery |
+//! | `resume_delay_ppm` | the owner's inbox drain, per external completion | the event is filed into the owner's own timer shard with a jittered delay and not rolled again when it fires (late, but still exactly once) |
+//! | `resume_reorder_ppm` | the owner firing its timer shard | the fired batch's event order is reversed before it is drained |
 //! | `spurious_wake_ppm` | after a `Pending` poll | the task is woken without any of its registrations completing |
 //! | `poll_delay_ppm` | before a poll | the worker sleeps, emulating OS preemption between deadline computation and first poll |
 //! | `task_panic_ppm` | first poll of a spawned task | the task panics (propagates at its join, as a user panic would) |
@@ -58,9 +58,9 @@ const PPM_SCALE: u64 = 1_000_000;
 pub enum FaultSite {
     /// Forced steal failure (before the victim draw).
     StealFail,
-    /// Delayed resume delivery at `deliver_resume`.
+    /// Delayed external completion, rolled at the owner's inbox drain.
     ResumeDelay,
-    /// Reversed event order within a delivered resume batch.
+    /// Reversed event order within a fired timer batch.
     ResumeReorder,
     /// Spurious wake of a task that polled `Pending`.
     SpuriousWake,
@@ -450,8 +450,8 @@ impl FaultInjector {
         self.roll(FaultSite::StealFail).is_some()
     }
 
-    /// Jittered delay to re-route a resume delivery through, if this
-    /// visit fires. The jitter is drawn from the decision word, so it is
+    /// Jittered delay to hold an inbox event back by, if this visit
+    /// fires. The jitter is drawn from the decision word, so it is
     /// part of the deterministic schedule.
     pub fn resume_delay(&self) -> Option<Duration> {
         self.roll(FaultSite::ResumeDelay)

@@ -66,7 +66,6 @@ mod latency;
 mod metrics;
 pub mod obs;
 mod pfor;
-mod retry;
 pub mod rng;
 mod runtime;
 mod sleep;
@@ -87,7 +86,6 @@ pub use join::JoinHandle;
 pub use latency::{latency_until, simulate_latency, LatencyFuture, LatencyProfile, RemoteService};
 pub use metrics::{Metrics, MetricsSnapshot};
 pub use obs::{encode_prometheus, LiveAudit, Observer};
-pub use retry::RetryPolicy;
 pub use runtime::{Runtime, RuntimeError, ShutdownReport};
 pub use trace::{LiveStats, Trace, TraceBatch, TraceReader, TraceStats};
 

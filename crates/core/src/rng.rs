@@ -1,11 +1,11 @@
 //! The workspace's one SplitMix64 — shared by fault-plan decision words
-//! ([`crate::fault`]), retry jitter ([`crate::RetryPolicy`]), latency
-//! sampling ([`crate::LatencyProfile`]), and per-worker seed derivation.
+//! ([`crate::fault`]), latency sampling ([`crate::LatencyProfile`]), and
+//! per-worker seed derivation.
 //!
 //! These call sites used to carry their own copies of the same mixer;
 //! they are deduplicated here behind golden-value tests because the
 //! outputs are *contractual*: fault-plan schedule digests, chaos-soak
-//! seeds, and retry schedules must stay bit-identical across refactors
+//! seeds, and latency samples must stay bit-identical across refactors
 //! (a digest recorded in CI logs or EXPERIMENTS.md must keep meaning the
 //! same run).
 //!
@@ -77,8 +77,8 @@ mod tests {
     use super::*;
 
     /// Golden values. The first is the published SplitMix64 test vector;
-    /// all pin the exact outputs that fault-plan digests, retry jitter,
-    /// and latency samples are derived from. If one of these ever fails,
+    /// all pin the exact outputs that fault-plan digests and latency
+    /// samples are derived from. If one of these ever fails,
     /// a refactor changed contractual randomness — fix the refactor, do
     /// not re-pin the values.
     #[test]

@@ -1,5 +1,6 @@
-//! The runtime: worker threads, the global deque registry, the injector,
-//! and the timer, assembled into a public [`Runtime`] handle.
+//! The runtime: worker threads (each with its own timer shard), the global
+//! deque registry, the injector and the resume inboxes, assembled into a
+//! public [`Runtime`] handle.
 
 use std::collections::VecDeque;
 use std::future::Future;
@@ -19,21 +20,16 @@ use crate::metrics::{CachePadded, Counters, MetricsSnapshot};
 use crate::obs::Observer;
 use crate::sleep::Sleepers;
 use crate::task::{self, TaskRef};
-use crate::timer::{ResumeEvent, ResumeSink, TimerEntry, WheelTimer};
+use crate::timer::ResumeEvent;
 use crate::trace::{EventKind, Trace, Tracer, NONE_ID};
 use crate::worker::{self, Worker};
 
-/// Maximum resume events the timer delivers to a worker in one batch: large
-/// enough to amortize the wake-up and inbox lock over a burst, small enough
-/// to bound what one worker must absorb before its next steal check.
-const RESUME_BATCH_LIMIT: usize = 1024;
-
-/// A worker's resume inbox: expirations and external completions queue
-/// here until the worker drains them. Batches move through it by vector
-/// swap — a delivery hands its whole `Vec` over when the inbox is empty,
-/// and a drain swaps the accumulated vector out — so the mutex is held
-/// for O(1) on both sides of the common case. Cache-padded: inboxes sit
-/// in an array and are touched by different threads.
+/// A worker's resume inbox: external completions queue here until the
+/// worker drains them — the only way into another worker's state (timer
+/// expirations never pass through it: the owner fires its own shard). A
+/// drain swaps the accumulated vector out, so the mutex is held for O(1).
+/// Cache-padded: inboxes sit in an array and are touched by different
+/// threads.
 #[derive(Default)]
 struct Inbox {
     queue: Mutex<Vec<ResumeEvent>>,
@@ -80,8 +76,9 @@ pub(crate) struct RtInner {
     pub sleepers: Sleepers,
     /// Shutdown flag checked by every worker iteration.
     shutdown: AtomicBool,
-    /// The timer (set right after construction).
-    timer: OnceLock<Arc<WheelTimer>>,
+    /// Timer registrations (latency resumes and deadline callbacks)
+    /// canceled by their owning worker's exit rather than fired.
+    pub canceled_ops: AtomicU64,
     /// Metrics counters (shared block + per-worker padded blocks).
     pub counters: Counters,
     /// Event tracer; `None` (the default) is the whole cost of disabled
@@ -143,26 +140,19 @@ impl Drop for RtInner {
 }
 
 impl RtInner {
-    pub fn timer(&self) -> &WheelTimer {
-        self.timer.get().expect("timer started in Runtime::new")
-    }
-
     pub fn is_shutdown(&self) -> bool {
         self.shutdown.load(Ordering::Acquire)
     }
 
     /// Marks the runtime poisoned after worker `worker`'s scheduler loop
     /// panicked: records the worker, initiates shutdown so the remaining
-    /// workers exit, cancels pending timer/deadline registrations, and
-    /// unparks everyone. Suspended tasks will never resume — callers
+    /// workers exit (each canceling its own timer shard on the way out),
+    /// and unparks everyone. Suspended tasks will never resume — callers
     /// blocked in [`Runtime::block_on`] observe the poison flag via their
     /// timed wait instead of hanging on a lost completion.
     pub fn poison(&self, worker: usize) {
         let _ = self.poisoned.set(worker);
         self.shutdown.store(true, Ordering::Release);
-        if let Some(timer) = self.timer.get() {
-            timer.shutdown();
-        }
         self.unpark_all();
     }
 
@@ -216,8 +206,7 @@ impl RtInner {
     }
 
     /// Worker `worker`'s current incarnation. Read at suspension
-    /// registration time to stamp [`TimerEntry::epoch`] /
-    /// [`ResumeEvent::epoch`].
+    /// registration time to stamp [`ResumeEvent::epoch`].
     #[inline]
     pub fn epoch_of(&self, worker: usize) -> u64 {
         self.epochs[worker].load(Ordering::Relaxed)
@@ -285,13 +274,17 @@ impl RtInner {
         !self.injector.lock().is_empty()
     }
 
-    /// Moves the whole accumulated batch of worker `worker`'s inbox into
-    /// `into` (which must be empty) by vector swap.
+    /// Moves the whole accumulated batch of worker `worker`'s inbox onto
+    /// the end of `into` — by vector swap when `into` is empty.
     pub fn drain_inbox(&self, worker: usize, into: &mut Vec<ResumeEvent>) {
-        debug_assert!(into.is_empty());
         let mut q = self.inboxes[worker].queue.lock();
-        if !q.is_empty() {
+        if q.is_empty() {
+            return;
+        }
+        if into.is_empty() {
             std::mem::swap(&mut *q, into);
+        } else {
+            into.append(&mut q);
         }
     }
 
@@ -302,26 +295,9 @@ impl RtInner {
 
     /// Routes a single resume event to a worker's inbox (the paper's
     /// `callback(v, q)`). Used by external completions, which arrive one
-    /// at a time; timer expirations go through [`ResumeSink`] in batches.
+    /// at a time; timer expirations never come here — their owner fires
+    /// them straight into its drain.
     pub fn deliver_resume(&self, worker: usize, mut event: ResumeEvent) {
-        if let Some(f) = &self.faults {
-            // Fault: delay the delivery by re-routing it through the timer
-            // with a short jittered deadline. The timer hands it back via
-            // `deliver_batch`, which does not re-roll this site, so a
-            // delayed event is delivered exactly once (or counted as
-            // canceled if shutdown wins the race).
-            if let Some(delay) = f.resume_delay() {
-                self.timer().register(TimerEntry {
-                    deadline: Instant::now() + delay,
-                    worker,
-                    task: event.task,
-                    local_deque: event.local_deque,
-                    seq: event.seq,
-                    epoch: event.epoch,
-                });
-                return;
-            }
-        }
         if let Some(t) = &self.tracer {
             // Delivery time is the suspension's *enable* time.
             event.enabled_at = t.now();
@@ -338,54 +314,13 @@ impl RtInner {
     }
 }
 
-impl ResumeSink for RtInner {
-    fn deliver_batch(&self, worker: usize, tick: u64, mut events: Vec<ResumeEvent>) {
-        debug_assert!(!events.is_empty());
-        // Fault: reverse the batch, exercising the consumer's indifference
-        // to intra-batch ordering (each event resumes an independent
-        // suspension; nothing may assume deadline order within a tick).
-        if events.len() > 1 {
-            if let Some(f) = &self.faults {
-                if f.resume_reorder() {
-                    events.reverse();
-                }
-            }
-        }
-        if let Some(t) = &self.tracer {
-            let enabled_at = t.now();
-            for e in events.iter_mut() {
-                e.enabled_at = enabled_at;
-            }
-            t.record_shared(
-                worker as u32,
-                EventKind::Resume {
-                    batch_len: events.len() as u32,
-                    tick,
-                },
-            );
-        }
-        {
-            let mut q = self.inboxes[worker].queue.lock();
-            if q.is_empty() {
-                // Common case: hand the delivered vector over wholesale.
-                std::mem::swap(&mut *q, &mut events);
-            } else {
-                q.append(&mut events);
-            }
-        }
-        // One unpark for the whole batch.
-        self.unpark(Some(worker));
-    }
-}
-
 /// A latency-hiding work-stealing runtime.
 ///
-/// Dropping the runtime shuts it down: workers and the timer thread(s)
-/// are joined. Tasks still pending at shutdown are dropped.
+/// Dropping the runtime shuts it down: the workers are joined. Tasks
+/// still pending at shutdown are dropped.
 pub struct Runtime {
     inner: Arc<RtInner>,
     workers: Vec<ThreadHandle<()>>,
-    timer_threads: Vec<ThreadHandle<()>>,
 }
 
 impl std::fmt::Debug for Runtime {
@@ -393,7 +328,6 @@ impl std::fmt::Debug for Runtime {
         f.debug_struct("Runtime")
             .field("workers", &self.inner.config.workers)
             .field("mode", &self.inner.config.mode)
-            .field("timer_tick", &self.inner.config.timer_tick)
             .finish_non_exhaustive()
     }
 }
@@ -401,7 +335,7 @@ impl std::fmt::Debug for Runtime {
 /// Errors from runtime construction and supervision.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RuntimeError {
-    /// Failed to spawn a worker or timer thread.
+    /// Failed to spawn a worker thread.
     ThreadSpawn(String),
     /// The configuration was rejected (see [`ConfigError`]).
     InvalidConfig(ConfigError),
@@ -465,7 +399,7 @@ impl Runtime {
             inboxes: (0..p).map(|_| CachePadded::default()).collect(),
             sleepers: Sleepers::new(p),
             shutdown: AtomicBool::new(false),
-            timer: OnceLock::new(),
+            canceled_ops: AtomicU64::new(0),
             counters: Counters::with_workers(p),
             tracer,
             faults,
@@ -476,19 +410,6 @@ impl Runtime {
             io_shard_stats: OnceLock::new(),
         });
         runtimes().push((inner.id, Arc::downgrade(&inner)));
-
-        // One wheel shard per worker: a worker's insertions contend only
-        // with expirations of its own timers.
-        let (timer, timer_threads) = WheelTimer::start(
-            p,
-            config.timer_tick,
-            RESUME_BATCH_LIMIT,
-            inner.clone() as Arc<dyn ResumeSink>,
-        );
-        inner
-            .timer
-            .set(timer)
-            .unwrap_or_else(|_| unreachable!("timer set once"));
 
         let mut workers = Vec::with_capacity(p);
         for i in 0..p {
@@ -520,6 +441,7 @@ impl Runtime {
                         }
                         if respawns >= budget {
                             supervisor.poison(i);
+                            w.exit();
                             break;
                         }
                         respawns += 1;
@@ -530,11 +452,7 @@ impl Runtime {
             workers.push(handle);
         }
 
-        Ok(Runtime {
-            inner,
-            workers,
-            timer_threads,
-        })
+        Ok(Runtime { inner, workers })
     }
 
     /// Spawns a task onto the runtime, returning its join handle.
@@ -671,7 +589,7 @@ impl Runtime {
         &self.inner.config
     }
 
-    /// Shuts the runtime down — joins workers and timer threads — and
+    /// Shuts the runtime down — joins the workers — and
     /// *then* snapshots metrics and trace, so the report is quiescent:
     /// no event or counter bump races the snapshot, every delivered
     /// suspension has its full lifecycle recorded.
@@ -680,7 +598,7 @@ impl Runtime {
         let metrics = self.inner.registry_metrics();
         ShutdownReport {
             leaked_suspensions: metrics.suspensions.saturating_sub(metrics.resumes),
-            canceled_ops: self.inner.timer().canceled_ops(),
+            canceled_ops: self.inner.canceled_ops.load(Ordering::Relaxed),
             canceled_io_waits: driver_report.canceled_waits,
             poisoned_worker: self.inner.poisoned_worker(),
             faults_injected: self.inner.faults.as_ref().map_or(0, |f| f.injected_total()),
@@ -727,13 +645,9 @@ impl Runtime {
             }
         }
         self.inner.shutdown.store(true, Ordering::Release);
-        self.inner.timer().shutdown();
         self.inner.unpark_all();
         for h in self.workers.drain(..) {
             let _ = h.join();
-        }
-        for t in self.timer_threads.drain(..) {
-            let _ = t.join();
         }
         report
     }
@@ -753,7 +667,8 @@ pub struct ShutdownReport {
     /// them off. Zero for a quiescent runtime.
     pub leaked_suspensions: u64,
     /// Timer registrations (latency resumes and deadline callbacks)
-    /// canceled by shutdown rather than delivered.
+    /// canceled by shutdown — each worker cancels its own on exit —
+    /// rather than fired.
     pub canceled_ops: u64,
     /// In-flight I/O waits canceled by the attached driver's shutdown drain
     /// (each settled `Err(Canceled)` before the workers stopped). Zero

@@ -9,8 +9,10 @@
 //! * An **atomic idle bitmask** (one bit per worker, in `AtomicU64` words)
 //!   tracks exactly which workers are parked. Producers scan it without
 //!   locks and wake **at most one** worker per injected task
-//!   ([`Sleepers::unpark_one`]) or the one owning worker per resume batch
-//!   ([`Sleepers::unpark_worker`]).
+//!   ([`Sleepers::unpark_one`]) or the one owning worker per external
+//!   completion ([`Sleepers::unpark_worker`]). Timer expiries wake nobody:
+//!   each worker fires its own timer shard and parks no later than its
+//!   next deadline.
 //! * Thread handles live in a write-once [`OnceLock`] table, populated by
 //!   each worker at startup — no lock on any wake path.
 //!
@@ -23,8 +25,15 @@
 //! the worker's bit (and unparks it), or the worker's bit-set came after
 //! the scan — in which case the worker's step-(2) re-check observes the
 //! already-published work and it never parks. Workers additionally park
-//! with a timeout (`Config::park_micros`), bounding the cost of any
-//! missed wake-up to one park interval.
+//! with a timeout (`Config::park_micros`, cut short at the worker's own
+//! next timer deadline), bounding the cost of any missed wake-up to one
+//! park interval.
+//!
+//! Work pushed onto a deque is **not** an event here: `spawn` and the
+//! worker's own flushes and resume drains push locally and wake nobody.
+//! A parked thief finds stealable work only when its timeout expires, so
+//! `park_micros` is also the thieves' steal-poll interval, and the timed
+//! park cannot be removed without a wake-on-push protocol in its place.
 //!
 //! The timed park is also what makes two fault-tolerance properties hold:
 //! the fault layer's `DropUnpark` injection (swallowing a legitimate

@@ -12,8 +12,8 @@
 //!   collector ([`Trace`] snapshots) the only consumer. Recording an
 //!   event is a clock read plus two relaxed-ish atomics and one slot
 //!   write — never a lock, never an allocation.
-//! * Events produced off the worker threads (injections, resume-batch
-//!   deliveries from timer threads, unparks from arbitrary producers) go
+//! * Events produced off the worker threads (injections, external
+//!   completions' resume deliveries, unparks from arbitrary producers) go
 //!   to a bounded mutex-protected side buffer; those paths already take
 //!   locks, so the mutex adds nothing.
 //! * When the ring is full the **newest event is dropped** and counted
@@ -133,13 +133,14 @@ pub enum EventKind {
         /// `ResumeExec` events.
         seq: u64,
     },
-    /// A batch of resume events was delivered to a worker inbox (the
+    /// A batch of resume events reached a worker: fired from its own timer
+    /// shard, or one external completion delivered to its inbox (the
     /// timestamp is the **enable** time of every event in the batch).
     Resume {
         /// Number of events in the delivered batch.
         batch_len: u32,
-        /// Timer-wheel tick the batch expired on (0 for heap-timer and
-        /// external deliveries).
+        /// Timer-wheel tick the owner fired the batch at (0 for external
+        /// deliveries).
         tick: u64,
     },
     /// The owning worker drained one resume event into its deque — the

@@ -20,11 +20,15 @@
 //! Suspensions: a latency future calls [`register_latency`] during its
 //! poll, which books a timer entry against the current (worker, active
 //! deque) pair and marks the poll as suspending; after the poll the worker
-//! increments the deque's `suspendCtr`. When the timer fires, the whole
-//! burst of this worker's expirations arrives in its inbox as **one batch
-//! of [`ResumeEvent`]s**; draining it is the paper's `callback(v, q)` for
-//! every event, and the batched reinjection through a pfor task is
-//! `addResumedVertices()`.
+//! increments the deque's `suspendCtr`. The timer entry goes into the
+//! worker's **own** timer shard ([`crate::timer`]), which only this thread
+//! touches. Where the worker drains its resume inbox — after every poll
+//! and on every idle step — it first fires that shard: everything due, its
+//! own expirations and the inbox's external completions, becomes **one
+//! batch of [`ResumeEvent`]s**; draining it is the paper's `callback(v, q)`
+//! for every event, and the batched reinjection through a pfor task is
+//! `addResumedVertices()`. The inbox is the only way into another worker's
+//! state.
 //!
 //! Hot-path discipline: everything a task does to the scheduler from
 //! inside a poll — spawn, join, wake, suspend — goes through the thread's
@@ -48,7 +52,7 @@ use crate::metrics::WorkerBlock;
 use crate::runtime::{self, RtInner};
 use crate::steal::Thief;
 use crate::task::{self, Polled, TaskRef};
-use crate::timer::{ResumeEvent, TimerEntry};
+use crate::timer::{DeadlineCallback, Payload, Pending, ResumeEvent, Wheel};
 use crate::trace::{EventKind, SuspendKind, Tracer};
 
 /// How deep [`join_inline`] may nest: an inline-run child that forks and
@@ -104,6 +108,10 @@ pub(crate) struct WorkerTls {
     suspend_seq: Cell<u64>,
     /// Current nesting of [`join_inline`] runs.
     inline_depth: Cell<u32>,
+    /// This worker's timer shard: registered into by its polls, fired by
+    /// [`Worker::drain_resumes`], canceled when the worker exits. Never
+    /// borrowed across a callback or a poll.
+    timers: RefCell<Wheel>,
 }
 
 thread_local! {
@@ -156,7 +164,7 @@ impl WorkerTls {
     /// Allocates a trace suspension tag: worker-unique by construction
     /// (worker index in the high bits, per-worker counter in the low 40),
     /// and never `0` — `0` is the "untraced" sentinel carried through
-    /// [`TimerEntry::seq`] / [`ResumeEvent::seq`].
+    /// [`ResumeEvent::seq`].
     fn alloc_seq(&self) -> u64 {
         let n = self.suspend_seq.get() + 1;
         self.suspend_seq.set(n);
@@ -195,6 +203,15 @@ impl WorkerTls {
     /// poll, so a woken continuation runs next.
     pub fn push_enabled(&self, task: TaskRef) {
         self.pending_local.borrow_mut().push(task);
+    }
+
+    /// Arms a deadline callback on this worker's own timer shard:
+    /// `cb(true)` at the first drain after `deadline`, `cb(false)` if the
+    /// worker exits first.
+    pub fn register_deadline(&self, deadline: Instant, cb: DeadlineCallback) {
+        self.timers
+            .borrow_mut()
+            .insert(deadline, Payload::Deadline(cb));
     }
 
     /// The task being polled and the deque it is charged to, for a
@@ -306,6 +323,12 @@ pub(crate) fn join_inline<T>(handle: &JoinHandle<T>) {
     })
 }
 
+/// Runs `f` on this worker thread's own timer shard. The shard stays
+/// borrowed while `f` runs, so `f` must not call back into the scheduler.
+fn with_timers<R>(f: impl FnOnce(&mut Wheel) -> R) -> R {
+    with_worker(|w| f(&mut w.expect("worker TLS installed").timers.borrow_mut()))
+}
+
 /// The runtime's latency mode as seen from the current thread.
 pub(crate) fn current_latency_mode() -> Option<LatencyMode> {
     with_worker(|w| w.map(|w| w.rt.config.mode))
@@ -325,23 +348,25 @@ pub(crate) fn on_own_worker<R>(rt_id: u64, f: impl FnOnce(&RtInner, usize) -> R)
 }
 
 /// Registers a latency expiration for the currently polled task against
-/// the current active deque, marking this poll as suspending. Returns
-/// false (no registration) off worker threads.
+/// the current active deque, in this worker's own timer shard, marking
+/// this poll as suspending. Returns false (no registration) off worker
+/// threads.
 pub(crate) fn register_latency(deadline: Instant) -> bool {
     with_worker(|w| {
         let Some(w) = w else { return false };
         let Some((task, local_deque)) = w.suspension_site() else {
             return false;
         };
-        let seq = w.note_suspension(local_deque, SuspendKind::Timer);
-        w.rt.timer().register(TimerEntry {
-            deadline,
+        let event = ResumeEvent {
             task,
-            worker: w.index,
             local_deque,
-            seq,
+            seq: w.note_suspension(local_deque, SuspendKind::Timer),
+            enabled_at: 0,
             epoch: w.rt.epoch_of(w.index),
-        });
+        };
+        w.timers
+            .borrow_mut()
+            .insert(deadline, Payload::Resume(event));
         true
     })
 }
@@ -363,7 +388,7 @@ pub(crate) struct SuspensionRegistration {
     /// Trace tag of the paired `Suspend` event (`0` when untraced).
     seq: u64,
     /// Worker incarnation at registration time (see
-    /// [`crate::timer::TimerEntry::epoch`]).
+    /// [`ResumeEvent::epoch`]).
     epoch: u64,
 }
 
@@ -473,6 +498,8 @@ pub(crate) struct Worker {
     thief: Thief,
     /// Reused buffer for inbox batch drains (swap target).
     inbox_scratch: Vec<ResumeEvent>,
+    /// Reused buffer for the entries a timer-shard advance finds due.
+    due_scratch: Vec<Pending>,
     /// Reused buffer for pending-enable flushes (swap target).
     pending_scratch: Vec<TaskRef>,
     /// Cached from `rt.tracer` so every event site is one local branch;
@@ -507,6 +534,7 @@ impl Worker {
             live_deques: 0,
             assigned: None,
             inbox_scratch: Vec::new(),
+            due_scratch: Vec::new(),
             pending_scratch: Vec::new(),
             tracer,
             faults,
@@ -564,6 +592,14 @@ impl Worker {
                 self.idle_step();
             }
         }
+        self.exit();
+    }
+
+    /// Leaves the worker thread for good — shutdown, or a panic the
+    /// supervisor will not respawn: cancels the timer shard, then drops
+    /// the thread-local context.
+    pub fn exit(&mut self) {
+        self.cancel_timers();
         self.clear_tls();
     }
 
@@ -603,7 +639,10 @@ impl Worker {
     /// Parks until an event arrives, via the sleeper-set handshake:
     /// publish our bit, re-check every work source, and only then park.
     /// Producers wake at most one sleeper per event; the timeout bounds
-    /// staleness if a wake-up races with parking.
+    /// staleness if a wake-up races with parking, and is also how long a
+    /// parked thief waits before it looks for work to steal again — a push
+    /// onto a deque wakes nobody. It is cut short at the worker's own next
+    /// timer deadline: nobody else fires its shard.
     ///
     /// With an I/O driver attached, the worker that gets the poller role
     /// parks *in the driver* — blocking in its readiness wait and firing
@@ -611,6 +650,10 @@ impl Worker {
     /// futex. The role is taken before the bit is published: a producer
     /// that clears the bit then also sees the role and kicks the driver.
     fn park(&mut self) {
+        let timeout = self.park_timeout();
+        if timeout.is_zero() {
+            return;
+        }
         let poller = self.rt.take_poller(self.index);
         let sleepers = &self.rt.sleepers;
         sleepers.prepare_park(self.index);
@@ -622,13 +665,21 @@ impl Worker {
             return;
         }
         self.trace(EventKind::Park);
-        let timeout = Duration::from_micros(self.rt.config.park_micros);
         if poller.is_some_and(|p| p.poll(timeout)) {
             self.next_harvest = self.polls() + u64::from(IO_POLL_INTERVAL);
         } else {
             std::thread::park_timeout(timeout);
         }
         sleepers.cancel_park(self.index);
+    }
+
+    /// `min(park interval, time to this worker's next timer deadline)`.
+    fn park_timeout(&self) -> Duration {
+        let park = Duration::from_micros(self.rt.config.park_micros);
+        let next = with_timers(|t| t.next_deadline());
+        next.map_or(park, |d| {
+            park.min(d.saturating_duration_since(Instant::now()))
+        })
     }
 
     /// At a deque boundary, once [`IO_POLL_INTERVAL`] task polls have
@@ -711,13 +762,23 @@ impl Worker {
     // Resumes (callback + addResumedVertices).
     // ------------------------------------------------------------------
 
-    /// Drains the inbox **batch** delivered by the timer (or external
-    /// completions): one vector swap for the whole burst, then
+    /// Drains everything due to this worker as **one batch**: its own
+    /// timer shard's expirations ([`Worker::fire_timers`]), then the
+    /// inbox's external completions by one vector swap; then
     /// `callback(v, q)` per event and one pfor reinjection tree per
-    /// resumed deque.
+    /// resumed deque. The only place a resume reaches a deque.
     fn drain_resumes(&mut self) {
         let mut batch = std::mem::take(&mut self.inbox_scratch);
+        // With nothing resident this is the whole timer cost: one branch,
+        // no clock read.
+        if with_timers(|t| !t.is_empty()) {
+            self.fire_timers(&mut batch);
+        }
+        let fired = batch.len();
         self.rt.drain_inbox(self.index, &mut batch);
+        if self.faults.is_some() && batch.len() > fired {
+            self.delay_faulted(&mut batch, fired);
+        }
         if batch.is_empty() {
             self.inbox_scratch = batch;
             return;
@@ -786,6 +847,81 @@ impl Worker {
                 self.owned[q].handle.push_bottom(pfor);
             }
             self.mark_ready(q);
+        }
+    }
+
+    /// Advances this worker's own timer shard to now. Expired latencies
+    /// join `batch` — traced as one `Resume` event, and reversed whole by
+    /// the `ResumeReorder` fault — and deadline callbacks run once the
+    /// shard's borrow is released: `cb(true)` settles its op, which may
+    /// deliver a resume into this worker's own inbox, drained right after.
+    fn fire_timers(&mut self, batch: &mut Vec<ResumeEvent>) {
+        let due = &mut self.due_scratch;
+        let tick = with_timers(|t| {
+            let now = t.now_tick();
+            t.advance(now, due);
+            now
+        });
+        if self.due_scratch.is_empty() {
+            return;
+        }
+        let enabled_at = self.tracer.as_ref().map_or(0, |t| t.now());
+        let mut fresh = 0;
+        for p in self.due_scratch.drain(..) {
+            match p.payload {
+                Payload::Resume(mut ev) => {
+                    ev.enabled_at = enabled_at;
+                    fresh += 1;
+                    batch.push(ev);
+                }
+                Payload::Delayed(ev) => batch.push(ev),
+                Payload::Deadline(cb) => cb(true),
+            }
+        }
+        // Fault: reverse the batch, exercising the drain's indifference to
+        // intra-batch ordering (each event resumes an independent
+        // suspension; nothing may assume deadline order within a tick).
+        if batch.len() > 1 && self.faults.as_ref().is_some_and(|f| f.resume_reorder()) {
+            batch.reverse();
+        }
+        if fresh > 0 {
+            self.trace(EventKind::Resume {
+                batch_len: fresh,
+                tick,
+            });
+        }
+    }
+
+    /// Fault: holds inbox events (`batch[from..]`) back by filing them
+    /// into this worker's own timer shard with a jittered deadline. They
+    /// fire as [`Payload::Delayed`], which this roll never sees again, so
+    /// a delayed event is still drained exactly once — or canceled, and
+    /// counted, if the worker exits first.
+    fn delay_faulted(&mut self, batch: &mut Vec<ResumeEvent>, from: usize) {
+        let Some(f) = &self.faults else { return };
+        let inbox: Vec<ResumeEvent> = batch.drain(from..).collect();
+        with_timers(|t| {
+            for ev in inbox {
+                match f.resume_delay() {
+                    Some(delay) => t.insert(Instant::now() + delay, Payload::Delayed(ev)),
+                    None => batch.push(ev),
+                }
+            }
+        });
+    }
+
+    /// Empties this worker's timer shard as it exits: resident resumes
+    /// are dropped with their tasks, deadline callbacks get `cb(false)`
+    /// (with the shard's borrow released), and both count as canceled.
+    fn cancel_timers(&self) {
+        let resident = with_timers(|t| t.drain_all());
+        self.rt
+            .canceled_ops
+            .fetch_add(resident.len() as u64, std::sync::atomic::Ordering::Relaxed);
+        for p in resident {
+            if let Payload::Deadline(cb) = p.payload {
+                cb(false);
+            }
         }
     }
 
@@ -991,6 +1127,7 @@ impl Worker {
         self.empty.clear();
         self.live_deques = 0;
         self.inbox_scratch.clear();
+        self.due_scratch.clear();
         self.pending_scratch.clear();
 
         // Void the dead incarnation's suspension registrations. Every
@@ -1027,7 +1164,9 @@ impl Worker {
             // existing TLS. In particular `suspend_seq` must keep
             // advancing — trace suspension tags are unique per worker
             // across incarnations, and a reset would double-register
-            // tags the dead incarnation already used.
+            // tags the dead incarnation already used. The timer shard
+            // stays too: its stale entries carry the old epoch and are
+            // re-routed when they fire.
             if borrow.as_ref().is_some_and(|tls| tls.index == self.index) {
                 return;
             }
@@ -1040,6 +1179,7 @@ impl Worker {
                 pending_local: RefCell::new(Vec::new()),
                 suspend_seq: Cell::new(0),
                 inline_depth: Cell::new(0),
+                timers: RefCell::new(Wheel::new()),
             });
         });
     }

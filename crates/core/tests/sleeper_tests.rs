@@ -1,7 +1,7 @@
 //! Integration tests for the lock-free sleeper set: injected work must
-//! always wake a parked worker (no lost-wakeup race), and wake-ups are
-//! targeted — at most one unpark per injected task or resume batch, never
-//! a broadcast.
+//! always wake a parked worker (no lost-wakeup race), wake-ups are
+//! targeted — at most one unpark per injected task, never a broadcast, and
+//! none at all for a timer expiry, which its owning worker fires itself.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -70,19 +70,12 @@ fn at_most_one_unpark_per_injected_task() {
     );
 }
 
-/// At most one unpark per resume *batch*: a wave of suspensions that all
-/// expire in the same timer tick is delivered as few batches, each waking
-/// at most one worker — far fewer wake-ups than resumed tasks.
+/// A wave of timer suspensions wakes far fewer workers than it resumes:
+/// each worker fires its own timer shard, so an expiry wakes nobody.
 #[test]
 fn resume_batches_do_not_broadcast_unparks() {
     const TASKS: u64 = 400;
-    let rt = Runtime::builder()
-        .workers(8)
-        // One coarse tick collects the whole wave into per-worker
-        // batches.
-        .timer_tick(Duration::from_millis(20))
-        .build()
-        .unwrap();
+    let rt = Runtime::builder().workers(8).build().unwrap();
     let before = rt.metrics();
 
     let total = rt.block_on(async {
@@ -100,11 +93,9 @@ fn resume_batches_do_not_broadcast_unparks() {
 
     let d = rt.metrics().since(&before);
     assert_eq!(d.resumes, TASKS);
-    // Every unpark is caused by the one block_on injection or by a resume
-    // batch; with an 8-worker runtime and one shard per worker there are
-    // at most `workers` batches per tick, and the whole wave spans a
-    // handful of ticks. A per-event (or broadcast) wake-up policy would
-    // show hundreds.
+    // Only the one block_on injection and join wake-ups unpark; the
+    // expiries are fired by their owners. A per-event (or broadcast)
+    // wake-up policy would show hundreds.
     assert!(
         d.unparks < TASKS / 2,
         "{} unparks for {TASKS} resumed tasks: resume delivery is waking \

@@ -206,16 +206,6 @@ fn builder_rejects_zero_workers() {
 }
 
 #[test]
-fn builder_rejects_zero_timer_tick() {
-    let err = Runtime::builder()
-        .workers(1)
-        .timer_tick(Duration::ZERO)
-        .build()
-        .unwrap_err();
-    rejects(err, ConfigError::ZeroTimerTick);
-}
-
-#[test]
 fn builder_rejects_zero_park_interval() {
     let err = Runtime::builder()
         .workers(1)

@@ -436,33 +436,46 @@ fn shutdown_cancels_exactly_the_parked_readers() {
     drop((idle, quiet));
 }
 
-/// Thread census: the reactor adds no thread. Every `lhws-` thread of
-/// this process (whichever test's runtime it serves) is a worker or a
-/// timer ticker.
+/// Thread census: neither the reactor nor the timers add a thread. Run in
+/// a child process of this test binary, so that no other test's runtime
+/// is counted: `/proc/self/task` lists exactly `workers` `lhws-` threads,
+/// every one a worker.
 #[test]
-fn reactor_runs_on_worker_and_timer_threads_only() {
+fn reactor_runs_on_worker_threads_only() {
+    const CHILD: &str = "LHWS_THREAD_CENSUS_CHILD";
+    if std::env::var_os(CHILD).is_none() {
+        let out = std::process::Command::new(std::env::current_exe().unwrap())
+            .args(["--exact", "reactor_runs_on_worker_threads_only"])
+            .env(CHILD, "1")
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success() && stdout.contains("1 passed"),
+            "census child failed:\n{stdout}\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        return;
+    }
     let (rt, reactor) = hide_rt(2);
     let conns = idle_armed(&rt, &reactor, 2);
+    // A resident timer too: it must not need a thread either.
+    let sleeper = rt.spawn(lhws_core::simulate_latency(Duration::from_secs(60)));
+    let deadline = Instant::now() + WAIT_LIMIT;
+    while rt.metrics().suspensions == 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
     let names: Vec<String> = std::fs::read_dir("/proc/self/task")
         .unwrap()
         .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
         .map(|name| name.trim_end().to_string())
         .filter(|name| name.starts_with("lhws-"))
         .collect();
+    assert_eq!(names.len(), rt.workers(), "lhws- threads: {names:?}");
     assert!(
-        names
-            .iter()
-            .filter(|n| n.starts_with("lhws-worker"))
-            .count()
-            >= 2,
-        "census missed the workers: {names:?}"
+        names.iter().all(|n| n.starts_with("lhws-worker-")),
+        "a thread that is not a worker: {names:?}"
     );
-    assert!(
-        names
-            .iter()
-            .all(|n| n.starts_with("lhws-worker-") || n.starts_with("lhws-timer-")),
-        "a thread that is neither worker nor timer: {names:?}"
-    );
-    drop(conns);
+    drop((conns, sleeper));
     rt.shutdown();
 }

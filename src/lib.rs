@@ -96,7 +96,6 @@ pub use lhws_core::{
     Observer,
     OpError,
     RemoteService,
-    RetryPolicy,
     Runtime,
     RuntimeBuilder,
     RuntimeError,
@@ -138,7 +137,7 @@ pub mod prelude {
     pub use crate::{
         external_op, fork2, join_all, par_map_reduce, simulate_latency, spawn, yield_now, Config,
         DeadlineExt, JoinHandle, LatencyMode, LatencyProfile, Reactor, ReactorBuilder, ReadyFuture,
-        RemoteService, RetryPolicy, Runtime, RuntimeBuilder, TcpListener, TcpStream,
+        RemoteService, Runtime, RuntimeBuilder, TcpListener, TcpStream,
     };
 }
 
