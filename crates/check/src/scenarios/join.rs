@@ -11,6 +11,12 @@
 //! the real [`JoinHandle`](lhws_core::JoinHandle) with an
 //! [`Event`]-backed waker, so "the completer woke the joiner" is a
 //! modeled transition and a lost wake-up is a reported deadlock.
+//!
+//! The task's reference count is checked the same way: a forked child's
+//! block is quarantined instead of freed
+//! ([`Probe`](task_check_hooks::Probe)), so a second free or
+//! a release after the free fails an assertion inside the scenario, and
+//! each scenario ends by asserting the child was freed exactly once.
 
 use std::future::Future;
 use std::pin::Pin;
@@ -18,7 +24,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
 
-use lhws_checkrt::sync::Event;
+use lhws_checkrt::sync::{Event, Mutex};
 use lhws_checkrt::thread;
 use lhws_core::task_check_hooks::{self, Forked};
 
@@ -62,6 +68,7 @@ fn fork_counted() -> (
 /// when the thief's CAS lands between the owner's peek and its pop.
 pub fn fast_path_vs_steal() {
     let (parent, thief, polls, drops) = fork_counted();
+    let probe = parent.probe();
 
     // Both sides are spawned and the scenario thread only joins them, so
     // whichever runs first does so without spending a preemption: the
@@ -88,6 +95,10 @@ pub fn fast_path_vs_steal() {
     );
     drop(out);
     assert_eq!(drops.load(Ordering::SeqCst), 1);
+    assert!(
+        probe.is_freed(),
+        "the child is freed once both counts are back"
+    );
 }
 
 /// `complete` vs `poll` vs `drop(JoinHandle)` in every order: the joiner
@@ -97,6 +108,7 @@ pub fn fast_path_vs_steal() {
 /// was published.
 pub fn join_handshake() {
     let (parent, thief, polls, drops) = fork_counted();
+    let probe = parent.probe();
     let ev = Arc::new(Event::new());
     let waker = Waker::from(Arc::new(EventWake(Arc::clone(&ev))));
 
@@ -123,4 +135,70 @@ pub fn join_handshake() {
         !(read && ev.is_set()),
         "a joiner that read the output was woken as well"
     );
+    assert!(
+        probe.is_freed(),
+        "the child is freed once both counts are back"
+    );
+}
+
+/// Forks a child that clones its own waker into a slot, signals, and
+/// completes in the same poll, and a helper thread that takes the waker
+/// once signalled, wakes it and drops it — at any point of the parent's
+/// inline run. The child's poll counts and its output's drops are
+/// scenario bookkeeping, as in [`fork_counted`].
+fn escaped_waker_race(join: impl FnOnce(&Forked<Output>) -> bool) {
+    let polls = Arc::new(AtomicUsize::new(0));
+    let drops = Arc::new(AtomicUsize::new(0));
+    let slot = Arc::new(Mutex::new(None::<Waker>));
+    let sent = Arc::new(Event::new());
+    let (p, d, s, ev) = (
+        Arc::clone(&polls),
+        Arc::clone(&drops),
+        Arc::clone(&slot),
+        Arc::clone(&sent),
+    );
+    let (parent, _thief) = task_check_hooks::fork(std::future::poll_fn(move |cx| {
+        p.fetch_add(1, Ordering::SeqCst);
+        *s.lock() = Some(cx.waker().clone());
+        ev.set();
+        Poll::Ready(Output {
+            value: 7,
+            drops: Arc::clone(&d),
+        })
+    }));
+    let probe = parent.probe();
+
+    let t = thread::spawn(move || {
+        sent.wait();
+        let waker = slot.lock().take().expect("the child sent its waker");
+        waker.wake();
+    });
+    assert!(join(&parent), "nobody else pops the child");
+    let out = block_on_op(parent.handle);
+    t.join().expect("waker thread panicked");
+
+    assert_eq!(polls.load(Ordering::SeqCst), 1, "child polled once");
+    assert_eq!(out.value, 7);
+    drop(out);
+    assert_eq!(drops.load(Ordering::SeqCst), 1, "output read once");
+    assert!(
+        probe.is_freed(),
+        "the child is freed once the handle and the escaped waker are gone"
+    );
+}
+
+/// The owner's sole-owner inline run against a waker that escaped it: the
+/// child's block outlives the last waker, is freed exactly once after it,
+/// and the output is read once — whether the waker is woken and dropped
+/// before, during or after the owner gives back its count.
+pub fn inline_escaped_waker() {
+    escaped_waker_race(Forked::join_inline);
+}
+
+/// The seeded mutation: the inline run gives back its count with a plain
+/// store of 1 without checking `refs == 2`, so an escaped waker's count
+/// is lost and the task is freed under it — the checker must refute it.
+#[cfg(all(lhws_check, lhws_check_mutation))]
+pub fn inline_unchecked_unsound() {
+    escaped_waker_race(Forked::join_inline_unchecked);
 }

@@ -114,6 +114,13 @@ pub fn all() -> Vec<Scenario> {
             strategy: Strategy::Dfs,
         },
         Scenario {
+            name: "join_inline_escaped_waker",
+            about: "sole-owner inline run vs an escaped waker: freed once, after the last waker",
+            run: join::inline_escaped_waker,
+            expect_refuted: false,
+            strategy: Strategy::Dfs,
+        },
+        Scenario {
             name: "suspend_resume_steal",
             about:
                 "the paper's triangle: deque switch on suspend, resume delivery, thief in flight",
@@ -138,6 +145,13 @@ pub fn all() -> Vec<Scenario> {
             name: "chase_lev_wide_cas_unsound",
             about: "seeded mutation: single wide-CAS steal-half — the checker must refute it",
             run: deque::wide_cas_unsound,
+            expect_refuted: true,
+            strategy: Strategy::Dfs,
+        },
+        Scenario {
+            name: "join_inline_unchecked_unsound",
+            about: "seeded mutation: inline release without the refs == 2 check — must be refuted",
+            run: join::inline_unchecked_unsound,
             expect_refuted: true,
             strategy: Strategy::Dfs,
         },

@@ -80,6 +80,11 @@ fn task_join_handshake_holds() {
 }
 
 #[test]
+fn join_inline_escaped_waker_holds() {
+    check("join_inline_escaped_waker");
+}
+
+#[test]
 fn mpsc_close_vs_recv_holds() {
     check("mpsc_close_vs_recv");
 }
@@ -140,6 +145,14 @@ fn wide_cas_mutation_is_refuted_and_replayable() {
 #[test]
 fn tickless_clear_mutation_is_refuted_and_replayable() {
     refuted_and_replayable("io_readiness_tickless_clear_unsound");
+}
+
+/// A sole-owner inline run that releases without the `refs == 2` check
+/// frees the task under an escaped waker.
+#[cfg(all(lhws_check, lhws_check_mutation))]
+#[test]
+fn inline_unchecked_mutation_is_refuted_and_replayable() {
+    refuted_and_replayable("join_inline_unchecked_unsound");
 }
 
 /// Same workload with the sound per-item-CAS batch steal, for contrast:

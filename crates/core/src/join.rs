@@ -13,14 +13,15 @@
 
 use std::any::Any;
 use std::future::Future;
+use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::pin::Pin;
-use std::sync::Arc;
+use std::ptr::NonNull;
 use std::task::{Context, Poll};
 
 use lhws_deque::WorkerHandle;
 
-use crate::task::{Joinable, Task, TaskRef};
+use crate::task::{self, Header, TaskRef};
 use crate::worker;
 
 /// Payload of a propagated panic.
@@ -33,8 +34,18 @@ pub(crate) type PanicPayload = Box<dyn Any + Send + 'static>;
 /// Dropping the handle detaches the task: it still runs, and its output is
 /// dropped with it.
 pub struct JoinHandle<T> {
-    task: Arc<Task<dyn Joinable<T>>>,
+    /// One count of the task, whose output type is `T`.
+    task: NonNull<Header>,
+    _output: PhantomData<fn() -> T>,
 }
+
+// SAFETY: a handle is a count of a task, which every thread may hold and
+// give back, and every task is made with a `Send` output (`task::joinable`)
+// that only the handle's owner reads; `&JoinHandle` only reads the join
+// word.
+unsafe impl<T> Send for JoinHandle<T> {}
+// SAFETY: as above.
+unsafe impl<T> Sync for JoinHandle<T> {}
 
 impl<T> std::fmt::Debug for JoinHandle<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -45,13 +56,30 @@ impl<T> std::fmt::Debug for JoinHandle<T> {
 }
 
 impl<T> JoinHandle<T> {
-    pub(crate) fn new(task: Arc<Task<dyn Joinable<T>>>) -> Self {
-        JoinHandle { task }
+    /// # Safety
+    /// `task` heads a live task whose output type is `T`, and the handle
+    /// takes over one of its counts.
+    pub(crate) unsafe fn new(task: NonNull<Header>) -> Self {
+        JoinHandle {
+            task,
+            _output: PhantomData,
+        }
+    }
+
+    #[inline]
+    pub(crate) fn header(&self) -> &Header {
+        // SAFETY: the handle's count keeps the task alive.
+        unsafe { self.task.as_ref() }
+    }
+
+    /// The task's address, for the model checker's probe.
+    pub(crate) fn header_ptr(&self) -> NonNull<Header> {
+        self.task
     }
 
     /// True if the task has completed (successfully or by panic).
     pub fn is_finished(&self) -> bool {
-        self.task.is_complete()
+        self.header().is_complete()
     }
 
     /// The pop-back half of the join: takes the awaited task off the owner
@@ -59,8 +87,15 @@ impl<T> JoinHandle<T> {
     /// started — for the caller to run. Anything else at the bottom costs
     /// a peek and stays where it is.
     pub(crate) fn pop_if_bottom(&self, deque: &WorkerHandle<TaskRef>) -> Option<TaskRef> {
-        let me: *const () = Arc::as_ptr(&self.task).cast();
+        let me: *const () = self.task.as_ptr().cast_const().cast();
         deque.pop_bottom_if(|image| TaskRef::image_addr(image) == me)
+    }
+}
+
+impl<T> Drop for JoinHandle<T> {
+    fn drop(&mut self) {
+        // SAFETY: gives back the handle's count.
+        unsafe { task::release(self.task) }
     }
 }
 
@@ -68,17 +103,17 @@ impl<T> Future for JoinHandle<T> {
     type Output = T;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<T> {
-        let task = &self.task;
+        let task = self.header();
         if !task.is_complete() {
             worker::join_inline(&*self);
             if !task.is_complete() && !task.register_joiner(cx.waker()) {
                 return Poll::Pending;
             }
         }
-        // SAFETY: `&mut self` is the task's only handle, and COMPLETE was
-        // observed on every path here (`is_complete`, or `register_joiner`
-        // returning true).
-        match unsafe { task.take_output() } {
+        // SAFETY: `&mut self` is the task's only handle, its output type
+        // is `T`, and COMPLETE was observed on every path here
+        // (`is_complete`, or `register_joiner` returning true).
+        match unsafe { task::take_output(self.task) } {
             Ok(v) => Poll::Ready(v),
             Err(payload) => std::panic::resume_unwind(payload),
         }
@@ -115,6 +150,7 @@ impl<F: Future> Future for CatchUnwind<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use std::task::{Wake, Waker};
 
     struct NoopWake;

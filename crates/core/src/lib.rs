@@ -56,6 +56,7 @@
 
 #![warn(missing_docs)]
 
+mod blocks;
 pub mod channel;
 mod config;
 pub mod driver;
@@ -159,10 +160,8 @@ where
                 let piv = lo + n / 2;
                 let (r1, r2) = fork2(
                     par_map_reduce(lo, piv, f.clone(), g.clone(), id),
-                    // The identity for the right half is never used when
-                    // the range is non-empty; synthesize via g on award?
-                    // No: pass through recursion only for empty ranges,
-                    // which cannot occur here (piv < hi).
+                    // `piv < hi`, so the right half is never empty and
+                    // needs no identity (`T` need not be `Clone`).
                     par_map_reduce_nonempty(piv, hi, f, g.clone()),
                 )
                 .await;

@@ -111,6 +111,9 @@ pub(crate) struct RtInner {
     /// The driver's I/O counter block ([`DriverHooks::register_io_shards`]);
     /// read by the observer / Prometheus exporter.
     pub io_shard_stats: OnceLock<Arc<IoShardStats>>,
+    /// Tasks a poisoned runtime still held when its workers exited, and
+    /// the roots of the `block_on` calls it aborted ([`RtInner::bury`]).
+    graveyard: Mutex<Vec<TaskRef>>,
 }
 
 /// The poller role, held by one idle or harvesting worker at a time;
@@ -136,6 +139,9 @@ impl Drop for Poller<'_> {
 impl Drop for RtInner {
     fn drop(&mut self) {
         runtimes().retain(|(id, _)| *id != self.id);
+        if self.poisoned.get().is_some() {
+            self.drop_held_futures();
+        }
     }
 }
 
@@ -154,6 +160,37 @@ impl RtInner {
         let _ = self.poisoned.set(worker);
         self.shutdown.store(true, Ordering::Release);
         self.unpark_all();
+    }
+
+    /// Keeps `tasks` of a poisoned runtime until the runtime is dropped,
+    /// when no worker is left to poll them ([`RtInner::drop_held_futures`]).
+    pub fn bury(&self, tasks: impl IntoIterator<Item = TaskRef>) {
+        self.graveyard.lock().extend(tasks);
+    }
+
+    /// The end of a poisoned runtime: drops, in place, the future of every
+    /// task it still holds — the graveyard (the workers' deques, buffers
+    /// and timer shards, the aborted `block_on` roots), the injector and
+    /// the inboxes — before giving back their counts. A parent's future
+    /// holds its children's handles and a child's joiner slot holds its
+    /// parent's waker; without this, such a cycle outlives the runtime.
+    /// Runs in `Drop`, after every worker thread has let go of the
+    /// runtime, so no poller can exist.
+    fn drop_held_futures(&mut self) {
+        let mut held = std::mem::take(self.graveyard.get_mut());
+        held.extend(self.injector.get_mut().drain(..));
+        for inbox in self.inboxes.iter() {
+            held.extend(inbox.queue.lock().drain(..).map(|ev| ev.task));
+        }
+        for task in &held {
+            // SAFETY: every worker has exited (each held a reference to
+            // this runtime), and tasks run on no other thread.
+            let dropped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| unsafe {
+                task.drop_future()
+            }));
+            // A future whose destructor panics is left to leak.
+            drop(dropped);
+        }
     }
 
     /// The worker whose panic poisoned the runtime, if any.
@@ -408,6 +445,7 @@ impl Runtime {
             driver: OnceLock::new(),
             poller: AtomicUsize::new(0),
             io_shard_stats: OnceLock::new(),
+            graveyard: Mutex::new(Vec::new()),
         });
         runtimes().push((inner.id, Arc::downgrade(&inner)));
 
@@ -518,7 +556,11 @@ impl Runtime {
             c2.cond.notify_all();
         };
         self.inner.counters.bump(&self.inner.counters.tasks_spawned);
-        self.inner.inject(task::new_detached(self.inner.id, body));
+        let root = task::new_detached(self.inner.id, body);
+        // Kept so that a poisoned runtime can drop the root's future,
+        // which holds whatever the caller's future held.
+        let kept = root.clone();
+        self.inner.inject(root);
 
         // Timed wait: the completion notify is the fast path; the timeout
         // exists solely so a poisoned runtime is noticed. A completed
@@ -534,6 +576,7 @@ impl Runtime {
                 };
             }
             if let Some(worker) = self.inner.poisoned_worker() {
+                self.inner.bury([kept]);
                 return Err(RuntimeError::WorkerPanicked { worker });
             }
             cell.cond.wait_for(&mut slot, park);
@@ -577,6 +620,12 @@ impl Runtime {
     /// was its own).
     pub fn attach_driver(&self, driver: Arc<dyn Driver>) -> Arc<dyn Driver> {
         Arc::clone(self.inner.driver.get_or_init(|| driver))
+    }
+
+    /// The runtime's internals, for the crate's own tests.
+    #[cfg(test)]
+    pub(crate) fn inner(&self) -> &Arc<RtInner> {
+        &self.inner
     }
 
     /// Number of worker threads.
@@ -698,7 +747,8 @@ where
         _ => Err(fut),
     });
     forked.unwrap_or_else(|fut| {
-        let (task, handle) = task::new_joinable(rt.id, PanicInjected::new(fut, rt.faults.clone()));
+        let fut = PanicInjected::new(fut, rt.faults.clone());
+        let (task, handle) = task::new_joinable(None, rt.id, fut);
         rt.counters.bump(&rt.counters.tasks_spawned);
         rt.inject(task);
         handle

@@ -1,12 +1,18 @@
-//! Tasks: suspendable user-level threads, one allocation each.
+//! Tasks: suspendable user-level threads, one block each.
 //!
-//! A task is a single `Arc` allocation: a [`Header`] (state word, joiner
-//! handshake, runtime id) followed by its body — the future while it runs,
-//! its output once it has finished. Two views of that allocation exist:
-//! the scheduler's [`TaskRef`] (one thin pointer to the header, which
-//! carries the three functions that know the body's type: poll it, count
-//! it, free it) and the [`JoinHandle`]'s (`Task<dyn Joinable<T>>`: read
-//! its output).
+//! A task is one block of memory ([`crate::blocks`]): a [`Header`] (state
+//! word, join word, reference count, joiner slot, runtime id) followed by
+//! its stage — the future while it runs, its output once it has finished.
+//! The header carries the functions that know the stage's type (poll it,
+//! read its output, drop its future in place, free the block), so every
+//! holder of the task is one thin pointer to the header: the scheduler's
+//! [`TaskRef`], the [`JoinHandle`], and the task's wakers (a
+//! [`RawWakerVTable`] over the same pointer). Each holds one count of
+//! `refs`; a fork starts at 2 (its `TaskRef` and its handle), a detached
+//! task at 1, and whoever gives back the last count frees the block. A
+//! holder that finds `refs == 1` is the only one left — nobody can take a
+//! count without holding one — and frees without an atomic
+//! read-modify-write ([`release`]).
 //!
 //! The state word serializes polling and makes wake-ups race-free:
 //!
@@ -27,15 +33,25 @@
 //! Nothing in a task is behind a lock; two words decide who may touch the
 //! two `UnsafeCell`s:
 //!
-//! * The **body** belongs to the poller from `QUEUED → RUNNING`
+//! * The **stage** belongs to the poller from `QUEUED → RUNNING`
 //!   ([`Header::begin_poll`]) until it leaves `RUNNING`
 //!   ([`Header::finish_pending`] / [`Header::complete`]) — one poller at a
 //!   time, whichever thread it is on. [`Header::complete`] publishes
-//!   `COMPLETE` on the join word, after which the body (now the output)
+//!   `COMPLETE` on the join word, after which the stage (now the output)
 //!   belongs to the one [`JoinHandle`].
 //! * The **joiner's waker slot** belongs to the `JoinHandle` while the
 //!   join word is `LOCKED`, and to the completer once its swap to
 //!   `COMPLETE` has returned `WAITING` (see [`Header::register_joiner`]).
+//!
+//! **The sole-owner fast path.** A child its parent pops back at the join
+//! ([`crate::worker`]'s `join_inline`) with `refs == 2` and the join word
+//! `EMPTY` has no other holder: both counts are the parent's, no waker
+//! exists, and only the parent's handle — which is waiting right there —
+//! touches the join word. [`TaskRef::run_sole`] then moves the state and
+//! join words with plain stores, and [`TaskRef::release_sole`] gives the
+//! `TaskRef`'s count back with a plain store, so the handle frees the task
+//! as sole owner. A waker that escapes during that poll raises `refs`
+//! above 2, and the count goes back through [`release`] instead.
 //!
 //! Wake *routing* implements the paper's split between light and heavy
 //! enabling: a wake from a worker thread of the same runtime is an ordinary
@@ -44,7 +60,8 @@
 //! wakers entirely and travel through the timer → inbox →
 //! `addResumedVertices` path ([`crate::worker`]).
 
-use std::cell::UnsafeCell;
+use std::alloc::Layout;
+use std::cell::{RefCell, UnsafeCell};
 use std::future::Future;
 use std::mem::{ManuallyDrop, MaybeUninit};
 use std::ops::Deref;
@@ -52,11 +69,11 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::pin::Pin;
 use std::ptr::NonNull;
 use std::sync::atomic::AtomicU64;
-use std::sync::Arc;
-use std::task::{Context, Poll, Wake, Waker};
+use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
 
+use crate::blocks::{self, BlockCache};
 use crate::join::{JoinHandle, PanicPayload};
-use crate::sync::{AtomicU32, Ordering};
+use crate::sync::{fence, AtomicU32, AtomicUsize, Ordering};
 use crate::worker;
 
 /// Task lifecycle states.
@@ -69,7 +86,7 @@ mod state {
     pub const RUNNING: u32 = 2;
     /// Woken while running; requeue on `Pending`.
     pub const NOTIFIED: u32 = 3;
-    /// Completed; the body holds the output, not the future.
+    /// Completed; the stage holds the output, not the future.
     pub const DONE: u32 = 4;
 }
 
@@ -81,16 +98,22 @@ mod join_word {
     pub const LOCKED: u32 = 1;
     /// Not complete, a waker is published for the completer to take.
     pub const WAITING: u32 = 2;
-    /// Complete: the output is in the body. Never left again.
+    /// Complete: the output is in the stage. Never left again.
     pub const COMPLETE: u32 = 3;
 }
 
-/// The part of a task the scheduler uses without knowing the body's type.
+/// `refs` of a task the model checker's quarantine has "freed"
+/// ([`check_hooks`]); a later release of it is a use after free.
+const FREED: usize = usize::MAX;
+
+/// The part of a task the scheduler uses without knowing the stage's type.
 pub(crate) struct Header {
     state: AtomicU32,
     join: AtomicU32,
+    /// One count per [`TaskRef`], [`JoinHandle`] and waker.
+    refs: AtomicUsize,
     joiner: UnsafeCell<Option<Waker>>,
-    /// What [`TaskRef`] needs of the body's type.
+    /// What the holders need of the stage's type.
     vtable: &'static VTable,
     /// Which runtime's queues wake-ups deliver to ([`worker::route`]).
     /// An id, not a reference: a task neither keeps its runtime alive nor
@@ -110,11 +133,12 @@ pub(crate) struct Header {
 unsafe impl Sync for Header {}
 
 impl Header {
-    fn new(rt_id: u64, vtable: &'static VTable) -> Header {
+    fn new(rt_id: u64, refs: usize, vtable: &'static VTable) -> Header {
         Header {
             vtable,
             state: AtomicU32::new(state::QUEUED),
             join: AtomicU32::new(join_word::EMPTY),
+            refs: AtomicUsize::new(refs),
             joiner: UnsafeCell::new(None),
             rt_id,
             trace_seq: AtomicU64::new(0),
@@ -199,10 +223,10 @@ impl Header {
     }
 
     /// Settles a `Ready` poll: publishes the output the poller left in
-    /// the body and wakes the joiner if one is waiting.
+    /// the stage and wakes the joiner if one is waiting.
     fn complete(&self) {
         self.state.store(state::DONE, Ordering::Release);
-        // Release: the body write before this is what a joiner that reads
+        // Release: the stage write before this is what a joiner that reads
         // COMPLETE (Acquire) goes on to read.
         if self.join.swap(join_word::COMPLETE, Ordering::AcqRel) == join_word::WAITING {
             // SAFETY: WAITING → COMPLETE hands the slot to this thread:
@@ -214,7 +238,7 @@ impl Header {
         }
     }
 
-    /// True once the task has completed: the body holds its output (or
+    /// True once the task has completed: the stage holds its output (or
     /// the handle already took it).
     #[inline]
     pub fn is_complete(&self) -> bool {
@@ -265,63 +289,32 @@ impl Header {
     }
 }
 
-/// A task: header, then body. `repr(C)`, so a pointer to a task is a
-/// pointer to its header ([`TaskRef`]); unsized over the body, so the same
-/// allocation is a `Task<dyn Joinable<T>>` to its [`JoinHandle`].
-#[repr(C)]
-pub(crate) struct Task<B: ?Sized> {
-    header: Header,
-    body: B,
-}
-
-impl<B: ?Sized> Deref for Task<B> {
-    type Target = Header;
-
-    #[inline]
-    fn deref(&self) -> &Header {
-        &self.header
-    }
-}
-
-/// The scheduler's view of a task body: what a [`TaskRef`] calls through
-/// the header, one instance per future type ([`Body::VTABLE`]).
+/// What a holder calls through the header, one table per future type
+/// ([`Task::VTABLE`]).
 ///
 /// # Safety
-/// All three take the header pointer of a live `Task<Body<F>>` for the `F`
-/// the table was built for; `poll` additionally requires that the caller
-/// holds `RUNNING` ([`Header::begin_poll`]).
+/// Each takes the header pointer of a live `Task<F>` for the `F` the table
+/// was built for. `poll` also requires that the caller holds `RUNNING`
+/// ([`Header::begin_poll`]); `read_output` that it is the one
+/// `JoinHandle`, has observed `COMPLETE`, and calls it as the type it was
+/// erased from ([`take_output`]); `drop_future` that no poller exists or
+/// ever will; `free` that the caller gave back the last count.
 struct VTable {
-    /// Polls the body once; `Ready` means it now holds the output.
-    poll: unsafe fn(&TaskRef) -> Poll<()>,
-    /// Takes one more count on the allocation.
-    clone: unsafe fn(NonNull<Header>),
-    /// Gives one count back, freeing the task with the last.
-    drop: unsafe fn(NonNull<Header>),
+    /// Polls the future once; `Ready` means the stage now holds the output.
+    poll: unsafe fn(NonNull<Header>) -> Poll<()>,
+    /// Moves the output out of the stage: [`Task::read_output`], an
+    /// `unsafe fn(NonNull<Header>) -> Result<F::Output, PanicPayload>`
+    /// with its return type erased. Returned by value, so a small output
+    /// comes back in registers: read through memory right after the poll
+    /// wrote it, it would stall on store forwarding.
+    read_output: unsafe fn(NonNull<Header>),
+    /// Drops a future that will never be polled again in place.
+    drop_future: unsafe fn(NonNull<Header>),
+    /// Drops the task and frees its block.
+    free: unsafe fn(NonNull<Header>),
 }
 
-/// The join handle's view of a task body.
-pub(crate) trait Joinable<T>: Send + Sync {
-    /// Moves the output out of the body.
-    ///
-    /// # Safety
-    /// The caller is the task's one `JoinHandle` and has observed
-    /// `COMPLETE` ([`Header::is_complete`] or [`Header::register_joiner`]
-    /// returning true).
-    unsafe fn take_output(&self) -> Result<T, PanicPayload>;
-}
-
-impl<T> Task<dyn Joinable<T>> {
-    /// See [`Joinable::take_output`].
-    ///
-    /// # Safety
-    /// As for [`Joinable::take_output`].
-    pub unsafe fn take_output(&self) -> Result<T, PanicPayload> {
-        // SAFETY: forwarded contract.
-        unsafe { self.body.take_output() }
-    }
-}
-
-/// What a body holds over its life.
+/// What a task's stage holds over its life.
 enum Stage<F: Future> {
     Running(F),
     /// The output, or the payload of the panic that ended the future —
@@ -330,50 +323,74 @@ enum Stage<F: Future> {
     Taken,
 }
 
-/// The one concrete body type: a future, then its output, in place.
-struct Body<F: Future> {
+/// A task: header, then stage. `repr(C)`, so a pointer to a task is a
+/// pointer to its header.
+#[repr(C)]
+struct Task<F: Future> {
+    header: Header,
     stage: UnsafeCell<Stage<F>>,
 }
 
-// SAFETY: the stage has one accessor at a time (the poller holding
-// RUNNING, then the JoinHandle after COMPLETE; module docs), and those may
-// be different threads — which `F: Send` and `F::Output: Send` allow.
-unsafe impl<F: Future + Send> Sync for Body<F> where F::Output: Send {}
-
-impl<F> Body<F>
+impl<F> Task<F>
 where
     F: Future + Send + 'static,
     F::Output: Send + 'static,
 {
     const VTABLE: &'static VTable = &VTable {
         poll: Self::poll,
-        clone: |task| {
-            // SAFETY: `task` heads a live `Arc<Task<Self>>` (VTable contract).
-            unsafe { Arc::increment_strong_count(task.as_ptr().cast_const().cast::<Task<Self>>()) }
-        },
-        drop: |task| {
-            // SAFETY: as above; the caller gives up the count it held.
-            drop(unsafe { Arc::from_raw(task.as_ptr().cast_const().cast::<Task<Self>>()) })
-        },
+        read_output: Self::erased_read_output(),
+        drop_future: Self::drop_future,
+        free: Self::free,
     };
 
-    /// [`VTable::poll`] for this body type.
-    unsafe fn poll(me: &TaskRef) -> Poll<()> {
-        let task = me.0.as_ptr().cast_const().cast::<Task<Self>>();
-        // SAFETY: `me` heads a live `Arc<Task<Self>>` (VTable contract),
-        // which is what `from_raw` asks for. The `Arc` made here stands
-        // for a count it never took, so the waker built from it is never
-        // dropped; clones take their own count.
-        let waker = ManuallyDrop::new(Waker::from(unsafe { Arc::from_raw(task) }));
+    /// The layout of this task's block.
+    const LAYOUT: Layout = blocks::block_layout(Layout::new::<Self>());
+
+    /// A new task in its own block (from `cache` if given), `QUEUED`,
+    /// with `refs` counts.
+    fn allocate(
+        cache: Option<&RefCell<BlockCache>>,
+        rt_id: u64,
+        fut: F,
+        refs: usize,
+        vtable: &'static VTable,
+    ) -> NonNull<Header> {
+        let task = blocks::alloc_block(Self::LAYOUT, cache).cast::<Self>();
+        // SAFETY: a fresh block with this type's size and alignment.
+        unsafe {
+            task.as_ptr().write(Task {
+                header: Header::new(rt_id, refs, vtable),
+                stage: UnsafeCell::new(Stage::Running(fut)),
+            })
+        };
+        task.cast()
+    }
+
+    /// The stage of the task at `ptr`.
+    ///
+    /// # Safety
+    /// `ptr` heads a live `Task<F>`, and the caller is the stage's one
+    /// accessor (module docs) for as long as it uses the reference.
+    unsafe fn stage<'a>(ptr: NonNull<Header>) -> &'a mut Stage<F> {
+        // SAFETY: forwarded contract.
+        unsafe { &mut *(*ptr.cast::<Self>().as_ptr()).stage.get() }
+    }
+
+    /// [`VTable::poll`].
+    unsafe fn poll(ptr: NonNull<Header>) -> Poll<()> {
+        // SAFETY: the waker stands for the count of the caller's
+        // `TaskRef`, which outlives the poll; it is never dropped, and its
+        // clones take their own counts.
+        let waker = ManuallyDrop::new(unsafe { Waker::from_raw(raw_waker(ptr)) });
         let mut cx = Context::from_waker(&waker);
         // SAFETY: the caller holds RUNNING, which admits one poller, and
         // the JoinHandle stays off the stage until COMPLETE.
-        let stage = unsafe { &mut *(*task).body.stage.get() };
+        let stage = unsafe { Self::stage(ptr) };
         let Stage::Running(fut) = stage else {
             unreachable!("polling a task that already finished");
         };
-        // SAFETY: the future lives in the task's heap allocation and is
-        // only ever dropped in place (the assignment below, or `Drop`).
+        // SAFETY: the future lives in the task's block and is only ever
+        // dropped in place (the assignment below, `drop_future`, `free`).
         let fut = unsafe { Pin::new_unchecked(fut) };
         // A panic in the future ends the task like a value does; it
         // surfaces at the join point and never unwinds into the worker.
@@ -385,41 +402,139 @@ where
         *stage = Stage::Finished(out);
         Poll::Ready(())
     }
-}
 
-impl<F> Joinable<F::Output> for Body<F>
-where
-    F: Future + Send + 'static,
-    F::Output: Send + 'static,
-{
-    unsafe fn take_output(&self) -> Result<F::Output, PanicPayload> {
+    /// [`VTable::read_output`], before its return type is erased.
+    unsafe fn read_output(ptr: NonNull<Header>) -> Result<F::Output, PanicPayload> {
         // SAFETY: COMPLETE was observed, so the poller is done with the
         // stage for good, and the caller is the only JoinHandle.
-        let stage = unsafe { &mut *self.stage.get() };
-        match std::mem::replace(stage, Stage::Taken) {
-            Stage::Finished(out) => out,
-            Stage::Taken => panic!("JoinHandle polled after it returned the output"),
-            Stage::Running(_) => unreachable!("COMPLETE published over a running body"),
+        let stage = unsafe { Self::stage(ptr) };
+        let Stage::Finished(output) = stage else {
+            match stage {
+                Stage::Taken => panic!("JoinHandle polled after it returned the output"),
+                _ => unreachable!("COMPLETE published over a running task"),
+            }
+        };
+        // SAFETY: the output is moved out and the stage overwritten with
+        // `Taken` without dropping it. A volatile read, so that the copy
+        // is made word by word: one wide load over the narrower stores the
+        // poll just made would stall on store forwarding.
+        unsafe {
+            let output = std::ptr::read_volatile(output);
+            std::ptr::write(stage, Stage::Taken);
+            output
+        }
+    }
+
+    /// [`Task::read_output`] as the vtable stores it.
+    const fn erased_read_output() -> unsafe fn(NonNull<Header>) {
+        let read: unsafe fn(NonNull<Header>) -> Result<F::Output, PanicPayload> = Self::read_output;
+        // SAFETY: only a cast of a function pointer; `take_output` casts
+        // it back to this type before calling it.
+        unsafe { std::mem::transmute(read) }
+    }
+
+    /// [`VTable::drop_future`]: an output stays for its handle.
+    unsafe fn drop_future(ptr: NonNull<Header>) {
+        // SAFETY: a live task (VTable contract).
+        if unsafe { ptr.as_ref() }.is_complete() {
+            return;
+        }
+        // SAFETY: not complete, so the handle stays off the stage, and no
+        // poller exists (VTable contract).
+        let stage = unsafe { Self::stage(ptr) };
+        if matches!(stage, Stage::Running(_)) {
+            *stage = Stage::Taken;
+        }
+    }
+
+    /// [`VTable::free`].
+    unsafe fn free(ptr: NonNull<Header>) {
+        let task = ptr.cast::<Self>();
+        // SAFETY: the last count is given back: nobody else can reach the
+        // task, and its block came from `alloc_block(Self::LAYOUT)`.
+        unsafe {
+            std::ptr::drop_in_place(task.as_ptr());
+            blocks::free_block(task.cast(), Self::LAYOUT);
         }
     }
 }
 
-impl<F> Wake for Task<Body<F>>
-where
-    F: Future + Send + 'static,
-    F::Output: Send + 'static,
-{
-    fn wake(self: Arc<Self>) {
-        if self.wake_claims() {
-            deliver(TaskRef::from_arc(self));
+/// Gives back one count of the task at `ptr`, freeing the task with the
+/// last. The holder of the only count frees with a load, no RMW: nobody
+/// else can take a count, so `refs` cannot change under it.
+///
+/// # Safety
+/// The caller holds one count of a live task and gives it up.
+pub(crate) unsafe fn release(ptr: NonNull<Header>) {
+    // SAFETY: the caller's count keeps the task alive until here.
+    let header = unsafe { ptr.as_ref() };
+    let refs = header.refs.load(Ordering::Acquire);
+    debug_assert_ne!(refs, FREED, "task released after it was freed");
+    if refs != 1 {
+        if header.refs.fetch_sub(1, Ordering::Release) != 1 {
+            return;
         }
+        // Pairs with the other holders' Release decrements: their last
+        // accesses happen before the free.
+        fence(Ordering::Acquire);
     }
+    let free = header.vtable.free;
+    // SAFETY: that was the last count.
+    unsafe { free(ptr) }
+}
 
-    fn wake_by_ref(self: &Arc<Self>) {
-        if self.wake_claims() {
-            deliver(TaskRef::from_arc(self.clone()));
-        }
+/// Moves the output out of a completed task.
+///
+/// # Safety
+/// `ptr` heads a live task whose output type is `T`; the caller is its one
+/// `JoinHandle` and has observed `COMPLETE` ([`Header::is_complete`] or
+/// [`Header::register_joiner`] returning true).
+pub(crate) unsafe fn take_output<T>(ptr: NonNull<Header>) -> Result<T, PanicPayload> {
+    // SAFETY: forwarded contract. The task's output type is `T`, so this
+    // is the function type `erased_read_output` erased.
+    unsafe {
+        let read: unsafe fn(NonNull<Header>) -> Result<T, PanicPayload> =
+            std::mem::transmute(ptr.as_ref().vtable.read_output);
+        read(ptr)
     }
+}
+
+/// The wakers of every task: a waker is a header pointer holding one count.
+static WAKER_VTABLE: RawWakerVTable =
+    RawWakerVTable::new(waker_clone, waker_wake, waker_wake_by_ref, waker_drop);
+
+fn raw_waker(ptr: NonNull<Header>) -> RawWaker {
+    RawWaker::new(ptr.as_ptr().cast_const().cast(), &WAKER_VTABLE)
+}
+
+/// The task a waker's data pointer names.
+///
+/// # Safety
+/// `data` came from [`raw_waker`].
+unsafe fn waker_task(data: *const ()) -> TaskRef {
+    // SAFETY: `raw_waker` made it from a `NonNull<Header>`.
+    TaskRef(unsafe { NonNull::new_unchecked(data.cast_mut().cast()) })
+}
+
+unsafe fn waker_clone(data: *const ()) -> RawWaker {
+    // SAFETY: the waker being cloned holds a count; the clone is another.
+    let task = ManuallyDrop::new(unsafe { waker_task(data) });
+    ManuallyDrop::into_inner(task.clone()).into_raw_waker()
+}
+
+unsafe fn waker_wake(data: *const ()) {
+    // SAFETY: the waker's count becomes this `TaskRef`'s.
+    unsafe { waker_task(data) }.wake_owned();
+}
+
+unsafe fn waker_wake_by_ref(data: *const ()) {
+    // SAFETY: borrowed: the waker keeps its count.
+    ManuallyDrop::new(unsafe { waker_task(data) }).wake();
+}
+
+unsafe fn waker_drop(data: *const ()) {
+    // SAFETY: the waker's count is given back.
+    drop(unsafe { waker_task(data) });
 }
 
 /// What one scheduler poll left behind.
@@ -432,34 +547,22 @@ pub(crate) enum Polled {
     Requeue,
 }
 
-/// Owning reference to a task as the scheduler sees it: one of the
-/// counts of its `Arc<Task<Body<F>>>`, kept as a thin pointer to the
-/// header. Thin, so that queues full of them (deque rings, timer entries,
-/// inboxes) cost a word per task, and raw, so that a deque slot's bit image
-/// of one can be compared by address ([`TaskRef::image_addr`]) without
-/// touching a task that may be gone.
+/// Owning reference to a task as the scheduler sees it: one count, kept as
+/// a thin pointer to the header. Thin, so that queues full of them (deque
+/// rings, timer entries, inboxes) cost a word per task, and raw, so that a
+/// deque slot's bit image of one can be compared by address
+/// ([`TaskRef::image_addr`]) without touching a task that may be gone.
 #[repr(transparent)]
 pub(crate) struct TaskRef(NonNull<Header>);
 
-// SAFETY: a `TaskRef` is an `Arc<Task<Body<F>>>`, and every way to make one
-// ([`allocate`]) requires `F: Send` and `F::Output: Send`, which make that
-// task `Send + Sync` (`Body` and `Header` above).
+// SAFETY: every way to make a task ([`Task::allocate`]) requires `F: Send`
+// and `F::Output: Send`, the stage has one accessor at a time (module
+// docs), and the header is `Sync`.
 unsafe impl Send for TaskRef {}
 // SAFETY: as above.
 unsafe impl Sync for TaskRef {}
 
 impl TaskRef {
-    fn from_arc<F>(task: Arc<Task<Body<F>>>) -> TaskRef
-    where
-        F: Future + Send + 'static,
-        F::Output: Send + 'static,
-    {
-        // `repr(C)`: the task's address is its header's.
-        let header = Arc::into_raw(task).cast::<Header>().cast_mut();
-        // SAFETY: `Arc::into_raw` never returns null.
-        TaskRef(unsafe { NonNull::new_unchecked(header) })
-    }
-
     /// The address of the task that the bit image of a `TaskRef` names
     /// (see `lhws_deque::WorkerHandle::pop_bottom_if`).
     #[inline]
@@ -471,12 +574,17 @@ impl TaskRef {
         unsafe { image.as_ptr().cast::<*const ()>().read() }
     }
 
-    /// One scheduler poll: `QUEUED → RUNNING`, poll the body, settle.
+    /// This count as a waker's.
+    fn into_raw_waker(self) -> RawWaker {
+        raw_waker(ManuallyDrop::new(self).0)
+    }
+
+    /// One scheduler poll: `QUEUED → RUNNING`, poll the future, settle.
     pub fn run(&self) -> Polled {
         self.begin_poll();
         // SAFETY: `begin_poll` took RUNNING, and the table is the one this
         // task was allocated with.
-        match unsafe { (self.vtable.poll)(self) } {
+        match unsafe { (self.vtable.poll)(self.0) } {
             Poll::Ready(()) => {
                 self.complete();
                 Polled::Done
@@ -486,12 +594,86 @@ impl TaskRef {
         }
     }
 
+    /// True if a child its parent just popped back may run as sole owner
+    /// ([`TaskRef::run_sole`]): the parent holds both counts (this one and
+    /// the handle's) and its handle has published no waker.
+    pub fn is_sole_child(&self) -> bool {
+        self.refs.load(Ordering::Acquire) == 2
+            && self.join.load(Ordering::Acquire) == join_word::EMPTY
+    }
+
+    /// [`TaskRef::run`] for a child that [`TaskRef::is_sole_child`]: no
+    /// waker can race the start of the poll, and only the caller's own
+    /// handle — waiting for this call to return — touches the join word,
+    /// so `QUEUED → RUNNING`, `DONE` and `COMPLETE` are plain stores. A
+    /// `Pending` poll settles as in [`TaskRef::run`]: a waker the future
+    /// made may race it.
+    pub fn run_sole(&self) -> Polled {
+        self.state.store(state::RUNNING, Ordering::Relaxed);
+        // SAFETY: RUNNING is ours (no other holder exists), and the table
+        // is the one this task was allocated with.
+        match unsafe { (self.vtable.poll)(self.0) } {
+            Poll::Ready(()) => {
+                self.state.store(state::DONE, Ordering::Release);
+                self.join.store(join_word::COMPLETE, Ordering::Release);
+                Polled::Done
+            }
+            Poll::Pending if self.finish_pending() => Polled::Requeue,
+            Poll::Pending => Polled::Idle,
+        }
+    }
+
+    /// Gives back the count of a child that ran as sole owner: a plain
+    /// store (2 → 1) while the caller's handle holds the only other count,
+    /// [`release`] if a waker escaped the poll and still holds one.
+    pub fn release_sole(self) {
+        let this = ManuallyDrop::new(self);
+        // Acquire: an escaped waker dropped since then gave its count back
+        // with a Release decrement, which its accesses happen before.
+        if this.refs.load(Ordering::Acquire) == 2 {
+            this.refs.store(1, Ordering::Relaxed);
+        } else {
+            // SAFETY: gives back the count this `TaskRef` held.
+            unsafe { release(this.0) };
+        }
+    }
+
+    /// The seeded mutation of [`TaskRef::release_sole`]: the plain store
+    /// without the `refs == 2` check, which drops an escaped waker's count
+    /// on the floor. `lhws-check` must refute it
+    /// (`join_inline_unchecked_unsound`). Never enable the cfg in
+    /// production builds.
+    #[cfg(lhws_check_mutation)]
+    pub fn release_sole_unchecked(self) {
+        ManuallyDrop::new(self).refs.store(1, Ordering::Relaxed);
+    }
+
     /// Wakes the task through the wake protocol (what its wakers do; the
     /// fault layer injects spurious wakes through it too).
     pub fn wake(&self) {
         if self.wake_claims() {
             deliver(self.clone());
         }
+    }
+
+    /// [`TaskRef::wake`], handing this count to the delivery.
+    fn wake_owned(self) {
+        if self.wake_claims() {
+            deliver(self);
+        }
+    }
+
+    /// Drops the task's future in place, unless it has completed — what
+    /// a poisoned runtime does to each task it still holds, so that a
+    /// cycle through its futures (parent → handle → child → joiner waker →
+    /// parent) does not keep the tasks alive after the runtime.
+    ///
+    /// # Safety
+    /// No poller exists and none ever will: every worker of the task's
+    /// runtime has exited.
+    pub unsafe fn drop_future(&self) {
+        // SAFETY: forwarded contract; the count keeps the task alive.
+        unsafe { (self.vtable.drop_future)(self.0) }
     }
 }
 
@@ -500,16 +682,15 @@ impl Deref for TaskRef {
 
     #[inline]
     fn deref(&self) -> &Header {
-        // SAFETY: this `TaskRef` holds one of the allocation's counts.
+        // SAFETY: this `TaskRef` holds one of the task's counts.
         unsafe { self.0.as_ref() }
     }
 }
 
 impl Clone for TaskRef {
     fn clone(&self) -> TaskRef {
-        // SAFETY: the count `self` holds keeps the task alive, and the
-        // table is the one it was allocated with.
-        unsafe { (self.vtable.clone)(self.0) };
+        // Relaxed: the new count is taken under one the caller holds.
+        self.refs.fetch_add(1, Ordering::Relaxed);
         TaskRef(self.0)
     }
 }
@@ -517,7 +698,7 @@ impl Clone for TaskRef {
 impl Drop for TaskRef {
     fn drop(&mut self) {
         // SAFETY: gives back the one count this `TaskRef` holds.
-        unsafe { (self.vtable.drop)(self.0) };
+        unsafe { release(self.0) }
     }
 }
 
@@ -529,19 +710,6 @@ impl std::fmt::Debug for TaskRef {
     }
 }
 
-fn allocate<F>(rt_id: u64, fut: F) -> Arc<Task<Body<F>>>
-where
-    F: Future + Send + 'static,
-    F::Output: Send + 'static,
-{
-    Arc::new(Task {
-        header: Header::new(rt_id, Body::<F>::VTABLE),
-        body: Body {
-            stage: UnsafeCell::new(Stage::Running(fut)),
-        },
-    })
-}
-
 /// Creates a task nobody joins, in the `QUEUED` state (about to be
 /// delivered to a scheduler queue by the caller).
 pub(crate) fn new_detached<F>(rt_id: u64, fut: F) -> TaskRef
@@ -549,19 +717,38 @@ where
     F: Future + Send + 'static,
     F::Output: Send + 'static,
 {
-    TaskRef::from_arc(allocate(rt_id, fut))
+    TaskRef(Task::allocate(None, rt_id, fut, 1, Task::<F>::VTABLE))
 }
 
-/// Creates a `QUEUED` task and the handle that joins it: one allocation,
-/// two views.
-pub(crate) fn new_joinable<F>(rt_id: u64, fut: F) -> (TaskRef, JoinHandle<F::Output>)
+/// Creates a `QUEUED` task and the handle that joins it: one block (from
+/// the worker's block `cache` when the caller holds it), two counts, no
+/// RMW.
+pub(crate) fn new_joinable<F>(
+    cache: Option<&RefCell<BlockCache>>,
+    rt_id: u64,
+    fut: F,
+) -> (TaskRef, JoinHandle<F::Output>)
 where
     F: Future + Send + 'static,
     F::Output: Send + 'static,
 {
-    let task = allocate(rt_id, fut);
-    let handle = JoinHandle::new(task.clone());
-    (TaskRef::from_arc(task), handle)
+    joinable(cache, rt_id, fut, Task::<F>::VTABLE)
+}
+
+fn joinable<F>(
+    cache: Option<&RefCell<BlockCache>>,
+    rt_id: u64,
+    fut: F,
+    vtable: &'static VTable,
+) -> (TaskRef, JoinHandle<F::Output>)
+where
+    F: Future + Send + 'static,
+    F::Output: Send + 'static,
+{
+    let task = Task::allocate(cache, rt_id, fut, 2, vtable);
+    // SAFETY: the second count is the handle's, and the output type is
+    // `F::Output`.
+    (TaskRef(task), unsafe { JoinHandle::new(task) })
 }
 
 /// Delivers a freshly claimed (`QUEUED`) task to a scheduler queue.
@@ -582,6 +769,12 @@ fn deliver(task: TaskRef) {
 
 /// Model-checker entry points (`lhws-check`): one forked child on a real
 /// deque, raced by its owner's pop-back, a thief, and the join handle.
+///
+/// The child's block is quarantined rather than freed: its last release
+/// drops what a free drops and marks `refs` freed but keeps the memory,
+/// so a second free, or a release after the free, fails an assertion
+/// instead of touching reused memory, and a
+/// [`Probe`](check_hooks::Probe) can tell whether the task was freed.
 pub mod check_hooks {
     use super::*;
     use lhws_deque::{DequeKind, StealerHandle, WorkerHandle};
@@ -596,28 +789,104 @@ pub mod check_hooks {
     /// The stealing side of the same deque.
     pub struct Thief(StealerHandle<TaskRef>);
 
-    /// Forks `fut` as a worker's `spawn` does — one fused task, pushed on
-    /// the bottom of a fresh deque — outside any runtime (wakes of the
-    /// child itself go nowhere; its joiner's waker is the caller's).
+    /// Looks at a forked child after the fact: its block is never reused.
+    pub struct Probe(NonNull<Header>);
+
+    // SAFETY: reads an atomic of a block that is never deallocated.
+    unsafe impl Send for Probe {}
+
+    impl Probe {
+        /// True once the child's last count was given back.
+        pub fn is_freed(&self) -> bool {
+            // SAFETY: quarantined blocks are never deallocated.
+            unsafe { self.0.as_ref() }.refs.load(Ordering::SeqCst) == FREED
+        }
+    }
+
+    /// [`VTable::free`] for checked tasks: drops the joiner slot and the
+    /// stage as a free does, then marks the task freed.
+    unsafe fn quarantine<F: Future>(ptr: NonNull<Header>) {
+        // SAFETY: the block is never deallocated.
+        let header = unsafe { ptr.as_ref() };
+        assert_ne!(
+            header.refs.load(Ordering::SeqCst),
+            FREED,
+            "task freed twice"
+        );
+        let task = ptr.cast::<Task<F>>().as_ptr();
+        // SAFETY: the last count was given back: nobody else reaches the
+        // slot or the stage.
+        unsafe {
+            *header.joiner.get() = None;
+            *(*task).stage.get() = Stage::Taken;
+        }
+        header.refs.store(FREED, Ordering::SeqCst);
+    }
+
+    /// Forks `fut` as a worker's `spawn` does — one task, pushed on the
+    /// bottom of a fresh deque — outside any runtime (wakes of the child
+    /// itself go nowhere; its joiner's waker is the caller's).
     pub fn fork<F>(fut: F) -> (Forked<F::Output>, Thief)
     where
         F: Future + Send + 'static,
         F::Output: Send + 'static,
     {
         let (owner, stealer) = WorkerHandle::new(DequeKind::ChaseLev);
-        let (task, handle) = new_joinable(0, fut);
+        let (task, handle) = joinable(None, 0, fut, Checked::<F>::VTABLE);
         owner.push_bottom(task);
         (Forked { owner, handle }, Thief(stealer))
     }
 
+    /// The quarantining table of one future type.
+    struct Checked<F>(std::marker::PhantomData<F>);
+
+    impl<F> Checked<F>
+    where
+        F: Future + Send + 'static,
+        F::Output: Send + 'static,
+    {
+        const VTABLE: &'static VTable = &VTable {
+            poll: Task::<F>::poll,
+            read_output: Task::<F>::erased_read_output(),
+            drop_future: Task::<F>::drop_future,
+            free: quarantine::<F>,
+        };
+    }
+
     impl<T> Forked<T> {
-        /// The owner's pop-back at the join: runs the child here if it is
-        /// still the deque's bottom element. True if it ran.
+        /// A probe of the child, for after the scenario.
+        pub fn probe(&self) -> Probe {
+            Probe(self.handle.header_ptr())
+        }
+
+        /// The owner's pop-back at the join, as a worker's `join_inline`
+        /// does it: runs the child here if it is still the deque's bottom
+        /// element — as sole owner when it is one. True if it ran.
         pub fn join_inline(&self) -> bool {
-            self.handle
-                .pop_if_bottom(&self.owner)
-                .map(|child| child.run())
-                .is_some()
+            let Some(child) = self.handle.pop_if_bottom(&self.owner) else {
+                return false;
+            };
+            if child.is_sole_child() {
+                if let Polled::Done = child.run_sole() {
+                    child.release_sole();
+                }
+            } else {
+                child.run();
+            }
+            true
+        }
+
+        /// The seeded mutation: [`Forked::join_inline`]'s sole-owner path
+        /// taken and released without the `refs == 2` checks.
+        #[cfg(lhws_check_mutation)]
+        pub fn join_inline_unchecked(&self) -> bool {
+            let Some(child) = self.handle.pop_if_bottom(&self.owner) else {
+                return false;
+            };
+            if let Polled::Done = child.run_sole() {
+                child.release_sole_unchecked();
+            }
+            true
         }
     }
 
@@ -633,6 +902,8 @@ pub mod check_hooks {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
+    use std::sync::Arc;
+    use std::task::Wake;
 
     struct Flag(AtomicBool);
     impl Wake for Flag {
@@ -649,9 +920,17 @@ mod tests {
         Pin::new(h).poll(&mut Context::from_waker(waker))
     }
 
+    /// Counts its drops.
+    struct Counted(Arc<AtomicUsize>);
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, SeqCst);
+        }
+    }
+
     #[test]
     fn complete_then_poll() {
-        let (task, mut h) = new_joinable(0, async { 42 });
+        let (task, mut h) = new_joinable(None, 0, async { 42 });
         assert!(matches!(task.run(), Polled::Done));
         assert!(matches!(poll_once(&mut h, &noop()), Poll::Ready(42)));
     }
@@ -660,7 +939,7 @@ mod tests {
     fn poll_then_complete_wakes() {
         let flag = Arc::new(Flag(AtomicBool::new(false)));
         let waker = Waker::from(flag.clone());
-        let (task, mut h) = new_joinable(0, async { "done" });
+        let (task, mut h) = new_joinable(None, 0, async { "done" });
         assert!(poll_once(&mut h, &waker).is_pending());
         assert!(!h.is_finished());
         // A second registration of the same waker keeps the first.
@@ -674,7 +953,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "child panicked")]
     fn panic_propagates_at_join() {
-        let (task, mut h) = new_joinable(0, async {
+        let (task, mut h) = new_joinable(None, 0, async {
             if true {
                 panic!("child panicked");
             }
@@ -706,19 +985,68 @@ mod tests {
 
     #[test]
     fn output_dropped_once_without_a_join() {
-        struct Counted(Arc<AtomicUsize>);
-        impl Drop for Counted {
-            fn drop(&mut self) {
-                self.0.fetch_add(1, SeqCst);
-            }
-        }
         let drops = Arc::new(AtomicUsize::new(0));
         let d = drops.clone();
-        let (task, h) = new_joinable(0, async move { Counted(d) });
+        let (task, h) = new_joinable(None, 0, async move { Counted(d) });
         drop(h);
         task.run();
         assert_eq!(drops.load(SeqCst), 0, "the output lives in the task");
         drop(task);
         assert_eq!(drops.load(SeqCst), 1);
+    }
+
+    #[test]
+    fn sole_child_runs_and_is_freed_by_its_handle_alone() {
+        let drops = Arc::new(AtomicUsize::new(0));
+        let d = drops.clone();
+        let (task, mut h) = new_joinable(None, 0, async move { Counted(d) });
+        assert!(task.is_sole_child());
+        assert!(matches!(task.run_sole(), Polled::Done));
+        task.release_sole();
+        assert_eq!(h.header().refs.load(Ordering::Relaxed), 1);
+        let Poll::Ready(out) = poll_once(&mut h, &noop()) else {
+            panic!("a sole child is complete when run_sole returns");
+        };
+        drop(h);
+        assert_eq!(drops.load(SeqCst), 0, "the output is the caller's");
+        drop(out);
+        assert_eq!(drops.load(SeqCst), 1);
+    }
+
+    #[test]
+    fn escaped_waker_keeps_the_task_until_it_is_dropped() {
+        let slot: Arc<std::sync::Mutex<Option<Waker>>> = Arc::default();
+        let s = slot.clone();
+        let (task, mut h) = new_joinable(
+            None,
+            0,
+            std::future::poll_fn(move |cx| {
+                *s.lock().unwrap() = Some(cx.waker().clone());
+                Poll::Ready(7u32)
+            }),
+        );
+        assert!(task.is_sole_child());
+        assert!(matches!(task.run_sole(), Polled::Done));
+        task.release_sole();
+        assert_eq!(h.header().refs.load(Ordering::Relaxed), 2, "handle + waker");
+        assert!(matches!(poll_once(&mut h, &noop()), Poll::Ready(7)));
+        drop(h);
+        let waker = slot.lock().unwrap().take().unwrap();
+        waker.wake_by_ref(); // DONE: a no-op on a live task
+        drop(waker); // the last count: frees the task
+    }
+
+    #[test]
+    fn a_waker_that_has_joined_makes_the_child_not_sole() {
+        let (task, mut h) = new_joinable(None, 0, async { 1 });
+        assert!(poll_once(&mut h, &noop()).is_pending());
+        assert!(!task.is_sole_child(), "a published joiner waker");
+        let extra = task.clone();
+        let (task2, _h2) = new_joinable(None, 0, async { 2 });
+        let extra2 = task2.clone();
+        assert!(!task2.is_sole_child(), "a third count");
+        drop((extra, extra2));
+        assert!(task2.is_sole_child());
+        assert!(matches!(task.run(), Polled::Done));
     }
 }

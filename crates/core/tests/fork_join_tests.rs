@@ -250,3 +250,58 @@ fn handle_awaited_from_another_worker() {
     assert_ne!(threads[0], threads[1], "the joiner ran on the other worker");
     assert_eq!(rt.metrics().steals_succeeded, 2);
 }
+
+// (g) A child run inline that returns `Pending` leaves the sole-owner
+// path for the waker path and is resumed exactly once: woken during its
+// own poll (requeued at once), or woken later from another thread.
+#[test]
+fn inline_child_that_returns_pending_is_resumed_exactly_once() {
+    /// Pending on its first poll; `handoff` decides who wakes it.
+    fn pending_once(
+        polls: Arc<AtomicUsize>,
+        handoff: fn(&std::task::Waker),
+    ) -> impl Future<Output = u32> + Send {
+        std::future::poll_fn(move |cx| {
+            if polls.fetch_add(1, SeqCst) == 0 {
+                handoff(cx.waker());
+                Poll::Pending
+            } else {
+                Poll::Ready(7)
+            }
+        })
+    }
+    fn during_the_poll(waker: &std::task::Waker) {
+        waker.wake_by_ref();
+    }
+    fn from_another_thread(waker: &std::task::Waker) {
+        let waker = waker.clone();
+        std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(2));
+            waker.wake();
+        });
+    }
+    for handoff in [during_the_poll as fn(&_), from_another_thread] {
+        let rt = rt(1);
+        let polls = Arc::new(AtomicUsize::new(0));
+        let p = polls.clone();
+        let got = rt.block_on(async move { spawn(pending_once(p, handoff)).await });
+        assert_eq!(got, 7);
+        assert_eq!(polls.load(SeqCst), 2, "one Pending poll, one resume");
+        drop(rt);
+        assert_eq!(polls.load(SeqCst), 2);
+    }
+}
+
+// (h) Thieves take a few subtrees; every other fork is popped back and
+// run inline, so a task is polled about once.
+#[test]
+fn par_fib_polls_each_task_about_once_with_a_thief() {
+    let rt = rt(2);
+    assert_eq!(rt.block_on(par_fib(27, 10)), fib(27));
+    let m = rt.metrics();
+    let per_task = m.polls as f64 / m.tasks_spawned as f64;
+    assert!(
+        (per_task - 1.0).abs() <= 0.01,
+        "{per_task:.4} polls per task: {m:?}"
+    );
+}
