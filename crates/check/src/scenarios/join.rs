@@ -187,18 +187,19 @@ fn escaped_waker_race(join: impl FnOnce(&Forked<Output>) -> bool) {
     );
 }
 
-/// The owner's sole-owner inline run against a waker that escaped it: the
-/// child's block outlives the last waker, is freed exactly once after it,
-/// and the output is read once — whether the waker is woken and dropped
-/// before, during or after the owner gives back its count.
+/// The owner's inline run against a waker that escaped it: the child's
+/// block outlives the last waker, is freed exactly once after it, and the
+/// output is read once — whether the waker is woken and dropped before,
+/// during or after the owner gives back its count.
 pub fn inline_escaped_waker() {
     escaped_waker_race(Forked::join_inline);
 }
 
-/// The seeded mutation: the inline run gives back its count with a plain
-/// store of 1 without checking `refs == 2`, so an escaped waker's count
-/// is lost and the task is freed under it — the checker must refute it.
+/// The seeded mutation: the inline run gives back its count with a load
+/// and a store instead of an RMW, so a concurrent release by the escaped
+/// waker is lost and the task is never freed — the checker must refute
+/// it.
 #[cfg(all(lhws_check, lhws_check_mutation))]
-pub fn inline_unchecked_unsound() {
-    escaped_waker_race(Forked::join_inline_unchecked);
+pub fn inline_racy_release_unsound() {
+    escaped_waker_race(Forked::join_inline_racy);
 }

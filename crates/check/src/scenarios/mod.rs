@@ -115,7 +115,7 @@ pub fn all() -> Vec<Scenario> {
         },
         Scenario {
             name: "join_inline_escaped_waker",
-            about: "sole-owner inline run vs an escaped waker: freed once, after the last waker",
+            about: "inline run vs an escaped waker: freed once, after the last waker",
             run: join::inline_escaped_waker,
             expect_refuted: false,
             strategy: Strategy::Dfs,
@@ -149,9 +149,9 @@ pub fn all() -> Vec<Scenario> {
             strategy: Strategy::Dfs,
         },
         Scenario {
-            name: "join_inline_unchecked_unsound",
-            about: "seeded mutation: inline release without the refs == 2 check — must be refuted",
-            run: join::inline_unchecked_unsound,
+            name: "join_inline_racy_release_unsound",
+            about: "seeded mutation: inline release by load + store, not an RMW — must be refuted",
+            run: join::inline_racy_release_unsound,
             expect_refuted: true,
             strategy: Strategy::Dfs,
         },

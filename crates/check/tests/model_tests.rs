@@ -147,12 +147,12 @@ fn tickless_clear_mutation_is_refuted_and_replayable() {
     refuted_and_replayable("io_readiness_tickless_clear_unsound");
 }
 
-/// A sole-owner inline run that releases without the `refs == 2` check
-/// frees the task under an escaped waker.
+/// An inline run that gives its count back by load + store loses an
+/// escaped waker's concurrent release.
 #[cfg(all(lhws_check, lhws_check_mutation))]
 #[test]
-fn inline_unchecked_mutation_is_refuted_and_replayable() {
-    refuted_and_replayable("join_inline_unchecked_unsound");
+fn inline_racy_release_mutation_is_refuted_and_replayable() {
+    refuted_and_replayable("join_inline_racy_release_unsound");
 }
 
 /// Same workload with the sound per-item-CAS batch steal, for contrast:

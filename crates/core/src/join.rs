@@ -13,7 +13,6 @@
 
 use std::any::Any;
 use std::future::Future;
-use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::pin::Pin;
 use std::ptr::NonNull;
@@ -21,7 +20,7 @@ use std::task::{Context, Poll};
 
 use lhws_deque::WorkerHandle;
 
-use crate::task::{self, Header, TaskRef};
+use crate::task::{self, Header, ReadOutput, TaskRef};
 use crate::worker;
 
 /// Payload of a propagated panic.
@@ -36,16 +35,17 @@ pub(crate) type PanicPayload = Box<dyn Any + Send + 'static>;
 pub struct JoinHandle<T> {
     /// One count of the task, whose output type is `T`.
     task: NonNull<Header>,
-    _output: PhantomData<fn() -> T>,
+    /// Moves the output out of the task, typed by `T` alone.
+    read_output: ReadOutput<T>,
 }
 
-// SAFETY: a handle is a count of a task, which every thread may hold and
-// give back, and every task is made with a `Send` output (`task::joinable`)
-// that only the handle's owner reads; `&JoinHandle` only reads the join
-// word.
-unsafe impl<T> Send for JoinHandle<T> {}
+// SAFETY: `task` is a count of a task, which any thread may hold and give
+// back; the thread holding the handle moves the `T` out, or drops it with
+// the task's last count, hence `T: Send`. `read_output` is a plain fn
+// pointer. `&JoinHandle` only reads the join word.
+unsafe impl<T: Send> Send for JoinHandle<T> {}
 // SAFETY: as above.
-unsafe impl<T> Sync for JoinHandle<T> {}
+unsafe impl<T: Send> Sync for JoinHandle<T> {}
 
 impl<T> std::fmt::Debug for JoinHandle<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -57,13 +57,10 @@ impl<T> std::fmt::Debug for JoinHandle<T> {
 
 impl<T> JoinHandle<T> {
     /// # Safety
-    /// `task` heads a live task whose output type is `T`, and the handle
-    /// takes over one of its counts.
-    pub(crate) unsafe fn new(task: NonNull<Header>) -> Self {
-        JoinHandle {
-            task,
-            _output: PhantomData,
-        }
+    /// `task` heads a live task that `read_output` was taken from, and the
+    /// handle takes over one of its counts.
+    pub(crate) unsafe fn new(task: NonNull<Header>, read_output: ReadOutput<T>) -> Self {
+        JoinHandle { task, read_output }
     }
 
     #[inline]
@@ -110,10 +107,10 @@ impl<T> Future for JoinHandle<T> {
                 return Poll::Pending;
             }
         }
-        // SAFETY: `&mut self` is the task's only handle, its output type
-        // is `T`, and COMPLETE was observed on every path here
+        // SAFETY: `&mut self` is the task's only handle, `read_output` is
+        // its task's, and COMPLETE was observed on every path here
         // (`is_complete`, or `register_joiner` returning true).
-        match unsafe { task::take_output(self.task) } {
+        match unsafe { (self.read_output)(self.task) } {
             Ok(v) => Poll::Ready(v),
             Err(payload) => std::panic::resume_unwind(payload),
         }

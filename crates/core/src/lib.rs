@@ -56,7 +56,6 @@
 
 #![warn(missing_docs)]
 
-mod blocks;
 pub mod channel;
 mod config;
 pub mod driver;

@@ -162,6 +162,23 @@ impl RtInner {
         self.unpark_all();
     }
 
+    /// Makes a spawned task and its handle; every spawn site comes through
+    /// here. With a fault plan the future is wrapped in `PanicInjected`,
+    /// which sits inside the task's own panic containment, so an injected
+    /// task panic takes the exact same road as a user panic: caught at the
+    /// poll, surfaced at the join point. Without one it is spawned as it
+    /// is.
+    pub fn new_joinable<F>(&self, fut: F) -> (TaskRef, JoinHandle<F::Output>)
+    where
+        F: Future + Send + 'static,
+        F::Output: Send + 'static,
+    {
+        match &self.faults {
+            None => task::new_joinable(self.id, fut),
+            Some(f) => task::new_joinable(self.id, PanicInjected::new(fut, Some(f.clone()))),
+        }
+    }
+
     /// Keeps `tasks` of a poisoned runtime until the runtime is dropped,
     /// when no worker is left to poll them ([`RtInner::drop_held_futures`]).
     pub fn bury(&self, tasks: impl IntoIterator<Item = TaskRef>) {
@@ -622,12 +639,6 @@ impl Runtime {
         Arc::clone(self.inner.driver.get_or_init(|| driver))
     }
 
-    /// The runtime's internals, for the crate's own tests.
-    #[cfg(test)]
-    pub(crate) fn inner(&self) -> &Arc<RtInner> {
-        &self.inner
-    }
-
     /// Number of worker threads.
     pub fn workers(&self) -> usize {
         self.inner.config.workers
@@ -747,8 +758,7 @@ where
         _ => Err(fut),
     });
     forked.unwrap_or_else(|fut| {
-        let fut = PanicInjected::new(fut, rt.faults.clone());
-        let (task, handle) = task::new_joinable(None, rt.id, fut);
+        let (task, handle) = rt.new_joinable(fut);
         rt.counters.bump(&rt.counters.tasks_spawned);
         rt.inject(task);
         handle

@@ -1,18 +1,18 @@
 //! Tasks: suspendable user-level threads, one block each.
 //!
-//! A task is one block of memory ([`crate::blocks`]): a [`Header`] (state
-//! word, join word, reference count, joiner slot, runtime id) followed by
-//! its stage — the future while it runs, its output once it has finished.
-//! The header carries the functions that know the stage's type (poll it,
-//! read its output, drop its future in place, free the block), so every
-//! holder of the task is one thin pointer to the header: the scheduler's
-//! [`TaskRef`], the [`JoinHandle`], and the task's wakers (a
-//! [`RawWakerVTable`] over the same pointer). Each holds one count of
-//! `refs`; a fork starts at 2 (its `TaskRef` and its handle), a detached
-//! task at 1, and whoever gives back the last count frees the block. A
-//! holder that finds `refs == 1` is the only one left — nobody can take a
-//! count without holding one — and frees without an atomic
-//! read-modify-write ([`release`]).
+//! A task is one heap block: a [`Header`] (state word, join word,
+//! reference count, joiner slot, runtime id) followed by its stage — the
+//! future while it runs, its output once it has finished. The header
+//! carries the functions that know the future's type (poll it, drop it in
+//! place, free the block), and the [`JoinHandle`] carries the one that
+//! knows the output's type (move it out), so every holder of the task is
+//! one thin pointer to the header: the scheduler's [`TaskRef`], the
+//! [`JoinHandle`], and the task's wakers (a [`RawWakerVTable`] over the
+//! same pointer). Each holds one count of `refs`; a fork starts at 2 (its
+//! `TaskRef` and its handle), a detached task at 1, and whoever gives back
+//! the last count frees the block. A holder that finds `refs == 1` is the
+//! only one left — nobody can take a count without holding one — and frees
+//! without an atomic read-modify-write ([`release`]).
 //!
 //! The state word serializes polling and makes wake-ups race-free:
 //!
@@ -43,16 +43,6 @@
 //!   join word is `LOCKED`, and to the completer once its swap to
 //!   `COMPLETE` has returned `WAITING` (see [`Header::register_joiner`]).
 //!
-//! **The sole-owner fast path.** A child its parent pops back at the join
-//! ([`crate::worker`]'s `join_inline`) with `refs == 2` and the join word
-//! `EMPTY` has no other holder: both counts are the parent's, no waker
-//! exists, and only the parent's handle — which is waiting right there —
-//! touches the join word. [`TaskRef::run_sole`] then moves the state and
-//! join words with plain stores, and [`TaskRef::release_sole`] gives the
-//! `TaskRef`'s count back with a plain store, so the handle frees the task
-//! as sole owner. A waker that escapes during that poll raises `refs`
-//! above 2, and the count goes back through [`release`] instead.
-//!
 //! Wake *routing* implements the paper's split between light and heavy
 //! enabling: a wake from a worker thread of the same runtime is an ordinary
 //! enabling (the completer pushes the task onto its active deque — the
@@ -60,8 +50,7 @@
 //! wakers entirely and travel through the timer → inbox →
 //! `addResumedVertices` path ([`crate::worker`]).
 
-use std::alloc::Layout;
-use std::cell::{RefCell, UnsafeCell};
+use std::cell::UnsafeCell;
 use std::future::Future;
 use std::mem::{ManuallyDrop, MaybeUninit};
 use std::ops::Deref;
@@ -71,7 +60,6 @@ use std::ptr::NonNull;
 use std::sync::atomic::AtomicU64;
 use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
 
-use crate::blocks::{self, BlockCache};
 use crate::join::{JoinHandle, PanicPayload};
 use crate::sync::{fence, AtomicU32, AtomicUsize, Ordering};
 use crate::worker;
@@ -295,19 +283,11 @@ impl Header {
 /// # Safety
 /// Each takes the header pointer of a live `Task<F>` for the `F` the table
 /// was built for. `poll` also requires that the caller holds `RUNNING`
-/// ([`Header::begin_poll`]); `read_output` that it is the one
-/// `JoinHandle`, has observed `COMPLETE`, and calls it as the type it was
-/// erased from ([`take_output`]); `drop_future` that no poller exists or
-/// ever will; `free` that the caller gave back the last count.
+/// ([`Header::begin_poll`]); `drop_future` that no poller exists or ever
+/// will; `free` that the caller gave back the last count.
 struct VTable {
     /// Polls the future once; `Ready` means the stage now holds the output.
     poll: unsafe fn(NonNull<Header>) -> Poll<()>,
-    /// Moves the output out of the stage: [`Task::read_output`], an
-    /// `unsafe fn(NonNull<Header>) -> Result<F::Output, PanicPayload>`
-    /// with its return type erased. Returned by value, so a small output
-    /// comes back in registers: read through memory right after the poll
-    /// wrote it, it would stall on store forwarding.
-    read_output: unsafe fn(NonNull<Header>),
     /// Drops a future that will never be polled again in place.
     drop_future: unsafe fn(NonNull<Header>),
     /// Drops the task and frees its block.
@@ -338,32 +318,17 @@ where
 {
     const VTABLE: &'static VTable = &VTable {
         poll: Self::poll,
-        read_output: Self::erased_read_output(),
         drop_future: Self::drop_future,
         free: Self::free,
     };
 
-    /// The layout of this task's block.
-    const LAYOUT: Layout = blocks::block_layout(Layout::new::<Self>());
-
-    /// A new task in its own block (from `cache` if given), `QUEUED`,
-    /// with `refs` counts.
-    fn allocate(
-        cache: Option<&RefCell<BlockCache>>,
-        rt_id: u64,
-        fut: F,
-        refs: usize,
-        vtable: &'static VTable,
-    ) -> NonNull<Header> {
-        let task = blocks::alloc_block(Self::LAYOUT, cache).cast::<Self>();
-        // SAFETY: a fresh block with this type's size and alignment.
-        unsafe {
-            task.as_ptr().write(Task {
-                header: Header::new(rt_id, refs, vtable),
-                stage: UnsafeCell::new(Stage::Running(fut)),
-            })
-        };
-        task.cast()
+    /// A new task in its own block, `QUEUED`, with `refs` counts.
+    fn allocate(rt_id: u64, fut: F, refs: usize, vtable: &'static VTable) -> NonNull<Header> {
+        let task = Box::new(Task {
+            header: Header::new(rt_id, refs, vtable),
+            stage: UnsafeCell::new(Stage::Running(fut)),
+        });
+        NonNull::from(Box::leak(task)).cast()
     }
 
     /// The stage of the task at `ptr`.
@@ -403,34 +368,26 @@ where
         Poll::Ready(())
     }
 
-    /// [`VTable::read_output`], before its return type is erased.
+    /// Moves the output out of the stage — the [`JoinHandle`]'s
+    /// [`ReadOutput`].
+    ///
+    /// # Safety
+    /// `ptr` heads a live `Task<F>`; the caller is its one `JoinHandle`
+    /// and has observed `COMPLETE`.
     unsafe fn read_output(ptr: NonNull<Header>) -> Result<F::Output, PanicPayload> {
         // SAFETY: COMPLETE was observed, so the poller is done with the
         // stage for good, and the caller is the only JoinHandle.
         let stage = unsafe { Self::stage(ptr) };
-        let Stage::Finished(output) = stage else {
+        if !matches!(stage, Stage::Finished(_)) {
             match stage {
                 Stage::Taken => panic!("JoinHandle polled after it returned the output"),
                 _ => unreachable!("COMPLETE published over a running task"),
             }
-        };
-        // SAFETY: the output is moved out and the stage overwritten with
-        // `Taken` without dropping it. A volatile read, so that the copy
-        // is made word by word: one wide load over the narrower stores the
-        // poll just made would stall on store forwarding.
-        unsafe {
-            let output = std::ptr::read_volatile(output);
-            std::ptr::write(stage, Stage::Taken);
-            output
         }
-    }
-
-    /// [`Task::read_output`] as the vtable stores it.
-    const fn erased_read_output() -> unsafe fn(NonNull<Header>) {
-        let read: unsafe fn(NonNull<Header>) -> Result<F::Output, PanicPayload> = Self::read_output;
-        // SAFETY: only a cast of a function pointer; `take_output` casts
-        // it back to this type before calling it.
-        unsafe { std::mem::transmute(read) }
+        let Stage::Finished(output) = std::mem::replace(stage, Stage::Taken) else {
+            unreachable!("checked above")
+        };
+        output
     }
 
     /// [`VTable::drop_future`]: an output stays for its handle.
@@ -449,13 +406,9 @@ where
 
     /// [`VTable::free`].
     unsafe fn free(ptr: NonNull<Header>) {
-        let task = ptr.cast::<Self>();
-        // SAFETY: the last count is given back: nobody else can reach the
-        // task, and its block came from `alloc_block(Self::LAYOUT)`.
-        unsafe {
-            std::ptr::drop_in_place(task.as_ptr());
-            blocks::free_block(task.cast(), Self::LAYOUT);
-        }
+        // SAFETY: the last count is given back, so nobody else can reach
+        // the task, and its block came from the `Box` of `allocate`.
+        drop(unsafe { Box::from_raw(ptr.cast::<Self>().as_ptr()) });
     }
 }
 
@@ -483,21 +436,13 @@ pub(crate) unsafe fn release(ptr: NonNull<Header>) {
     unsafe { free(ptr) }
 }
 
-/// Moves the output out of a completed task.
+/// How a [`JoinHandle`] moves the output out of its completed task: the
+/// task's own `Task::read_output`, typed by the output alone.
 ///
 /// # Safety
-/// `ptr` heads a live task whose output type is `T`; the caller is its one
-/// `JoinHandle` and has observed `COMPLETE` ([`Header::is_complete`] or
-/// [`Header::register_joiner`] returning true).
-pub(crate) unsafe fn take_output<T>(ptr: NonNull<Header>) -> Result<T, PanicPayload> {
-    // SAFETY: forwarded contract. The task's output type is `T`, so this
-    // is the function type `erased_read_output` erased.
-    unsafe {
-        let read: unsafe fn(NonNull<Header>) -> Result<T, PanicPayload> =
-            std::mem::transmute(ptr.as_ref().vtable.read_output);
-        read(ptr)
-    }
-}
+/// `ptr` heads a live task of the future type the function was taken
+/// from; the caller is its one `JoinHandle` and has observed `COMPLETE`.
+pub(crate) type ReadOutput<T> = unsafe fn(NonNull<Header>) -> Result<T, PanicPayload>;
 
 /// The wakers of every task: a waker is a header pointer holding one count.
 static WAKER_VTABLE: RawWakerVTable =
@@ -594,58 +539,21 @@ impl TaskRef {
         }
     }
 
-    /// True if a child its parent just popped back may run as sole owner
-    /// ([`TaskRef::run_sole`]): the parent holds both counts (this one and
-    /// the handle's) and its handle has published no waker.
-    pub fn is_sole_child(&self) -> bool {
-        self.refs.load(Ordering::Acquire) == 2
-            && self.join.load(Ordering::Acquire) == join_word::EMPTY
-    }
-
-    /// [`TaskRef::run`] for a child that [`TaskRef::is_sole_child`]: no
-    /// waker can race the start of the poll, and only the caller's own
-    /// handle — waiting for this call to return — touches the join word,
-    /// so `QUEUED → RUNNING`, `DONE` and `COMPLETE` are plain stores. A
-    /// `Pending` poll settles as in [`TaskRef::run`]: a waker the future
-    /// made may race it.
-    pub fn run_sole(&self) -> Polled {
-        self.state.store(state::RUNNING, Ordering::Relaxed);
-        // SAFETY: RUNNING is ours (no other holder exists), and the table
-        // is the one this task was allocated with.
-        match unsafe { (self.vtable.poll)(self.0) } {
-            Poll::Ready(()) => {
-                self.state.store(state::DONE, Ordering::Release);
-                self.join.store(join_word::COMPLETE, Ordering::Release);
-                Polled::Done
-            }
-            Poll::Pending if self.finish_pending() => Polled::Requeue,
-            Poll::Pending => Polled::Idle,
-        }
-    }
-
-    /// Gives back the count of a child that ran as sole owner: a plain
-    /// store (2 → 1) while the caller's handle holds the only other count,
-    /// [`release`] if a waker escaped the poll and still holds one.
-    pub fn release_sole(self) {
-        let this = ManuallyDrop::new(self);
-        // Acquire: an escaped waker dropped since then gave its count back
-        // with a Release decrement, which its accesses happen before.
-        if this.refs.load(Ordering::Acquire) == 2 {
-            this.refs.store(1, Ordering::Relaxed);
-        } else {
-            // SAFETY: gives back the count this `TaskRef` held.
-            unsafe { release(this.0) };
-        }
-    }
-
-    /// The seeded mutation of [`TaskRef::release_sole`]: the plain store
-    /// without the `refs == 2` check, which drops an escaped waker's count
-    /// on the floor. `lhws-check` must refute it
-    /// (`join_inline_unchecked_unsound`). Never enable the cfg in
-    /// production builds.
+    /// The seeded mutation of [`release`] for `lhws-check`
+    /// (`join_inline_racy_release_unsound`): gives the count back with a
+    /// load and a store instead of an RMW, as if no other holder could be
+    /// releasing at the same time — which a waker that escaped the poll
+    /// can. Never enable the cfg in production builds.
     #[cfg(lhws_check_mutation)]
-    pub fn release_sole_unchecked(self) {
-        ManuallyDrop::new(self).refs.store(1, Ordering::Relaxed);
+    pub fn release_racy(self) {
+        let this = ManuallyDrop::new(self);
+        let refs = this.refs.load(Ordering::Acquire);
+        if refs == 1 {
+            // SAFETY: the only count, as in `release`.
+            unsafe { (this.vtable.free)(this.0) }
+        } else {
+            this.refs.store(refs - 1, Ordering::Release);
+        }
     }
 
     /// Wakes the task through the wake protocol (what its wakers do; the
@@ -717,38 +625,29 @@ where
     F: Future + Send + 'static,
     F::Output: Send + 'static,
 {
-    TaskRef(Task::allocate(None, rt_id, fut, 1, Task::<F>::VTABLE))
+    TaskRef(Task::allocate(rt_id, fut, 1, Task::<F>::VTABLE))
 }
 
-/// Creates a `QUEUED` task and the handle that joins it: one block (from
-/// the worker's block `cache` when the caller holds it), two counts, no
-/// RMW.
-pub(crate) fn new_joinable<F>(
-    cache: Option<&RefCell<BlockCache>>,
-    rt_id: u64,
-    fut: F,
-) -> (TaskRef, JoinHandle<F::Output>)
+/// Creates a `QUEUED` task and the handle that joins it: one block, two
+/// counts, no RMW.
+pub(crate) fn new_joinable<F>(rt_id: u64, fut: F) -> (TaskRef, JoinHandle<F::Output>)
 where
     F: Future + Send + 'static,
     F::Output: Send + 'static,
 {
-    joinable(cache, rt_id, fut, Task::<F>::VTABLE)
+    joinable(rt_id, fut, Task::<F>::VTABLE)
 }
 
-fn joinable<F>(
-    cache: Option<&RefCell<BlockCache>>,
-    rt_id: u64,
-    fut: F,
-    vtable: &'static VTable,
-) -> (TaskRef, JoinHandle<F::Output>)
+fn joinable<F>(rt_id: u64, fut: F, vtable: &'static VTable) -> (TaskRef, JoinHandle<F::Output>)
 where
     F: Future + Send + 'static,
     F::Output: Send + 'static,
 {
-    let task = Task::allocate(cache, rt_id, fut, 2, vtable);
-    // SAFETY: the second count is the handle's, and the output type is
-    // `F::Output`.
-    (TaskRef(task), unsafe { JoinHandle::new(task) })
+    let task = Task::allocate(rt_id, fut, 2, vtable);
+    // SAFETY: the second count is the handle's, and `read_output` is the
+    // one of the task's future type.
+    let handle = unsafe { JoinHandle::new(task, Task::<F>::read_output) };
+    (TaskRef(task), handle)
 }
 
 /// Delivers a freshly claimed (`QUEUED`) task to a scheduler queue.
@@ -832,7 +731,7 @@ pub mod check_hooks {
         F::Output: Send + 'static,
     {
         let (owner, stealer) = WorkerHandle::new(DequeKind::ChaseLev);
-        let (task, handle) = joinable(None, 0, fut, Checked::<F>::VTABLE);
+        let (task, handle) = joinable(0, fut, Checked::<F>::VTABLE);
         owner.push_bottom(task);
         (Forked { owner, handle }, Thief(stealer))
     }
@@ -847,7 +746,6 @@ pub mod check_hooks {
     {
         const VTABLE: &'static VTable = &VTable {
             poll: Task::<F>::poll,
-            read_output: Task::<F>::erased_read_output(),
             drop_future: Task::<F>::drop_future,
             free: quarantine::<F>,
         };
@@ -861,31 +759,24 @@ pub mod check_hooks {
 
         /// The owner's pop-back at the join, as a worker's `join_inline`
         /// does it: runs the child here if it is still the deque's bottom
-        /// element — as sole owner when it is one. True if it ran.
+        /// element. True if it ran.
         pub fn join_inline(&self) -> bool {
             let Some(child) = self.handle.pop_if_bottom(&self.owner) else {
                 return false;
             };
-            if child.is_sole_child() {
-                if let Polled::Done = child.run_sole() {
-                    child.release_sole();
-                }
-            } else {
-                child.run();
-            }
+            child.run();
             true
         }
 
-        /// The seeded mutation: [`Forked::join_inline`]'s sole-owner path
-        /// taken and released without the `refs == 2` checks.
+        /// The seeded mutation: [`Forked::join_inline`] giving the child's
+        /// count back with [`TaskRef::release_racy`].
         #[cfg(lhws_check_mutation)]
-        pub fn join_inline_unchecked(&self) -> bool {
+        pub fn join_inline_racy(&self) -> bool {
             let Some(child) = self.handle.pop_if_bottom(&self.owner) else {
                 return false;
             };
-            if let Polled::Done = child.run_sole() {
-                child.release_sole_unchecked();
-            }
+            child.run();
+            child.release_racy();
             true
         }
     }
@@ -930,7 +821,7 @@ mod tests {
 
     #[test]
     fn complete_then_poll() {
-        let (task, mut h) = new_joinable(None, 0, async { 42 });
+        let (task, mut h) = new_joinable(0, async { 42 });
         assert!(matches!(task.run(), Polled::Done));
         assert!(matches!(poll_once(&mut h, &noop()), Poll::Ready(42)));
     }
@@ -939,7 +830,7 @@ mod tests {
     fn poll_then_complete_wakes() {
         let flag = Arc::new(Flag(AtomicBool::new(false)));
         let waker = Waker::from(flag.clone());
-        let (task, mut h) = new_joinable(None, 0, async { "done" });
+        let (task, mut h) = new_joinable(0, async { "done" });
         assert!(poll_once(&mut h, &waker).is_pending());
         assert!(!h.is_finished());
         // A second registration of the same waker keeps the first.
@@ -953,7 +844,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "child panicked")]
     fn panic_propagates_at_join() {
-        let (task, mut h) = new_joinable(None, 0, async {
+        let (task, mut h) = new_joinable(0, async {
             if true {
                 panic!("child panicked");
             }
@@ -987,7 +878,7 @@ mod tests {
     fn output_dropped_once_without_a_join() {
         let drops = Arc::new(AtomicUsize::new(0));
         let d = drops.clone();
-        let (task, h) = new_joinable(None, 0, async move { Counted(d) });
+        let (task, h) = new_joinable(0, async move { Counted(d) });
         drop(h);
         task.run();
         assert_eq!(drops.load(SeqCst), 0, "the output lives in the task");
@@ -996,16 +887,16 @@ mod tests {
     }
 
     #[test]
-    fn sole_child_runs_and_is_freed_by_its_handle_alone() {
+    fn a_fork_counts_two_and_its_last_holder_frees_it() {
         let drops = Arc::new(AtomicUsize::new(0));
         let d = drops.clone();
-        let (task, mut h) = new_joinable(None, 0, async move { Counted(d) });
-        assert!(task.is_sole_child());
-        assert!(matches!(task.run_sole(), Polled::Done));
-        task.release_sole();
+        let (task, mut h) = new_joinable(0, async move { Counted(d) });
+        assert_eq!(h.header().refs.load(Ordering::Relaxed), 2, "task + handle");
+        assert!(matches!(task.run(), Polled::Done));
+        drop(task);
         assert_eq!(h.header().refs.load(Ordering::Relaxed), 1);
         let Poll::Ready(out) = poll_once(&mut h, &noop()) else {
-            panic!("a sole child is complete when run_sole returns");
+            panic!("the child completed");
         };
         drop(h);
         assert_eq!(drops.load(SeqCst), 0, "the output is the caller's");
@@ -1018,16 +909,14 @@ mod tests {
         let slot: Arc<std::sync::Mutex<Option<Waker>>> = Arc::default();
         let s = slot.clone();
         let (task, mut h) = new_joinable(
-            None,
             0,
             std::future::poll_fn(move |cx| {
                 *s.lock().unwrap() = Some(cx.waker().clone());
                 Poll::Ready(7u32)
             }),
         );
-        assert!(task.is_sole_child());
-        assert!(matches!(task.run_sole(), Polled::Done));
-        task.release_sole();
+        assert!(matches!(task.run(), Polled::Done));
+        drop(task);
         assert_eq!(h.header().refs.load(Ordering::Relaxed), 2, "handle + waker");
         assert!(matches!(poll_once(&mut h, &noop()), Poll::Ready(7)));
         drop(h);
@@ -1037,16 +926,33 @@ mod tests {
     }
 
     #[test]
-    fn a_waker_that_has_joined_makes_the_child_not_sole() {
-        let (task, mut h) = new_joinable(None, 0, async { 1 });
-        assert!(poll_once(&mut h, &noop()).is_pending());
-        assert!(!task.is_sole_child(), "a published joiner waker");
-        let extra = task.clone();
-        let (task2, _h2) = new_joinable(None, 0, async { 2 });
-        let extra2 = task2.clone();
-        assert!(!task2.is_sole_child(), "a third count");
-        drop((extra, extra2));
-        assert!(task2.is_sole_child());
+    fn an_over_aligned_future_gets_an_aligned_block() {
+        #[repr(align(64))]
+        struct Wide([u8; 64]);
+        let wide = Wide([7; 64]);
+        let (task, mut h) = new_joinable(0, async move {
+            let wide = wide;
+            wide.0[63]
+        });
+        assert_eq!(task.0.as_ptr() as usize % 64, 0);
         assert!(matches!(task.run(), Polled::Done));
+        drop(task);
+        assert!(matches!(poll_once(&mut h, &noop()), Poll::Ready(7)));
+    }
+
+    #[test]
+    fn a_task_is_freed_on_another_thread_than_the_one_that_made_it() {
+        let drops = Arc::new(AtomicUsize::new(0));
+        let d = drops.clone();
+        let (task, h) = new_joinable(0, async move { Counted(d) });
+        std::thread::spawn(move || {
+            assert!(matches!(task.run(), Polled::Done));
+            drop(task);
+        })
+        .join()
+        .unwrap();
+        assert_eq!(drops.load(SeqCst), 0, "the handle still holds the output");
+        std::thread::spawn(move || drop(h)).join().unwrap();
+        assert_eq!(drops.load(SeqCst), 1);
     }
 }

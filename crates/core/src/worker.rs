@@ -45,14 +45,13 @@ use std::time::{Duration, Instant};
 
 use lhws_deque::{DequeId, DequeKind, WorkerHandle};
 
-use crate::blocks::BlockCache;
 use crate::config::LatencyMode;
-use crate::fault::{FaultInjector, PanicInjected};
+use crate::fault::FaultInjector;
 use crate::join::JoinHandle;
 use crate::metrics::WorkerBlock;
 use crate::runtime::{self, RtInner};
 use crate::steal::Thief;
-use crate::task::{self, Polled, TaskRef};
+use crate::task::{Polled, TaskRef};
 use crate::timer::{DeadlineCallback, Payload, Pending, ResumeEvent, Wheel};
 use crate::trace::{EventKind, SuspendKind, Tracer};
 
@@ -113,9 +112,6 @@ pub(crate) struct WorkerTls {
     /// [`Worker::drain_resumes`], canceled when the worker exits. Never
     /// borrowed across a callback or a poll.
     timers: RefCell<Wheel>,
-    /// Freed task blocks, reused by this worker's next spawns
-    /// ([`crate::blocks`]). Drained on exit and on respawn.
-    blocks: RefCell<BlockCache>,
 }
 
 thread_local! {
@@ -126,19 +122,6 @@ thread_local! {
 /// threads. Calls nest (a poll runs inside one and makes more).
 pub(crate) fn with_worker<R>(f: impl FnOnce(Option<&WorkerTls>) -> R) -> R {
     TLS.with(|t| f(t.borrow().as_ref()))
-}
-
-/// Runs `f` on this thread's block cache — `None` off worker threads, and
-/// while the thread-local context is being replaced or torn down (the
-/// caller then uses the global allocator).
-pub(crate) fn with_blocks<R>(f: impl FnOnce(&mut BlockCache) -> R) -> Option<R> {
-    TLS.try_with(|t| {
-        let tls = t.try_borrow().ok()?;
-        let mut blocks = tls.as_ref()?.blocks.try_borrow_mut().ok()?;
-        Some(f(&mut blocks))
-    })
-    .ok()
-    .flatten()
 }
 
 /// Hands `item` to runtime `rt_id`: through `local` on one of its own
@@ -195,18 +178,7 @@ impl WorkerTls {
         F: Future + Send + 'static,
         F::Output: Send + 'static,
     {
-        // `PanicInjected` sits inside the task's own panic containment,
-        // so an injected task panic takes the exact same road as a user
-        // panic: caught at the poll, surfaced at the join point. Without a
-        // fault plan the future is spawned as it is.
-        let blocks = Some(&self.blocks);
-        let (task, handle) = match &self.rt.faults {
-            None => task::new_joinable(blocks, self.rt.id, fut),
-            Some(f) => {
-                let fut = PanicInjected::new(fut, Some(f.clone()));
-                task::new_joinable(blocks, self.rt.id, fut)
-            }
-        };
+        let (task, handle) = self.rt.new_joinable(fut);
         self.ctr().bump(&self.ctr().tasks_spawned);
         self.push_spawned(task);
         handle
@@ -277,10 +249,8 @@ impl WorkerTls {
     /// One poll of `task`, the same for the scheduler loop and for a
     /// join's inline run: fault hooks, state machine, `polls`, the
     /// `ResumeExec` trace event, the current-task scope, and the requeue
-    /// of a task woken while it ran. `sole`: a popped-back child that
-    /// [`TaskRef::is_sole_child`], run and released as sole owner (only
-    /// without a fault plan, whose hooks the sole path skips).
-    fn run_task(&self, task: TaskRef, sole: bool) {
+    /// of a task woken while it ran.
+    fn run_task(&self, task: TaskRef) {
         let mut inject_spurious = false;
         if let Some(f) = &self.rt.faults {
             // Emulate OS preemption between deadline computation and the
@@ -308,14 +278,9 @@ impl WorkerTls {
         }
         let polled = {
             let _scope = Scope(&self.current_task, self.current_task.replace(&task));
-            if sole {
-                task.run_sole()
-            } else {
-                task.run()
-            }
+            task.run()
         };
         match polled {
-            Polled::Done if sole => task.release_sole(),
             Polled::Done => {}
             // Woken during the poll: runnable again right away.
             Polled::Requeue => self.push_enabled(task),
@@ -331,9 +296,7 @@ impl WorkerTls {
 /// Figure 3's pop-bottom at a join: if the task `handle` awaits is still
 /// the bottom element of this worker's active deque, pops it back and
 /// runs it here, inside the joining task's poll, through
-/// [`WorkerTls::run_task`] — as sole owner when the parent holds both of
-/// the child's counts and no fault plan is set: no RMW from the pop to the
-/// free. Whatever happens — not a worker thread,
+/// [`WorkerTls::run_task`]. Whatever happens — not a worker thread,
 /// something else at the bottom, a thief won the race, the cap — the
 /// caller just looks at the task again and falls back to its waker.
 pub(crate) fn join_inline<T>(handle: &JoinHandle<T>) {
@@ -349,9 +312,8 @@ pub(crate) fn join_inline<T>(handle: &JoinHandle<T>) {
             None => None,
         };
         if let Some(child) = child {
-            let sole = w.rt.faults.is_none() && child.is_sole_child();
             w.inline_depth.set(depth + 1);
-            w.run_task(child, sole);
+            w.run_task(child);
             w.inline_depth.set(depth);
         }
     })
@@ -630,24 +592,17 @@ impl Worker {
     }
 
     /// Leaves the worker thread for good — shutdown, or a panic the
-    /// supervisor will not respawn: cancels the timer shard, drains the
-    /// block cache, then drops the thread-local context. A worker of a
-    /// poisoned runtime hands every task it still holds to the runtime
-    /// ([`RtInner::bury`]), which drops their futures in place once no
-    /// worker is left to poll them.
+    /// supervisor will not respawn: cancels the timer shard, then drops
+    /// the thread-local context. A worker of a poisoned runtime hands
+    /// every task it still holds to the runtime ([`RtInner::bury`]), which
+    /// drops their futures in place once no worker is left to poll them.
     pub fn exit(&mut self) {
         let mut held = self.cancel_timers();
         if self.rt.poisoned_worker().is_some() {
             held.append(&mut self.salvage());
             self.rt.bury(held);
         }
-        self.drain_blocks();
         self.clear_tls();
-    }
-
-    /// Frees this worker's cached task blocks.
-    fn drain_blocks(&self) {
-        with_worker(|w| w.map(|w| w.blocks.borrow_mut().drain()));
     }
 
     /// Lines 41–56 plus injector check and parking.
@@ -761,7 +716,7 @@ impl Worker {
         let suspends = with_worker(|w| {
             let w = w.expect("worker TLS installed");
             w.suspend_count.set(0);
-            w.run_task(task, false);
+            w.run_task(task);
             w.suspend_count.get()
         });
         if suspends > 0 {
@@ -1113,8 +1068,7 @@ impl Worker {
     /// respawned self — picks them up), and voids the old incarnation's
     /// suspension bookkeeping by bumping the worker epoch: in-flight
     /// resumes stamped with the old epoch are re-routed by
-    /// [`Worker::drain_resumes`] instead of indexing dead deque slots. The
-    /// dead incarnation's cached task blocks are freed too.
+    /// [`Worker::drain_resumes`] instead of indexing dead deque slots.
     ///
     /// Not recovered: a batch mid-drain inside `drain_resumes` when the
     /// panic fired lives in a local the unwind dropped (counted as leaked
@@ -1134,7 +1088,6 @@ impl Worker {
         // of `salvage` through the deque's normal owner/thief protocol.
         let rescued = self.rt.registry.rescue(self.index);
         let salvaged = self.salvage();
-        self.drain_blocks();
 
         // Reset to a just-constructed state. Dropping `owned` drops the
         // owner handles; the registry keeps the (released) thief ends.
@@ -1238,7 +1191,6 @@ impl Worker {
                 suspend_seq: Cell::new(0),
                 inline_depth: Cell::new(0),
                 timers: RefCell::new(Wheel::new()),
-                blocks: RefCell::new(BlockCache::new()),
             });
         });
     }
@@ -1249,129 +1201,5 @@ impl Worker {
         // looks the TLS up again.
         let tls = TLS.with(|t| t.borrow_mut().take());
         drop(tls);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::blocks::{CACHE_BYTES, DRAINED};
-    use crate::runtime::Runtime;
-
-    /// A worker of a runtime whose own threads have all exited: it owns
-    /// no deque and nothing races it, so its supervision paths can be
-    /// driven by hand on the calling thread.
-    fn idle_worker() -> Worker {
-        let rt = Runtime::builder().workers(1).build().unwrap();
-        let inner = rt.inner().clone();
-        drop(rt);
-        let w = Worker::new(inner, 0);
-        w.install_tls();
-        w
-    }
-
-    fn cached_bytes() -> usize {
-        with_blocks(|c| c.bytes()).expect("worker TLS installed")
-    }
-
-    /// A small task; every one has the same future type, so the same
-    /// block size class.
-    fn small(i: u64) -> TaskRef {
-        task::new_detached(0, async move { i })
-    }
-
-    /// Allocates and frees `n` small tasks on this thread.
-    fn churn(n: usize) {
-        let tasks: Vec<TaskRef> = (0..n as u64).map(small).collect();
-        drop(tasks);
-    }
-
-    fn addr(task: &TaskRef) -> *const () {
-        // SAFETY: a bit copy that is never dropped (`MaybeUninit`), the
-        // image a deque slot holds.
-        TaskRef::image_addr(&std::mem::MaybeUninit::new(unsafe { std::ptr::read(task) }))
-    }
-
-    #[test]
-    fn block_cache_is_bounded_and_drained_on_respawn_and_on_exit() {
-        std::thread::spawn(|| {
-            let mut w = idle_worker();
-            churn(20_000);
-            let held = cached_bytes();
-            assert!(held > 0, "freed task blocks are cached");
-            assert!(held <= CACHE_BYTES, "{held} B cached");
-
-            w.recover_after_panic();
-            assert_eq!(cached_bytes(), 0, "a respawn drains the cache");
-
-            churn(100);
-            let held = cached_bytes();
-            assert!(held > 0);
-            let before = DRAINED.with(|d| d.get());
-            w.exit();
-            assert_eq!(DRAINED.with(|d| d.get()) - before, held, "exit drains it");
-            assert!(with_blocks(|_| ()).is_none(), "and the context is gone");
-        })
-        .join()
-        .unwrap();
-    }
-
-    #[test]
-    fn a_block_is_freed_on_another_worker_and_on_a_user_thread() {
-        let (to_worker, on_worker) = std::sync::mpsc::channel::<TaskRef>();
-        let (to_user, on_user) = std::sync::mpsc::channel::<TaskRef>();
-        std::thread::spawn(move || {
-            let _w0 = idle_worker();
-            churn(1);
-            assert!(cached_bytes() > 0);
-            let cached = cached_bytes();
-            for to in [&to_worker, &to_user] {
-                to.send(small(1)).unwrap();
-            }
-            assert!(cached_bytes() < cached, "worker 0 allocated from its cache");
-        })
-        .join()
-        .unwrap();
-        let reused = std::thread::spawn(move || {
-            let _w1 = idle_worker();
-            let task = on_worker.recv().unwrap();
-            let first = addr(&task);
-            drop(task);
-            let cached = cached_bytes();
-            assert!(cached > 0, "worker 1 keeps worker 0's block");
-            // Same future type, same class: the next spawn here reuses it.
-            addr(&small(2)) == first
-        })
-        .join()
-        .unwrap();
-        assert!(reused, "worker 1 handed the block out again");
-        // A user thread has no cache: the global allocator takes it back.
-        std::thread::spawn(move || {
-            drop(on_user.recv().unwrap());
-            assert!(with_blocks(|_| ()).is_none());
-        })
-        .join()
-        .unwrap();
-    }
-
-    #[test]
-    fn an_over_aligned_future_bypasses_the_cache() {
-        #[repr(align(64))]
-        struct Wide([u8; 64]);
-        std::thread::spawn(|| {
-            let _w = idle_worker();
-            let wide = Wide([7; 64]);
-            let task = task::new_detached(0, async move {
-                let wide = wide;
-                wide.0[63]
-            });
-            assert_eq!(addr(&task) as usize % 64, 0);
-            drop(task);
-            assert_eq!(cached_bytes(), 0, "its block went back to the allocator");
-            churn(1);
-            assert!(cached_bytes() > 0, "a small one is cached");
-        })
-        .join()
-        .unwrap();
     }
 }

@@ -251,9 +251,9 @@ fn handle_awaited_from_another_worker() {
     assert_eq!(rt.metrics().steals_succeeded, 2);
 }
 
-// (g) A child run inline that returns `Pending` leaves the sole-owner
-// path for the waker path and is resumed exactly once: woken during its
-// own poll (requeued at once), or woken later from another thread.
+// (g) A child run inline that returns `Pending` leaves the pop-back for
+// the waker path and is resumed exactly once: woken during its own poll
+// (requeued at once), or woken later from another thread.
 #[test]
 fn inline_child_that_returns_pending_is_resumed_exactly_once() {
     /// Pending on its first poll; `handoff` decides who wakes it.
