@@ -162,23 +162,6 @@ impl RtInner {
         self.unpark_all();
     }
 
-    /// Makes a spawned task and its handle; every spawn site comes through
-    /// here. With a fault plan the future is wrapped in `PanicInjected`,
-    /// which sits inside the task's own panic containment, so an injected
-    /// task panic takes the exact same road as a user panic: caught at the
-    /// poll, surfaced at the join point. Without one it is spawned as it
-    /// is.
-    pub fn new_joinable<F>(&self, fut: F) -> (TaskRef, JoinHandle<F::Output>)
-    where
-        F: Future + Send + 'static,
-        F::Output: Send + 'static,
-    {
-        match &self.faults {
-            None => task::new_joinable(self.id, fut),
-            Some(f) => task::new_joinable(self.id, PanicInjected::new(fut, Some(f.clone()))),
-        }
-    }
-
     /// Keeps `tasks` of a poisoned runtime until the runtime is dropped,
     /// when no worker is left to poll them ([`RtInner::drop_held_futures`]).
     pub fn bury(&self, tasks: impl IntoIterator<Item = TaskRef>) {
@@ -758,7 +741,7 @@ where
         _ => Err(fut),
     });
     forked.unwrap_or_else(|fut| {
-        let (task, handle) = rt.new_joinable(fut);
+        let (task, handle) = task::new_joinable(rt.id, PanicInjected::new(fut, rt.faults.clone()));
         rt.counters.bump(&rt.counters.tasks_spawned);
         rt.inject(task);
         handle

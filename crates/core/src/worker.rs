@@ -46,12 +46,12 @@ use std::time::{Duration, Instant};
 use lhws_deque::{DequeId, DequeKind, WorkerHandle};
 
 use crate::config::LatencyMode;
-use crate::fault::FaultInjector;
+use crate::fault::{FaultInjector, PanicInjected};
 use crate::join::JoinHandle;
 use crate::metrics::WorkerBlock;
 use crate::runtime::{self, RtInner};
 use crate::steal::Thief;
-use crate::task::{Polled, TaskRef};
+use crate::task::{self, Polled, TaskRef};
 use crate::timer::{DeadlineCallback, Payload, Pending, ResumeEvent, Wheel};
 use crate::trace::{EventKind, SuspendKind, Tracer};
 
@@ -178,7 +178,11 @@ impl WorkerTls {
         F: Future + Send + 'static,
         F::Output: Send + 'static,
     {
-        let (task, handle) = self.rt.new_joinable(fut);
+        // `PanicInjected` sits inside the task's own panic containment,
+        // so an injected task panic takes the exact same road as a user
+        // panic: caught at the poll, surfaced at the join point.
+        let fut = PanicInjected::new(fut, self.rt.faults.clone());
+        let (task, handle) = task::new_joinable(self.rt.id, fut);
         self.ctr().bump(&self.ctr().tasks_spawned);
         self.push_spawned(task);
         handle
