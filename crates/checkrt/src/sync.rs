@@ -257,8 +257,8 @@ impl<T> AtomicPtr<T> {
     }
 }
 
-/// Instrumented mutex with the parking_lot-shaped API the ported
-/// structures use (`lock` is infallible; poisoning is swallowed because
+/// Instrumented mutex with the API of the ported structures' own
+/// `sync::Mutex` (`lock` is infallible; poisoning is swallowed because
 /// the checker's own failure handling already captured the panic).
 ///
 /// Under the model, contention parks the thread with the scheduler

@@ -4,7 +4,6 @@
 
 use std::error::Error;
 use std::fmt;
-use std::time::Duration;
 
 use crate::fault::{FaultPlan, FaultSite};
 use crate::runtime::{Runtime, RuntimeError};
@@ -31,10 +30,6 @@ pub struct Config {
     pub workers: usize,
     /// Latency handling mode.
     pub mode: LatencyMode,
-    /// Capacity of the global deque registry (`gDeques`). By Lemma 7 the
-    /// algorithm needs at most `P · (U + 1)` deques; the default of 65 536
-    /// is comfortable for any realistic suspension width.
-    pub registry_capacity: usize,
     /// How long an idle worker parks between scavenging rounds, in
     /// microseconds (cut short at the worker's own next timer deadline).
     /// Bounds wake-up staleness for events that race with parking, and is
@@ -42,8 +37,6 @@ pub struct Config {
     /// wakes nobody, so a parked worker finds stealable work only when
     /// this expires.
     pub park_micros: u64,
-    /// Seed for the per-worker victim-selection RNGs.
-    pub seed: u64,
     /// Per-worker trace ring capacity in events (rounded up to a power of
     /// two). `0` (the default) disables tracing entirely: no rings are
     /// allocated and every event site reduces to one never-taken branch.
@@ -63,17 +56,6 @@ pub struct Config {
     /// deliveries re-routed (see the `workers_restarted`,
     /// `deques_rescued` and `resumes_rerouted` metrics).
     pub worker_respawn_budget: u64,
-    /// Safety timeout applied to blocking socket reads/accepts in
-    /// [`LatencyMode::Block`] (default 30 s). Block mode has no reactor:
-    /// a worker thread sleeps inside the kernel call, so a peer that goes
-    /// silent would otherwise pin that worker forever. The timeout bounds
-    /// the damage — the read fails with `WouldBlock`/`TimedOut` and the
-    /// worker returns to stealing. This is the degraded-Block semantics:
-    /// Block mode trades the paper's latency hiding for simplicity, and
-    /// this knob is the only thing standing between it and an unbounded
-    /// worker stall. Ignored in [`LatencyMode::Hide`] (the reactor's
-    /// deadline machinery handles it). Zero is rejected at build time.
-    pub io_safety_timeout: Duration,
 }
 
 impl Default for Config {
@@ -83,13 +65,10 @@ impl Default for Config {
                 .map(|n| n.get())
                 .unwrap_or(4),
             mode: LatencyMode::default(),
-            registry_capacity: 1 << 16,
             park_micros: 100,
-            seed: 0x1A7E_11C1,
             trace_capacity: 0,
             fault_plan: None,
             worker_respawn_budget: 0,
-            io_safety_timeout: Duration::from_secs(30),
         }
     }
 }
@@ -105,15 +84,6 @@ impl Config {
         }
         if self.park_micros == 0 {
             return Err(ConfigError::ZeroParkInterval);
-        }
-        if self.io_safety_timeout.is_zero() {
-            return Err(ConfigError::ZeroIoSafetyTimeout);
-        }
-        if self.registry_capacity < self.workers {
-            return Err(ConfigError::RegistryTooSmall {
-                capacity: self.registry_capacity,
-                workers: self.workers,
-            });
         }
         if let Some(plan) = &self.fault_plan {
             plan.validate()?;
@@ -131,17 +101,6 @@ pub enum ConfigError {
     ZeroWorkers,
     /// `park_micros == 0`: idle workers would spin without ever parking.
     ZeroParkInterval,
-    /// `io_safety_timeout == 0`: Block-mode reads would block forever on a
-    /// silent peer, pinning the worker thread with no way back.
-    ZeroIoSafetyTimeout,
-    /// `registry_capacity < workers`: each worker needs at least its one
-    /// initial deque slot in the global registry.
-    RegistryTooSmall {
-        /// The configured registry capacity.
-        capacity: usize,
-        /// The configured worker count it must cover.
-        workers: usize,
-    },
     /// A [`FaultPlan`] rate exceeds 1 000 000 ppm (rates are fractions of
     /// one million visits).
     FaultRateOutOfRange {
@@ -157,13 +116,6 @@ impl fmt::Display for ConfigError {
         match self {
             ConfigError::ZeroWorkers => write!(f, "workers must be >= 1"),
             ConfigError::ZeroParkInterval => write!(f, "park_micros must be >= 1"),
-            ConfigError::ZeroIoSafetyTimeout => {
-                write!(f, "io_safety_timeout must be non-zero")
-            }
-            ConfigError::RegistryTooSmall { capacity, workers } => write!(
-                f,
-                "registry_capacity ({capacity}) must be >= workers ({workers})"
-            ),
             ConfigError::FaultRateOutOfRange { site, ppm } => {
                 write!(f, "fault rate for {site:?} ({ppm} ppm) exceeds 1000000 ppm")
             }
@@ -211,23 +163,10 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Sets the registry capacity. Must cover at least one deque per
-    /// worker or build time rejects it.
-    pub fn registry_capacity(mut self, c: usize) -> Self {
-        self.cfg.registry_capacity = c;
-        self
-    }
-
     /// Sets the idle park interval in microseconds. `0` is rejected at
     /// build time.
     pub fn park_micros(mut self, us: u64) -> Self {
         self.cfg.park_micros = us;
-        self
-    }
-
-    /// Sets the RNG seed.
-    pub fn seed(mut self, s: u64) -> Self {
-        self.cfg.seed = s;
         self
     }
 
@@ -254,14 +193,6 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Sets the Block-mode I/O safety timeout (see
-    /// [`Config::io_safety_timeout`] for the degraded-Block semantics this
-    /// bounds). A zero duration is rejected at build time.
-    pub fn io_safety_timeout(mut self, d: Duration) -> Self {
-        self.cfg.io_safety_timeout = d;
-        self
-    }
-
     /// Validates the configuration without starting a runtime, returning
     /// the would-be [`Config`].
     pub fn validate(&self) -> Result<Config, ConfigError> {
@@ -284,28 +215,17 @@ mod tests {
         let c = Config::default();
         assert!(c.workers >= 1);
         assert_eq!(c.mode, LatencyMode::Hide);
-        assert!(c.registry_capacity >= c.workers);
         assert_eq!(c.worker_respawn_budget, 0, "fail-stop by default");
-        assert_eq!(c.io_safety_timeout, Duration::from_secs(30));
         assert_eq!(c.validate(), Ok(()));
     }
 
     #[test]
     fn robustness_knobs() {
-        assert_eq!(
-            RuntimeBuilder::new()
-                .io_safety_timeout(Duration::ZERO)
-                .validate()
-                .err(),
-            Some(ConfigError::ZeroIoSafetyTimeout)
-        );
         let cfg = RuntimeBuilder::new()
             .worker_respawn_budget(2)
-            .io_safety_timeout(Duration::from_secs(5))
             .validate()
             .unwrap();
         assert_eq!(cfg.worker_respawn_budget, 2);
-        assert_eq!(cfg.io_safety_timeout, Duration::from_secs(5));
     }
 
     #[test]
@@ -313,12 +233,10 @@ mod tests {
         let cfg = RuntimeBuilder::new()
             .workers(3)
             .mode(LatencyMode::Block)
-            .seed(9)
             .validate()
             .unwrap();
         assert_eq!(cfg.workers, 3);
         assert_eq!(cfg.mode, LatencyMode::Block);
-        assert_eq!(cfg.seed, 9);
         // No clamping: an out-of-range value is rejected, not repaired.
         assert_eq!(
             RuntimeBuilder::new().workers(0).validate().err(),

@@ -200,8 +200,8 @@ pub struct IoShardSnapshot {
 ///
 /// Obtained from [`Runtime::driver_hooks`](crate::Runtime::driver_hooks).
 /// The runtime's immutable parts a driver consults on every request — the
-/// fault plan, the tracer, the latency mode, the I/O safety timeout — are
-/// copied in at construction. The counters are reached through the worker's
+/// fault plan, the tracer, the latency mode — are copied in at
+/// construction. The counters are reached through the worker's
 /// thread-local runtime reference on a worker of this runtime and through a
 /// `Weak` upgrade elsewhere; counter bumps are no-ops once the runtime is
 /// gone, so a driver outliving its runtime is safe.
@@ -212,7 +212,6 @@ pub struct DriverHooks {
     tracer: Option<Arc<Tracer>>,
     faults: Option<Arc<FaultInjector>>,
     mode: LatencyMode,
-    io_safety_timeout: Duration,
 }
 
 impl std::fmt::Debug for DriverHooks {
@@ -232,7 +231,6 @@ impl DriverHooks {
             tracer: rt.tracer.clone(),
             faults: rt.faults.clone(),
             mode: rt.config.mode,
-            io_safety_timeout: rt.config.io_safety_timeout,
         }
     }
 
@@ -317,15 +315,6 @@ impl DriverHooks {
     /// accept-loop's re-arm path. Always `false` without a fault plan.
     pub fn accept_burst(&self) -> bool {
         self.faults.as_ref().is_some_and(|f| f.accept_burst())
-    }
-
-    /// The runtime's I/O safety timeout
-    /// ([`Config::io_safety_timeout`](crate::Config)). In
-    /// [`LatencyMode::Block`] drivers apply it as the kernel-level
-    /// read/write timeout bounding a worker-thread stall; in Hide mode it
-    /// is ignored (the reactor never blocks a worker).
-    pub fn io_safety_timeout(&self) -> Duration {
-        self.io_safety_timeout
     }
 
     /// The runtime's latency mode. Drivers use this to skip their kernel

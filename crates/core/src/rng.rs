@@ -1,6 +1,7 @@
 //! The workspace's one SplitMix64 — shared by fault-plan decision words
 //! ([`crate::fault`]), latency sampling ([`crate::LatencyProfile`]), and
-//! per-worker seed derivation.
+//! the thieves' per-worker victim-draw streams. It is lhws-core's only
+//! source of randomness: the crate depends on no RNG crate.
 //!
 //! These call sites used to carry their own copies of the same mixer;
 //! they are deduplicated here behind golden-value tests because the
@@ -11,8 +12,9 @@
 //!
 //! Two copies intentionally remain elsewhere:
 //!
-//! * `shims/rand` — a vendored stand-in for the external `rand` crate;
-//!   it cannot depend on this crate (lhws-core depends on *it*).
+//! * `shims/rand` — a vendored stand-in for the external `rand` crate,
+//!   used by `lhws-dag`, `lhws-sim`, tests and the benchmark, none of
+//!   which needs this crate for it.
 //! * `lhws_checkrt`'s private schedule-sampling xorshift — lhws-core
 //!   depends on lhws-checkrt, so the dependency points the wrong way,
 //!   and schedule sampling is not digest-contractual anyway.

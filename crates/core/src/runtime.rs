@@ -5,12 +5,11 @@
 use std::collections::VecDeque;
 use std::future::Future;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::{Arc, Condvar, OnceLock, PoisonError, Weak};
 use std::thread::JoinHandle as ThreadHandle;
 use std::time::{Duration, Instant};
 
-use lhws_deque::Registry;
-use parking_lot::{Condvar, Mutex};
+use lhws_deque::{Registry, MAX_DEQUES};
 
 use crate::config::{Config, ConfigError, RuntimeBuilder};
 use crate::driver::{Driver, DriverHooks, DriverReport, IoShardSnapshot, IoShardStats};
@@ -19,6 +18,7 @@ use crate::join::{CatchUnwind, JoinHandle, PanicPayload};
 use crate::metrics::{CachePadded, Counters, MetricsSnapshot};
 use crate::obs::Observer;
 use crate::sleep::Sleepers;
+use crate::sync::Mutex;
 use crate::task::{self, TaskRef};
 use crate::timer::ResumeEvent;
 use crate::trace::{EventKind, Trace, Tracer, NONE_ID};
@@ -46,7 +46,7 @@ static NEXT_RUNTIME_ID: AtomicU64 = AtomicU64::new(1);
 fn runtimes() -> std::sync::MutexGuard<'static, Vec<(u64, Weak<RtInner>)>> {
     // Every update is a single push or retain, so the table is valid even
     // if a holder panicked.
-    RUNTIMES.lock().unwrap_or_else(|e| e.into_inner())
+    RUNTIMES.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The runtime with this id, if it is still alive. The off-worker half of
@@ -429,9 +429,11 @@ impl Runtime {
         let inner = Arc::new(RtInner {
             id: NEXT_RUNTIME_ID.fetch_add(1, Ordering::Relaxed),
             config,
-            // One live-set shard per worker keeps each worker's
-            // register/release traffic on its own shard.
-            registry: Registry::with_capacity_and_shards(config.registry_capacity, p),
+            // The whole id space: Lemma 7 bounds the deque count by
+            // `P · (U + 1)`, with `U` set by the program, and the segments
+            // cost only what is used. One live-set shard per worker keeps
+            // each worker's register/release traffic on its own shard.
+            registry: Registry::with_capacity_and_shards(MAX_DEQUES, p),
             injector: Mutex::new(VecDeque::new()),
             inboxes: (0..p).map(|_| CachePadded::default()).collect(),
             sleepers: Sleepers::new(p),
@@ -541,17 +543,17 @@ impl Runtime {
              this would deadlock — use spawn instead"
         );
         struct BlockCell<T> {
-            slot: Mutex<Option<Result<T, PanicPayload>>>,
+            slot: std::sync::Mutex<Option<Result<T, PanicPayload>>>,
             cond: Condvar,
         }
         let cell = Arc::new(BlockCell {
-            slot: Mutex::new(None),
+            slot: std::sync::Mutex::new(None),
             cond: Condvar::new(),
         });
         let c2 = cell.clone();
         let body = async move {
             let result = CatchUnwind::new(fut).await;
-            let mut slot = c2.slot.lock();
+            let mut slot = c2.slot.lock().unwrap_or_else(PoisonError::into_inner);
             *slot = Some(result);
             c2.cond.notify_all();
         };
@@ -567,7 +569,7 @@ impl Runtime {
         // result always wins over poison — the value is real even if a
         // worker died afterwards.
         let park = Duration::from_micros(self.inner.config.park_micros);
-        let mut slot = cell.slot.lock();
+        let mut slot = cell.slot.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
             if let Some(result) = slot.take() {
                 return match result {
@@ -579,7 +581,11 @@ impl Runtime {
                 self.inner.bury([kept]);
                 return Err(RuntimeError::WorkerPanicked { worker });
             }
-            cell.cond.wait_for(&mut slot, park);
+            slot = cell
+                .cond
+                .wait_timeout(slot, park)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
         }
     }
 

@@ -14,10 +14,9 @@
 use std::sync::Arc;
 
 use lhws_deque::{DequeId, Steal, WorkerHandle};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use crate::metrics::WorkerBlock;
+use crate::rng::{splitmix64, SplitMix64, GOLDEN_GAMMA};
 use crate::runtime::RtInner;
 use crate::task::TaskRef;
 use crate::trace::{EventKind, StealOutcome, NONE_ID};
@@ -44,6 +43,19 @@ const STEAL_RETRIES: usize = 4;
 /// steal verdict").
 const STEAL_BATCH: usize = 8;
 
+/// Base seed of the per-worker victim-draw streams. A constant: which
+/// victim a thief draws is not part of any result, only of its timing.
+const VICTIM_SEED: u64 = 0x1A7E_11C1;
+
+/// Worker `index`'s victim-draw stream. Its start is hashed, not merely
+/// strided: a SplitMix64 state advances by γ per draw, so starting worker
+/// `i` at a bare `VICTIM_SEED + γ·(i + 1)` would make worker `i + 1`'s
+/// stream worker `i`'s shifted by one draw.
+fn victim_rng(index: usize) -> SplitMix64 {
+    let stride = GOLDEN_GAMMA.wrapping_mul(index as u64 + 1);
+    SplitMix64::new(splitmix64(VICTIM_SEED.wrapping_add(stride)))
+}
+
 /// A worker's thief half: the victim-draw RNG and the landing buffer — no
 /// victim memory survives from one probe to the next. Owned by the
 /// worker, used only from its own thread.
@@ -51,7 +63,7 @@ pub(crate) struct Thief {
     rt: Arc<RtInner>,
     /// The worker this thief steals for.
     index: usize,
-    rng: StdRng,
+    rng: SplitMix64,
     /// Where a multi-task steal lands: its first task is returned as the
     /// worker's assigned task, the rest waits here for
     /// [`Thief::land_overflow`]. Empty between idle steps.
@@ -60,14 +72,10 @@ pub(crate) struct Thief {
 
 impl Thief {
     pub fn new(rt: Arc<RtInner>, index: usize) -> Thief {
-        let seed = rt
-            .config
-            .seed
-            .wrapping_add(crate::rng::GOLDEN_GAMMA.wrapping_mul(index as u64 + 1));
         Thief {
             rt,
             index,
-            rng: StdRng::seed_from_u64(seed),
+            rng: victim_rng(index),
             scratch: Vec::new(),
         }
     }
@@ -134,7 +142,7 @@ impl Thief {
             return None;
         }
         // The paper's memoryless `randomDeque()` over the live set.
-        let Some(id) = self.rt.registry.random_live_id(self.rng.gen()) else {
+        let Some(id) = self.rt.registry.random_live_id(self.rng.next_u64()) else {
             self.trace_steal(None, StealOutcome::Empty);
             return None;
         };
@@ -211,5 +219,39 @@ impl Thief {
             }
         }
         (None, StealOutcome::LostRace)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::HashSet;
+
+    use super::victim_rng;
+
+    #[test]
+    fn victim_streams_are_disjoint_and_never_shifted_copies() {
+        const DRAWS: usize = 256;
+        let streams: Vec<Vec<u64>> = (0..4)
+            .map(|i| {
+                let mut rng = victim_rng(i);
+                (0..DRAWS).map(|_| rng.next_u64()).collect()
+            })
+            .collect();
+        for (a, sa) in streams.iter().enumerate() {
+            let seen: HashSet<u64> = sa.iter().copied().collect();
+            for (b, sb) in streams.iter().enumerate().filter(|&(b, _)| b != a) {
+                assert!(
+                    sb.iter().all(|x| !seen.contains(x)),
+                    "workers {a} and {b} share a victim draw"
+                );
+                for k in 1..=8 {
+                    assert_ne!(
+                        sa[k..],
+                        sb[..DRAWS - k],
+                        "worker {a}'s stream is worker {b}'s shifted by {k}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -272,7 +272,7 @@ mod tests {
     use std::sync::Arc;
 
     use super::*;
-    use rand::{Rng, SeedableRng};
+    use crate::rng::SplitMix64;
 
     fn resume(id: usize) -> Payload {
         Payload::Resume(ResumeEvent {
@@ -366,7 +366,7 @@ mod tests {
         // Every registration fires exactly once and never before its
         // tick, across cascades: expiries up to ~12 000 ticks out reach
         // level 2, and inserts land between uneven runs of ticks.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(0x57EE1);
+        let mut rng = SplitMix64::new(0x57EE1);
         let mut w = Wheel::new();
         let n = 400;
         let mut expiry = vec![0u64; n];
@@ -375,14 +375,14 @@ mod tests {
         let mut i = 0;
         let mut now = 0;
         while i < n || !w.is_empty() {
-            for _ in 0..rng.gen_range(0..8usize) {
+            for _ in 0..rng.next_below(8) {
                 if i < n {
-                    expiry[i] = now + rng.gen_range(0..12_000u64);
+                    expiry[i] = now + rng.next_below(12_000);
                     w.file(expiry[i], resume(i));
                     i += 1;
                 }
             }
-            for _ in 0..rng.gen_range(1..300u64) {
+            for _ in 0..1 + rng.next_below(299) {
                 now += 1;
                 w.advance(now, &mut due);
                 for id in ids(&due) {

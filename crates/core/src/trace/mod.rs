@@ -60,9 +60,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use parking_lot::Mutex;
-
 use crate::metrics::CachePadded;
+use crate::sync::Mutex;
 
 /// Sentinel worker/deque index for "not applicable / off-runtime".
 pub const NONE_ID: u32 = u32::MAX;

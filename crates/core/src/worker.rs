@@ -979,11 +979,16 @@ impl Worker {
             }
             None => {
                 let (worker_end, stealer) = WorkerHandle::new(DequeKind::ChaseLev);
+                // Invariant: the registry spans the whole id space its
+                // segments address (`MAX_DEQUES`, ~2³¹), and a worker
+                // allocates only when none of its own freed deques is left
+                // to recycle, so the count stays within the workers' summed
+                // live-deque high waters (Lemma 7's `P · (U + 1)`).
                 let global = self
                     .rt
                     .registry
                     .register(self.index, stealer)
-                    .expect("deque registry exhausted; raise Config::registry_capacity");
+                    .expect("deque registry spans the whole id space");
                 self.ctr().bump(&self.ctr().deques_allocated);
                 self.owned.push(OwnedDeque {
                     global,

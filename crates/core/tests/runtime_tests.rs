@@ -480,7 +480,7 @@ fn left_child_priority_non_preemptive() {
     // edge-ordering/priority property ("the current task continues
     // running until it finishes").
     let rt = rt(1);
-    let log = Arc::new(parking_lot_free_log());
+    let log = Arc::new(std::sync::Mutex::new(Vec::new()));
     let l2 = log.clone();
     rt.block_on(async move {
         let log_left = l2.clone();
@@ -503,10 +503,6 @@ fn left_child_priority_non_preemptive() {
     // first segment; after a yield the left task re-queues at the bottom,
     // so "left-end" still precedes "right".
     assert_eq!(got, vec!["left-start", "left-end", "right"]);
-}
-
-fn parking_lot_free_log() -> std::sync::Mutex<Vec<&'static str>> {
-    std::sync::Mutex::new(Vec::new())
 }
 
 #[test]

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use lhws_core::channel::{mpsc, oneshot};
-use lhws_core::{fork2, join_all, simulate_latency, spawn, LatencyMode, Runtime};
+use lhws_core::{external_op, fork2, join_all, simulate_latency, spawn, LatencyMode, Runtime};
 
 fn rt(workers: usize) -> Runtime {
     Runtime::builder().workers(workers).build().unwrap()
@@ -181,7 +181,7 @@ fn oneshot_chains() {
 fn runtime_churn() {
     // Create and destroy many runtimes with pending latency work.
     for i in 0..20 {
-        let rt = Runtime::builder().workers(2).seed(i).build().unwrap();
+        let rt = Runtime::builder().workers(2).build().unwrap();
         let v = rt.block_on(async move {
             let (a, b) = fork2(async { 1u64 }, async {
                 simulate_latency(Duration::from_micros(500)).await;
@@ -291,6 +291,49 @@ fn hundred_thousand_concurrent_suspensions() {
         "all {N} suspensions were live in the wheel concurrently \
          (margin was {margin:?})"
     );
+}
+
+#[test]
+fn suspended_deques_past_the_old_registry_cap() {
+    // Tasks injected from outside that all suspend at once each leave a
+    // suspended deque behind, so the live deque count is the task count
+    // (Lemma 7's `P · (U + 1)` with `U` set by the program), and no cap
+    // on the registry may stop it short: N is past 2¹⁶, a cap a fixed
+    // default could pick. Each task waits on an external op that is
+    // completed only once every task has suspended, so no deque is freed
+    // and recycled early however slowly the build runs.
+    const N: u64 = 70_000;
+    let rt = rt(2);
+    let (completers, handles): (Vec<_>, Vec<_>) = (0..N)
+        .map(|_| {
+            let (done, op) = external_op::<u64>();
+            (done, rt.spawn(async move { op.await.expect("completed") }))
+        })
+        .unzip();
+    // Until all N have suspended, or the count stops growing (a poisoned
+    // runtime suspends nothing more).
+    let mut seen = 0;
+    loop {
+        std::thread::sleep(Duration::from_secs(1));
+        let now = rt.metrics().suspensions;
+        if now >= N || now == seen {
+            break;
+        }
+        seen = now;
+    }
+    for done in completers {
+        done.complete(1);
+    }
+    let sum = rt.try_block_on(async move {
+        let mut sum = 0;
+        for h in handles {
+            sum += h.await;
+        }
+        sum
+    });
+    assert_eq!(sum, Ok(N));
+    let allocated = rt.metrics().deques_allocated;
+    assert!(allocated > 1 << 16, "only {allocated} deques allocated");
 }
 
 #[test]

@@ -216,22 +216,6 @@ fn builder_rejects_zero_park_interval() {
 }
 
 #[test]
-fn builder_rejects_registry_smaller_than_workers() {
-    let err = Runtime::builder()
-        .workers(4)
-        .registry_capacity(2)
-        .build()
-        .unwrap_err();
-    rejects(
-        err,
-        ConfigError::RegistryTooSmall {
-            capacity: 2,
-            workers: 4,
-        },
-    );
-}
-
-#[test]
 fn config_validate_catches_direct_field_writes() {
     let cfg = Config {
         workers: 0,

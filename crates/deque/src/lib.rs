@@ -27,7 +27,7 @@ pub mod sync;
 
 pub use chase_lev::{ChaseLevStealer, ChaseLevWorker};
 pub use mutex_deque::{MutexStealer, MutexWorker};
-pub use registry::{DequeId, Registry, RegistryError};
+pub use registry::{DequeId, Registry, RegistryError, MAX_DEQUES};
 
 /// Outcome of a steal attempt on the top end of a deque.
 ///

@@ -71,9 +71,10 @@ impl std::fmt::Display for DequeId {
 /// Errors from registry operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RegistryError {
-    /// The configured capacity is exhausted. The capacity bounds the total
-    /// number of deques ever allocated, which by Lemma 7 is at most
-    /// `P * (U + 1)`; configure the registry capacity accordingly.
+    /// The capacity given at construction is exhausted. It bounds the
+    /// total number of deques ever allocated, which by Lemma 7 is at most
+    /// `P * (U + 1)`. A registry made with [`MAX_DEQUES`], as the
+    /// runtime's is, reaches it only after ~2³¹ registrations.
     Full,
 }
 
@@ -109,6 +110,13 @@ const SEG_BASE: usize = 8;
 /// Number of segments: enough for `8 * (2^28 - 1)` ≈ 2³¹ slots, far past
 /// any `u32` deque id a scheduler could allocate.
 const NSEG: usize = 28;
+
+/// The whole id space the segments address: `8 · (2²⁸ − 1)` slots. A
+/// registry made with this capacity costs only the segments it fills, so
+/// it is the capacity to give when the program, not a knob, bounds the
+/// deque count (Lemma 7's `P · (U + 1)`). Larger capacities are clamped
+/// to it.
+pub const MAX_DEQUES: usize = SEG_BASE * ((1 << NSEG) - 1);
 
 /// One slot cell: the once-written slot plus its live-index back-pointer.
 struct SlotCell<T> {
@@ -233,17 +241,18 @@ impl<T: Send> Registry<T> {
         Self::with_capacity_and_shards(capacity, 1)
     }
 
-    /// Creates a registry with room for `capacity` deques and `shards`
-    /// live-set shards (clamped to at least 1). Shard count should match
-    /// the number of workers: a deque's shard is `owner % shards`, so with
-    /// one shard per worker, owners never contend on each other's shard.
+    /// Creates a registry with room for `capacity` deques (clamped to
+    /// [`MAX_DEQUES`]) and `shards` live-set shards (clamped to at least
+    /// 1). Shard count should match the number of workers: a deque's shard
+    /// is `owner % shards`, so with one shard per worker, owners never
+    /// contend on each other's shard.
     pub fn with_capacity_and_shards(capacity: usize, shards: usize) -> Self {
         let segments: Segments<SlotCell<T>> = (0..NSEG).map(|_| OnceLock::new()).collect();
         let shards: Box<[LiveShard]> = (0..shards.max(1)).map(|_| LiveShard::new()).collect();
         Registry {
             segments,
             count: AtomicUsize::new(0),
-            capacity,
+            capacity: capacity.min(MAX_DEQUES),
             shards,
             live_high_water: AtomicUsize::new(0),
             compactions: AtomicU64::new(0),
@@ -621,6 +630,9 @@ mod tests {
         assert_eq!(reg.register(0, s3), Err(RegistryError::Full));
         // A failed registration must not corrupt the count.
         assert_eq!(reg.len(), 2);
+        // No capacity reaches past the id space the segments address.
+        let reg: Registry<u32> = Registry::with_capacity(usize::MAX);
+        assert_eq!(reg.capacity(), MAX_DEQUES);
     }
 
     #[test]

@@ -49,8 +49,7 @@ use std::sync::Arc;
 use std::task::{Context, Poll};
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
-
+use lhws_core::sync::Mutex;
 use lhws_core::{
     external_op, Completer, DeadlineExt, DeadlineOp, Driver, DriverHooks, DriverReport, ExternalOp,
     IoShardStats, IoTraceEvent, LatencyMode, OpError, Runtime,
@@ -502,12 +501,6 @@ impl Reactor {
     /// Rolls the `AcceptBurst` connection fault site.
     pub(crate) fn fault_accept_burst(&self) -> bool {
         self.inner.hooks.accept_burst()
-    }
-
-    /// The runtime's Block-mode I/O safety timeout
-    /// (`Config::io_safety_timeout`).
-    pub(crate) fn io_safety_timeout(&self) -> Duration {
-        self.inner.hooks.io_safety_timeout()
     }
 
     pub(crate) fn count_io_timeout(&self) {

@@ -18,6 +18,7 @@ use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, ToSocketAddrs};
 use std::os::fd::{AsRawFd, RawFd};
 use std::sync::Arc;
+use std::time::Duration;
 
 use crate::reactor::{Interest, Reactor, ReadyFuture};
 use crate::readiness::Readiness;
@@ -26,6 +27,14 @@ use crate::readiness::Readiness;
 /// which a connect storm overflows long before the runtime is the
 /// bottleneck. Linux clamps this to `net.core.somaxconn`.
 const LISTEN_BACKLOG: i32 = 4096;
+
+/// Read timeout of a stream's blocking socket under
+/// [`LatencyMode::Block`](lhws_core::LatencyMode::Block). Block mode has
+/// no reactor: a read parks its worker thread in the kernel, so a peer
+/// that goes silent would pin that worker forever. The timeout turns the
+/// stall into a `WouldBlock`/`TimedOut` error and the worker returns to
+/// stealing. Accepts and writes are not bounded.
+const BLOCK_READ_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// A socket's registration with the reactor, made once when its wrapper
 /// is, and its readiness word. Dropping it deregisters the fd, so each
@@ -226,15 +235,12 @@ impl TcpStream {
     /// Adopts a `std` stream: nonblocking under latency hiding; blocking
     /// (with a read-timeout backstop) under the baseline.
     ///
-    /// The backstop is `Config::io_safety_timeout` (default 30 s): in
-    /// Block mode there is no reactor, so a read against a dead peer
-    /// parks the worker thread in the kernel — the timeout turns that
-    /// unbounded stall into a `WouldBlock`/`TimedOut` error. In Hide
-    /// mode the knob is unused; readiness waits are bounded explicitly
-    /// with `read_ready().with_timeout(..)` instead.
+    /// The backstop is `BLOCK_READ_TIMEOUT` (30 s). In Hide mode
+    /// readiness waits are bounded explicitly with
+    /// `read_ready().with_timeout(..)` instead.
     pub fn from_std(inner: std::net::TcpStream, reactor: &Reactor) -> io::Result<TcpStream> {
         if reactor.is_blocking() {
-            inner.set_read_timeout(Some(reactor.io_safety_timeout()))?;
+            inner.set_read_timeout(Some(BLOCK_READ_TIMEOUT))?;
         } else {
             inner.set_nonblocking(true)?;
         }

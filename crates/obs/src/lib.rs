@@ -39,13 +39,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use lhws_core::sync::Mutex;
 use lhws_core::trace::TraceReader;
 use lhws_core::{
     simulate_latency, IoShardSnapshot, JoinHandle, LiveStats, MetricsSnapshot, Observer, Runtime,
     TraceStats,
 };
 use lhws_net::{LineReader, Reactor, TcpListener, TcpStream};
-use parking_lot::Mutex;
 
 pub mod promtext;
 
