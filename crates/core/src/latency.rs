@@ -50,11 +50,11 @@ pub struct LatencyFuture {
     deadline: Instant,
     /// Whether a timer registration is (or was) outstanding. In Hide mode
     /// the *first* on-worker poll always registers — even when the
-    /// deadline has already passed (the timer clamps past deadlines to
-    /// the next tick). An expired-deadline `Ready` fast path here would
-    /// race OS preemption between deadline computation and first poll and
-    /// silently skip the suspension, losing a registration the trace
-    /// invariants (and tests) expect to see.
+    /// deadline has already passed (a past deadline is due at once, and
+    /// the worker's next drain fires it). An expired-deadline `Ready` fast
+    /// path here would race OS preemption between deadline computation
+    /// and first poll and silently skip the suspension, losing a
+    /// registration the trace invariants (and tests) expect to see.
     registered: bool,
 }
 
@@ -79,7 +79,7 @@ impl Future for LatencyFuture {
                 // Register a fresh timer entry for this suspension; the
                 // worker pairs it with a suspendCtr increment after the
                 // poll. Past deadlines register too (see `registered`):
-                // the timer fires them on its next tick.
+                // the worker's next drain fires them.
                 if worker::register_latency(this.deadline) {
                     this.registered = true;
                     Poll::Pending

@@ -138,7 +138,7 @@ pub enum EventKind {
     Resume {
         /// Number of events in the delivered batch.
         batch_len: u32,
-        /// Timer-wheel tick the owner fired the batch at (0 for external
+        /// Timer tick the owner fired the batch at (0 for external
         /// deliveries).
         tick: u64,
     },

@@ -52,7 +52,7 @@ use crate::metrics::WorkerBlock;
 use crate::runtime::{self, RtInner};
 use crate::steal::Thief;
 use crate::task::{self, Polled, TaskRef};
-use crate::timer::{DeadlineCallback, Payload, Pending, ResumeEvent, Wheel};
+use crate::timer::{DeadlineCallback, Payload, Pending, ResumeEvent, TimerHeap};
 use crate::trace::{EventKind, SuspendKind, Tracer};
 
 /// How deep [`join_inline`] may nest: an inline-run child that forks and
@@ -111,7 +111,7 @@ pub(crate) struct WorkerTls {
     /// This worker's timer shard: registered into by its polls, fired by
     /// [`Worker::drain_resumes`], canceled when the worker exits. Never
     /// borrowed across a callback or a poll.
-    timers: RefCell<Wheel>,
+    timers: RefCell<TimerHeap>,
 }
 
 thread_local! {
@@ -325,7 +325,7 @@ pub(crate) fn join_inline<T>(handle: &JoinHandle<T>) {
 
 /// Runs `f` on this worker thread's own timer shard. The shard stays
 /// borrowed while `f` runs, so `f` must not call back into the scheduler.
-fn with_timers<R>(f: impl FnOnce(&mut Wheel) -> R) -> R {
+fn with_timers<R>(f: impl FnOnce(&mut TimerHeap) -> R) -> R {
     with_worker(|w| f(&mut w.expect("worker TLS installed").timers.borrow_mut()))
 }
 
@@ -1199,7 +1199,7 @@ impl Worker {
                 pending_local: RefCell::new(Vec::new()),
                 suspend_seq: Cell::new(0),
                 inline_depth: Cell::new(0),
-                timers: RefCell::new(Wheel::new()),
+                timers: RefCell::new(TimerHeap::new()),
             });
         });
     }

@@ -226,8 +226,8 @@ fn blocking_mode_stress_correctness() {
 
 #[test]
 fn hundred_thousand_concurrent_suspensions() {
-    // The headline stress for the sharded timer wheel: 100k suspensions
-    // live in the wheel *at the same time* across 8 workers, then all
+    // The headline stress for the per-worker timer heaps: 100k suspensions
+    // live in the heaps *at the same time* across 8 workers, then all
     // expire and reinject. A watcher thread samples `suspensions -
     // resumes` to certify the peak actually reached 100k.
     use std::time::Instant;
@@ -288,7 +288,7 @@ fn hundred_thousand_concurrent_suspensions() {
     assert_eq!(
         peak.load(Ordering::Relaxed),
         N,
-        "all {N} suspensions were live in the wheel concurrently \
+        "all {N} suspensions were live in the timer heaps concurrently \
          (margin was {margin:?})"
     );
 }

@@ -55,18 +55,36 @@ impl<T> Buffer<T> {
         self.storage.len()
     }
 
-    /// Writes `item` at logical index `i`. Caller must own the slot.
+    /// Writes `item` at logical index `i`.
+    ///
+    /// # Safety
+    ///
+    /// The caller is the deque's owner and `i` is outside the live range
+    /// `top..bottom`: no thread may keep a value read from that slot, so
+    /// overwriting it leaks nothing and races with no kept read.
     unsafe fn write(&self, i: isize, item: T) {
         let slot = self.storage[(i & self.mask) as usize].get();
-        (*slot).write(item);
+        // SAFETY: the caller owns the slot (see `# Safety`); `write` on a
+        // `MaybeUninit` drops nothing.
+        unsafe { (*slot).write(item) };
     }
 
     /// Reads the value at logical index `i` without taking ownership
-    /// decisions; the caller must either keep it (after winning the index
-    /// race) or `mem::forget` it.
+    /// decisions.
+    ///
+    /// # Safety
+    ///
+    /// Slot `i` was written by [`write`](Self::write) (or bit-copied there
+    /// by `grow`) and `i` was in the live range when the caller read
+    /// `top` and `bottom`. The read is a bit copy: the caller keeps it
+    /// only after winning index `i` — a successful `top` CAS, or being the
+    /// owner of an uncontended interior index — and otherwise
+    /// `mem::forget`s it, so every pushed item is dropped exactly once.
     unsafe fn read(&self, i: isize) -> T {
         let slot = self.storage[(i & self.mask) as usize].get();
-        (*slot).assume_init_read()
+        // SAFETY: the slot is initialized (see `# Safety`); ownership of
+        // the copy is the caller's to settle.
+        unsafe { (*slot).assume_init_read() }
     }
 }
 
@@ -80,7 +98,17 @@ struct Inner<T> {
     garbage: Mutex<Vec<*mut Buffer<T>>>,
 }
 
+// SAFETY: `top` and `bottom` are atomics. `buffer` and the pointers in
+// `garbage` are buffers this `Inner` allocated and alone frees (in
+// `Drop`), so they move with it as `Box`es would, and so do the `T`s in
+// them, which `T: Send` allows.
 unsafe impl<T: Send> Send for Inner<T> {}
+// SAFETY: through `&Inner`, `top` and `bottom` are only touched
+// atomically, `garbage` only under its mutex, and buffer slots only by
+// the Chase–Lev protocol: the owner writes slots outside `top..bottom`,
+// and every item read out is kept by exactly one thread (the `top` CAS
+// settles each contended index). Items move between threads but are
+// never shared, so `T: Send` suffices.
 unsafe impl<T: Send> Sync for Inner<T> {}
 
 impl<T> Inner<T> {
@@ -101,6 +129,10 @@ impl<T> Drop for Inner<T> {
         let t = *self.top.get_mut();
         let b = *self.bottom.get_mut();
         let buf = *self.buffer.get_mut();
+        // SAFETY: `&mut self` means no handle is left, so no thread reads
+        // a slot or a buffer. `top..bottom` are the live items, each
+        // dropped once; `buf` and every retired buffer came from
+        // `Box::into_raw` and are freed once here.
         unsafe {
             let mut i = t;
             while i < b {
@@ -129,17 +161,14 @@ pub fn deque<T: Send>() -> (ChaseLevWorker<T>, ChaseLevStealer<T>) {
 }
 
 /// Owner end of the deque. Not `Clone`, not `Sync`: exactly one thread may
-/// push/pop the bottom, which is what the algorithm requires.
+/// push/pop the bottom, which is what the algorithm requires. It is `Send`
+/// (for `T: Send`), so ownership may move to another thread.
 pub struct ChaseLevWorker<T> {
     inner: Arc<Inner<T>>,
     /// Makes the type `!Sync` so `&ChaseLevWorker` cannot be shared across
     /// threads; the owner discipline is enforced statically.
     _not_sync: PhantomData<std::cell::Cell<()>>,
 }
-
-// The worker can be *moved* to another thread (ownership transfer is fine);
-// it just cannot be used from two threads at once.
-unsafe impl<T: Send> Send for ChaseLevWorker<T> {}
 
 impl<T: Send> ChaseLevWorker<T> {
     /// Pushes an item onto the bottom of the deque, growing if needed.
@@ -149,6 +178,10 @@ impl<T: Send> ChaseLevWorker<T> {
         let t = inner.top.load(Ordering::Acquire);
         let mut buf = inner.buffer.load(Ordering::Relaxed);
 
+        // SAFETY: this thread is the owner (the worker is `!Sync`), the
+        // only thread that moves `bottom` or replaces `buffer`, so `buf` is
+        // live. Index `b` is outside `top..bottom`, and after a grow the
+        // ring has room for it, so no thief keeps a read of that slot.
         unsafe {
             if b - t >= (*buf).cap() as isize {
                 buf = self.grow(t, b, buf);
@@ -163,15 +196,24 @@ impl<T: Send> ChaseLevWorker<T> {
 
     /// Doubles the buffer, copying live elements. Returns the new buffer.
     ///
-    /// Only the owner calls this, and only from `push_bottom`.
+    /// # Safety
+    ///
+    /// Only the owner calls this, and only from `push_bottom`: `old` is
+    /// the current buffer and `t..b` covers its live items. `old` is
+    /// retired, not freed, so a thief still reading it stays valid.
     unsafe fn grow(&self, t: isize, b: isize, old: *mut Buffer<T>) -> *mut Buffer<T> {
-        let new = Buffer::<T>::alloc((*old).cap() * 2);
+        // SAFETY: `old` is the live buffer, which only this thread retires.
+        let old_ref = unsafe { &*old };
+        let new = Buffer::<T>::alloc(old_ref.cap() * 2);
         let mut i = t;
         while i < b {
             // Raw bit-copy: ownership conceptually moves to the new buffer.
-            let slot_old = (*old).storage[(i & (*old).mask) as usize].get();
+            let slot_old = old_ref.storage[(i & old_ref.mask) as usize].get();
             let slot_new = new.storage[(i & new.mask) as usize].get();
-            std::ptr::copy_nonoverlapping(slot_old, slot_new, 1);
+            // SAFETY: distinct allocations, one slot each; the copy is
+            // initialized because `i` is live, and the old slot is never
+            // dropped (retired buffers are freed without their items).
+            unsafe { std::ptr::copy_nonoverlapping(slot_old, slot_new, 1) };
             i += 1;
         }
         let new = Box::into_raw(new);
@@ -193,6 +235,10 @@ impl<T: Send> ChaseLevWorker<T> {
 
         if t <= b {
             // Non-empty.
+            // SAFETY: `buf` is live (only this owner retires it) and `b`
+            // is in the live range. With `t < b` no thief can reach index
+            // `b`, so the copy is ours; with `t == b` only the `top` CAS
+            // below makes it ours, and a lost race forgets it.
             let item = unsafe { (*buf).read(b) };
             if t == b {
                 // Single element: race against thieves for it.
@@ -301,6 +347,10 @@ impl<T: Send> ChaseLevStealer<T> {
             // Speculatively read the element, then validate with a CAS on
             // top. On CAS failure the read value is discarded unread.
             let buf = inner.buffer.load(Ordering::Acquire);
+            // SAFETY: buffers are never freed before the deque, so `buf`
+            // is valid even if already retired; the acquire load sees its
+            // writes. The copy is kept only if the `top` CAS claims `t`,
+            // and forgotten otherwise.
             let item = unsafe { (*buf).read(t) };
             if inner
                 .top
@@ -367,6 +417,8 @@ impl<T: Send> ChaseLevStealer<T> {
                 }
             }
             let buf = inner.buffer.load(Ordering::Acquire);
+            // SAFETY: as in `steal` — `buf` outlives every handle, and the
+            // copy is kept only if the `top` CAS below claims `t`.
             let item = unsafe { (*buf).read(t) };
             if inner
                 .top
@@ -426,6 +478,9 @@ impl<T: Send> ChaseLevStealer<T> {
         let buf = inner.buffer.load(Ordering::Acquire);
         let mut items = Vec::with_capacity(want);
         for i in 0..want as isize {
+            // SAFETY: `buf` outlives every handle. Whether the copies may
+            // be kept is exactly what this known-unsound variant gets
+            // wrong; the checker refutes it (see above).
             items.push(unsafe { (*buf).read(t + i) });
         }
         if inner

@@ -15,10 +15,13 @@
 //!    freed (empty) deque is simply a failed steal, exactly as analyzed.
 //!
 //! The two deque implementations are unified behind the [`WorkerHandle`] /
-//! [`StealerHandle`] enums so the runtime can switch implementations from a
-//! config knob without generics spreading through every scheduler type.
+//! [`StealerHandle`] enums. The runtime always builds the Chase–Lev arm;
+//! the `Mutex` arm is the oracle the workspace's property tests
+//! (`tests/proptests.rs` at the root) check it against, through the same
+//! handles.
 
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod chase_lev;
 pub mod mutex_deque;
@@ -247,9 +250,11 @@ mod tests {
     fn pop_bottom_if_both_kinds() {
         for kind in [DequeKind::ChaseLev, DequeKind::Mutex] {
             let (w, s) = WorkerHandle::new(kind);
-            // SAFETY (all three closures): `u32` images are plain values.
             let is = |want: u32| {
-                move |img: &std::mem::MaybeUninit<u32>| unsafe { img.assume_init_read() } == want
+                move |img: &std::mem::MaybeUninit<u32>| {
+                    // SAFETY: the image is a pushed `u32`, a plain value.
+                    (unsafe { img.assume_init_read() }) == want
+                }
             };
             assert_eq!(w.pop_bottom_if(is(1)), None, "{kind:?} empty");
             w.push_bottom(1);
@@ -259,6 +264,22 @@ mod tests {
             assert_eq!(w.pop_bottom_if(is(2)), Some(2), "{kind:?} match");
             assert_eq!(s.steal().success(), Some(1));
             assert_eq!(w.pop_bottom_if(is(1)), None, "{kind:?} stolen");
+        }
+    }
+
+    #[test]
+    fn owner_handle_moves_to_another_thread() {
+        for kind in [DequeKind::ChaseLev, DequeKind::Mutex] {
+            let (w, s) = WorkerHandle::new(kind);
+            w.push_bottom(1u32);
+            let w = std::thread::spawn(move || {
+                w.push_bottom(2);
+                w
+            })
+            .join()
+            .unwrap();
+            assert_eq!(w.pop_bottom(), Some(2), "{kind:?}");
+            assert_eq!(s.steal().success(), Some(1), "{kind:?}");
         }
     }
 

@@ -36,8 +36,6 @@ pub struct MutexWorker<T> {
     _not_sync: PhantomData<std::cell::Cell<()>>,
 }
 
-unsafe impl<T: Send> Send for MutexWorker<T> {}
-
 impl<T: Send> MutexWorker<T> {
     /// Pushes an item at the bottom.
     pub fn push_bottom(&self, item: T) {

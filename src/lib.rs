@@ -141,9 +141,5 @@ pub mod prelude {
     };
 }
 
-// The `lhws::runtime` / `lhws::deque` crate aliases were deprecated for
-// one release and are now gone: import from the flat `lhws::` surface
-// (or `lhws::prelude`); the deque substrate is internal.
-
 /// Crate version string, for tooling output headers.
 pub const VERSION: &str = env!("CARGO_PKG_VERSION");
