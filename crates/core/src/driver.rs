@@ -37,7 +37,7 @@ use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use crate::config::LatencyMode;
-use crate::fault::FaultInjector;
+use crate::fault::{FaultInjector, FaultSite};
 use crate::metrics::{CachePadded, CounterBlock};
 use crate::runtime::RtInner;
 use crate::trace::{EventKind, Tracer, NONE_ID};
@@ -284,37 +284,12 @@ impl DriverHooks {
         }
     }
 
-    /// Rolls the [`DroppedReadiness`](crate::FaultSite::DroppedReadiness)
-    /// fault site: `true` means the driver should swallow this readiness
-    /// event (leave the waiter filed, fire nothing) and re-arm the fd so
-    /// the kernel reports the still-true condition again. Always `false`
-    /// without a fault plan.
-    pub fn drop_readiness(&self) -> bool {
-        self.faults.as_ref().is_some_and(|f| f.dropped_readiness())
-    }
-
-    /// Rolls the [`PeerReset`](crate::FaultSite::PeerReset) fault site:
-    /// `true` means the connection-level operation should fail as if the
-    /// peer had reset the connection (`ECONNRESET`) without touching the
-    /// kernel. Always `false` without a fault plan.
-    pub fn peer_reset(&self) -> bool {
-        self.faults.as_ref().is_some_and(|f| f.peer_reset())
-    }
-
-    /// Rolls the [`PartialWrite`](crate::FaultSite::PartialWrite) fault
-    /// site: `true` means a write should accept only part of its buffer,
-    /// exercising the caller's short-write resumption loop. Always
+    /// Rolls fault `site`: `true` means the driver should inject it — a
+    /// swallowed readiness report, a simulated peer reset, a short write
+    /// or a spurious `WouldBlock` on accept (see [`FaultSite`]). Always
     /// `false` without a fault plan.
-    pub fn partial_write(&self) -> bool {
-        self.faults.as_ref().is_some_and(|f| f.partial_write())
-    }
-
-    /// Rolls the [`AcceptBurst`](crate::FaultSite::AcceptBurst) fault
-    /// site: `true` means an accept that was reported ready should claim
-    /// `WouldBlock` once (a raced accept queue), exercising the
-    /// accept-loop's re-arm path. Always `false` without a fault plan.
-    pub fn accept_burst(&self) -> bool {
-        self.faults.as_ref().is_some_and(|f| f.accept_burst())
+    pub fn fault(&self, site: FaultSite) -> bool {
+        self.faults.as_ref().is_some_and(|f| f.fires(site))
     }
 
     /// The runtime's latency mode. Drivers use this to skip their kernel

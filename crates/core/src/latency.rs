@@ -163,11 +163,6 @@ impl RemoteService {
         simulate_latency(d).await;
         f(key)
     }
-
-    /// The latency this service would charge for request `key`.
-    pub fn latency_of(&self, key: u64) -> Duration {
-        self.profile.sample(key)
-    }
 }
 
 #[cfg(test)]

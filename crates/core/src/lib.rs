@@ -51,8 +51,8 @@
 //! injection at the scheduler's decision points — delayed and reordered
 //! resume deliveries, forced steal failures, spurious wakes, dropped
 //! unparks, injected task and worker panics — and
-//! [`Trace::audit`](trace::Trace::audit) checks the scheduler's
-//! invariants over the recorded trace afterwards. See [`fault`].
+//! [`audit`] checks the scheduler's invariants over the recorded trace
+//! afterwards (or [`LiveAudit`] during the run). See [`fault`].
 
 #![warn(missing_docs)]
 
@@ -81,13 +81,15 @@ pub use driver::{Driver, DriverHooks, DriverReport, IoShardSnapshot, IoShardStat
 pub use external::{
     external_op, Canceled, Completer, DeadlineExt, DeadlineOp, ExternalOp, OpError,
 };
-pub use fault::{audit, AuditReport, AuditState, FaultPlan, FaultSite};
+pub use fault::{FaultPlan, FaultSite};
 pub use join::JoinHandle;
 pub use latency::{latency_until, simulate_latency, LatencyFuture, LatencyProfile, RemoteService};
-pub use metrics::{Metrics, MetricsSnapshot};
+pub use metrics::MetricsSnapshot;
 pub use obs::{encode_prometheus, LiveAudit, Observer};
 pub use runtime::{Runtime, RuntimeError, ShutdownReport};
-pub use trace::{LiveStats, Trace, TraceBatch, TraceReader, TraceStats};
+pub use trace::{
+    audit, AuditReport, AuditState, LiveStats, Trace, TraceBatch, TraceReader, TraceStats,
+};
 
 /// Model-checker entry points into the fused task (see `lhws-check`).
 pub use task::check_hooks as task_check_hooks;

@@ -259,11 +259,6 @@ pub struct MetricsSnapshot {
     pub live_deques_high_water: u64,
 }
 
-/// Former name of [`MetricsSnapshot`]. Kept so pre-builder callers of
-/// `Runtime::metrics()` keep compiling; new code should name the snapshot
-/// type explicitly.
-pub type Metrics = MetricsSnapshot;
-
 impl MetricsSnapshot {
     /// Difference between two snapshots (per-run metrics from a long-lived
     /// runtime). `earlier` must be an older snapshot of the *same* runtime;
@@ -299,11 +294,6 @@ impl MetricsSnapshot {
         m.live_deques = self.live_deques;
         m.live_deques_high_water = self.live_deques_high_water;
         m
-    }
-
-    /// Alias for [`MetricsSnapshot::delta`], kept for pre-builder callers.
-    pub fn since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
-        self.delta(earlier)
     }
 }
 
@@ -374,8 +364,6 @@ mod tests {
         c.bump(&c.polls);
         let b = c.snapshot();
         assert_eq!(b.delta(&a).polls, 2);
-        // `since` stays as an alias for pre-builder callers.
-        assert_eq!(b.since(&a), b.delta(&a));
     }
 
     /// Golden test: the exact `Display` layout, label order included.

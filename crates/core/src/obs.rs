@@ -14,7 +14,7 @@
 //!   incremental cursor readers
 //!   ([`TraceReader`]) — non-destructive,
 //!   overflow-accounted, concurrent with the producers.
-//! * [`LiveAudit`] runs the [`fault::audit`](crate::fault::audit)
+//! * [`LiveAudit`] runs the [`audit`](crate::audit)
 //!   invariant checks *during* the run by folding reader batches into an
 //!   [`AuditState`], instead of waiting for the shutdown trace.
 //! * [`encode_prometheus`] renders a [`MetricsSnapshot`] in the
@@ -26,10 +26,9 @@
 use std::sync::{Arc, Weak};
 
 use crate::driver::IoShardSnapshot;
-use crate::fault::{AuditReport, AuditState};
 use crate::metrics::MetricsSnapshot;
 use crate::runtime::RtInner;
-use crate::trace::{Trace, TraceReader};
+use crate::trace::{AuditReport, AuditState, Trace, TraceReader};
 
 /// Observation handle for a live runtime, from
 /// [`Runtime::observe`](crate::Runtime::observe).
@@ -82,19 +81,12 @@ impl Observer {
     }
 
     /// A [`LiveAudit`]: the invariant checker fed by an incremental
-    /// reader, for running `fault::audit` *during* the schedule. `None`
+    /// reader, for running [`audit`](crate::audit) *during* the schedule. `None`
     /// when tracing is disabled (or the runtime is gone).
     pub fn audit_incremental(&self) -> Option<LiveAudit> {
         let workers = self.workers();
         self.trace_reader()
             .map(|reader| LiveAudit::new(reader, workers))
-    }
-
-    /// Total trace events lost to ring overflow so far, or `None` when
-    /// tracing is disabled.
-    pub fn trace_dropped_total(&self) -> Option<u64> {
-        self.inner()
-            .and_then(|rt| rt.tracer.as_ref().map(|t| t.dropped_total()))
     }
 
     /// The I/O driver's per-queue counters — one entry for the in-tree
@@ -135,7 +127,7 @@ impl Observer {
 /// drain's leftovers are exactly the events this reader has not seen, so
 /// live batches plus leftovers cover every event exactly once, and
 /// [`report`](Self::report) matches what post-hoc
-/// [`audit`](crate::fault::audit) would say about the whole run.
+/// [`audit`](crate::audit) would say about the whole run.
 #[derive(Debug)]
 pub struct LiveAudit {
     reader: TraceReader,

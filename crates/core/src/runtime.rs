@@ -13,7 +13,7 @@ use lhws_deque::{Registry, MAX_DEQUES};
 
 use crate::config::{Config, ConfigError, RuntimeBuilder};
 use crate::driver::{Driver, DriverHooks, DriverReport, IoShardSnapshot, IoShardStats};
-use crate::fault::{FaultInjector, PanicInjected};
+use crate::fault::{FaultInjector, FaultSite, PanicInjected};
 use crate::join::{CatchUnwind, JoinHandle, PanicPayload};
 use crate::metrics::{CachePadded, Counters, MetricsSnapshot};
 use crate::obs::Observer;
@@ -268,7 +268,7 @@ impl RtInner {
         // (`Config::park_micros`), so a sleeping worker re-polls its inbox
         // and the injector within one park interval.
         if let Some(f) = &self.faults {
-            if f.drop_unpark() {
+            if f.fires(FaultSite::DropUnpark) {
                 return;
             }
         }

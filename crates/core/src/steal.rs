@@ -15,6 +15,7 @@ use std::sync::Arc;
 
 use lhws_deque::{DequeId, Steal, WorkerHandle};
 
+use crate::fault::FaultSite;
 use crate::metrics::WorkerBlock;
 use crate::rng::{splitmix64, SplitMix64, GOLDEN_GAMMA};
 use crate::runtime::RtInner;
@@ -137,7 +138,12 @@ impl Thief {
         // Forced failure before the victim draw: from the scheduler's
         // perspective, a steal that lost its race (retry storms under
         // high rates).
-        if self.rt.faults.as_ref().is_some_and(|f| f.steal_fail()) {
+        if self
+            .rt
+            .faults
+            .as_ref()
+            .is_some_and(|f| f.fires(FaultSite::StealFail))
+        {
             self.trace_steal(None, StealOutcome::LostRace);
             return None;
         }

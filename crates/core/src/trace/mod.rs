@@ -44,12 +44,16 @@
 //!
 //! [`Trace::stats`] derives the paper-facing statistics (steal success
 //! rate, enable→ready→executed histograms, per-worker deque high-water
-//! marks against Lemma 7) and [`Trace::export_chrome`] writes the raw
-//! events as Chrome-trace/Perfetto JSON.
+//! marks against Lemma 7), [`audit()`] checks the invariants the fault
+//! plan attacks (exactly-once resume by `seq`, deque balance, Lemma 7)
+//! and [`Trace::export_chrome`] writes the raw events as
+//! Chrome-trace/Perfetto JSON.
 
+mod audit;
 mod export;
 mod stats;
 
+pub use audit::{audit, AuditReport, AuditState};
 pub use stats::{LatencyHistogram, LiveStats, TraceStats};
 
 use std::cell::UnsafeCell;
@@ -687,9 +691,9 @@ impl Trace {
 
     /// Runs the invariant auditor over this trace — suspension/resume
     /// pairing, deque alloc/release balance, the Lemma 7 high-water bound.
-    /// Convenience for [`crate::fault::audit`].
-    pub fn audit(&self) -> crate::fault::AuditReport {
-        crate::fault::audit(self)
+    /// Convenience for [`audit()`].
+    pub fn audit(&self) -> AuditReport {
+        audit::audit(self)
     }
 }
 

@@ -46,7 +46,7 @@ use std::time::{Duration, Instant};
 use lhws_deque::{DequeId, DequeKind, WorkerHandle};
 
 use crate::config::LatencyMode;
-use crate::fault::{FaultInjector, PanicInjected};
+use crate::fault::{FaultInjector, FaultSite, PanicInjected};
 use crate::join::JoinHandle;
 use crate::metrics::WorkerBlock;
 use crate::runtime::{self, RtInner};
@@ -259,10 +259,10 @@ impl WorkerTls {
         if let Some(f) = &self.rt.faults {
             // Emulate OS preemption between deadline computation and the
             // poll — the window behind the resume_path flake.
-            if let Some(delay) = f.poll_delay() {
+            if let Some(delay) = f.jitter(FaultSite::PollDelay) {
                 std::thread::sleep(delay);
             }
-            inject_spurious = f.spurious_wake();
+            inject_spurious = f.fires(FaultSite::SpuriousWake);
         }
         self.ctr().bump(&self.ctr().polls);
         if let Some(tr) = &self.rt.tracer {
@@ -887,7 +887,12 @@ impl Worker {
         // Fault: reverse the batch, exercising the drain's indifference to
         // intra-batch ordering (each event resumes an independent
         // suspension; nothing may assume deadline order within a tick).
-        if batch.len() > 1 && self.faults.as_ref().is_some_and(|f| f.resume_reorder()) {
+        if batch.len() > 1
+            && self
+                .faults
+                .as_ref()
+                .is_some_and(|f| f.fires(FaultSite::ResumeReorder))
+        {
             batch.reverse();
         }
         if fresh > 0 {
@@ -908,7 +913,7 @@ impl Worker {
         let inbox: Vec<ResumeEvent> = batch.drain(from..).collect();
         with_timers(|t| {
             for ev in inbox {
-                match f.resume_delay() {
+                match f.jitter(FaultSite::ResumeDelay) {
                     Some(delay) => t.insert(Instant::now() + delay, Payload::Delayed(ev)),
                     None => batch.push(ev),
                 }
@@ -942,7 +947,7 @@ impl Worker {
     fn maybe_forced_switch(&mut self) {
         let Some(f) = &self.faults else { return };
         let Some(a) = self.active else { return };
-        if self.owned[a].handle.is_empty() || !f.force_deque_switch() {
+        if self.owned[a].handle.is_empty() || !f.fires(FaultSite::DequeSwitch) {
             return;
         }
         self.deactivate();

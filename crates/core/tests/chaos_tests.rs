@@ -13,7 +13,8 @@ use std::time::{Duration, Instant};
 
 use lhws_core::channel::{mpsc, oneshot};
 use lhws_core::{
-    external_op, join_all, simulate_latency, DeadlineExt, FaultPlan, Runtime, RuntimeError,
+    external_op, join_all, simulate_latency, DeadlineExt, FaultPlan, FaultSite, Runtime,
+    RuntimeError,
 };
 
 const TRACE_CAPACITY: usize = 1 << 17;
@@ -169,7 +170,7 @@ fn injected_task_panic_surfaces_at_join_without_poisoning() {
     // join, and the *workers* stay healthy.
     let rt = Runtime::builder()
         .workers(2)
-        .fault_plan(FaultPlan::new(3).task_panic(1_000_000))
+        .fault_plan(FaultPlan::new(3).with(FaultSite::TaskPanic, 1_000_000))
         .build()
         .unwrap();
     let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -378,29 +379,30 @@ fn single_fault_run(plan: FaultPlan) -> lhws_core::AuditReport {
 
 #[test]
 fn spurious_wakes_alone_audit_clean() {
-    let audit = single_fault_run(FaultPlan::new(21).spurious_wake(500_000));
+    let audit = single_fault_run(FaultPlan::new(21).with(FaultSite::SpuriousWake, 500_000));
     assert!(audit.passed(), "{audit}");
 }
 
 #[test]
 fn forced_deque_switches_alone_audit_clean() {
-    let audit = single_fault_run(FaultPlan::new(22).deque_switch(500_000));
+    let audit = single_fault_run(FaultPlan::new(22).with(FaultSite::DequeSwitch, 500_000));
     assert!(audit.passed(), "{audit}");
 }
 
 #[test]
 fn steal_storms_alone_audit_clean() {
-    let audit = single_fault_run(FaultPlan::new(23).steal_fail(800_000));
+    let audit = single_fault_run(FaultPlan::new(23).with(FaultSite::StealFail, 800_000));
     assert!(audit.passed(), "{audit}");
 }
 
 #[test]
 fn delayed_and_reordered_resumes_alone_audit_clean() {
-    let audit = single_fault_run(
-        FaultPlan::new(24)
-            .resume_delay(400_000, Duration::from_micros(500))
-            .resume_reorder(1_000_000),
-    );
+    let audit = single_fault_run(FaultPlan {
+        resume_delay_micros: 500,
+        ..FaultPlan::new(24)
+            .with(FaultSite::ResumeDelay, 400_000)
+            .with(FaultSite::ResumeReorder, 1_000_000)
+    });
     assert!(audit.passed(), "{audit}");
 }
 

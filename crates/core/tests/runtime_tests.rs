@@ -346,7 +346,7 @@ fn metrics_accumulate_sensibly() {
     let before = rt.metrics();
     rt.block_on(pfib(16));
     let after = rt.metrics();
-    let d = after.since(&before);
+    let d = after.delta(&before);
     assert!(d.polls > 0);
     assert!(d.tasks_spawned > 0);
     // Absolute, not since `before`: the workers open their first deques
@@ -515,7 +515,7 @@ fn fork2_left_runs_inline_same_task() {
         let (a, b) = fork2(async { 1 }, async { 2 }).await;
         assert_eq!(a + b, 3);
     });
-    let d = rt.metrics().since(&before);
+    let d = rt.metrics().delta(&before);
     // Exactly two tasks: the block_on root and the right child.
     assert_eq!(d.tasks_spawned, 2, "left child must not spawn a task");
 }

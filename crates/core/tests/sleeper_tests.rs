@@ -37,7 +37,7 @@ fn injected_task_always_wakes_a_parked_worker() {
         );
     }
 
-    let d = rt.metrics().since(&before);
+    let d = rt.metrics().delta(&before);
     assert!(
         d.unparks >= 1,
         "injections into an idle runtime must go through the sleeper set"
@@ -61,7 +61,7 @@ fn at_most_one_unpark_per_injected_task() {
         rt.block_on(async { std::hint::black_box(1u64) });
     }
 
-    let d = rt.metrics().since(&before);
+    let d = rt.metrics().delta(&before);
     assert!(
         d.unparks <= ROUNDS,
         "{} unparks for {ROUNDS} injections: inject wakes more than one \
@@ -91,7 +91,7 @@ fn resume_batches_do_not_broadcast_unparks() {
     });
     assert_eq!(total, TASKS);
 
-    let d = rt.metrics().since(&before);
+    let d = rt.metrics().delta(&before);
     assert_eq!(d.resumes, TASKS);
     // Only the one block_on injection and join wake-ups unpark; the
     // expiries are fired by their owners. A per-event (or broadcast)

@@ -257,7 +257,7 @@ fn hundred_thousand_concurrent_suspensions() {
     let sum = std::thread::scope(|scope| {
         scope.spawn(|| {
             while stop.load(Ordering::Acquire) == 0 {
-                let m = rt.metrics().since(&before);
+                let m = rt.metrics().delta(&before);
                 // Saturating: the two counters are read at slightly
                 // different instants, so a racing register+resume pair can
                 // transiently make `resumes` the larger read.
@@ -282,7 +282,7 @@ fn hundred_thousand_concurrent_suspensions() {
     });
 
     assert_eq!(sum, N, "every suspended task resumed and completed");
-    let m = rt.metrics().since(&before);
+    let m = rt.metrics().delta(&before);
     assert_eq!(m.suspensions, N, "one timer registration per task");
     assert_eq!(m.resumes, N, "one resume per registration");
     assert_eq!(

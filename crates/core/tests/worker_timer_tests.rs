@@ -36,7 +36,7 @@ fn timers_alone_resume_once_on_time_without_unparks() {
             })
             .collect();
         join_all(hs).await;
-        let d = obs.metrics().expect("runtime alive").since(&before);
+        let d = obs.metrics().expect("runtime alive").delta(&before);
         assert_eq!(d.suspensions, TASKS, "each latency registers once");
         assert_eq!(d.resumes, TASKS, "each registration resumes once");
         (d.unparks, early.load(Ordering::Relaxed))
@@ -81,7 +81,7 @@ fn due_resume_waits_for_a_stuck_poll_then_arrives_once() {
                 "the resume landed during the stuck poll"
             );
         }
-        let d = obs.metrics().expect("runtime alive").since(&before);
+        let d = obs.metrics().expect("runtime alive").delta(&before);
         assert_eq!((d.suspensions, d.resumes), (1, 1));
     });
 }

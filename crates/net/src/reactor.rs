@@ -52,7 +52,7 @@ use std::time::{Duration, Instant};
 use lhws_core::sync::Mutex;
 use lhws_core::{
     external_op, Completer, DeadlineExt, DeadlineOp, Driver, DriverHooks, DriverReport, ExternalOp,
-    IoShardStats, IoTraceEvent, LatencyMode, OpError, Runtime,
+    FaultSite, IoShardStats, IoTraceEvent, LatencyMode, OpError, Runtime,
 };
 
 use crate::driver::{IoDriver, IoEvent, WaitOutcome};
@@ -282,7 +282,7 @@ impl Io {
                 return; // closed between the wait and here
             };
             let unblocks = (ev.read && entry.read.is_some()) || (ev.write && entry.write.is_some());
-            if unblocks && hooks.drop_readiness() {
+            if unblocks && hooks.fault(FaultSite::DroppedReadiness) {
                 // Fault: swallow this report — bits untouched, waiters
                 // filed — and re-arm, so the kernel reports the still-true
                 // condition again.
@@ -487,20 +487,9 @@ impl Reactor {
         })
     }
 
-    /// Rolls the `PeerReset` connection fault site (see
-    /// [`lhws_core::FaultSite`]).
-    pub(crate) fn fault_peer_reset(&self) -> bool {
-        self.inner.hooks.peer_reset()
-    }
-
-    /// Rolls the `PartialWrite` connection fault site.
-    pub(crate) fn fault_partial_write(&self) -> bool {
-        self.inner.hooks.partial_write()
-    }
-
-    /// Rolls the `AcceptBurst` connection fault site.
-    pub(crate) fn fault_accept_burst(&self) -> bool {
-        self.inner.hooks.accept_burst()
+    /// Rolls a connection fault site (see [`FaultSite`]).
+    pub(crate) fn fault(&self, site: FaultSite) -> bool {
+        self.inner.hooks.fault(site)
     }
 
     pub(crate) fn count_io_timeout(&self) {

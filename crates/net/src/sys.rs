@@ -75,6 +75,8 @@ struct Timespec {
 
 /// Creates a close-on-exec epoll instance.
 pub fn epoll_create() -> io::Result<RawFd> {
+    // SAFETY: `epoll_create1` takes no pointers; a flags word is all it
+    // reads, and failure is reported through the return value.
     let fd = unsafe { epoll_create1(CLOEXEC) };
     if fd < 0 {
         return Err(io::Error::last_os_error());
@@ -86,6 +88,9 @@ pub fn epoll_create() -> io::Result<RawFd> {
 /// the cookie `epoll_wait` hands back with the fd's events.
 pub fn epoll_ctl_op(epfd: RawFd, op: c_int, fd: RawFd, events: u32, data: u64) -> io::Result<()> {
     let mut ev = EpollEvent { events, data };
+    // SAFETY: `ev` is a live, properly laid out (`packed` on x86-64, as
+    // the kernel ABI has it) `epoll_event` that outlives the call; the
+    // kernel only reads it. Bad fds or ops fail with an errno, not UB.
     let rc = unsafe { epoll_ctl(epfd, op, fd, &mut ev) };
     if rc < 0 {
         return Err(io::Error::last_os_error());
@@ -141,6 +146,8 @@ pub fn epoll_wait_events(
 /// change the backlog; `std`'s hardwired 128 is far too shallow for the
 /// connect storms a loopback server sees.
 pub fn listen_backlog(fd: RawFd, backlog: i32) -> io::Result<()> {
+    // SAFETY: `listen` takes no pointers; an fd that is not a bound
+    // socket fails with an errno.
     let rc = unsafe { listen(fd, backlog) };
     if rc < 0 {
         return Err(io::Error::last_os_error());
@@ -151,6 +158,8 @@ pub fn listen_backlog(fd: RawFd, backlog: i32) -> io::Result<()> {
 /// Creates the reactor's wake-up eventfd (close-on-exec, nonblocking so
 /// drains never stall the event loop).
 pub fn eventfd_new() -> io::Result<RawFd> {
+    // SAFETY: `eventfd` takes no pointers; failure is reported through
+    // the return value.
     let fd = unsafe { eventfd(0, CLOEXEC | EFD_NONBLOCK) };
     if fd < 0 {
         return Err(io::Error::last_os_error());
@@ -161,17 +170,23 @@ pub fn eventfd_new() -> io::Result<RawFd> {
 /// Posts one wake-up to an eventfd (adds 1 to its counter).
 pub fn eventfd_write(fd: RawFd) {
     let one: u64 = 1;
+    // SAFETY: the buffer is `one`, a live 8-byte local, and exactly 8
+    // bytes are read from it.
     let _ = unsafe { write(fd, &one as *const u64 as *const c_void, 8) };
 }
 
 /// Drains an eventfd's counter (nonblocking; EAGAIN means already empty).
 pub fn eventfd_drain(fd: RawFd) {
     let mut buf: u64 = 0;
+    // SAFETY: the buffer is `buf`, a live, writable 8-byte local, and at
+    // most 8 bytes are written to it.
     let _ = unsafe { read(fd, &mut buf as *mut u64 as *mut c_void, 8) };
 }
 
 /// Closes a file descriptor, ignoring errors (shutdown path).
 pub fn close_fd(fd: RawFd) {
+    // SAFETY: `close` takes no pointers. The caller owns `fd` and never
+    // uses it again; a stale fd fails with `EBADF`.
     let _ = unsafe { close(fd) };
 }
 

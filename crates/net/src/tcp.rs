@@ -20,6 +20,8 @@ use std::os::fd::{AsRawFd, RawFd};
 use std::sync::Arc;
 use std::time::Duration;
 
+use lhws_core::FaultSite;
+
 use crate::reactor::{Interest, Reactor, ReadyFuture};
 use crate::readiness::Readiness;
 
@@ -133,7 +135,7 @@ impl TcpListener {
             // re-arms the listener, and re-arming re-evaluates readiness,
             // so the wait returns at once while a connection is pending
             // and the next iteration accepts it.
-            if self.reg.reactor.fault_accept_burst() {
+            if self.reg.reactor.fault(FaultSite::AcceptBurst) {
                 self.reg.ready(Interest::Read).await?;
                 continue;
             }
@@ -177,7 +179,7 @@ impl TcpListener {
         loop {
             // Same fault semantics as `accept`: a burst-claimed accept
             // queue is recovered by the re-arm of the next wait.
-            if batch.is_empty() && self.reg.reactor.fault_accept_burst() {
+            if batch.is_empty() && self.reg.reactor.fault(FaultSite::AcceptBurst) {
                 self.reg.ready(Interest::Read).await?;
                 continue;
             }
@@ -305,7 +307,7 @@ impl TcpStream {
             // Fault: the peer reset under us. Fails the op without
             // touching the kernel — the socket itself stays healthy, so
             // the *caller's* reset handling is what gets exercised.
-            if self.reg.reactor.fault_peer_reset() {
+            if self.reg.reactor.fault(FaultSite::PeerReset) {
                 return Err(io::Error::new(
                     io::ErrorKind::ConnectionReset,
                     "injected peer reset (fault plan)",
@@ -340,7 +342,7 @@ impl TcpStream {
         let mut written = 0;
         while written < buf.len() {
             // Fault: the peer reset mid-write (see `read`).
-            if self.reg.reactor.fault_peer_reset() {
+            if self.reg.reactor.fault(FaultSite::PeerReset) {
                 return Err(io::Error::new(
                     io::ErrorKind::ConnectionReset,
                     "injected peer reset (fault plan)",
@@ -350,7 +352,8 @@ impl TcpStream {
             // exercising this very resumption loop. Lossless by
             // construction — the bytes actually written are counted and
             // the loop continues from there.
-            let end = if buf.len() - written > 1 && self.reg.reactor.fault_partial_write() {
+            let end = if buf.len() - written > 1 && self.reg.reactor.fault(FaultSite::PartialWrite)
+            {
                 written + (buf.len() - written) / 2
             } else {
                 buf.len()

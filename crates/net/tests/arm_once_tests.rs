@@ -9,7 +9,7 @@ use std::net::SocketAddr;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use lhws_core::{fork2, spawn, FaultPlan, LatencyMode, Runtime};
+use lhws_core::{fork2, spawn, FaultPlan, FaultSite, LatencyMode, Runtime};
 use lhws_net::{DeadlineExt, LineReader, Reactor, TcpListener, TcpStream};
 
 /// Readiness waits the tests bound themselves are bounded by this, so a
@@ -329,9 +329,9 @@ fn accept_burst_and_dropped_readiness_recover_under_arm_once() {
         .workers(2)
         .fault_plan(
             FaultPlan::new(0xacce_0b57)
-                .accept_burst(400_000)
-                .dropped_readiness(400_000)
-                .partial_write(300_000),
+                .with(FaultSite::AcceptBurst, 400_000)
+                .with(FaultSite::DroppedReadiness, 400_000)
+                .with(FaultSite::PartialWrite, 300_000),
         )
         .build()
         .unwrap();

@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use lhws_core::{audit, fork2, FaultPlan, LatencyMode, Runtime};
+use lhws_core::{audit, fork2, FaultPlan, FaultSite, LatencyMode, Runtime};
 use lhws_net::{DeadlineExt, Reactor, TcpListener, TcpStream};
 
 fn hide_rt(workers: usize) -> Runtime {
@@ -321,7 +321,7 @@ fn dropped_readiness_recovers_via_rearm() {
         .workers(2)
         .mode(LatencyMode::Hide)
         .trace_capacity(8192)
-        .fault_plan(FaultPlan::new(0xfeed_beef).dropped_readiness(400_000))
+        .fault_plan(FaultPlan::new(0xfeed_beef).with(FaultSite::DroppedReadiness, 400_000))
         .build()
         .unwrap();
     let reactor = Reactor::builder(&rt).build().unwrap();

@@ -9,7 +9,7 @@
 //! ([`spawn`], [`fork2`], [`par_map_reduce`], [`join_all`]), latency
 //! operations ([`simulate_latency`], [`external_op`], [`DeadlineExt`]),
 //! [`channel`]s, and the observability entry points ([`trace`], [`fault`],
-//! [`Metrics`]). Live introspection of a running runtime goes through
+//! [`MetricsSnapshot`]). Live introspection of a running runtime goes through
 //! [`Runtime::observe`] — metrics snapshots, incremental
 //! [`TraceReader`]s, continuous invariant audits ([`LiveAudit`]), and
 //! the Prometheus exporter — with the self-hosted `/metrics` HTTP
@@ -91,7 +91,6 @@ pub use lhws_core::{
     LatencyProfile,
     LiveAudit,
     LiveStats,
-    Metrics,
     MetricsSnapshot,
     Observer,
     OpError,
