@@ -1,5 +1,5 @@
 //! Fork/join scenarios: the fused task from [`lhws_core`] on a real
-//! Chase–Lev deque.
+//! Chase–Lev deque, and `fork2`'s right-half slot on one.
 //!
 //! `spawn` pushes a child on the bottom of the forking worker's deque and
 //! the join pops it back if it is still there. Nothing in a task is behind
@@ -26,7 +26,7 @@ use std::task::{Context, Poll, Waker};
 
 use lhws_checkrt::sync::{Event, Mutex};
 use lhws_checkrt::thread;
-use lhws_core::task_check_hooks::{self, Forked};
+use lhws_core::task_check_hooks::{self, Forked, Left, Reclaimed};
 
 use super::settle::{block_on_op, EventWake};
 
@@ -202,4 +202,122 @@ pub fn inline_escaped_waker() {
 #[cfg(all(lhws_check, lhws_check_mutation))]
 pub fn inline_racy_release_unsound() {
     escaped_waker_race(Forked::join_inline_racy);
+}
+
+/// One fork's right half advertised, raced by its owner's take-back and a
+/// thief's steal + promote + publish, after the owner's poll of `left`
+/// ended as `left` says. The right half runs exactly once unless the owner
+/// got it back from a panicking `left` (then never), its output is read
+/// once, a half the owner promoted lands where its slot was (under the
+/// task `left` buried it with), and the slot is never retired before a
+/// thief that promoted it has published — the quarantine probe
+/// ([`Advertised::retire`](task_check_hooks::Advertised::retire)).
+///
+/// One scenario per way `left` ends: each exhausts its bounded schedule
+/// space in fine mode, and the three run back to back would not.
+fn fork2_one(left: Left, wait_for_publish: bool) {
+    let polls = Arc::new(AtomicUsize::new(0));
+    let drops = Arc::new(AtomicUsize::new(0));
+    let buried = Arc::new(AtomicUsize::new(0));
+    let (p, d, b) = (Arc::clone(&polls), Arc::clone(&drops), Arc::clone(&buried));
+    let (adv, thief) = task_check_hooks::advertise(async move {
+        p.fetch_add(1, Ordering::SeqCst);
+        Output { value: 7, drops: d }
+    });
+    #[cfg(all(lhws_check, lhws_check_mutation))]
+    let adv = if wait_for_publish {
+        adv
+    } else {
+        adv.without_publish_wait()
+    };
+    #[cfg(not(all(lhws_check, lhws_check_mutation)))]
+    assert!(wait_for_publish, "the mutation needs a mutation build");
+    // A left half that ends any way but Ready has spawned a detached task
+    // above the slot: the owner pops down to its slot and back.
+    if !matches!(left, Left::Ready) {
+        adv.bury(async move {
+            b.fetch_add(1, Ordering::SeqCst);
+        });
+    }
+
+    let t = thread::spawn(move || thief.steal_slot_and_run());
+    let o = thread::spawn(move || {
+        let out = match adv.reclaim(left) {
+            Reclaimed::Mine => {
+                let waker = Waker::from(Arc::new(EventWake(Arc::new(Event::new()))));
+                match adv.poll_in_place(&mut Context::from_waker(&waker)) {
+                    Poll::Ready(out) => Some(out),
+                    Poll::Pending => unreachable!("the right half is ready at once"),
+                }
+            }
+            Reclaimed::Joined(handle) => {
+                // A right half the owner promoted may still be on its
+                // deque, under the buried task.
+                adv.run_leftovers();
+                Some(block_on_op(handle))
+            }
+            Reclaimed::Dropped => None,
+        };
+        adv.run_leftovers();
+        (out, adv.retire())
+    });
+    let stole = t.join().expect("thief panicked");
+    let (out, published) = o.join().expect("owner panicked");
+
+    let ran = polls.load(Ordering::SeqCst);
+    match left {
+        Left::Panicked => assert_eq!(
+            ran,
+            usize::from(stole == Some(true)),
+            "a panicking left drops a right half it got back, unpolled"
+        ),
+        _ => assert_eq!(ran, 1, "{left:?}: the right half ran once"),
+    }
+    if !matches!(left, Left::Ready) {
+        assert_eq!(buried.load(Ordering::SeqCst), 1, "the buried task ran once");
+    }
+    if stole == Some(true) {
+        assert!(
+            published,
+            "{left:?}: the slot was retired before its thief published"
+        );
+    }
+    if let Some(out) = out {
+        assert_eq!(out.value, 7);
+        drop(out);
+    }
+    assert_eq!(
+        drops.load(Ordering::SeqCst),
+        ran,
+        "{left:?}: every output dropped exactly once"
+    );
+}
+
+/// `fork2`'s slot protocol with `left` ready: the owner's pop-back
+/// against a thief's steal, promotion and publish.
+pub fn fork2_popback_vs_steal() {
+    fork2_one(Left::Ready, true);
+}
+
+/// With `left` pending: the owner pops down past a buried task and
+/// promotes its right half in the slot's place, against the thief.
+pub fn fork2_popback_vs_steal_pending() {
+    fork2_one(Left::Pending, true);
+}
+
+/// With `left` panicking: the drop guard's take-back (run here after the
+/// catch, since a thread takes no schedule points while it unwinds)
+/// against the thief.
+pub fn fork2_popback_vs_steal_panic() {
+    fork2_one(Left::Panicked, true);
+}
+
+/// The seeded mutation: the owner takes a slot it did not find for
+/// published at once, without waiting for the thief's publish — it reads
+/// a handle that is not there yet, or retires the slot under the thief.
+#[cfg(all(lhws_check, lhws_check_mutation))]
+pub fn fork2_unwaited_publish_unsound() {
+    for left in [Left::Ready, Left::Pending, Left::Panicked] {
+        fork2_one(left, false);
+    }
 }

@@ -121,6 +121,27 @@ pub fn all() -> Vec<Scenario> {
             strategy: Strategy::Dfs,
         },
         Scenario {
+            name: "fork2_popback_vs_steal",
+            about: "fork2's slot, left ready: owner pop-back vs steal + promote + publish",
+            run: join::fork2_popback_vs_steal,
+            expect_refuted: false,
+            strategy: Strategy::Dfs,
+        },
+        Scenario {
+            name: "fork2_popback_vs_steal_pending",
+            about: "fork2's slot, left pending: pop-down + promote in place vs steal + publish",
+            run: join::fork2_popback_vs_steal_pending,
+            expect_refuted: false,
+            strategy: Strategy::Dfs,
+        },
+        Scenario {
+            name: "fork2_popback_vs_steal_panic",
+            about: "fork2's slot, left panics: the guard's pop-down vs steal + publish",
+            run: join::fork2_popback_vs_steal_panic,
+            expect_refuted: false,
+            strategy: Strategy::Dfs,
+        },
+        Scenario {
             name: "suspend_resume_steal",
             about:
                 "the paper's triangle: deque switch on suspend, resume delivery, thief in flight",
@@ -152,6 +173,14 @@ pub fn all() -> Vec<Scenario> {
             name: "join_inline_racy_release_unsound",
             about: "seeded mutation: inline release by load + store, not an RMW — must be refuted",
             run: join::inline_racy_release_unsound,
+            expect_refuted: true,
+            strategy: Strategy::Dfs,
+        },
+        Scenario {
+            name: "fork2_unwaited_publish_unsound",
+            about:
+                "seeded mutation: owner skips the wait for the thief's publish — must be refuted",
+            run: join::fork2_unwaited_publish_unsound,
             expect_refuted: true,
             strategy: Strategy::Dfs,
         },

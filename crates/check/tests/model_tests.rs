@@ -85,6 +85,21 @@ fn join_inline_escaped_waker_holds() {
 }
 
 #[test]
+fn fork2_popback_vs_steal_holds() {
+    check("fork2_popback_vs_steal");
+}
+
+#[test]
+fn fork2_popback_vs_steal_pending_holds() {
+    check("fork2_popback_vs_steal_pending");
+}
+
+#[test]
+fn fork2_popback_vs_steal_panic_holds() {
+    check("fork2_popback_vs_steal_panic");
+}
+
+#[test]
 fn mpsc_close_vs_recv_holds() {
     check("mpsc_close_vs_recv");
 }
@@ -153,6 +168,14 @@ fn tickless_clear_mutation_is_refuted_and_replayable() {
 #[test]
 fn inline_racy_release_mutation_is_refuted_and_replayable() {
     refuted_and_replayable("join_inline_racy_release_unsound");
+}
+
+/// An owner that does not wait for its thief's publish reads a handle
+/// that is not there yet, or retires the slot under the thief.
+#[cfg(all(lhws_check, lhws_check_mutation))]
+#[test]
+fn unwaited_publish_mutation_is_refuted_and_replayable() {
+    refuted_and_replayable("fork2_unwaited_publish_unsound");
 }
 
 /// Same workload with the sound per-item-CAS batch steal, for contrast:

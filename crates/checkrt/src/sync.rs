@@ -157,7 +157,9 @@ atomic_int!(
     u64
 );
 
-/// Instrumented [`std::sync::atomic::AtomicBool`].
+/// Instrumented [`std::sync::atomic::AtomicBool`]. Every write also
+/// makes the model threads blocked in [`spin_until`] on this flag
+/// runnable again.
 #[derive(Debug, Default)]
 pub struct AtomicBool {
     inner: std::sync::atomic::AtomicBool,
@@ -171,6 +173,18 @@ impl AtomicBool {
     }
 
     #[inline]
+    fn addr(&self) -> usize {
+        self as *const AtomicBool as usize
+    }
+
+    /// Wakes the [`spin_until`] waiters of this flag after a write.
+    fn written(&self) {
+        if let Some((s, _)) = sched::current() {
+            s.wake_addr(WaitKey::Addr(self.addr()));
+        }
+    }
+
+    #[inline]
     pub fn load(&self, _order: Ordering) -> bool {
         yield_point();
         self.inner.load(StdOrdering::SeqCst)
@@ -179,13 +193,16 @@ impl AtomicBool {
     #[inline]
     pub fn store(&self, v: bool, _order: Ordering) {
         yield_point();
-        self.inner.store(v, StdOrdering::SeqCst)
+        self.inner.store(v, StdOrdering::SeqCst);
+        self.written();
     }
 
     #[inline]
     pub fn swap(&self, v: bool, _order: Ordering) -> bool {
         yield_point();
-        self.inner.swap(v, StdOrdering::SeqCst)
+        let old = self.inner.swap(v, StdOrdering::SeqCst);
+        self.written();
+        old
     }
 
     #[inline]
@@ -197,13 +214,44 @@ impl AtomicBool {
         _failure: Ordering,
     ) -> Result<bool, bool> {
         yield_point();
-        self.inner
-            .compare_exchange(current, new, StdOrdering::SeqCst, StdOrdering::SeqCst)
+        let r = self
+            .inner
+            .compare_exchange(current, new, StdOrdering::SeqCst, StdOrdering::SeqCst);
+        if r.is_ok() {
+            self.written();
+        }
+        r
     }
 
     #[inline]
     pub fn get_mut(&mut self) -> &mut bool {
         self.inner.get_mut()
+    }
+}
+
+/// Waits until `flag` is set — the model-aware form of a spin-wait on a
+/// flag that another thread sets at the end of a short step. On a model
+/// thread the wait blocks until a write to the flag, so a waiter spends
+/// neither preemptions nor steps while the setter has not run, and a
+/// setter that never comes is a reported deadlock. Off the model it
+/// spins.
+pub fn spin_until(flag: &AtomicBool) {
+    if let Some((s, tid)) = sched::current() {
+        loop {
+            s.yield_at(tid);
+            if flag.inner.load(StdOrdering::SeqCst) {
+                return;
+            }
+            if !s.block_at(tid, WaitKey::Addr(flag.addr())) {
+                // Teardown mid-unwind: the setter may never run. Return;
+                // the caller is already unwinding and nothing it does is
+                // recorded.
+                return;
+            }
+        }
+    }
+    while !flag.inner.load(StdOrdering::SeqCst) {
+        std::thread::yield_now();
     }
 }
 

@@ -69,7 +69,9 @@ impl<T: Send + 'static> Future for OneshotReceiver<T> {
     type Output = Result<T, Canceled>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        // Safety: structural pinning of the only field.
+        // SAFETY: `op` is pinned structurally: it is the only field,
+        // never moved out, and the receiver has no `Drop` or `Unpin` impl
+        // of its own that could move it.
         unsafe { self.map_unchecked_mut(|s| &mut s.op) }.poll(cx)
     }
 }

@@ -390,6 +390,12 @@ impl<F> PanicInjected<F> {
     pub fn new(inner: F, armed: Option<std::sync::Arc<FaultInjector>>) -> Self {
         PanicInjected { inner, armed }
     }
+
+    /// Arms a wrapper made before its runtime was known (a fork's right
+    /// half, built outside any worker), before its first poll.
+    pub fn arm(&mut self, armed: Option<std::sync::Arc<FaultInjector>>) {
+        self.armed = armed;
+    }
 }
 
 impl<F: std::future::Future> std::future::Future for PanicInjected<F> {

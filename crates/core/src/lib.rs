@@ -55,6 +55,7 @@
 //! afterwards (or [`LiveAudit`] during the run). See [`fault`].
 
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod channel;
 mod config;
@@ -82,7 +83,7 @@ pub use external::{
     external_op, Canceled, Completer, DeadlineExt, DeadlineOp, ExternalOp, OpError,
 };
 pub use fault::{FaultPlan, FaultSite};
-pub use join::JoinHandle;
+pub use join::{Fork2, JoinHandle};
 pub use latency::{latency_until, simulate_latency, LatencyFuture, LatencyProfile, RemoteService};
 pub use metrics::MetricsSnapshot;
 pub use obs::{encode_prometheus, LiveAudit, Observer};
@@ -107,33 +108,31 @@ where
     F: Future + Send + 'static,
     F::Output: Send + 'static,
 {
-    worker::with_worker(|w| {
-        w.expect(
-            "lhws::spawn / lhws::fork2 require a worker context: \
-             call them inside Runtime::block_on or Runtime::spawn",
-        )
-        .spawn(fut)
-    })
+    worker::with_worker(|w| w.expect(worker::NOT_ON_WORKER).spawn(fut))
 }
 
-/// Binary fork-join: spawns `right` as a stealable child task, runs `left`
-/// inline as the continuation (the left child keeps the higher priority,
-/// as in the paper's edge ordering), then joins — by popping `right` back
-/// and running it inline too when no thief took it, so an unstolen fork
-/// never suspends its parent.
+/// Binary fork-join: runs `left` as the continuation (the left child keeps
+/// the higher priority, as in the paper's edge ordering) while `right`
+/// waits on the bottom of the worker's active deque, stealable — then
+/// joins, running `right` in place, inside this future, if no thief took
+/// it.
 ///
+/// An unstolen fork costs one deque push and one pop: `right` becomes a
+/// task (counted in [`MetricsSnapshot::forks_promoted`]) only if a thief
+/// steals it, if `left` suspends first, or past the inline-depth cap.
 /// Mirrors the paper's `fork2(e1, e2)` (Figures 8 and 10). A panic in
 /// either branch propagates at the join point.
-pub async fn fork2<A, B>(left: A, right: B) -> (A::Output, B::Output)
+///
+/// # Panics
+/// The returned future panics when first polled off a runtime worker
+/// thread.
+pub fn fork2<A, B>(left: A, right: B) -> Fork2<A, B>
 where
     A: Future,
     B: Future + Send + 'static,
     B::Output: Send + 'static,
 {
-    let handle = spawn(right);
-    let la = left.await;
-    let rb = handle.await;
-    (la, rb)
+    Fork2::new(left, right)
 }
 
 /// Recursively fork-joins `f` over `lo..hi`, two halves at a time — the

@@ -44,6 +44,7 @@ impl<T> Deref for CachePadded<T> {
 pub(crate) struct CounterBlock {
     pub polls: AtomicU64,
     pub tasks_spawned: AtomicU64,
+    pub forks_promoted: AtomicU64,
     pub steals_attempted: AtomicU64,
     pub steals_succeeded: AtomicU64,
     pub steals_dead_target: AtomicU64,
@@ -160,6 +161,7 @@ impl Counters {
         MetricsSnapshot {
             polls: self.sum(|b| &b.polls),
             tasks_spawned: self.sum(|b| &b.tasks_spawned),
+            forks_promoted: self.sum(|b| &b.forks_promoted),
             steals_attempted: self.sum(|b| &b.steals_attempted),
             steals_succeeded: self.sum(|b| &b.steals_succeeded),
             steals_dead_target: self.sum(|b| &b.steals_dead_target),
@@ -199,8 +201,13 @@ impl Counters {
 pub struct MetricsSnapshot {
     /// Task polls performed (≥ task count; re-polls after suspension add).
     pub polls: u64,
-    /// Tasks ever spawned (including pfor batch tasks).
+    /// Heap tasks ever made: spawns, pfor batch tasks and promoted forks.
+    /// A `fork2` whose right half runs in place makes none.
     pub tasks_spawned: u64,
+    /// `fork2` right halves turned into tasks: stolen by a thief, or
+    /// promoted by their owner because the left half suspended (or past
+    /// the inline-depth cap). Every other fork stays inline.
+    pub forks_promoted: u64,
     /// Steal attempts `R`.
     pub steals_attempted: u64,
     /// Successful steals.
@@ -269,6 +276,7 @@ impl MetricsSnapshot {
         let mut m = *self;
         m.polls = self.polls - earlier.polls;
         m.tasks_spawned = self.tasks_spawned - earlier.tasks_spawned;
+        m.forks_promoted = self.forks_promoted - earlier.forks_promoted;
         m.steals_attempted = self.steals_attempted - earlier.steals_attempted;
         m.steals_succeeded = self.steals_succeeded - earlier.steals_succeeded;
         m.steals_dead_target = self.steals_dead_target - earlier.steals_dead_target;
@@ -301,6 +309,7 @@ impl fmt::Display for MetricsSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "polls:                 {}", self.polls)?;
         writeln!(f, "tasks spawned:         {}", self.tasks_spawned)?;
+        writeln!(f, "forks promoted:        {}", self.forks_promoted)?;
         writeln!(
             f,
             "steals:                {} attempted, {} succeeded, {} dead targets",
@@ -375,6 +384,7 @@ mod tests {
         let expected = "\
 polls:                 0
 tasks spawned:         0
+forks promoted:        0
 steals:                0 attempted, 0 succeeded, 0 dead targets
 steal retries:         0
 steal batch tasks:     0

@@ -252,8 +252,15 @@ pub fn encode_prometheus(
         &mut o,
         "lhws_tasks_spawned_total",
         c,
-        "Tasks spawned (spawn + pfor leaves).",
+        "Heap tasks made (spawn, pfor, promoted forks).",
         m.tasks_spawned,
+    );
+    sample(
+        &mut o,
+        "lhws_forks_promoted_total",
+        c,
+        "fork2 right halves promoted to tasks (stolen, or left suspended).",
+        m.forks_promoted,
     );
     sample(
         &mut o,
@@ -458,8 +465,8 @@ mod tests {
         }
         assert_eq!(
             names.len(),
-            25,
-            "21 counters (incl. trace drops) + 4 gauges"
+            26,
+            "22 counters (incl. trace drops) + 4 gauges"
         );
         let mut sorted = names.clone();
         sorted.sort();

@@ -19,7 +19,7 @@ use crate::metrics::{CachePadded, Counters, MetricsSnapshot};
 use crate::obs::Observer;
 use crate::sleep::Sleepers;
 use crate::sync::Mutex;
-use crate::task::{self, TaskRef};
+use crate::task::{self, Job, TaskRef};
 use crate::timer::ResumeEvent;
 use crate::trace::{EventKind, Trace, Tracer, NONE_ID};
 use crate::worker::{self, Worker};
@@ -67,7 +67,7 @@ pub(crate) struct RtInner {
     /// Immutable configuration.
     pub config: Config,
     /// The global deque registry (`gDeques` + `gTotalDeques`).
-    pub registry: Registry<TaskRef>,
+    pub registry: Registry<Job>,
     /// External submissions and off-runtime wake-ups.
     injector: Mutex<VecDeque<TaskRef>>,
     /// Per-worker resume inboxes.

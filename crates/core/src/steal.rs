@@ -19,7 +19,7 @@ use crate::fault::FaultSite;
 use crate::metrics::WorkerBlock;
 use crate::rng::{splitmix64, SplitMix64, GOLDEN_GAMMA};
 use crate::runtime::RtInner;
-use crate::task::TaskRef;
+use crate::task::{Job, TaskRef};
 use crate::trace::{EventKind, StealOutcome, NONE_ID};
 
 /// Probe-burst length: how many victim draws one idle step makes before
@@ -65,6 +65,9 @@ pub(crate) struct Thief {
     /// The worker this thief steals for.
     index: usize,
     rng: SplitMix64,
+    /// What one steal claims off the victim, before its slots are
+    /// promoted. Empty between steals.
+    claimed: Vec<Job>,
     /// Where a multi-task steal lands: its first task is returned as the
     /// worker's assigned task, the rest waits here for
     /// [`Thief::land_overflow`]. Empty between idle steps.
@@ -77,6 +80,7 @@ impl Thief {
             rt,
             index,
             rng: victim_rng(index),
+            claimed: Vec::new(),
             scratch: Vec::new(),
         }
     }
@@ -118,9 +122,9 @@ impl Thief {
     /// opened for the stolen work — in reverse, so the owner's LIFO pops
     /// replay the batch in its original top-to-bottom order and other
     /// thieves can re-steal the tail at once. No-op after a one-task steal.
-    pub fn land_overflow(&mut self, deque: &WorkerHandle<TaskRef>) {
+    pub fn land_overflow(&mut self, deque: &WorkerHandle<Job>) {
         for task in self.scratch.drain(..).rev() {
-            deque.push_bottom(task);
+            deque.push_bottom(Job::task(task));
         }
     }
 
@@ -192,7 +196,9 @@ impl Thief {
     }
 
     /// One steal-half on victim deque `id`: the first claimed task is
-    /// returned, the rest stays in `scratch`. A [`Steal::Retry`] from the
+    /// returned, the rest stays in `scratch`. Every fork slot in the batch
+    /// is promoted at once, before the batch goes anywhere: its owner is
+    /// waiting for the publish. A [`Steal::Retry`] from the
     /// deque (a benign race) re-tries the same victim up to
     /// [`STEAL_RETRIES`] times before the attempt counts as failed. Each
     /// inner retry is counted (`steal_retries`) *before* the backoff spin,
@@ -203,10 +209,19 @@ impl Thief {
             match self
                 .rt
                 .registry
-                .steal_batch(id, STEAL_BATCH, &mut self.scratch)
+                .steal_batch(id, STEAL_BATCH, &mut self.claimed)
             {
                 Steal::Success(n) => {
-                    debug_assert_eq!(n, self.scratch.len());
+                    debug_assert_eq!(n, self.claimed.len());
+                    let c = self.rt.counters.worker(self.index);
+                    for job in self.claimed.drain(..) {
+                        let (task, promoted) = job.into_stolen(self.rt.id);
+                        if promoted {
+                            c.bump(&c.tasks_spawned);
+                            c.bump(&c.forks_promoted);
+                        }
+                        self.scratch.push(task);
+                    }
                     if n >= 2 {
                         let c = self.ctr();
                         c.add(&c.steal_batch_tasks, n as u64);

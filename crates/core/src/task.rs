@@ -60,8 +60,10 @@ use std::ptr::NonNull;
 use std::sync::atomic::AtomicU64;
 use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
 
+use lhws_deque::WorkerHandle;
+
 use crate::join::{JoinHandle, PanicPayload};
-use crate::sync::{fence, AtomicU32, AtomicUsize, Ordering};
+use crate::sync::{self, fence, AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use crate::worker;
 
 /// Task lifecycle states.
@@ -342,6 +344,10 @@ where
     }
 
     /// [`VTable::poll`].
+    ///
+    /// # Safety
+    /// `ptr` heads a live `Task<F>` and the caller holds `RUNNING`
+    /// ([`Header::begin_poll`]) and one of the task's counts.
     unsafe fn poll(ptr: NonNull<Header>) -> Poll<()> {
         // SAFETY: the waker stands for the count of the caller's
         // `TaskRef`, which outlives the poll; it is never dropped, and its
@@ -391,6 +397,9 @@ where
     }
 
     /// [`VTable::drop_future`]: an output stays for its handle.
+    ///
+    /// # Safety
+    /// `ptr` heads a live `Task<F>` that no poller holds or ever will.
     unsafe fn drop_future(ptr: NonNull<Header>) {
         // SAFETY: a live task (VTable contract).
         if unsafe { ptr.as_ref() }.is_complete() {
@@ -405,6 +414,10 @@ where
     }
 
     /// [`VTable::free`].
+    ///
+    /// # Safety
+    /// `ptr` heads a `Task<F>` made by `allocate` whose last count the
+    /// caller gave back.
     unsafe fn free(ptr: NonNull<Header>) {
         // SAFETY: the last count is given back, so nobody else can reach
         // the task, and its block came from the `Box` of `allocate`.
@@ -461,22 +474,38 @@ unsafe fn waker_task(data: *const ()) -> TaskRef {
     TaskRef(unsafe { NonNull::new_unchecked(data.cast_mut().cast()) })
 }
 
+/// [`RawWakerVTable`] `clone`.
+///
+/// # Safety
+/// `data` is a live waker's: [`raw_waker`] made it and it holds a count.
 unsafe fn waker_clone(data: *const ()) -> RawWaker {
     // SAFETY: the waker being cloned holds a count; the clone is another.
     let task = ManuallyDrop::new(unsafe { waker_task(data) });
     ManuallyDrop::into_inner(task.clone()).into_raw_waker()
 }
 
+/// [`RawWakerVTable`] `wake`: consumes the waker's count.
+///
+/// # Safety
+/// As for [`waker_clone`].
 unsafe fn waker_wake(data: *const ()) {
     // SAFETY: the waker's count becomes this `TaskRef`'s.
     unsafe { waker_task(data) }.wake_owned();
 }
 
+/// [`RawWakerVTable`] `wake_by_ref`.
+///
+/// # Safety
+/// As for [`waker_clone`].
 unsafe fn waker_wake_by_ref(data: *const ()) {
     // SAFETY: borrowed: the waker keeps its count.
     ManuallyDrop::new(unsafe { waker_task(data) }).wake();
 }
 
+/// [`RawWakerVTable`] `drop`: gives back the waker's count.
+///
+/// # Safety
+/// As for [`waker_clone`].
 unsafe fn waker_drop(data: *const ()) {
     // SAFETY: the waker's count is given back.
     drop(unsafe { waker_task(data) });
@@ -496,7 +525,7 @@ pub(crate) enum Polled {
 /// a thin pointer to the header. Thin, so that queues full of them (deque
 /// rings, timer entries, inboxes) cost a word per task, and raw, so that a
 /// deque slot's bit image of one can be compared by address
-/// ([`TaskRef::image_addr`]) without touching a task that may be gone.
+/// ([`Job::image_addr`]) without touching a task that may be gone.
 #[repr(transparent)]
 pub(crate) struct TaskRef(NonNull<Header>);
 
@@ -508,17 +537,6 @@ unsafe impl Send for TaskRef {}
 unsafe impl Sync for TaskRef {}
 
 impl TaskRef {
-    /// The address of the task that the bit image of a `TaskRef` names
-    /// (see `lhws_deque::WorkerHandle::pop_bottom_if`).
-    #[inline]
-    pub fn image_addr(image: &MaybeUninit<TaskRef>) -> *const () {
-        // SAFETY: `TaskRef` is `repr(transparent)` over a raw pointer and
-        // the image is a bit copy of a `TaskRef` that was pushed, so the
-        // bytes are an initialised pointer value. Reading that value does
-        // not follow it — the task may have been stolen and freed.
-        unsafe { image.as_ptr().cast::<*const ()>().read() }
-    }
-
     /// This count as a waker's.
     fn into_raw_waker(self) -> RawWaker {
         raw_waker(ManuallyDrop::new(self).0)
@@ -618,6 +636,222 @@ impl std::fmt::Debug for TaskRef {
     }
 }
 
+/// What a deque holds: a task, or the slot of a fork's right half that
+/// the fork advertised for thieves ([`crate::join::Fork2`]). One word: a
+/// task's header pointer, or a slot's head pointer with bit 0 set (both
+/// are at least word-aligned).
+///
+/// A slot is lent, not owned: it lives inside the parent's `Fork2`, which
+/// takes it back before the poll that advertised it returns ([`reclaim`]).
+/// Chase–Lev alone decides who gets it off the deque — the owner's pop or
+/// one thief's steal — and a thief promotes it before anything else sees
+/// it ([`Job::into_stolen`]), so no other consumer of a deque ever holds
+/// one.
+#[repr(transparent)]
+pub(crate) struct Job(NonNull<u8>);
+
+/// Bit 0 of a [`Job`]: set for a slot.
+const SLOT_TAG: usize = 1;
+
+// SAFETY: a task job is a `TaskRef`, which is `Send`. A slot job is a
+// loan of a slot whose right half is `Send` (`Fork2` requires it); the
+// thread that wins it off the deque moves that half into a task and
+// touches the slot no more after its publish.
+unsafe impl Send for Job {}
+
+impl Job {
+    /// A task as a deque item; the job takes over the task's count.
+    #[inline]
+    pub fn task(task: TaskRef) -> Job {
+        Job(ManuallyDrop::new(task).0.cast())
+    }
+
+    /// A fork's slot as a deque item.
+    ///
+    /// # Safety
+    /// The caller is the owner of the deque it pushes the job on, is
+    /// inside the poll that owns the slot, and calls [`reclaim`] for it on
+    /// that deque before the poll returns or unwinds.
+    #[inline]
+    pub unsafe fn slot(head: NonNull<SlotHead>) -> Job {
+        let tagged = head.as_ptr().cast::<u8>().wrapping_add(SLOT_TAG);
+        // SAFETY: `head` is non-null and word-aligned, so adding 1 neither
+        // wraps nor reaches null.
+        Job(unsafe { NonNull::new_unchecked(tagged) })
+    }
+
+    /// The bit pattern of the job, as [`Job::image_addr`] reads it.
+    #[inline]
+    fn addr(&self) -> usize {
+        self.0.as_ptr() as usize
+    }
+
+    /// The slot this job lends, if it is one.
+    #[inline]
+    fn as_slot(&self) -> Option<NonNull<SlotHead>> {
+        if self.addr() & SLOT_TAG == 0 {
+            return None;
+        }
+        let head = self.0.as_ptr().wrapping_sub(SLOT_TAG).cast::<SlotHead>();
+        // SAFETY: `Job::slot` tagged a non-null pointer; untagging gives
+        // it back.
+        Some(unsafe { NonNull::new_unchecked(head) })
+    }
+
+    /// The task an owner pops off its own deque outside a poll: never a
+    /// slot, since every slot is taken back inside the poll that
+    /// advertised it.
+    #[inline]
+    pub fn task_of_owner(self) -> TaskRef {
+        assert!(
+            self.as_slot().is_none(),
+            "a fork slot outlived the poll that advertised it"
+        );
+        TaskRef(ManuallyDrop::new(self).0.cast())
+    }
+
+    /// The task a thief stole: a task as it is, a slot promoted to a task
+    /// of runtime `rt_id` and published to its owner. True if it
+    /// promoted.
+    pub fn into_stolen(self, rt_id: u64) -> (TaskRef, bool) {
+        let job = ManuallyDrop::new(self);
+        match job.as_slot() {
+            None => (TaskRef(job.0.cast()), false),
+            // SAFETY: the steal won the slot (Chase–Lev hands each index
+            // to one thread), so its right half is this thread's, and its
+            // owner cannot leave the poll that lent it before the publish.
+            Some(head) => (unsafe { SlotHead::promote(head, rt_id) }, true),
+        }
+    }
+
+    /// The bit pattern of the job whose bit image this is: a task's header
+    /// address, or a slot's tagged one (see
+    /// `lhws_deque::WorkerHandle::pop_bottom_if`).
+    #[inline]
+    pub fn image_addr(image: &MaybeUninit<Job>) -> *const () {
+        // SAFETY: `Job` is `repr(transparent)` over a pointer and the image
+        // is a bit copy of a pushed `Job`, so the bytes are an initialised
+        // pointer value. Reading that value does not follow it — the task
+        // may have been stolen and freed.
+        unsafe { image.as_ptr().cast::<*const ()>().read() }
+    }
+}
+
+impl Drop for Job {
+    fn drop(&mut self) {
+        // A slot owns nothing (and no consumer drops one: each promotes
+        // it or takes it back); a task job holds one count.
+        if self.as_slot().is_none() {
+            // SAFETY: the task job's count, given back.
+            unsafe { release(self.0.cast()) }
+        }
+    }
+}
+
+/// The type-erased head of a fork's right-half slot: `join::Slot<B>` is
+/// `repr(C)` and starts with it, so a pointer to the head is one to the
+/// slot.
+pub(crate) struct SlotHead {
+    /// Set (Release) by a thief once it has moved the right half out and
+    /// left the new task's handle in the slot — its last touch of the
+    /// slot. The owner reads it (Acquire) before it reads the handle.
+    published: AtomicBool,
+    /// Moves the right half into a new `QUEUED` task of the runtime with
+    /// the given id and leaves the task's handle in the slot.
+    ///
+    /// Safety: the caller holds the slot's right half (it won the slot,
+    /// or owns it and never advertised or took it back), which was never
+    /// polled, and its owner's `Fork2` has not moved.
+    promote: unsafe fn(NonNull<SlotHead>, u64) -> TaskRef,
+}
+
+impl SlotHead {
+    /// A head whose slot is promoted by `promote` (see the field).
+    pub fn new(promote: unsafe fn(NonNull<SlotHead>, u64) -> TaskRef) -> SlotHead {
+        SlotHead {
+            published: AtomicBool::new(false),
+            promote,
+        }
+    }
+
+    /// Promotes the slot at `head` to a task of runtime `rt_id`, then
+    /// publishes, after which the caller must not touch the slot again.
+    ///
+    /// # Safety
+    /// As for the `promote` field, once per slot.
+    pub unsafe fn promote(head: NonNull<SlotHead>, rt_id: u64) -> TaskRef {
+        // SAFETY: the slot lives until its owner has seen the publish.
+        let promote = unsafe { head.as_ref() }.promote;
+        // SAFETY: forwarded contract.
+        let task = unsafe { promote(head, rt_id) };
+        // SAFETY: as above; the store is the last access.
+        unsafe { (*head.as_ptr()).published.store(true, Ordering::Release) };
+        task
+    }
+}
+
+/// The owner's half of the slot protocol: takes the slot at `head` back
+/// off `deque` and returns true, or, if a thief stole it, waits until the
+/// thief has published and returns false.
+///
+/// The slot need not be at the bottom: whatever the poll pushed after it
+/// (detached spawns, slots that nested forks promoted) is popped off
+/// first and re-pushed in its order afterwards, with `put_back`'s task —
+/// if the owner got the slot and the closure returns one — going back in
+/// the slot's place. Anything older than the slot is gone if the slot is:
+/// thieves take from the top.
+///
+/// # Safety
+/// The caller is `deque`'s owner, advertised `head` on it in the poll it
+/// is in, and has not taken it back yet; every slot advertised after it
+/// has been taken back.
+pub(crate) unsafe fn reclaim(
+    deque: &WorkerHandle<Job>,
+    head: NonNull<SlotHead>,
+    put_back: impl FnOnce() -> Option<TaskRef>,
+) -> bool {
+    let mine = take_back(deque, head, put_back);
+    if !mine {
+        // SAFETY: the slot lives in the caller's own future.
+        sync::spin_until(&unsafe { head.as_ref() }.published);
+    }
+    mine
+}
+
+/// [`reclaim`] without the wait for the thief's publish.
+fn take_back(
+    deque: &WorkerHandle<Job>,
+    head: NonNull<SlotHead>,
+    put_back: impl FnOnce() -> Option<TaskRef>,
+) -> bool {
+    let me = head.as_ptr() as usize | SLOT_TAG;
+    let mut above = Vec::new();
+    // Usually one pop: the slot is the bottom item, or gone.
+    let mine = loop {
+        let Some(job) = deque.pop_bottom() else {
+            break false;
+        };
+        if job.addr() == me {
+            // The owner's own loan, back: the job owns nothing.
+            std::mem::forget(job);
+            break true;
+        }
+        debug_assert!(job.as_slot().is_none(), "a nested slot outlived its poll");
+        above.push(job);
+    };
+    if mine {
+        if let Some(task) = put_back() {
+            deque.push_bottom(Job::task(task));
+        }
+    }
+    if !above.is_empty() {
+        for job in above.into_iter().rev() {
+            deque.push_bottom(job);
+        }
+    }
+    mine
+}
+
 /// Creates a task nobody joins, in the `QUEUED` state (about to be
 /// delivered to a scheduler queue by the caller).
 pub(crate) fn new_detached<F>(rt_id: u64, fut: F) -> TaskRef
@@ -667,26 +901,30 @@ fn deliver(task: TaskRef) {
 }
 
 /// Model-checker entry points (`lhws-check`): one forked child on a real
-/// deque, raced by its owner's pop-back, a thief, and the join handle.
+/// deque, raced by its owner's pop-back, a thief, and the join handle; and
+/// one fork's right-half slot, raced by its owner's take-back and a
+/// thief's steal, promotion and publish.
 ///
 /// The child's block is quarantined rather than freed: its last release
 /// drops what a free drops and marks `refs` freed but keeps the memory,
 /// so a second free, or a release after the free, fails an assertion
 /// instead of touching reused memory, and a
-/// [`Probe`](check_hooks::Probe) can tell whether the task was freed.
+/// [`Probe`](check_hooks::Probe) can tell whether the task was freed. A
+/// slot is quarantined the same way ([`check_hooks::Advertised::retire`]).
 pub mod check_hooks {
     use super::*;
-    use lhws_deque::{DequeKind, StealerHandle, WorkerHandle};
+    use crate::join::{RightHalf, Slot};
+    use lhws_deque::{DequeKind, StealerHandle};
 
     /// The forking side: the deque's owner end and the child's handle.
     pub struct Forked<T> {
-        owner: WorkerHandle<TaskRef>,
+        owner: WorkerHandle<Job>,
         /// Joins the child; poll it off-runtime with any waker.
         pub handle: JoinHandle<T>,
     }
 
     /// The stealing side of the same deque.
-    pub struct Thief(StealerHandle<TaskRef>);
+    pub struct Thief(StealerHandle<Job>);
 
     /// Looks at a forked child after the fact: its block is never reused.
     pub struct Probe(NonNull<Header>);
@@ -704,6 +942,10 @@ pub mod check_hooks {
 
     /// [`VTable::free`] for checked tasks: drops the joiner slot and the
     /// stage as a free does, then marks the task freed.
+    ///
+    /// # Safety
+    /// As for [`VTable::free`]: `ptr` heads a checked `Task<F>` whose
+    /// last count the caller gave back.
     unsafe fn quarantine<F: Future>(ptr: NonNull<Header>) {
         // SAFETY: the block is never deallocated.
         let header = unsafe { ptr.as_ref() };
@@ -732,7 +974,7 @@ pub mod check_hooks {
     {
         let (owner, stealer) = WorkerHandle::new(DequeKind::ChaseLev);
         let (task, handle) = joinable(0, fut, Checked::<F>::VTABLE);
-        owner.push_bottom(task);
+        owner.push_bottom(Job::task(task));
         (Forked { owner, handle }, Thief(stealer))
     }
 
@@ -769,7 +1011,7 @@ pub mod check_hooks {
         }
 
         /// The seeded mutation: [`Forked::join_inline`] giving the child's
-        /// count back with [`TaskRef::release_racy`].
+        /// count back with `TaskRef::release_racy`.
         #[cfg(lhws_check_mutation)]
         pub fn join_inline_racy(&self) -> bool {
             let Some(child) = self.handle.pop_if_bottom(&self.owner) else {
@@ -782,9 +1024,178 @@ pub mod check_hooks {
     }
 
     impl Thief {
-        /// One steal attempt; runs the child if it won it. True if it ran.
+        /// One steal attempt, as a worker's thief makes it: a stolen slot
+        /// is promoted and published at once. Runs what it got; true if
+        /// it ran something.
         pub fn steal_and_run(&self) -> bool {
-            self.0.steal().success().map(|child| child.run()).is_some()
+            self.steal_slot_and_run().is_some()
+        }
+
+        /// [`Thief::steal_and_run`], telling what it ran: `Some(true)` for
+        /// a promoted fork slot, `Some(false)` for a task, `None` if the
+        /// steal got nothing.
+        pub fn steal_slot_and_run(&self) -> Option<bool> {
+            let job = self.0.steal().success()?;
+            let (task, promoted) = job.into_stolen(0);
+            task.run();
+            Some(promoted)
+        }
+    }
+
+    /// A fork's right half advertised on the bottom of a fresh deque, as
+    /// `Fork2`'s first poll does it, outside any runtime. The slot is
+    /// quarantined: never freed, so a thief's late write lands in live
+    /// memory and [`Advertised::retire`] can tell it happened.
+    pub struct Advertised<F: Future + 'static> {
+        owner: WorkerHandle<Job>,
+        /// Leaked: the quarantine.
+        slot: NonNull<Slot<F>>,
+        waits: bool,
+    }
+
+    // SAFETY: the owner side of one fork, moved to the thread that plays
+    // the owner: the slot's right half and output are `Send`, and the
+    // thief reaches the slot only through the protocol under check.
+    unsafe impl<F> Send for Advertised<F>
+    where
+        F: Future + Send + 'static,
+        F::Output: Send,
+    {
+    }
+
+    /// How the owner's poll of the left half ended, which decides how it
+    /// takes the slot back.
+    #[derive(Clone, Copy, Debug)]
+    pub enum Left {
+        /// Ready: the owner wants the right half back to run in place.
+        Ready,
+        /// Pending: the owner promotes the right half in the slot's place.
+        Pending,
+        /// Panicked: the drop guard takes the slot back and leaves the
+        /// right half to be dropped (or its task detached) with the fork.
+        Panicked,
+    }
+
+    /// What the owner got when it took the slot back.
+    pub enum Reclaimed<T> {
+        /// The slot, with the right half unpolled in it.
+        Mine,
+        /// The promoted task's handle: a thief's, or the owner's own.
+        Joined(JoinHandle<T>),
+        /// Nothing to join: the fork unwound.
+        Dropped,
+    }
+
+    /// Advertises `right`'s slot on a fresh deque, for a thief to race.
+    pub fn advertise<F>(right: F) -> (Advertised<F>, Thief)
+    where
+        F: Future + Send + 'static,
+        F::Output: Send + 'static,
+    {
+        let (owner, stealer) = WorkerHandle::new(DequeKind::ChaseLev);
+        let slot = NonNull::from(Box::leak(Box::new(Slot::new(right))));
+        // SAFETY: the scenario takes the slot back (`reclaim`) before it
+        // retires it, and the slot's memory is never freed.
+        owner.push_bottom(unsafe { Job::slot(slot.cast()) });
+        let adv = Advertised {
+            owner,
+            slot,
+            waits: true,
+        };
+        (adv, Thief(stealer))
+    }
+
+    impl<F> Advertised<F>
+    where
+        F: Future + Send + 'static,
+        F::Output: Send + 'static,
+    {
+        /// The quarantined slot, which is never freed.
+        fn slot(&self) -> &Slot<F> {
+            // SAFETY: leaked in `advertise`.
+            unsafe { self.slot.as_ref() }
+        }
+
+        /// Pushes a detached task above the slot, as a spawn inside the
+        /// left half does; the owner must then pop down to its slot.
+        pub fn bury<G>(&self, fut: G)
+        where
+            G: Future<Output = ()> + Send + 'static,
+        {
+            let task = TaskRef(Task::allocate(0, fut, 1, Checked::<G>::VTABLE));
+            self.owner.push_bottom(Job::task(task));
+        }
+
+        /// The owner takes the slot back as `Fork2` does after `left`.
+        pub fn reclaim(&self, left: Left) -> Reclaimed<F::Output> {
+            let head = self.slot.cast::<SlotHead>();
+            let promote = matches!(left, Left::Pending);
+            let put_back = || {
+                // SAFETY: called with the slot back: the owner's own.
+                promote.then(|| unsafe { SlotHead::promote(head, 0) })
+            };
+            let mine = if self.waits {
+                // SAFETY: advertised on this deque, not yet taken back,
+                // and nothing advertised after it.
+                unsafe { reclaim(&self.owner, head, put_back) }
+            } else {
+                take_back(&self.owner, head, put_back)
+            };
+            match left {
+                Left::Panicked => Reclaimed::Dropped,
+                Left::Ready if mine => Reclaimed::Mine,
+                _ => {
+                    // SAFETY: promoted by the owner, or published by the
+                    // thief: the cell is the owner's.
+                    let right = unsafe { &mut *self.slot().right.get() };
+                    match std::mem::replace(right, RightHalf::Taken) {
+                        RightHalf::Promoted(handle) => Reclaimed::Joined(handle),
+                        _ => panic!("a promoted slot holds its handle"),
+                    }
+                }
+            }
+        }
+
+        /// The seeded mutation: [`Advertised::reclaim`] treats a slot it
+        /// did not find as published at once, without waiting for the
+        /// thief's publish.
+        #[cfg(lhws_check_mutation)]
+        pub fn without_publish_wait(mut self) -> Self {
+            self.waits = false;
+            self
+        }
+
+        /// Polls the right half in place, once: a slot the owner got back.
+        pub fn poll_in_place(&self, cx: &mut Context<'_>) -> Poll<F::Output> {
+            // SAFETY: the slot is back (`Reclaimed::Mine`), so only the
+            // owner reaches the right half, which never moves.
+            let RightHalf::Future(fut) = (unsafe { &mut *self.slot().right.get() }) else {
+                panic!("the right half is in its slot");
+            };
+            // SAFETY: as above.
+            unsafe { Pin::new_unchecked(fut) }.poll(cx)
+        }
+
+        /// Pops and runs what is left on the owner's deque: buried tasks,
+        /// a promoted right half nobody stole.
+        pub fn run_leftovers(&self) {
+            while let Some(job) = self.owner.pop_bottom() {
+                job.task_of_owner().run();
+            }
+        }
+
+        /// The fork is dropped: whatever is left in the slot goes with it.
+        /// True if a thief's publish was already visible — which must hold
+        /// if a thief promoted the slot, or its publish landed in freed
+        /// memory.
+        pub fn retire(self) -> bool {
+            let slot = self.slot();
+            let published = slot.head.published.load(Ordering::SeqCst);
+            // SAFETY: the fork is gone: the owner drops what is left. A
+            // thief still writing (the property under check) races only
+            // on memory that stays allocated.
+            unsafe { *slot.right.get() = RightHalf::Taken };
+            published
         }
     }
 }

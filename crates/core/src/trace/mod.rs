@@ -261,10 +261,16 @@ struct Ring {
     dropped: AtomicU64,
 }
 
-// Safety: `slots` is only written by the single producer (guarded by the
-// head/tail protocol) and read by the single consumer; `TraceEvent` is
-// `Copy` so reads never observe a partially dropped value.
+// SAFETY: the slots hold `TraceEvent`s, which are plain `Copy` data that
+// any thread may own.
 unsafe impl Send for Ring {}
+// SAFETY: a slot is written only by the ring's one producer, and only
+// outside `head..tail`; it is read only by the one consumer (callers hold
+// the collector lock), and only inside `head..tail`. The Release store
+// that moves `tail` past a write, and the one that moves `head` past a
+// read, hand the slot from one side to the other, so no slot is written
+// and read at once. `TraceEvent` is `Copy`: a read never sees a
+// half-dropped value.
 unsafe impl Sync for Ring {}
 
 impl Ring {
@@ -290,6 +296,10 @@ impl Ring {
             self.dropped.fetch_add(1, Ordering::Relaxed);
             return;
         }
+        // SAFETY: this is the one producer, and `tail` is outside
+        // `head..tail` with room to spare (checked above against the
+        // Acquire load of `head`, which the consumer moves past a slot
+        // only after reading it), so no reader touches the slot.
         unsafe { (*self.slots[tail & self.mask].get()).write(ev) };
         self.tail.store(tail.wrapping_add(1), Ordering::Release);
     }
@@ -301,6 +311,10 @@ impl Ring {
         if head == tail {
             return None;
         }
+        // SAFETY: this is the one consumer and `head < tail`: the
+        // producer wrote the slot before its Release store of `tail`,
+        // which the Acquire load above saw, and will not rewrite it until
+        // `head` moves past it.
         let ev = unsafe { (*self.slots[head & self.mask].get()).assume_init_read() };
         self.head.store(head.wrapping_add(1), Ordering::Release);
         Some(ev)
@@ -312,6 +326,8 @@ impl Ring {
     /// full rather than overwrite), and `head` only moves under the same
     /// lock, so the slot is stable for the duration of the read.
     fn read_at(&self, pos: usize) -> TraceEvent {
+        // SAFETY: the caller's contract above: the slot is initialised and
+        // stable for the read.
         unsafe { (*self.slots[pos & self.mask].get()).assume_init_read() }
     }
 }

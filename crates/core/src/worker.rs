@@ -2,11 +2,12 @@
 //!
 //! Each worker owns a collection of deques, one active at a time:
 //!
-//! * With an **assigned task**, the worker polls it. A child spawned
-//!   during the poll (fork2's right child) is pushed on the bottom of the
-//!   active deque at once — thieves can take it while the left branch
-//!   still runs — and popped back and run inline when the parent reaches
-//!   the join, if nobody did ([`join_inline`]). Wake-ups delivered on this
+//! * With an **assigned task**, the worker polls it. A fork's right half
+//!   (a slot, [`crate::join::Fork2`]) or a spawned child is pushed on the
+//!   bottom of the active deque at once — thieves can take it while the
+//!   left branch still runs — and taken back and run inline when the
+//!   parent reaches the join, if nobody did ([`WorkerTls::reclaim`],
+//!   [`join_inline`]). Wake-ups delivered on this
 //!   thread land in a thread-local pending buffer, flushed to the bottom
 //!   of the active deque after the poll — then resumed vertices are
 //!   injected (`addResumedVertices`), and the next assigned task is popped
@@ -38,6 +39,7 @@
 
 use std::cell::{Cell, RefCell};
 use std::future::Future;
+use std::ptr::NonNull;
 use std::rc::Rc;
 use std::sync::Arc;
 use std::task::Waker;
@@ -51,14 +53,17 @@ use crate::join::JoinHandle;
 use crate::metrics::WorkerBlock;
 use crate::runtime::{self, RtInner};
 use crate::steal::Thief;
-use crate::task::{self, Polled, TaskRef};
+use crate::task::{self, Job, Polled, SlotHead, TaskRef};
 use crate::timer::{DeadlineCallback, Payload, Pending, ResumeEvent, TimerHeap};
 use crate::trace::{EventKind, SuspendKind, Tracer};
 
-/// How deep [`join_inline`] may nest: an inline-run child that forks and
-/// joins runs *its* child one level further down the same worker stack.
-/// Past the cap a join takes the waker path instead, which unwinds the
-/// stack, so a right-leaning chain of any length runs in bounded stack. A
+/// How deep inline runs may nest — right halves polled in place
+/// ([`WorkerTls::inline`]) and children popped back at a join
+/// ([`join_inline`]): an inline-run child that forks and joins runs *its*
+/// child one level further down the same worker stack. Past the cap a
+/// fork promotes its right half and a join takes the waker path instead,
+/// which unwinds the stack, so a right-leaning chain of any length runs in
+/// bounded stack. A
 /// constant, not a knob: balanced fork-join nests logarithmically and
 /// never gets near it, and the right value depends on the worker stack
 /// size, which is not configurable either.
@@ -82,7 +87,7 @@ const IO_POLL_INTERVAL: u32 = 61;
 /// joins pop from).
 struct ActiveDeque {
     local: usize,
-    handle: Rc<WorkerHandle<TaskRef>>,
+    handle: Rc<WorkerHandle<Job>>,
 }
 
 /// Thread-local context installed on worker threads. The worker loop
@@ -106,7 +111,8 @@ pub(crate) struct WorkerTls {
     /// Running count of trace suspension tags handed out by this worker
     /// (only advanced while tracing is enabled).
     suspend_seq: Cell<u64>,
-    /// Current nesting of [`join_inline`] runs.
+    /// Current nesting of inline runs ([`WorkerTls::inline`],
+    /// [`join_inline`]).
     inline_depth: Cell<u32>,
     /// This worker's timer shard: registered into by its polls, fired by
     /// [`Worker::drain_resumes`], canceled when the worker exits. Never
@@ -117,6 +123,10 @@ pub(crate) struct WorkerTls {
 thread_local! {
     static TLS: RefCell<Option<WorkerTls>> = const { RefCell::new(None) };
 }
+
+/// Why `spawn` and `fork2` panic off worker threads.
+pub(crate) const NOT_ON_WORKER: &str = "lhws::spawn / lhws::fork2 require a worker context: \
+     call them inside Runtime::block_on or Runtime::spawn";
 
 /// Runs `f` with the current thread's worker context — `None` off worker
 /// threads. Calls nest (a poll runs inside one and makes more).
@@ -192,10 +202,91 @@ impl WorkerTls {
     /// thieves see it at once.
     pub fn push_spawned(&self, task: TaskRef) {
         match &*self.active.borrow() {
-            Some(active) => active.handle.push_bottom(task),
+            Some(active) => active.handle.push_bottom(Job::task(task)),
             // Between deques (not during a poll): the next flush opens one.
             None => self.push_enabled(task),
         }
+    }
+
+    /// A fork's first step: pushes its slot on the bottom of the active
+    /// deque, where thieves see it while the left half runs. False — and
+    /// nothing pushed — past [`MAX_INLINE_DEPTH`], where the fork must
+    /// promote instead: its right half would run one level deeper.
+    ///
+    /// # Safety
+    /// As for [`Job::slot`]: the caller takes the slot back with
+    /// [`WorkerTls::reclaim`] before its poll returns or unwinds.
+    #[inline]
+    pub unsafe fn advertise(&self, head: NonNull<SlotHead>) -> bool {
+        if self.inline_depth.get() >= MAX_INLINE_DEPTH {
+            return false;
+        }
+        match &*self.active.borrow() {
+            // SAFETY: forwarded contract.
+            Some(active) => active.handle.push_bottom(unsafe { Job::slot(head) }),
+            // A poll always has an active deque.
+            None => return false,
+        }
+        true
+    }
+
+    /// Takes the slot at `head` back off the active deque
+    /// ([`task::reclaim`]). Afterwards the slot is the owner's again and
+    /// holds the right half, or — if a thief stole and published it, or if
+    /// `promote` asked the owner to promote it in its old place — the
+    /// task's handle.
+    ///
+    /// # Safety
+    /// The caller advertised `head` in the poll it is in and has not
+    /// taken it back; every slot advertised after it has been.
+    #[inline]
+    pub unsafe fn reclaim(&self, head: NonNull<SlotHead>, promote: bool) {
+        let active = self.active.borrow();
+        let deque = &active
+            .as_ref()
+            .expect("a slot is advertised on the active deque")
+            .handle;
+        // SAFETY: forwarded contract; the closure runs only with the slot
+        // back, when its right half is the owner's.
+        unsafe {
+            task::reclaim(deque, head, || {
+                promote.then(|| self.promoted(SlotHead::promote(head, self.rt.id)))
+            });
+        }
+    }
+
+    /// Promotes the never-advertised slot at `head` and pushes the task as
+    /// a spawn would.
+    ///
+    /// # Safety
+    /// As for [`SlotHead::promote`]: the slot is this poll's own.
+    pub unsafe fn promote(&self, head: NonNull<SlotHead>) {
+        // SAFETY: forwarded contract.
+        let task = unsafe { SlotHead::promote(head, self.rt.id) };
+        self.push_spawned(self.promoted(task));
+    }
+
+    /// Counts a task promoted from a fork's slot on this worker.
+    fn promoted(&self, task: TaskRef) -> TaskRef {
+        let c = self.ctr();
+        c.bump(&c.tasks_spawned);
+        c.bump(&c.forks_promoted);
+        task
+    }
+
+    /// Runs `f` one inline level deeper — a right half polled in place.
+    #[inline]
+    pub fn inline<R>(&self, f: impl FnOnce() -> R) -> R {
+        /// Restores the depth, also on unwind.
+        struct Depth<'a>(&'a Cell<u32>);
+        impl Drop for Depth<'_> {
+            fn drop(&mut self) {
+                self.0.set(self.0.get() - 1);
+            }
+        }
+        self.inline_depth.set(self.inline_depth.get() + 1);
+        let _depth = Depth(&self.inline_depth);
+        f()
     }
 
     /// Buffers a `QUEUED` task woken on this thread; the worker loop
@@ -474,7 +565,7 @@ fn try_register_deque() -> Option<SuspensionRegistration> {
 /// at allocation.
 struct OwnedDeque {
     global: DequeId,
-    handle: Rc<WorkerHandle<TaskRef>>,
+    handle: Rc<WorkerHandle<Job>>,
     suspend_ctr: u64,
     resumed: Vec<TaskRef>,
     in_ready: bool,
@@ -586,7 +677,7 @@ impl Worker {
                 self.drain_resumes();
                 self.maybe_forced_switch();
                 if let Some(a) = self.active {
-                    self.assigned = self.owned[a].handle.pop_bottom();
+                    self.assigned = self.owned[a].handle.pop_bottom().map(Job::task_of_owner);
                 }
             } else {
                 self.idle_step();
@@ -634,7 +725,7 @@ impl Worker {
         self.flush_pending();
         if self.assigned.is_none() {
             if let Some(a) = self.active {
-                self.assigned = self.owned[a].handle.pop_bottom();
+                self.assigned = self.owned[a].handle.pop_bottom().map(Job::task_of_owner);
             }
         }
         if self.assigned.is_none() && self.active.is_none() && self.ready.is_empty() {
@@ -745,7 +836,7 @@ impl Worker {
             // fresh deque.
             let a = self.active_or_new();
             for t in pending.drain(..) {
-                self.owned[a].handle.push_bottom(t);
+                self.owned[a].handle.push_bottom(Job::task(t));
             }
         }
         self.pending_scratch = pending;
@@ -817,7 +908,7 @@ impl Worker {
                 self.ctr().bump(&self.ctr().resumes_rerouted);
                 if ev.task.try_claim_for_queue() {
                     let a = self.active_or_new();
-                    self.owned[a].handle.push_bottom(ev.task);
+                    self.owned[a].handle.push_bottom(Job::task(ev.task));
                 }
                 continue;
             }
@@ -845,12 +936,12 @@ impl Worker {
                 // one leaf is just the leaf).
                 let task = vs.into_iter().next().expect("len 1");
                 if task.try_claim_for_queue() {
-                    self.owned[q].handle.push_bottom(task);
+                    self.owned[q].handle.push_bottom(Job::task(task));
                 }
             } else {
                 self.ctr().bump(&self.ctr().pfor_batches);
                 let pfor = crate::pfor::new_pfor_task(&self.rt, vs);
-                self.owned[q].handle.push_bottom(pfor);
+                self.owned[q].handle.push_bottom(Job::task(pfor));
             }
             self.mark_ready(q);
         }
@@ -1171,8 +1262,9 @@ impl Worker {
             if d.freed {
                 continue;
             }
-            while let Some(task) = d.handle.pop_bottom() {
-                salvaged.push(task);
+            // No poll is running, so no slot is in a deque.
+            while let Some(job) = d.handle.pop_bottom() {
+                salvaged.push(job.task_of_owner());
             }
         }
         salvaged

@@ -54,13 +54,31 @@ mod imp {
             self.0.get_mut().unwrap_or_else(PoisonError::into_inner)
         }
     }
+
+    /// Waits until `flag` is set by another thread that sets it at the
+    /// end of a short, bounded step: spins a little, then yields the CPU
+    /// between looks, so a setter that lost its CPU gets it back. The
+    /// same name as `lhws_checkrt::sync::spin_until`, which turns the
+    /// wait into a blocking one the model checker can schedule.
+    pub fn spin_until(flag: &AtomicBool) {
+        const SPINS: u32 = 64;
+        let mut spins = 0;
+        while !flag.load(super::Ordering::Acquire) {
+            if spins < SPINS {
+                spins += 1;
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
+        }
+    }
 }
 
 #[cfg(lhws_check)]
 mod imp {
     pub use lhws_checkrt::sync::{
-        fence, AtomicBool, AtomicIsize, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Mutex,
-        MutexGuard, OnceLock,
+        fence, spin_until, AtomicBool, AtomicIsize, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize,
+        Mutex, MutexGuard, OnceLock,
     };
 }
 

@@ -461,16 +461,33 @@ fn reactor_runs_on_worker_threads_only() {
     let conns = idle_armed(&rt, &reactor, 2);
     // A resident timer too: it must not need a thread either.
     let sleeper = rt.spawn(lhws_core::simulate_latency(Duration::from_secs(60)));
+    /// The names of this process's `lhws-` threads.
+    fn lhws_threads() -> Vec<String> {
+        std::fs::read_dir("/proc/self/task")
+            .unwrap()
+            .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+            .map(|name| name.trim_end().to_string())
+            .filter(|name| name.starts_with("lhws-"))
+            .collect()
+    }
     let deadline = Instant::now() + WAIT_LIMIT;
     while rt.metrics().suspensions == 0 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(1));
     }
-    let names: Vec<String> = std::fs::read_dir("/proc/self/task")
-        .unwrap()
-        .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
-        .map(|name| name.trim_end().to_string())
-        .filter(|name| name.starts_with("lhws-"))
-        .collect();
+    // A worker names itself once it runs (std sets the name from inside
+    // the new thread), so a census taken too early misses one: wait until
+    // every worker carries its name.
+    let named = |names: &[String]| {
+        names
+            .iter()
+            .filter(|n| n.starts_with("lhws-worker-"))
+            .count()
+    };
+    let mut names = lhws_threads();
+    while named(&names) < rt.workers() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+        names = lhws_threads();
+    }
     assert_eq!(names.len(), rt.workers(), "lhws- threads: {names:?}");
     assert!(
         names.iter().all(|n| n.starts_with("lhws-worker-")),

@@ -485,6 +485,7 @@ fn encode_stats_json(
     push_kv(&mut o, "uptime_ms", uptime.as_millis() as u64);
     push_kv(&mut o, "polls", m.polls);
     push_kv(&mut o, "tasks_spawned", m.tasks_spawned);
+    push_kv(&mut o, "forks_promoted", m.forks_promoted);
     push_kv(&mut o, "steals_attempted", m.steals_attempted);
     push_kv(&mut o, "steals_succeeded", m.steals_succeeded);
     push_kv(&mut o, "suspensions", m.suspensions);

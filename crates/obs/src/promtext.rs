@@ -184,7 +184,7 @@ mod tests {
         let m = lhws_core::MetricsSnapshot::default();
         let text = lhws_core::encode_prometheus(&m, 2, Some(0), &[]);
         let families = parse(&text).expect("own output must validate");
-        assert_eq!(families.len(), 25);
+        assert_eq!(families.len(), 26);
         assert!(families.iter().all(|f| f.help.is_some()));
         assert!(families.iter().all(|f| f.samples.len() == 1));
         let workers = families.iter().find(|f| f.name == "lhws_workers").unwrap();
@@ -209,8 +209,8 @@ mod tests {
         ];
         let text = lhws_core::encode_prometheus(&m, 2, Some(0), &shards);
         let families = parse(&text).expect("own output must validate");
-        // The two per-shard families join the 25 scalar ones.
-        assert_eq!(families.len(), 27);
+        // The two per-shard families join the 26 scalar ones.
+        assert_eq!(families.len(), 28);
         let ev = families
             .iter()
             .find(|f| f.name == "lhws_io_shard_events_total")

@@ -150,16 +150,21 @@ fn forkjoin(rt: &Runtime, depth: u64) -> Result<(), String> {
     if got != want {
         return Err(format!("forkjoin: got {got}, want {want}"));
     }
-    // Unstolen children are popped back and run inside the parent's poll,
-    // faults or not: were every join to suspend its parent (child poll +
-    // parent re-poll) there would be two polls per task.
-    let (polls, spawned) = (
-        after.polls - before.polls,
-        after.tasks_spawned - before.tasks_spawned,
-    );
-    if polls >= 2 * spawned {
+    // Unstolen right halves are taken back and run inside the parent's
+    // poll, faults or not: were every fork to promote its right half, there
+    // would be a task per fork.
+    fn forks(n: u64) -> u64 {
+        if n < 2 {
+            0
+        } else {
+            1 + forks(n - 1) + forks(n - 2)
+        }
+    }
+    let promoted = after.forks_promoted - before.forks_promoted;
+    if promoted >= forks(depth) {
         return Err(format!(
-            "forkjoin: {polls} polls for {spawned} tasks — no join ran its child inline"
+            "forkjoin: {promoted} of {} forks promoted — no fork ran its right half inline",
+            forks(depth)
         ));
     }
     Ok(())

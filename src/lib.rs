@@ -84,6 +84,7 @@ pub use lhws_core::{
     ExternalOp,
     FaultPlan,
     FaultSite,
+    Fork2,
     IoShardSnapshot,
     JoinHandle,
     LatencyFuture,
