@@ -14,7 +14,7 @@
 //!   cache-padded block when possible), the `IoRegister`/`IoReady`/
 //!   `IoDeregister` trace events (routed to the worker's own SPSC ring
 //!   when the calling thread is a worker of this runtime, to the shared
-//!   side buffer otherwise), and the connection fault sites. On a worker
+//!   side ring otherwise), and the connection fault sites. On a worker
 //!   of its runtime a hook reaches the runtime through the worker's own
 //!   thread-local reference; only other threads upgrade a `Weak`.
 //! * [`Driver`] — the harvest and shutdown halves. A runtime has **one**
@@ -277,7 +277,7 @@ impl DriverHooks {
             IoTraceEvent::Deregister { token } => EventKind::IoDeregister { token },
         };
         // The worker's own ring requires being its producer thread;
-        // everything else goes to the side buffer.
+        // everything else goes to the side ring.
         match worker::on_own_worker(self.rt_id, |_, w| w) {
             Some(w) => t.record(w, kind),
             None => t.record_shared(NONE_ID, kind),

@@ -39,7 +39,10 @@
 //! Turn on tracing with [`RuntimeBuilder::trace_capacity`]; every scheduler
 //! decision (steals, suspensions, resumes, deque switches, parks) is then
 //! recorded into per-worker lock-free rings. [`Runtime::observe`] hands out
-//! incremental [`TraceReader`]s, [`Trace::export_chrome`] writes a
+//! incremental [`TraceReader`]s, the rings' only consumers: a reader's
+//! poll after shutdown returns whatever it has not yet seen, and
+//! [`ShutdownReport::trace`] reads every event not yet reclaimed.
+//! [`Trace::export_chrome`] writes a
 //! Chrome-trace/Perfetto JSON timeline, and
 //! [`Trace::stats`](trace::Trace::stats) derives suspension-latency
 //! histograms, steal success rates and per-worker live-deque high-water
@@ -88,9 +91,7 @@ pub use latency::{latency_until, simulate_latency, LatencyFuture, LatencyProfile
 pub use metrics::MetricsSnapshot;
 pub use obs::{encode_prometheus, LiveAudit, Observer};
 pub use runtime::{Runtime, RuntimeError, ShutdownReport};
-pub use trace::{
-    audit, AuditReport, AuditState, LiveStats, Trace, TraceBatch, TraceReader, TraceStats,
-};
+pub use trace::{audit, AuditReport, AuditState, LiveStats, Trace, TraceReader, TraceStats};
 
 /// Model-checker entry points into the fused task (see `lhws-check`).
 pub use task::check_hooks as task_check_hooks;
@@ -151,26 +152,14 @@ where
     Fut: Future<Output = T> + Send + 'static,
     G: Fn(T, T) -> T + Send + Sync + Clone + 'static,
 {
-    Box::pin(async move {
-        let n = hi.saturating_sub(lo);
-        match n {
-            0 => id,
-            1 => f(lo).await,
-            _ => {
-                let piv = lo + n / 2;
-                let (r1, r2) = fork2(
-                    par_map_reduce(lo, piv, f.clone(), g.clone(), id),
-                    // `piv < hi`, so the right half is never empty and
-                    // needs no identity (`T` need not be `Clone`).
-                    par_map_reduce_nonempty(piv, hi, f, g.clone()),
-                )
-                .await;
-                g(r1, r2)
-            }
-        }
-    })
+    if lo >= hi {
+        return Box::pin(std::future::ready(id));
+    }
+    par_map_reduce_nonempty(lo, hi, f, g)
 }
 
+/// [`par_map_reduce`] over a range known to be nonempty, so `T` needs no
+/// identity below the root (and need not be `Clone`).
 fn par_map_reduce_nonempty<T, Ff, Fut, G>(
     lo: u64,
     hi: u64,

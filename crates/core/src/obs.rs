@@ -16,7 +16,8 @@
 //!   overflow-accounted, concurrent with the producers.
 //! * [`LiveAudit`] runs the [`audit`](crate::audit)
 //!   invariant checks *during* the run by folding reader batches into an
-//!   [`AuditState`], instead of waiting for the shutdown trace.
+//!   [`AuditState`], instead of waiting for the shutdown trace; one more
+//!   poll after shutdown folds in the rest.
 //! * [`encode_prometheus`] renders a [`MetricsSnapshot`] in the
 //!   Prometheus text exposition format — hand-rolled, dependency-free,
 //!   stable metric order — which [`Observer::export_prometheus`] serves
@@ -28,7 +29,7 @@ use std::sync::{Arc, Weak};
 use crate::driver::IoShardSnapshot;
 use crate::metrics::MetricsSnapshot;
 use crate::runtime::RtInner;
-use crate::trace::{AuditReport, AuditState, Trace, TraceReader};
+use crate::trace::{AuditReport, AuditState, TraceReader};
 
 /// Observation handle for a live runtime, from
 /// [`Runtime::observe`](crate::Runtime::observe).
@@ -81,7 +82,8 @@ impl Observer {
     }
 
     /// A [`LiveAudit`]: the invariant checker fed by an incremental
-    /// reader, for running [`audit`](crate::audit) *during* the schedule. `None`
+    /// reader, for running [`audit`](crate::audit) *during* the schedule
+    /// and, with one last poll after shutdown, over the whole run. `None`
     /// when tracing is disabled (or the runtime is gone).
     pub fn audit_incremental(&self) -> Option<LiveAudit> {
         let workers = self.workers();
@@ -121,12 +123,11 @@ impl Observer {
 /// Poll it periodically while the runtime executes; monotone violations
 /// (double resume, deque imbalance, double I/O resolution) are flagged
 /// the moment their events are observed —
-/// [`violation_count`](Self::violation_count) grows mid-run. At shutdown,
-/// fold the final drained [`Trace`] with
-/// [`observe_trace`](Self::observe_trace): with a single reader the
-/// drain's leftovers are exactly the events this reader has not seen, so
-/// live batches plus leftovers cover every event exactly once, and
-/// [`report`](Self::report) matches what post-hoc
+/// [`violation_count`](Self::violation_count) grows mid-run. At the end,
+/// [`poll`](Self::poll) once more after
+/// [`Runtime::shutdown`](crate::Runtime::shutdown): the reader's cursor
+/// pins reclamation, so that poll returns every event it has not yet
+/// seen, and [`report`](Self::report) matches what post-hoc
 /// [`audit`](crate::audit) would say about the whole run.
 #[derive(Debug)]
 pub struct LiveAudit {
@@ -147,20 +148,8 @@ impl LiveAudit {
     pub fn poll(&mut self) -> usize {
         let batch = self.reader.poll_events();
         self.state.observe(&batch.events);
-        self.state.observe_dropped(batch.dropped + batch.missed);
+        self.state.observe_dropped(batch.dropped);
         batch.events.len()
-    }
-
-    /// Folds a destructively drained [`Trace`] (normally the shutdown
-    /// report's) into the audit. Only the *residual* drop count — loss
-    /// not already surfaced through this reader's poll deltas — is
-    /// added, since a drained trace reports the cumulative total. Do not
-    /// [`poll`](Self::poll) again afterwards: the drain already freed
-    /// these events, so a later poll would double-count them as missed.
-    pub fn observe_trace(&mut self, trace: &Trace) {
-        self.state.observe(&trace.events);
-        let residual = trace.dropped.saturating_sub(self.reader.dropped_seen());
-        self.state.observe_dropped(residual);
     }
 
     /// Violations flagged so far by the streaming (monotone) checks.

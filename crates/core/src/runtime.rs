@@ -652,7 +652,7 @@ impl Runtime {
             poisoned_worker: self.inner.poisoned_worker(),
             faults_injected: self.inner.faults.as_ref().map_or(0, |f| f.injected_total()),
             metrics,
-            trace: self.inner.tracer.as_ref().map(|t| t.drain()),
+            trace: self.inner.tracer.as_ref().map(|t| t.snapshot()),
         }
     }
 
@@ -709,7 +709,11 @@ impl Runtime {
 pub struct ShutdownReport {
     /// Final metrics counters.
     pub metrics: MetricsSnapshot,
-    /// Complete event trace, when tracing was enabled.
+    /// The event trace, when tracing was enabled: every ring read from
+    /// its reclaim frontier to its tail, consuming nothing. With no
+    /// reader registered that is the whole run; with readers it starts at
+    /// the slowest one's cursor, and each reader's next poll still
+    /// returns everything it has not yet seen.
     pub trace: Option<Trace>,
     /// Suspensions registered but never resumed — tasks that were still
     /// parked (on timers, channels, or external ops) when shutdown cut

@@ -305,8 +305,7 @@ impl AuditState {
     }
 
     /// Accounts events lost before they could be observed (ring overflow
-    /// reported by [`TraceBatch::dropped`](crate::trace::TraceBatch) or a
-    /// [`Trace`]'s `dropped`). Any loss makes the final report
+    /// reported by a [`Trace`]'s `dropped`, whole-run or per poll). Any loss makes the final report
     /// inconclusive: absence of a paired event proves nothing.
     pub fn observe_dropped(&mut self, dropped: u64) {
         self.dropped += dropped;

@@ -8,25 +8,24 @@
 //! aggregate counter. This module records the schedule itself:
 //!
 //! * Each worker owns a **lock-free, fixed-capacity SPSC ring**
-//!   (cache-padded): the worker is the only producer, the
-//!   collector ([`Trace`] snapshots) the only consumer. Recording an
+//!   (cache-padded): the worker is its only producer. Recording an
 //!   event is a clock read plus two relaxed-ish atomics and one slot
 //!   write — never a lock, never an allocation.
 //! * Events produced off the worker threads (injections, external
 //!   completions' resume deliveries, unparks from arbitrary producers) go
-//!   to a bounded mutex-protected side buffer; those paths already take
-//!   locks, so the mutex adds nothing.
-//! * When the ring is full the **newest event is dropped** and counted
+//!   to one more ring, ring `P`, whose producers a mutex serializes;
+//!   those paths already take locks, so the mutex adds nothing.
+//! * When a ring is full the **newest event is dropped** and counted
 //!   ([`Trace::dropped`]); existing events are never overwritten, so the
-//!   recorded prefix of each worker's history is always contiguous.
-//! * Consumption is either **destructive** (the shutdown drain into a
-//!   [`Trace`]) or **incremental**: a [`TraceReader`] holds a cursor per
-//!   ring and polls non-destructively while producers keep recording
-//!   ([`TraceReader::poll_events`]). Slots are reclaimed at the slowest
-//!   reader's cursor, so two readers on one ring see every event
-//!   independently, and a reader that falls behind a drain (or another
-//!   consumer's reclaim) is told exactly how many events it *missed* —
-//!   loss is always counted, never silent.
+//!   recorded prefix of each ring's history is always contiguous.
+//! * Nothing consumes an event but reclaim. A [`TraceReader`] holds a
+//!   cursor per ring and polls while producers keep recording
+//!   ([`TraceReader::poll_events`]); slots are reclaimed at the slowest
+//!   registered reader's cursor, so two readers see every event
+//!   independently and no reader is ever passed. The shutdown trace is
+//!   a read of every ring from its reclaim frontier to its tail: with no
+//!   reader registered it is the whole run, and a reader's poll after
+//!   shutdown returns every event that reader has not yet seen.
 //! * Tracing is enabled by [`crate::Config::trace_capacity`] (or
 //!   `RuntimeBuilder::trace_capacity`); when disabled (the default) every record
 //!   site is one branch on an `Option` that is always `None` — the hot
@@ -51,21 +50,20 @@
 
 mod audit;
 mod export;
+mod ring;
 mod stats;
 
 pub use audit::{audit, AuditReport, AuditState};
 pub use stats::{LatencyHistogram, LiveStats, TraceStats};
 
-use std::cell::UnsafeCell;
-use std::collections::VecDeque;
 use std::fmt;
-use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
 use crate::metrics::CachePadded;
 use crate::sync::Mutex;
+use ring::Ring;
 
 /// Sentinel worker/deque index for "not applicable / off-runtime".
 pub const NONE_ID: u32 = u32::MAX;
@@ -232,7 +230,7 @@ pub enum EventKind {
     },
 }
 
-/// A timestamped event recorded by worker `worker` (or, for side-buffer
+/// A timestamped event recorded by worker `worker` (or, for side-ring
 /// events, *concerning* that worker; [`NONE_ID`] when unattributable).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
@@ -244,113 +242,13 @@ pub struct TraceEvent {
     pub kind: EventKind,
 }
 
-/// Fixed-capacity SPSC ring. The producing worker writes `tail`, the
-/// (mutex-serialized) consumers advance `head`. Full ring ⇒ the new
-/// event is dropped and counted, never overwriting history.
-///
-/// `head` and `tail` are *absolute* monotonically increasing positions
-/// (masked into the slot array on access), which is what makes cursor
-/// readers possible: a reader remembers the next absolute position it
-/// has not yet seen, and `head` is simply the reclaim frontier — the
-/// position below which slots may be reused by the producer.
-struct Ring {
-    slots: Box<[UnsafeCell<MaybeUninit<TraceEvent>>]>,
-    mask: usize,
-    head: AtomicUsize,
-    tail: AtomicUsize,
-    dropped: AtomicU64,
-}
-
-// SAFETY: the slots hold `TraceEvent`s, which are plain `Copy` data that
-// any thread may own.
-unsafe impl Send for Ring {}
-// SAFETY: a slot is written only by the ring's one producer, and only
-// outside `head..tail`; it is read only by the one consumer (callers hold
-// the collector lock), and only inside `head..tail`. The Release store
-// that moves `tail` past a write, and the one that moves `head` past a
-// read, hand the slot from one side to the other, so no slot is written
-// and read at once. `TraceEvent` is `Copy`: a read never sees a
-// half-dropped value.
-unsafe impl Sync for Ring {}
-
-impl Ring {
-    fn with_capacity(capacity: usize) -> Ring {
-        let capacity = capacity.max(2).next_power_of_two();
-        Ring {
-            slots: (0..capacity)
-                .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
-                .collect(),
-            mask: capacity - 1,
-            head: AtomicUsize::new(0),
-            tail: AtomicUsize::new(0),
-            dropped: AtomicU64::new(0),
-        }
-    }
-
-    /// Producer side: append or drop-and-count.
-    #[inline]
-    fn push(&self, ev: TraceEvent) {
-        let tail = self.tail.load(Ordering::Relaxed);
-        let head = self.head.load(Ordering::Acquire);
-        if tail.wrapping_sub(head) > self.mask {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        // SAFETY: this is the one producer, and `tail` is outside
-        // `head..tail` with room to spare (checked above against the
-        // Acquire load of `head`, which the consumer moves past a slot
-        // only after reading it), so no reader touches the slot.
-        unsafe { (*self.slots[tail & self.mask].get()).write(ev) };
-        self.tail.store(tail.wrapping_add(1), Ordering::Release);
-    }
-
-    /// Consumer side (callers hold the collector lock).
-    fn pop(&self) -> Option<TraceEvent> {
-        let head = self.head.load(Ordering::Relaxed);
-        let tail = self.tail.load(Ordering::Acquire);
-        if head == tail {
-            return None;
-        }
-        // SAFETY: this is the one consumer and `head < tail`: the
-        // producer wrote the slot before its Release store of `tail`,
-        // which the Acquire load above saw, and will not rewrite it until
-        // `head` moves past it.
-        let ev = unsafe { (*self.slots[head & self.mask].get()).assume_init_read() };
-        self.head.store(head.wrapping_add(1), Ordering::Release);
-        Some(ev)
-    }
-
-    /// Non-destructive read of absolute position `pos`. Caller holds the
-    /// collector lock and has checked `head <= pos < tail`: the producer
-    /// never rewrites a slot in that range (push refuses when the ring is
-    /// full rather than overwrite), and `head` only moves under the same
-    /// lock, so the slot is stable for the duration of the read.
-    fn read_at(&self, pos: usize) -> TraceEvent {
-        // SAFETY: the caller's contract above: the slot is initialised and
-        // stable for the read.
-        unsafe { (*self.slots[pos & self.mask].get()).assume_init_read() }
-    }
-}
-
-/// Off-worker events with an absolute base index, so cursor readers can
-/// address the side buffer the same way they address the rings.
-#[derive(Default)]
-struct SharedBuf {
-    events: VecDeque<TraceEvent>,
-    /// Absolute position of `events[0]`: `base` events have already been
-    /// reclaimed (drained or passed by every reader).
-    base: usize,
-}
-
 /// One registered reader's cursor state. Lives inside the `collect`
-/// mutex so every consumer — readers and the destructive drain — is
-/// serialized and the rings stay single-consumer.
+/// mutex, so every read — reader polls and the shutdown trace — is
+/// serialized against reclaim.
 struct ReaderCursors {
     id: u64,
-    /// Next absolute position to read, one cursor per worker ring.
+    /// Next absolute position to read, one cursor per ring.
     rings: Vec<usize>,
-    /// Next absolute side-buffer position to read.
-    shared: usize,
     /// Producer-side overflow total already surfaced to this reader
     /// (baseline for per-poll `dropped` deltas).
     dropped_seen: u64,
@@ -363,35 +261,38 @@ struct ReaderSet {
     next_id: u64,
 }
 
-/// The runtime's event recorder: one ring per worker plus the shared side
-/// buffer. Lives behind `Option<Arc<_>>` in the runtime — `None` is the
-/// entire cost of disabled tracing.
+/// The runtime's event recorder: one ring per worker, then ring `P` for
+/// events recorded off the worker threads. Lives behind
+/// `Option<Arc<_>>` in the runtime — `None` is the entire cost of
+/// disabled tracing.
 pub(crate) struct Tracer {
     rings: Box<[CachePadded<Ring>]>,
-    /// Off-worker events (injections, deliveries, unparks).
-    shared: Mutex<SharedBuf>,
-    shared_capacity: usize,
-    shared_dropped: AtomicU64,
-    /// Serializes consumers (readers and the destructive drain) so the
-    /// rings stay single-consumer, and registers the readers' cursors.
+    /// Serializes the producers of ring `P` (injections, deliveries,
+    /// unparks), keeping it single-producer.
+    shared: Mutex<()>,
+    /// Serializes reads against reclaim, and registers the readers'
+    /// cursors.
     collect: Mutex<ReaderSet>,
     epoch: Instant,
 }
 
 impl Tracer {
-    /// Creates a tracer for `workers` rings of (at least) `capacity`
-    /// events each.
+    /// Creates a tracer for `workers` rings, plus the side ring, of (at
+    /// least) `capacity` events each.
     pub fn new(workers: usize, capacity: usize) -> Tracer {
         Tracer {
-            rings: (0..workers)
+            rings: (0..=workers)
                 .map(|_| CachePadded::new(Ring::with_capacity(capacity)))
                 .collect(),
-            shared: Mutex::new(SharedBuf::default()),
-            shared_capacity: capacity.max(2).next_power_of_two(),
-            shared_dropped: AtomicU64::new(0),
+            shared: Mutex::new(()),
             collect: Mutex::new(ReaderSet::default()),
             epoch: Instant::now(),
         }
+    }
+
+    /// Number of worker rings (the side ring not counted).
+    fn workers(&self) -> usize {
+        self.rings.len() - 1
     }
 
     /// Nanoseconds since the trace epoch.
@@ -412,60 +313,61 @@ impl Tracer {
     }
 
     /// Records an event from an arbitrary thread, attributed to `worker`
-    /// (or [`NONE_ID`]). Goes to the mutex-protected side buffer.
+    /// (or [`NONE_ID`]). Goes to the side ring, under its producer lock.
     pub fn record_shared(&self, worker: u32, kind: EventKind) {
         let ev = TraceEvent {
             ts: self.now(),
             worker,
             kind,
         };
-        let mut buf = self.shared.lock();
-        if buf.events.len() >= self.shared_capacity {
-            self.shared_dropped.fetch_add(1, Ordering::Relaxed);
-        } else {
-            buf.events.push_back(ev);
-        }
+        let _producer = self.shared.lock();
+        self.rings[self.workers()].push(ev);
     }
 
-    /// Total events lost to producer-side overflow (ring full, side
-    /// buffer full) over the tracer's lifetime.
+    /// Total events lost to producer-side overflow over the tracer's
+    /// lifetime.
     pub fn dropped_total(&self) -> u64 {
-        let mut d = self.shared_dropped.load(Ordering::Relaxed);
-        for ring in self.rings.iter() {
-            d += ring.dropped.load(Ordering::Relaxed);
-        }
-        d
+        self.rings
+            .iter()
+            .map(|ring| ring.dropped.load(Ordering::Relaxed))
+            .sum()
     }
 
-    /// Drains every ring and the side buffer into a [`Trace`] snapshot,
-    /// sorted by timestamp. Events recorded concurrently with the drain
-    /// land in the next snapshot. Destructive: registered readers that
-    /// had not yet seen the drained events count them as missed on their
-    /// next poll.
-    pub fn drain(&self) -> Trace {
+    /// Every event not yet reclaimed — each ring from its reclaim
+    /// frontier to its tail — as a [`Trace`] sorted by timestamp.
+    /// Consumes nothing: a registered reader still sees these events on
+    /// its next poll.
+    pub fn snapshot(&self) -> Trace {
         let _guard = self.collect.lock();
+        self.read(&mut self.frontier(), self.dropped_total())
+    }
+
+    /// Each ring's reclaim frontier. Callers hold the collector lock.
+    fn frontier(&self) -> Vec<usize> {
+        self.rings
+            .iter()
+            .map(|r| r.head.load(Ordering::Relaxed))
+            .collect()
+    }
+
+    /// Reads every ring from its cursor to its tail, moving the cursors
+    /// there, into a [`Trace`] sorted by timestamp. Callers hold the
+    /// collector lock.
+    fn read(&self, cursors: &mut [usize], dropped: u64) -> Trace {
         let mut events = Vec::new();
-        for ring in self.rings.iter() {
-            while let Some(ev) = ring.pop() {
-                events.push(ev);
-            }
-        }
-        {
-            let mut buf = self.shared.lock();
-            let n = buf.events.len();
-            events.extend(buf.events.drain(..));
-            buf.base += n;
+        for (ring, cur) in self.rings.iter().zip(cursors) {
+            *cur = ring.read_to_tail(*cur, &mut events);
         }
         events.sort_by_key(|e| e.ts);
         Trace {
             events,
-            dropped: self.dropped_total(),
-            workers: self.rings.len(),
+            dropped,
+            workers: self.workers(),
         }
     }
 
     /// Registers a new incremental reader. Its cursors start at the
-    /// current reclaim frontier: everything not yet consumed is visible,
+    /// current reclaim frontier: everything not yet reclaimed is visible,
     /// nothing is delivered twice.
     pub fn new_reader(self: &Arc<Self>) -> TraceReader {
         let mut set = self.collect.lock();
@@ -473,12 +375,7 @@ impl Tracer {
         set.next_id += 1;
         set.readers.push(ReaderCursors {
             id,
-            rings: self
-                .rings
-                .iter()
-                .map(|r| r.head.load(Ordering::Acquire))
-                .collect(),
-            shared: self.shared.lock().base,
+            rings: self.frontier(),
             dropped_seen: self.dropped_total(),
         });
         drop(set);
@@ -488,89 +385,32 @@ impl Tracer {
         }
     }
 
-    /// One non-destructive poll for reader `id`: reads every ring and the
-    /// side buffer up to their current tails, advances the reader's
-    /// cursors, then reclaims slots behind the slowest reader.
-    fn poll_reader(&self, id: u64) -> TraceBatch {
+    /// One poll for reader `id`: reads every ring up to its current tail,
+    /// advances the reader's cursors, then reclaims slots behind the
+    /// slowest reader.
+    fn poll_reader(&self, id: u64) -> Trace {
         let mut set = self.collect.lock();
-        let idx = set
+        let reader = set
             .readers
-            .iter()
-            .position(|r| r.id == id)
-            .expect("reader is registered until dropped");
-        let mut events = Vec::new();
-        let mut missed = 0u64;
-        for (r, ring) in self.rings.iter().enumerate() {
-            let head = ring.head.load(Ordering::Acquire);
-            let tail = ring.tail.load(Ordering::Acquire);
-            let cur = &mut set.readers[idx].rings[r];
-            if *cur < head {
-                // Another consumer (a drain, or reclaim on behalf of a
-                // faster co-reader that has since unregistered) freed
-                // events this reader never saw.
-                missed += (head - *cur) as u64;
-                *cur = head;
-            }
-            while *cur < tail {
-                events.push(ring.read_at(*cur));
-                *cur += 1;
-            }
-        }
-        {
-            let buf = self.shared.lock();
-            let cur = &mut set.readers[idx].shared;
-            if *cur < buf.base {
-                missed += (buf.base - *cur) as u64;
-                *cur = buf.base;
-            }
-            while *cur < buf.base + buf.events.len() {
-                events.push(buf.events[*cur - buf.base]);
-                *cur += 1;
-            }
-        }
-        let total = self.dropped_total();
-        let dropped = total.saturating_sub(set.readers[idx].dropped_seen);
-        set.readers[idx].dropped_seen = total;
-        self.reclaim(&set);
-        events.sort_by_key(|e| e.ts);
-        TraceBatch {
-            events,
-            dropped,
-            missed,
-            workers: self.rings.len(),
-        }
-    }
-
-    /// Overflow total already surfaced to reader `id` through its poll
-    /// deltas (the baseline for folding a final destructive drain into an
-    /// incremental consumer without double-counting drops).
-    fn reader_dropped_seen(&self, id: u64) -> u64 {
-        self.collect
-            .lock()
-            .readers
-            .iter()
+            .iter_mut()
             .find(|r| r.id == id)
-            .map_or(0, |r| r.dropped_seen)
+            .expect("reader is registered until dropped");
+        let total = self.dropped_total();
+        let dropped = total.saturating_sub(reader.dropped_seen);
+        reader.dropped_seen = total;
+        let trace = self.read(&mut reader.rings, dropped);
+        self.reclaim(&set);
+        trace
     }
 
-    /// Advances each ring's head (and the side buffer's base) to the
-    /// slowest registered reader's cursor, freeing the slots every reader
-    /// has passed. With no readers the frontier is left alone — only the
-    /// destructive drain consumes then.
+    /// Moves each ring's reclaim frontier to the slowest registered
+    /// reader's cursor, freeing the slots every reader has passed. With
+    /// no readers the frontier stays put, so no reader is ever passed.
     fn reclaim(&self, set: &ReaderSet) {
-        if set.readers.is_empty() {
-            return;
-        }
         for (r, ring) in self.rings.iter().enumerate() {
-            let min = set.readers.iter().map(|c| c.rings[r]).min().unwrap();
-            if min > ring.head.load(Ordering::Relaxed) {
+            if let Some(min) = set.readers.iter().map(|c| c.rings[r]).min() {
                 ring.head.store(min, Ordering::Release);
             }
-        }
-        let min = set.readers.iter().map(|c| c.shared).min().unwrap();
-        let mut buf = self.shared.lock();
-        while buf.base < min && buf.events.pop_front().is_some() {
-            buf.base += 1;
         }
     }
 
@@ -587,18 +427,19 @@ impl Tracer {
 ///
 /// Obtained from [`Observer::trace_reader`](crate::obs::Observer::trace_reader).
 /// Each [`poll_events`](TraceReader::poll_events) call returns every event
-/// recorded since the previous call (across all rings and the side
-/// buffer, timestamp-sorted), concurrently with producers — no event is
-/// ever returned twice to the same reader, and multiple readers on the
-/// same runtime each get an independent cursor. Slots are only reclaimed
-/// once every registered reader has passed them, so a second reader costs
-/// ring capacity, not correctness.
+/// recorded since the previous call (across all rings, timestamp-sorted),
+/// concurrently with producers — no event is ever returned twice to the
+/// same reader, and multiple readers on the same runtime each get an
+/// independent cursor. Slots are only reclaimed once every registered
+/// reader has passed them, so a second reader costs ring capacity, not
+/// correctness, and no reader is ever passed. The reader outlives the
+/// runtime: a poll after [`Runtime::shutdown`](crate::Runtime::shutdown)
+/// returns every event it has not yet seen.
 ///
-/// Loss is accounted, never silent: [`TraceBatch::dropped`] reports
+/// Loss is accounted, never silent: a poll's [`Trace::dropped`] reports
 /// producer-side ring overflow since the last poll (raise
 /// [`Config::trace_capacity`](crate::Config::trace_capacity) or poll more
-/// often), and [`TraceBatch::missed`] reports events another consumer (a
-/// destructive drain) freed before this reader saw them.
+/// often).
 pub struct TraceReader {
     tracer: Arc<Tracer>,
     id: u64,
@@ -608,29 +449,23 @@ impl fmt::Debug for TraceReader {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TraceReader")
             .field("id", &self.id)
-            .field("workers", &self.tracer.rings.len())
+            .field("workers", &self.tracer.workers())
             .finish()
     }
 }
 
 impl TraceReader {
-    /// Polls every ring and the side buffer for events recorded since the
-    /// last poll. Non-destructive with respect to other readers; each
-    /// batch is a consistent cut (every ring read up to its tail at poll
-    /// time), sorted by timestamp.
-    pub fn poll_events(&mut self) -> TraceBatch {
+    /// Polls every ring for events recorded since the last poll. Each
+    /// result is a consistent cut (every ring read up to its tail at poll
+    /// time), sorted by timestamp; its `dropped` counts the overflow
+    /// since the last poll.
+    pub fn poll_events(&mut self) -> Trace {
         self.tracer.poll_reader(self.id)
     }
 
     /// Number of worker rings this reader covers.
     pub fn workers(&self) -> usize {
-        self.tracer.rings.len()
-    }
-
-    /// Producer-side overflow total already surfaced through this
-    /// reader's poll deltas.
-    pub(crate) fn dropped_seen(&self) -> u64 {
-        self.tracer.reader_dropped_seen(self.id)
+        self.tracer.workers()
     }
 }
 
@@ -640,52 +475,18 @@ impl Drop for TraceReader {
     }
 }
 
-/// One [`TraceReader::poll_events`] result: the events recorded since the
-/// previous poll, plus per-reader loss accounting.
-#[derive(Debug, Clone, Default)]
-pub struct TraceBatch {
-    /// Events recorded since the last poll, sorted by timestamp.
-    pub events: Vec<TraceEvent>,
-    /// Events lost to producer-side ring overflow since the last poll
-    /// (recorded nowhere; raise the trace capacity or poll faster).
-    pub dropped: u64,
-    /// Events another consumer (a destructive drain) reclaimed before
-    /// this reader saw them — they exist in that consumer's snapshot,
-    /// just not in this reader's stream.
-    pub missed: u64,
-    /// Number of worker rings polled.
-    pub workers: usize,
-}
-
-impl TraceBatch {
-    /// True when the poll returned nothing and lost nothing.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty() && self.dropped == 0 && self.missed == 0
-    }
-
-    /// Converts the batch into a standalone [`Trace`]. Both loss kinds
-    /// fold into [`Trace::dropped`]: from this batch's point of view a
-    /// missed event is as gone as an overflowed one, and the auditor must
-    /// treat the trace as incomplete either way.
-    pub fn into_trace(self) -> Trace {
-        Trace {
-            events: self.events,
-            dropped: self.dropped + self.missed,
-            workers: self.workers,
-        }
-    }
-}
-
-/// A drained snapshot of the runtime's event history.
+/// A read of the runtime's event history.
 ///
-/// Obtained from [`Runtime::shutdown`](crate::Runtime::shutdown) (complete
-/// and quiescent) or from [`TraceBatch::into_trace`] (one incremental
-/// reader poll).
+/// Obtained from [`Runtime::shutdown`](crate::Runtime::shutdown) (every
+/// event not yet reclaimed, quiescent) or from
+/// [`TraceReader::poll_events`] (the events since that reader's last
+/// poll).
 #[derive(Debug, Clone)]
 pub struct Trace {
     /// All recorded events, sorted by timestamp.
     pub events: Vec<TraceEvent>,
-    /// Events lost to ring overflow (raise
+    /// Events lost to ring overflow: the lifetime total in a shutdown
+    /// trace, the total since the last poll in a reader's (raise
     /// [`Config::trace_capacity`](crate::Config::trace_capacity) if
     /// non-zero and completeness matters).
     pub dropped: u64,
@@ -725,16 +526,23 @@ mod tests {
         }
     }
 
+    fn timestamps(events: &[TraceEvent]) -> Vec<u64> {
+        events.iter().map(|e| e.ts).collect()
+    }
+
     #[test]
     fn ring_roundtrip_in_order() {
         let r = Ring::with_capacity(8);
         for i in 0..5 {
             r.push(ev(i, EventKind::Park));
         }
-        for i in 0..5 {
-            assert_eq!(r.pop().unwrap().ts, i);
-        }
-        assert!(r.pop().is_none());
+        let mut got = Vec::new();
+        assert_eq!(r.read_to_tail(0, &mut got), 5);
+        assert_eq!(timestamps(&got), vec![0, 1, 2, 3, 4]);
+        // A read consumes nothing: the same range reads the same again.
+        let mut again = Vec::new();
+        r.read_to_tail(0, &mut again);
+        assert_eq!(again, got);
     }
 
     #[test]
@@ -745,66 +553,57 @@ mod tests {
         }
         assert_eq!(r.dropped.load(Ordering::Relaxed), 2);
         // The *oldest* events survive.
-        let got: Vec<u64> = std::iter::from_fn(|| r.pop()).map(|e| e.ts).collect();
-        assert_eq!(got, vec![0, 1, 2, 3]);
+        let mut got = Vec::new();
+        r.read_to_tail(0, &mut got);
+        assert_eq!(timestamps(&got), vec![0, 1, 2, 3]);
     }
 
     #[test]
     fn ring_wraps_after_drain() {
         let r = Ring::with_capacity(4);
+        let mut got = Vec::new();
         for round in 0..10u64 {
             r.push(ev(round, EventKind::Park));
-            assert_eq!(r.pop().unwrap().ts, round);
+            // Read the event, then free its slot as reclaim does.
+            let tail = r.read_to_tail(r.head.load(Ordering::Relaxed), &mut got);
+            r.head.store(tail, Ordering::Release);
         }
+        assert_eq!(timestamps(&got), (0..10).collect::<Vec<_>>());
         assert_eq!(r.dropped.load(Ordering::Relaxed), 0);
     }
 
     #[test]
-    fn ring_spsc_concurrent() {
-        let r = std::sync::Arc::new(Ring::with_capacity(1 << 12));
-        let n = 100_000u64;
-        let producer = {
-            let r = r.clone();
-            std::thread::spawn(move || {
-                for i in 0..n {
-                    r.push(ev(i, EventKind::Park));
-                }
-            })
-        };
-        let mut last = None;
-        let mut got = 0u64;
-        while got < n {
-            if let Some(e) = r.pop() {
-                // Order is preserved even if overflow dropped some.
-                if let Some(prev) = last {
-                    assert!(e.ts > prev);
-                }
-                last = Some(e.ts);
-                got += 1;
-            }
-            if got + r.dropped.load(Ordering::Relaxed) >= n && r.pop().is_none() {
-                break;
-            }
-        }
-        producer.join().unwrap();
-        while r.pop().is_some() {
-            got += 1;
-        }
-        assert_eq!(got + r.dropped.load(Ordering::Relaxed), n);
-    }
-
-    #[test]
-    fn tracer_drain_merges_and_sorts() {
+    fn tracer_snapshot_merges_and_sorts() {
         let t = Tracer::new(2, 64);
         t.record(1, EventKind::Park);
         t.record(0, EventKind::Park);
         t.record_shared(NONE_ID, EventKind::Inject);
-        let trace = t.drain();
+        let trace = t.snapshot();
         assert_eq!(trace.events.len(), 3);
         assert_eq!(trace.workers, 2);
         assert!(trace.events.windows(2).all(|w| w[0].ts <= w[1].ts));
-        // Second drain starts empty.
-        assert!(t.drain().events.is_empty());
+        // A snapshot consumes nothing.
+        assert_eq!(t.snapshot().events, trace.events);
+    }
+
+    #[test]
+    fn snapshot_leaves_every_event_to_readers() {
+        let t = std::sync::Arc::new(Tracer::new(1, 64));
+        let mut r = t.new_reader();
+        t.record(0, EventKind::Park);
+        t.record(0, EventKind::Park);
+        t.record_shared(NONE_ID, EventKind::Inject);
+        let snap = t.snapshot();
+        assert_eq!(snap.events.len(), 3);
+        // The reader still sees exactly what the snapshot read.
+        let b = r.poll_events();
+        assert_eq!(b.events, snap.events);
+        assert_eq!(b.dropped, snap.dropped);
+        // Its poll moved the frontier: a later snapshot starts there.
+        assert!(t.snapshot().events.is_empty());
+        t.record(0, EventKind::Park);
+        assert_eq!(t.snapshot().events.len(), 1);
+        assert_eq!(r.poll_events().events.len(), 1);
     }
 
     #[test]
@@ -816,8 +615,8 @@ mod tests {
         t.record_shared(NONE_ID, EventKind::Inject);
         let b = r.poll_events();
         assert_eq!(b.events.len(), 3);
-        assert_eq!((b.dropped, b.missed), (0, 0));
-        assert!(r.poll_events().is_empty());
+        assert_eq!(b.dropped, 0);
+        assert!(r.poll_events().events.is_empty());
         t.record(0, EventKind::Park);
         assert_eq!(r.poll_events().events.len(), 1);
     }
@@ -843,18 +642,24 @@ mod tests {
     fn slow_reader_overflow_is_counted_not_lost() {
         let t = std::sync::Arc::new(Tracer::new(1, 4));
         let mut r = t.new_reader();
-        // Burst past capacity without polling: 4 stored, 6 dropped.
+        // Burst past capacity without polling, on a worker ring and on
+        // the side ring: 4 + 4 stored, 6 + 2 dropped.
         for _ in 0..10 {
             t.record(0, EventKind::Park);
         }
+        for _ in 0..6 {
+            t.record_shared(NONE_ID, EventKind::Inject);
+        }
         let b = r.poll_events();
-        assert_eq!(b.events.len(), 4);
-        assert_eq!(b.dropped, 6);
-        assert_eq!(b.missed, 0);
+        assert_eq!(b.events.len(), 8);
+        assert_eq!(b.dropped, 8);
+        assert_eq!(b.workers, 1);
         // events + dropped account for every push — nothing silent.
-        assert_eq!(b.events.len() as u64 + b.dropped, 10);
+        assert_eq!(b.events.len() as u64 + b.dropped, 16);
         // The delta was consumed; the next poll reports no new drops.
-        assert!(r.poll_events().is_empty());
+        let next = r.poll_events();
+        assert!(next.events.is_empty());
+        assert_eq!(next.dropped, 0);
     }
 
     #[test]
@@ -899,23 +704,6 @@ mod tests {
     }
 
     #[test]
-    fn drain_past_reader_counts_missed() {
-        let t = std::sync::Arc::new(Tracer::new(1, 64));
-        let mut r = t.new_reader();
-        t.record(0, EventKind::Park);
-        t.record(0, EventKind::Park);
-        t.record_shared(NONE_ID, EventKind::Inject);
-        // A destructive drain consumes events the reader never saw.
-        assert_eq!(t.drain().events.len(), 3);
-        let b = r.poll_events();
-        assert!(b.events.is_empty());
-        assert_eq!(b.missed, 3);
-        // Fresh events flow to the reader again afterwards.
-        t.record(0, EventKind::Park);
-        assert_eq!(r.poll_events().events.len(), 1);
-    }
-
-    #[test]
     fn reader_poll_concurrent_with_producer_sees_everything() {
         let t = std::sync::Arc::new(Tracer::new(1, 1 << 12));
         let n = 50_000u64;
@@ -948,23 +736,9 @@ mod tests {
             }
             seen += b.events.len() as u64;
             dropped += b.dropped;
-            assert_eq!(b.missed, 0);
         }
         producer.join().unwrap();
         let tail = r.poll_events();
         assert_eq!(seen + tail.events.len() as u64 + dropped + tail.dropped, n);
-    }
-
-    #[test]
-    fn batch_into_trace_folds_loss() {
-        let t = std::sync::Arc::new(Tracer::new(1, 4));
-        let mut r = t.new_reader();
-        for _ in 0..6 {
-            t.record(0, EventKind::Park);
-        }
-        let trace = r.poll_events().into_trace();
-        assert_eq!(trace.events.len(), 4);
-        assert_eq!(trace.dropped, 2);
-        assert_eq!(trace.workers, 1);
     }
 }

@@ -35,8 +35,7 @@ fn uniform_steal_half_lands_batches() {
         .observe()
         .trace_reader()
         .expect("tracing enabled")
-        .poll_events()
-        .into_trace();
+        .poll_events();
     if trace.dropped == 0 {
         let s = trace.stats();
         assert_eq!(s.steal_batch_tasks, m.steal_batch_tasks, "{s}");

@@ -1,10 +1,10 @@
 //! Incremental trace-reader property tests, over the public API only.
 //!
 //! The reader plane's contract ([`Observer::trace_reader`]) is exactness
-//! under concurrency: live polls plus the shutdown drain's leftovers
-//! cover every recorded event exactly once; overflow and drain races are
-//! *accounted* (per reader, as `dropped`/`missed`) rather than silently
-//! lost; independent readers have independent cursors; and an audit fed
+//! under concurrency: a reader's live polls plus its one poll after
+//! shutdown cover every recorded event exactly once; overflow is
+//! *accounted* (per reader, as `dropped`) rather than silently lost;
+//! independent readers have independent cursors; and an audit fed
 //! incrementally during the run reaches the same verdict as the post-hoc
 //! auditor over the complete trace.
 
@@ -56,28 +56,27 @@ fn reader_sees_every_event_exactly_once_under_concurrent_load() {
     // Poll concurrently with the producers from this thread while the
     // workload suspends and resumes on the workers.
     let handles = latency_workload(&rt);
-    let mut live: Vec<TraceEvent> = Vec::new();
+    let mut events: Vec<TraceEvent> = Vec::new();
     let mut lost = 0u64;
     let stop = deadline();
     while rt.metrics().resumes < TASKS {
         let batch = reader.poll_events();
-        lost += batch.dropped + batch.missed;
-        live.extend(batch.events);
+        lost += batch.dropped;
+        events.extend(batch.events);
         assert!(Instant::now() < stop, "workload failed to finish");
         std::thread::sleep(Duration::from_micros(200));
     }
     let sum: u64 = rt.block_on(join_all(handles)).into_iter().sum();
     assert_eq!(sum, (0..TASKS).sum::<u64>());
 
-    // The shutdown drain returns exactly what the live polls did not
-    // consume; together they are the complete run.
+    // One poll after shutdown returns exactly what the live polls did
+    // not see: the shutdown trace starts at this reader's cursor.
     let report = rt.shutdown();
-    let leftover = report.trace.expect("tracing enabled");
+    let rest = reader.poll_events();
+    assert_eq!(rest.events, report.trace.expect("tracing enabled").events);
+    lost += rest.dropped;
     assert_eq!(lost, 0, "the ring was sized for the workload");
-    assert_eq!(leftover.dropped, 0);
-
-    let mut events = live;
-    events.extend(leftover.events.iter().copied());
+    events.extend(rest.events);
     events.sort_by_key(|e| e.ts);
 
     // Exactly-once, checked against the independent metrics plane: a
@@ -99,11 +98,11 @@ fn reader_sees_every_event_exactly_once_under_concurrent_load() {
     );
 
     // And the combined stream is coherent end to end: the full auditor
-    // accepts it as if it had been one post-hoc drain.
+    // accepts it as if it had been one post-hoc trace.
     let combined = Trace {
         events,
         dropped: 0,
-        workers: leftover.workers,
+        workers: rest.workers,
     };
     let audit = combined.audit();
     assert!(audit.passed(), "combined stream must audit clean:\n{audit}");
@@ -111,8 +110,33 @@ fn reader_sees_every_event_exactly_once_under_concurrent_load() {
 }
 
 // ---------------------------------------------------------------------
-// Overflow and drain races are accounted, never silent.
+// Polls after shutdown; overflow is accounted, never silent.
 // ---------------------------------------------------------------------
+
+#[test]
+fn poll_after_shutdown_holds_the_shutdown_trace() {
+    // A reader that never polls during the run: the shutdown trace reads
+    // the rings without consuming them, so the reader's first poll after
+    // shutdown holds the very same events and the same loss.
+    let rt = Runtime::builder()
+        .workers(2)
+        .trace_capacity(CAPACITY)
+        .build()
+        .unwrap();
+    let mut reader = rt.observe().trace_reader().expect("tracing enabled");
+    let handles = latency_workload(&rt);
+    rt.block_on(join_all(handles));
+
+    let report = rt.shutdown();
+    let trace = report.trace.expect("tracing enabled");
+    let batch = reader.poll_events();
+    assert_eq!(suspends(&batch.events), report.metrics.suspensions);
+    assert_eq!(batch.events, trace.events);
+    assert_eq!(batch.dropped, trace.dropped);
+    assert!(batch.audit().passed());
+    // And the reader has now seen everything.
+    assert!(reader.poll_events().events.is_empty());
+}
 
 #[test]
 fn overflow_during_slow_reads_is_counted_not_lost() {
@@ -129,32 +153,29 @@ fn overflow_during_slow_reads_is_counted_not_lost() {
     let sum: u64 = rt.block_on(join_all(handles)).into_iter().sum();
     assert_eq!(sum, (0..TASKS).sum::<u64>());
 
-    // The destructive shutdown drain consumes what little the rings
-    // held. The lagging reader's next poll must account for both kinds
-    // of loss: producer overflow (`dropped`) and the drain racing past
-    // its cursor (`missed`).
     let report = rt.shutdown();
-    let leftover = report.trace.expect("tracing enabled");
+    let trace = report.trace.expect("tracing enabled");
     assert!(
-        leftover.dropped > 0,
+        trace.dropped > 0,
         "a 16-slot ring must overflow under {TASKS} suspending tasks"
     );
 
+    // The lagging reader's poll after shutdown holds what the rings
+    // kept, and accounts for every producer-side drop.
     let batch = reader.poll_events();
     assert_eq!(
-        batch.dropped, leftover.dropped,
+        batch.dropped, trace.dropped,
         "every producer-side drop is surfaced to the reader"
     );
+    assert_eq!(batch.events, trace.events);
     assert_eq!(
-        batch.missed,
-        leftover.events.len() as u64,
-        "every event the drain consumed past this cursor counts as missed"
+        batch.events.len() as u64 + batch.dropped,
+        trace.events.len() as u64 + trace.dropped
     );
-    assert!(batch.events.is_empty(), "the drain left nothing behind");
 
-    // Folded into a trace, the loss makes the auditor refuse to certify
-    // rather than pass on absence of evidence.
-    let audit = batch.into_trace().audit();
+    // The loss makes the auditor refuse to certify rather than pass on
+    // absence of evidence.
+    let audit = batch.audit();
     assert!(audit.inconclusive, "loss must make the audit inconclusive");
     assert!(!audit.passed());
 }
@@ -181,11 +202,11 @@ fn two_readers_poll_independent_cursors() {
     // behind the slowest cursor, so a fast co-reader cannot starve a
     // slow one.
     let b1 = r1.poll_events();
-    assert_eq!((b1.dropped, b1.missed), (0, 0));
+    assert_eq!(b1.dropped, 0);
     assert_eq!(suspends(&b1.events), TASKS);
 
     let b2 = r2.poll_events();
-    assert_eq!((b2.dropped, b2.missed), (0, 0));
+    assert_eq!(b2.dropped, 0);
     assert_eq!(
         suspends(&b2.events),
         TASKS,
@@ -222,7 +243,7 @@ fn continuous_audit_matches_posthoc_audit_on_the_same_run() {
     while rt.metrics().resumes < TASKS {
         let batch = reader.poll_events();
         state.observe(&batch.events);
-        state.observe_dropped(batch.dropped + batch.missed);
+        state.observe_dropped(batch.dropped);
         all_events.extend(batch.events);
         assert!(Instant::now() < stop, "chaos workload failed to finish");
         std::thread::sleep(Duration::from_micros(200));
@@ -231,17 +252,17 @@ fn continuous_audit_matches_posthoc_audit_on_the_same_run() {
 
     let report = rt.shutdown();
     assert!(report.poisoned_worker.is_none());
-    let leftover = report.trace.expect("tracing enabled");
-    assert_eq!(leftover.dropped, 0);
-    state.observe(&leftover.events);
-    all_events.extend(leftover.events.iter().copied());
+    let rest = reader.poll_events();
+    assert_eq!(rest.dropped, 0);
+    state.observe(&rest.events);
+    all_events.extend(rest.events);
 
     let live = state.report();
     all_events.sort_by_key(|e| e.ts);
     let posthoc = Trace {
         events: all_events,
         dropped: 0,
-        workers: leftover.workers,
+        workers: reader.workers(),
     }
     .audit();
 
@@ -266,8 +287,8 @@ fn live_audit_verdict_matches_posthoc_across_runs_with_same_seed() {
     // chaos soak matches the verdict of the classic shutdown-time audit.
     let seed = 77u64;
 
-    // Run A: continuous — poll during the run, fold the drain's
-    // leftovers at the end.
+    // Run A: continuous — poll during the run, and once more after
+    // shutdown.
     let rt = Runtime::builder()
         .workers(2)
         .trace_capacity(CAPACITY)
@@ -283,8 +304,8 @@ fn live_audit_verdict_matches_posthoc_across_runs_with_same_seed() {
         std::thread::sleep(Duration::from_micros(200));
     }
     rt.block_on(join_all(handles));
-    let report = rt.shutdown();
-    la.observe_trace(&report.trace.expect("tracing enabled"));
+    rt.shutdown();
+    la.poll();
     let live = la.report();
 
     // Run B: classic — same seed, audit only after shutdown.

@@ -99,7 +99,7 @@ fn traced_run_audits_clean() {
     });
 
     let mut reader = rt.observe().trace_reader().expect("tracing enabled");
-    let trace = reader.poll_events().into_trace();
+    let trace = reader.poll_events();
     let stats = trace.stats();
     assert!(stats.io_registrations > 0);
     let report = audit(&trace);
@@ -350,12 +350,7 @@ fn dropped_readiness_recovers_via_rearm() {
         fork2(serve, drive).await;
     });
 
-    let trace = rt
-        .observe()
-        .trace_reader()
-        .unwrap()
-        .poll_events()
-        .into_trace();
+    let trace = rt.observe().trace_reader().unwrap().poll_events();
     let audit_report = audit(&trace);
     assert!(audit_report.passed(), "audit failed:\n{audit_report}");
     let report = rt.shutdown();

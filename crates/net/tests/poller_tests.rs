@@ -4,7 +4,7 @@
 //! `Runtime::spawn` — through the reactor's kick, not by its park timeout.
 //! `park_micros` is one second, so a timed park cannot hide a lost wake.
 
-use std::sync::mpsc;
+use std::sync::{mpsc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use lhws_core::{external_op, Runtime};
@@ -13,6 +13,17 @@ use lhws_net::Reactor;
 const ROUNDS: usize = 2_000;
 /// Far below the one-second park: only a delivered kick meets it.
 const ROUND_LIMIT: Duration = Duration::from_millis(50);
+
+/// Held for each test's body: the tests time 50 ms rounds, and run side
+/// by side their runtimes' workers would compete for the same CPUs.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    // A failed test poisons the lock; the others still run, one by one.
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn poller_rt(workers: usize) -> (Runtime, Reactor) {
     let rt = Runtime::builder()
@@ -77,20 +88,24 @@ fn user_spawn_rounds(workers: usize) {
 
 #[test]
 fn foreign_completion_wakes_the_lone_poller() {
+    let _serial = serial();
     foreign_complete_rounds(1);
 }
 
 #[test]
 fn user_spawn_wakes_the_lone_poller() {
+    let _serial = serial();
     user_spawn_rounds(1);
 }
 
 #[test]
 fn foreign_completion_wakes_a_poller_among_two() {
+    let _serial = serial();
     foreign_complete_rounds(2);
 }
 
 #[test]
 fn user_spawn_wakes_a_poller_among_two() {
+    let _serial = serial();
     user_spawn_rounds(2);
 }

@@ -66,7 +66,7 @@ impl LiveFold {
     fn fold(&mut self) -> TraceStats {
         let batch = self.reader.poll_events();
         self.stats.observe(&batch.events);
-        self.dropped += batch.dropped + batch.missed;
+        self.dropped += batch.dropped;
         self.stats.stats().clone()
     }
 }

@@ -169,9 +169,9 @@ fn main() -> ExitCode {
     };
 
     // The blessed audit path: an incremental auditor registered up
-    // front. Its unpolled cursor pins ring reclamation, so the shutdown
-    // drain still carries every event — including those the obs
-    // endpoint's own stats reader has already consumed.
+    // front. Its unpolled cursor pins ring reclamation, so its one poll
+    // after shutdown returns every event of the run — including those
+    // the obs endpoint's own stats reader has already read.
     let live_audit = if args.trace {
         Some(rt.observe().audit_incremental().expect("tracing is on"))
     } else {
@@ -277,8 +277,7 @@ fn main() -> ExitCode {
         ok = false;
     }
     if let Some(mut la) = live_audit {
-        let trace = report.trace.as_ref().expect("tracing was enabled");
-        la.observe_trace(trace);
+        la.poll();
         let audit_report = la.report();
         println!("{audit_report}");
         if !audit_report.passed() {

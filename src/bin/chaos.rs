@@ -29,9 +29,10 @@
 //! after it: an incremental [`TraceReader`](lhws::TraceReader) is
 //! polled from a separate thread while the faults fire, feeding an
 //! [`AuditState`] that flags monotone violations the moment they appear.
-//! At shutdown the drain's leftovers are folded in and the streaming
-//! verdict is compared, count for count, against the classic post-hoc
-//! auditor over the reassembled complete trace — they must agree exactly.
+//! The poller's last poll comes after shutdown and folds in the rest of
+//! the run; the streaming verdict is then compared, count for count,
+//! against the classic post-hoc auditor over the reassembled complete
+//! trace — they must agree exactly.
 
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -224,11 +225,12 @@ fn netecho(rt: &Runtime, conns: u64) -> Result<(), String> {
 }
 
 /// Continuous-audit rig for one round: a reader polled from its own
-/// thread for the duration of the soak, streaming batches into an
-/// [`AuditState`] and keeping every event for the post-hoc replay.
+/// thread for the duration of the soak and through shutdown, streaming
+/// batches into an [`AuditState`] and keeping every event for the
+/// post-hoc replay.
 struct LiveAuditRig {
     stop: Arc<AtomicBool>,
-    poller: std::thread::JoinHandle<(AuditState, Vec<TraceEvent>, u64)>,
+    poller: std::thread::JoinHandle<(AuditState, Vec<TraceEvent>, usize)>,
 }
 
 impl LiveAuditRig {
@@ -239,75 +241,48 @@ impl LiveAuditRig {
         let poller = std::thread::spawn(move || {
             let mut state = AuditState::new(reader.workers());
             let mut events = Vec::new();
-            let mut polled_dropped = 0u64;
             let mut flagged = 0u64;
-            while !stop2.load(Ordering::Acquire) {
+            loop {
+                // Read the flag before polling: once it is set the
+                // runtime has shut down, and this poll is the final fold.
+                let last = stop2.load(Ordering::Acquire);
                 let batch = reader.poll_events();
                 state.observe(&batch.events);
-                state.observe_dropped(batch.dropped + batch.missed);
-                polled_dropped += batch.dropped + batch.missed;
+                state.observe_dropped(batch.dropped);
                 events.extend(batch.events);
                 // Streaming checks only — flag the instant one trips.
                 if state.violation_count() > flagged {
                     flagged = state.violation_count();
                     eprintln!("round {round}: LIVE audit violation mid-soak (count now {flagged})");
                 }
+                if last {
+                    return (state, events, reader.workers());
+                }
                 // A realistic observer cadence: hot enough to catch a
                 // violation mid-soak, cool enough not to oversubscribe
                 // small CI hosts (the soak itself is the workload).
                 std::thread::sleep(Duration::from_millis(1));
             }
-            (state, events, polled_dropped)
         });
         LiveAuditRig { stop, poller }
     }
 
-    /// Stops the poller and returns what it had seen. Must run before the
-    /// runtime's shutdown drain: the drain is destructive, so a poll that
-    /// lands after it is told it *missed* the drained events, and the live
-    /// verdict turns INCONCLUSIVE although the drain holds every one.
-    fn stop(self) -> LiveAudit {
+    /// Tells the poller to make its final poll, joins it, and returns
+    /// `(live, posthoc)`: the streaming verdict and the classic auditor's
+    /// verdict over the reassembled complete stream. Call it after the
+    /// runtime's shutdown, so the final poll holds every event not yet
+    /// seen.
+    fn finish(self) -> (AuditReport, AuditReport) {
         self.stop.store(true, Ordering::Release);
-        let (state, events, polled_dropped) =
-            self.poller.join().expect("live-audit poller panicked");
-        LiveAudit {
-            state,
-            events,
-            polled_dropped,
-        }
-    }
-}
-
-/// The stopped poller's view of one round.
-struct LiveAudit {
-    state: AuditState,
-    events: Vec<TraceEvent>,
-    polled_dropped: u64,
-}
-
-impl LiveAudit {
-    /// Folds the shutdown drain's leftovers and returns `(live, posthoc)`:
-    /// the streaming verdict and the classic auditor's verdict over the
-    /// reassembled complete stream.
-    fn finish(self, leftover: &Trace) -> (AuditReport, AuditReport) {
-        let LiveAudit {
-            mut state,
-            mut events,
-            polled_dropped,
-        } = self;
-        state.observe(&leftover.events);
-        state.observe_dropped(leftover.dropped.saturating_sub(polled_dropped));
-        let live = state.report();
-
-        events.extend(leftover.events.iter().copied());
+        let (state, mut events, workers) = self.poller.join().expect("live-audit poller panicked");
         events.sort_by_key(|e| e.ts);
         let posthoc = Trace {
             events,
-            dropped: leftover.dropped,
-            workers: leftover.workers,
+            dropped: state.dropped(),
+            workers,
         }
         .audit();
-        (live, posthoc)
+        (state.report(), posthoc)
     }
 }
 
@@ -413,7 +388,6 @@ fn main() -> ExitCode {
         {
             std::thread::sleep(Duration::from_millis(1));
         }
-        let live = rig.map(LiveAuditRig::stop);
         let report = rt.shutdown();
         for (name, r) in results {
             if let Err(e) = r {
@@ -444,7 +418,7 @@ fn main() -> ExitCode {
             });
             failures += 1;
         }
-        let leftover = report.trace.expect("tracing enabled");
+        let trace = report.trace.expect("tracing enabled");
         if kill {
             if report.metrics.workers_restarted == 0 {
                 eprintln!("FAIL round {round}: kill round killed no worker — nothing was tested");
@@ -455,10 +429,10 @@ fn main() -> ExitCode {
                 failures += 1;
             }
             // The trace must tell the same story as the counters. Only
-            // checkable when this process still holds the complete event
-            // stream: no live reader consuming it, no ring overflow.
-            if !live_audit && leftover.dropped == 0 {
-                let stats = leftover.stats();
+            // checkable when the shutdown trace is the complete event
+            // stream: no live reader moving the frontier, no ring overflow.
+            if !live_audit && trace.dropped == 0 {
+                let stats = trace.stats();
                 if stats.worker_deaths != report.metrics.workers_restarted
                     || stats.worker_respawns != report.metrics.workers_restarted
                     || stats.rescued_deques != report.metrics.deques_rescued
@@ -476,13 +450,12 @@ fn main() -> ExitCode {
                 }
             }
         }
-        let audit = match live {
-            // Continuous mode: the live reader consumed the stream as it
-            // was produced, so the shutdown trace holds only leftovers.
-            // Fold them, then require the streaming verdict to agree
+        let audit = match rig {
+            // Continuous mode: the poller's final poll, after shutdown,
+            // completes its stream. The streaming verdict must agree
             // exactly with the post-hoc auditor over the full replay.
-            Some(seen) => {
-                let (live, posthoc) = seen.finish(&leftover);
+            Some(rig) => {
+                let (live, posthoc) = rig.finish();
                 if !audits_agree(&live, &posthoc) {
                     eprintln!(
                         "FAIL round {round}: live audit diverged from post-hoc:\nlive: {live}\npost-hoc: {posthoc}"
@@ -491,7 +464,7 @@ fn main() -> ExitCode {
                 }
                 live
             }
-            None => leftover.audit(),
+            None => trace.audit(),
         };
         if !audit.passed() {
             eprintln!("FAIL round {round}: trace audit rejected:\n{audit}");

@@ -101,7 +101,6 @@ pub use lhws_core::{
     RuntimeError,
     ShutdownReport,
     Trace,
-    TraceBatch,
     TraceReader,
     TraceStats,
     YieldNow,
