@@ -38,7 +38,7 @@ use std::time::Duration;
 
 use crate::config::LatencyMode;
 use crate::fault::{FaultInjector, FaultSite};
-use crate::metrics::{CachePadded, CounterBlock};
+use crate::metrics::Counter;
 use crate::runtime::RtInner;
 use crate::trace::{EventKind, Tracer, NONE_ID};
 use crate::worker;
@@ -115,79 +115,46 @@ pub enum IoTraceEvent {
     },
 }
 
-/// Per-queue counters for an I/O driver, one cell per kernel readiness
-/// queue (the in-tree reactor has one), registered through
-/// [`DriverHooks::register_io_shards`] and exported as the
-/// `lhws_io_shard_events_total{shard="N"}` /
-/// `lhws_io_shard_wakeups_total{shard="N"}` Prometheus families (and the
+/// Counters for an I/O driver's one kernel readiness queue, registered
+/// through [`DriverHooks::register_io_shards`] and exported as the
+/// `lhws_io_shard_events_total{shard="0"}` /
+/// `lhws_io_shard_wakeups_total{shard="0"}` Prometheus families (and the
 /// matching `/stats` arrays).
 ///
-/// Each cell is cache-padded. The runtime keeps a strong reference for the
-/// exporter; the driver keeps its own and bumps through it even after the
-/// runtime is gone.
+/// Aligned to its own pair of cache lines, like a worker's counter block.
+/// The runtime keeps a strong reference for the exporter; the driver keeps
+/// its own and bumps through it even after the runtime is gone.
+#[derive(Debug, Default)]
+#[repr(align(128))]
 pub struct IoShardStats {
-    shards: Box<[CachePadded<IoShardCell>]>,
-}
-
-#[derive(Default)]
-struct IoShardCell {
     events: AtomicU64,
     wakeups: AtomicU64,
 }
 
-impl std::fmt::Debug for IoShardStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("IoShardStats")
-            .field("shards", &self.shards.len())
-            .finish()
-    }
-}
-
 impl IoShardStats {
-    pub(crate) fn new(shards: usize) -> IoShardStats {
-        IoShardStats {
-            shards: (0..shards)
-                .map(|_| CachePadded::new(IoShardCell::default()))
-                .collect(),
+    /// Counts `n` kernel readiness entries delivered by one batched wait
+    /// (the wake-up kick is not an event).
+    pub fn count_events(&self, n: u64) {
+        self.events.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Counts one productive return from the batched wait — readiness or
+    /// an explicit kick, *not* a timeout and *not* an `EINTR`-interrupted
+    /// wait (see `WaitOutcome` in `lhws-net`).
+    pub fn count_wakeup(&self) {
+        self.wakeups.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Point-in-time snapshot of the counters.
+    pub fn snapshot(&self) -> IoShardSnapshot {
+        IoShardSnapshot {
+            events: self.events.load(Ordering::Relaxed),
+            wakeups: self.wakeups.load(Ordering::Relaxed),
         }
     }
-
-    /// Number of shards this block covers.
-    pub fn len(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// `true` when the block covers no shards (a Block-mode driver).
-    pub fn is_empty(&self) -> bool {
-        self.shards.is_empty()
-    }
-
-    /// Counts `n` kernel readiness entries delivered to shard `shard` by
-    /// one batched wait (the wake-up kick is not an event).
-    pub fn count_events(&self, shard: usize, n: u64) {
-        self.shards[shard].events.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Counts one productive return from shard `shard`'s batched wait —
-    /// readiness or an explicit kick, *not* a timeout and *not* an
-    /// `EINTR`-interrupted wait (see `WaitOutcome` in `lhws-net`).
-    pub fn count_wakeup(&self, shard: usize) {
-        self.shards[shard].wakeups.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Point-in-time snapshot of every shard's counters.
-    pub fn snapshot(&self) -> Vec<IoShardSnapshot> {
-        self.shards
-            .iter()
-            .map(|c| IoShardSnapshot {
-                events: c.events.load(Ordering::Relaxed),
-                wakeups: c.wakeups.load(Ordering::Relaxed),
-            })
-            .collect()
-    }
 }
 
-/// One shard's counters from [`IoShardStats::snapshot`].
+/// The readiness queue's counters from [`IoShardStats::snapshot`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IoShardSnapshot {
     /// Kernel readiness entries delivered by batched waits.
@@ -236,14 +203,11 @@ impl DriverHooks {
 
     /// Bumps one `io_*` counter: on the calling worker's own block when it
     /// is a worker of this runtime, on the shared block otherwise.
-    fn bump(&self, pick: impl Fn(&CounterBlock) -> &AtomicU64) {
-        let on_worker = worker::on_own_worker(self.rt_id, |rt, w| {
-            let c = rt.counters.worker(w);
-            c.bump(pick(c));
-        });
+    fn bump(&self, c: Counter) {
+        let on_worker = worker::on_own_worker(self.rt_id, |rt, w| rt.counters.worker(w).bump(c));
         if on_worker.is_none() {
             if let Some(rt) = self.rt.upgrade() {
-                rt.counters.bump(pick(&rt.counters));
+                rt.counters.bump(c);
             }
         }
     }
@@ -252,18 +216,18 @@ impl DriverHooks {
     /// kernel). Call where the wait is filed — usually on a worker
     /// thread mid-poll, so the bump lands on its padded counter block.
     pub fn count_io_registration(&self) {
-        self.bump(|c| &c.io_registrations);
+        self.bump(Counter::IoRegistrations);
     }
 
     /// Counts one kernel readiness event turned into a completion.
     pub fn count_io_readiness(&self) {
-        self.bump(|c| &c.io_readiness_events);
+        self.bump(Counter::IoReadinessEvents);
     }
 
     /// Counts one I/O wait resolved by deadline expiry instead of
     /// readiness.
     pub fn count_io_timeout(&self) {
-        self.bump(|c| &c.io_timeouts);
+        self.bump(Counter::IoTimeouts);
     }
 
     /// Traces one I/O wait lifecycle event. The single entry point for
@@ -299,20 +263,17 @@ impl DriverHooks {
         self.mode
     }
 
-    /// The runtime's I/O counter block for a driver with `shards`
-    /// readiness queues, registered with its observability plane so the
-    /// counters appear in [`Observer::io_shards`](crate::Observer::io_shards),
-    /// the Prometheus export, and `/stats`. One block per runtime: the
-    /// first call allocates it and later calls return the same block. The
-    /// driver bumps through the returned [`Arc`]; if the runtime is
-    /// already gone the block still works, it is just never exported.
-    pub fn register_io_shards(&self, shards: usize) -> Arc<IoShardStats> {
+    /// The runtime's I/O counter block for a driver's readiness queue,
+    /// registered with its observability plane so the counters appear in
+    /// [`Observer::io_shards`](crate::Observer::io_shards), the Prometheus
+    /// export, and `/stats`. One block per runtime: the first call
+    /// allocates it and later calls return the same block. The driver
+    /// bumps through the returned [`Arc`]; if the runtime is already gone
+    /// the block still works, it is just never exported.
+    pub fn register_io_shards(&self) -> Arc<IoShardStats> {
         match self.rt.upgrade() {
-            Some(rt) => Arc::clone(
-                rt.io_shard_stats
-                    .get_or_init(|| Arc::new(IoShardStats::new(shards))),
-            ),
-            None => Arc::new(IoShardStats::new(shards)),
+            Some(rt) => Arc::clone(rt.io_shard_stats.get_or_init(Default::default)),
+            None => Arc::default(),
         }
     }
 }

@@ -10,6 +10,15 @@
 //! only the shared block pays a locked `fetch_add`. [`Counters::snapshot`]
 //! sums the blocks, so snapshot semantics are identical to a single shared
 //! block.
+//!
+//! Every counter is one row of [`ROWS`]: its [`Counter`] (the slot it
+//! holds in each block), its name, its [`Kind`], its HELP text and its
+//! [`MetricsSnapshot`] field. The name is the field's name and the
+//! `/stats` key; `Display` prints it with `_` read as a space, and the
+//! Prometheus family is `lhws_<name>`, with `_total` on counters. The
+//! snapshot, [`MetricsSnapshot::delta`], `Display`, `encode_prometheus`
+//! and `/stats` loop over the table, so a new counter is its field, its
+//! variant, its row and its bump sites.
 
 use std::fmt;
 use std::ops::Deref;
@@ -38,37 +47,155 @@ impl<T> Deref for CachePadded<T> {
     }
 }
 
-/// One block of counters. All updates are `Relaxed`: metrics are
-/// diagnostics, not synchronization.
-#[derive(Debug, Default)]
-pub(crate) struct CounterBlock {
-    pub polls: AtomicU64,
-    pub tasks_spawned: AtomicU64,
-    pub forks_promoted: AtomicU64,
-    pub steals_attempted: AtomicU64,
-    pub steals_succeeded: AtomicU64,
-    pub steals_dead_target: AtomicU64,
-    pub steal_retries: AtomicU64,
-    pub steal_batch_tasks: AtomicU64,
-    pub deque_switches: AtomicU64,
-    pub deques_allocated: AtomicU64,
-    pub suspensions: AtomicU64,
-    pub resumes: AtomicU64,
-    pub pfor_batches: AtomicU64,
-    pub max_deques_per_worker: AtomicU64,
-    pub unparks: AtomicU64,
-    pub io_registrations: AtomicU64,
-    pub io_readiness_events: AtomicU64,
-    pub io_timeouts: AtomicU64,
-    pub workers_restarted: AtomicU64,
-    pub deques_rescued: AtomicU64,
-    pub resumes_rerouted: AtomicU64,
+/// A counter's identity: its slot in every [`CounterBlock`]. Declared in
+/// [`ROWS`] order (a test pins it); each names the [`MetricsSnapshot`]
+/// field of its row.
+#[derive(Clone, Copy)]
+pub(crate) enum Counter {
+    Polls,
+    TasksSpawned,
+    ForksPromoted,
+    StealsAttempted,
+    StealsSucceeded,
+    StealsDeadTarget,
+    StealRetries,
+    StealBatchTasks,
+    DequeSwitches,
+    DequesAllocated,
+    Suspensions,
+    Resumes,
+    PforBatches,
+    Unparks,
+    IoRegistrations,
+    IoReadinessEvents,
+    IoTimeouts,
+    WorkersRestarted,
+    DequesRescued,
+    ResumesRerouted,
+    RegistryCompactions,
+    LiveDeques,
+    LiveDequesHighWater,
+    MaxDequesPerWorker,
 }
+
+/// Where a row's value comes from, and whether it only grows.
+#[derive(Clone, Copy)]
+pub(crate) enum Kind {
+    /// Summed over the blocks.
+    Sum,
+    /// The largest value any block holds: a per-worker high-water mark.
+    Max,
+    /// Filled in from the deque registry by the runtime; only grows.
+    RegistryCount,
+    /// Filled in from the deque registry by the runtime; a gauge.
+    RegistryGauge,
+}
+
+impl Kind {
+    /// Rows that only grow are Prometheus counters and `delta` subtracts
+    /// them; the others are gauges and `delta` keeps the later value.
+    pub fn is_counter(self) -> bool {
+        matches!(self, Kind::Sum | Kind::RegistryCount)
+    }
+}
+
+/// One counter: see the module docs.
+pub(crate) struct Row {
+    pub counter: Counter,
+    pub name: &'static str,
+    pub kind: Kind,
+    pub help: &'static str,
+    pub field: fn(&mut MetricsSnapshot) -> &mut u64,
+}
+
+const fn row(
+    counter: Counter,
+    name: &'static str,
+    kind: Kind,
+    field: fn(&mut MetricsSnapshot) -> &mut u64,
+    help: &'static str,
+) -> Row {
+    Row {
+        counter,
+        name,
+        kind,
+        help,
+        field,
+    }
+}
+
+/// The counter table, in export order (`Display`, `/metrics`, `/stats`).
+#[rustfmt::skip]
+pub(crate) const ROWS: [Row; 24] = {
+    use Counter::*;
+    use Kind::*;
+    [
+        row(Polls, "polls", Sum, |m| &mut m.polls,
+            "Task polls executed."),
+        row(TasksSpawned, "tasks_spawned", Sum, |m| &mut m.tasks_spawned,
+            "Heap tasks made (spawn, pfor, promoted forks)."),
+        row(ForksPromoted, "forks_promoted", Sum, |m| &mut m.forks_promoted,
+            "fork2 right halves promoted to tasks (stolen, or left suspended)."),
+        row(StealsAttempted, "steals_attempted", Sum, |m| &mut m.steals_attempted,
+            "Steal attempts (paper's R includes these)."),
+        row(StealsSucceeded, "steals_succeeded", Sum, |m| &mut m.steals_succeeded,
+            "Steal attempts that took at least one task."),
+        row(StealsDeadTarget, "steals_dead_target", Sum, |m| &mut m.steals_dead_target,
+            "Steal attempts that landed on a retired deque slot."),
+        row(StealRetries, "steal_retries", Sum, |m| &mut m.steal_retries,
+            "Bounded in-attempt retries after a lost steal race."),
+        row(StealBatchTasks, "steal_batch_tasks", Sum, |m| &mut m.steal_batch_tasks,
+            "Tasks moved by steal-half batching beyond the first."),
+        row(DequeSwitches, "deque_switches", Sum, |m| &mut m.deque_switches,
+            "Active-deque switches on suspension or steal."),
+        row(DequesAllocated, "deques_allocated", Sum, |m| &mut m.deques_allocated,
+            "Deques allocated (fresh, not recycled)."),
+        row(Suspensions, "suspensions", Sum, |m| &mut m.suspensions,
+            "Suspension registrations (timers, channels, external ops)."),
+        row(Resumes, "resumes", Sum, |m| &mut m.resumes,
+            "Resume events delivered back to workers."),
+        row(PforBatches, "pfor_batches", Sum, |m| &mut m.pfor_batches,
+            "Parallel-for leaf batches executed."),
+        row(Unparks, "unparks", Sum, |m| &mut m.unparks,
+            "Targeted worker wake-ups issued."),
+        row(IoRegistrations, "io_registrations", Sum, |m| &mut m.io_registrations,
+            "I/O readiness waits filed with a reactor driver."),
+        row(IoReadinessEvents, "io_readiness_events", Sum, |m| &mut m.io_readiness_events,
+            "Kernel readiness events resolved into resumes."),
+        row(IoTimeouts, "io_timeouts", Sum, |m| &mut m.io_timeouts,
+            "I/O waits resolved by deadline instead of readiness."),
+        row(WorkersRestarted, "workers_restarted", Sum, |m| &mut m.workers_restarted,
+            "Worker scheduler loops respawned after a panic."),
+        row(DequesRescued, "deques_rescued", Sum, |m| &mut m.deques_rescued,
+            "Orphaned deques re-homed by worker respawn rescue."),
+        row(ResumesRerouted, "resumes_rerouted", Sum, |m| &mut m.resumes_rerouted,
+            "Resume events re-routed past a dead worker incarnation."),
+        row(RegistryCompactions, "registry_compactions", RegistryCount, |m| &mut m.registry_compactions,
+            "Deque-registry slot compactions."),
+        row(LiveDeques, "live_deques", RegistryGauge, |m| &mut m.live_deques,
+            "Deques currently in the live set."),
+        row(LiveDequesHighWater, "live_deques_high_water", RegistryGauge, |m| &mut m.live_deques_high_water,
+            "High-water mark of the live set."),
+        row(MaxDequesPerWorker, "max_deques_per_worker", Max, |m| &mut m.max_deques_per_worker,
+            "Max deques owned by one worker at once (Lemma 7 observable)."),
+    ]
+};
+
+/// One block of counters, indexed by [`Counter`]. All updates are
+/// `Relaxed`: metrics are diagnostics, not synchronization. The registry
+/// rows' slots stay 0.
+#[derive(Debug, Default)]
+pub(crate) struct CounterBlock([AtomicU64; ROWS.len()]);
 
 impl CounterBlock {
     #[inline]
-    pub fn bump(&self, c: &AtomicU64) {
-        c.fetch_add(1, Ordering::Relaxed);
+    pub fn bump(&self, c: Counter) {
+        self.0[c as usize].fetch_add(1, Ordering::Relaxed);
+    }
+
+    #[inline]
+    pub fn get(&self, c: Counter) -> u64 {
+        self.0[c as usize].load(Ordering::Relaxed)
     }
 }
 
@@ -76,7 +203,6 @@ impl CounterBlock {
 /// (a respawned incarnation runs on the same thread). Its updates are a
 /// plain load and store instead of a locked read-modify-write, which is
 /// exact because no other thread writes the block; snapshots only load.
-/// The counter passed in must be a field of this block.
 #[derive(Debug, Default)]
 pub(crate) struct WorkerBlock(CounterBlock);
 
@@ -89,20 +215,21 @@ impl Deref for WorkerBlock {
 
 impl WorkerBlock {
     #[inline]
-    pub fn bump(&self, c: &AtomicU64) {
+    pub fn bump(&self, c: Counter) {
         self.add(c, 1);
     }
 
     /// Bulk bump (batch steals add whole-batch counts at once).
     #[inline]
-    pub fn add(&self, c: &AtomicU64, n: u64) {
-        c.store(c.load(Ordering::Relaxed) + n, Ordering::Relaxed);
+    pub fn add(&self, c: Counter, n: u64) {
+        let a = &self.0 .0[c as usize];
+        a.store(a.load(Ordering::Relaxed) + n, Ordering::Relaxed);
     }
 
     /// Monotonic max update.
     #[inline]
     pub fn observe_deques(&self, live: u64) {
-        let max = &self.max_deques_per_worker;
+        let max = &self.0 .0[Counter::MaxDequesPerWorker as usize];
         if live > max.load(Ordering::Relaxed) {
             max.store(live, Ordering::Relaxed);
         }
@@ -110,8 +237,8 @@ impl WorkerBlock {
 }
 
 /// All runtime counters: a shared block plus cache-padded per-worker
-/// blocks. Derefs to the shared block so counter fields remain directly
-/// addressable (`counters.polls`) for off-worker bumps and tests.
+/// blocks. Derefs to the shared block, so off-worker code bumps
+/// `counters.bump(Counter::…)` directly.
 #[derive(Debug, Default)]
 pub(crate) struct Counters {
     shared: CounterBlock,
@@ -141,51 +268,22 @@ impl Counters {
         &self.per_worker[i]
     }
 
-    fn sum(&self, pick: impl Fn(&CounterBlock) -> &AtomicU64) -> u64 {
-        let mut total = pick(&self.shared).load(Ordering::Relaxed);
-        for block in self.per_worker.iter() {
-            total += pick(block).load(Ordering::Relaxed);
-        }
-        total
-    }
-
-    fn max(&self, pick: impl Fn(&CounterBlock) -> &AtomicU64) -> u64 {
-        let mut best = pick(&self.shared).load(Ordering::Relaxed);
-        for block in self.per_worker.iter() {
-            best = best.max(pick(block).load(Ordering::Relaxed));
-        }
-        best
-    }
-
+    /// Sums each `Sum` row and takes the largest of each `Max` row over
+    /// the blocks; the registry rows are left 0 for the runtime to fill.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            polls: self.sum(|b| &b.polls),
-            tasks_spawned: self.sum(|b| &b.tasks_spawned),
-            forks_promoted: self.sum(|b| &b.forks_promoted),
-            steals_attempted: self.sum(|b| &b.steals_attempted),
-            steals_succeeded: self.sum(|b| &b.steals_succeeded),
-            steals_dead_target: self.sum(|b| &b.steals_dead_target),
-            steal_retries: self.sum(|b| &b.steal_retries),
-            steal_batch_tasks: self.sum(|b| &b.steal_batch_tasks),
-            deque_switches: self.sum(|b| &b.deque_switches),
-            deques_allocated: self.sum(|b| &b.deques_allocated),
-            suspensions: self.sum(|b| &b.suspensions),
-            resumes: self.sum(|b| &b.resumes),
-            pfor_batches: self.sum(|b| &b.pfor_batches),
-            max_deques_per_worker: self.max(|b| &b.max_deques_per_worker),
-            unparks: self.sum(|b| &b.unparks),
-            io_registrations: self.sum(|b| &b.io_registrations),
-            io_readiness_events: self.sum(|b| &b.io_readiness_events),
-            io_timeouts: self.sum(|b| &b.io_timeouts),
-            workers_restarted: self.sum(|b| &b.workers_restarted),
-            deques_rescued: self.sum(|b| &b.deques_rescued),
-            resumes_rerouted: self.sum(|b| &b.resumes_rerouted),
-            // Registry-derived gauges; the runtime fills these in from the
-            // deque registry when it snapshots (Counters cannot see it).
-            registry_compactions: 0,
-            live_deques: 0,
-            live_deques_high_water: 0,
+        let workers = || self.per_worker.iter().map(|b| &b.value.0);
+        let mut m = MetricsSnapshot::default();
+        for row in &ROWS {
+            let values = std::iter::once(&self.shared)
+                .chain(workers())
+                .map(|b| b.get(row.counter));
+            *(row.field)(&mut m) = match row.kind {
+                Kind::Sum => values.sum(),
+                Kind::Max => values.max().unwrap_or(0),
+                Kind::RegistryCount | Kind::RegistryGauge => 0,
+            };
         }
+        m
     }
 }
 
@@ -267,75 +365,49 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
+    /// Every row with this snapshot's value, in table order.
+    pub(crate) fn rows(mut self) -> impl Iterator<Item = (&'static Row, u64)> {
+        ROWS.iter().map(move |row| (row, *(row.field)(&mut self)))
+    }
+
     /// Difference between two snapshots (per-run metrics from a long-lived
     /// runtime). `earlier` must be an older snapshot of the *same* runtime;
-    /// all monotonic counters are subtracted, while
-    /// `max_deques_per_worker` — a lifetime high-water mark, not a rate —
-    /// keeps the later value.
+    /// every counter is subtracted, while the gauges — `live_deques` and
+    /// the high-water marks `live_deques_high_water` and
+    /// `max_deques_per_worker` — keep the later value.
     pub fn delta(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
-        let mut m = *self;
-        m.polls = self.polls - earlier.polls;
-        m.tasks_spawned = self.tasks_spawned - earlier.tasks_spawned;
-        m.forks_promoted = self.forks_promoted - earlier.forks_promoted;
-        m.steals_attempted = self.steals_attempted - earlier.steals_attempted;
-        m.steals_succeeded = self.steals_succeeded - earlier.steals_succeeded;
-        m.steals_dead_target = self.steals_dead_target - earlier.steals_dead_target;
-        m.steal_retries = self.steal_retries - earlier.steal_retries;
-        m.steal_batch_tasks = self.steal_batch_tasks - earlier.steal_batch_tasks;
-        m.deque_switches = self.deque_switches - earlier.deque_switches;
-        m.deques_allocated = self.deques_allocated - earlier.deques_allocated;
-        m.suspensions = self.suspensions - earlier.suspensions;
-        m.resumes = self.resumes - earlier.resumes;
-        m.pfor_batches = self.pfor_batches - earlier.pfor_batches;
-        // Max is global, not differentiable; keep the later value.
-        m.max_deques_per_worker = self.max_deques_per_worker;
-        m.unparks = self.unparks - earlier.unparks;
-        m.io_registrations = self.io_registrations - earlier.io_registrations;
-        m.io_readiness_events = self.io_readiness_events - earlier.io_readiness_events;
-        m.io_timeouts = self.io_timeouts - earlier.io_timeouts;
-        m.workers_restarted = self.workers_restarted - earlier.workers_restarted;
-        m.deques_rescued = self.deques_rescued - earlier.deques_rescued;
-        m.resumes_rerouted = self.resumes_rerouted - earlier.resumes_rerouted;
-        m.registry_compactions = self.registry_compactions - earlier.registry_compactions;
-        // Gauges and high-water marks are not differentiable; keep the
-        // later values.
-        m.live_deques = self.live_deques;
-        m.live_deques_high_water = self.live_deques_high_water;
+        let (mut m, mut earlier) = (*self, *earlier);
+        for row in ROWS.iter().filter(|row| row.kind.is_counter()) {
+            *(row.field)(&mut m) -= *(row.field)(&mut earlier);
+        }
         m
     }
 }
 
+/// Iterates every counter as `(name, value)` in table order; the name is
+/// the field's name (the `/stats` key).
+impl IntoIterator for &MetricsSnapshot {
+    type Item = (&'static str, u64);
+    type IntoIter = std::array::IntoIter<(&'static str, u64), { ROWS.len() }>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        let mut m = *self;
+        ROWS.map(|row| (row.name, *(row.field)(&mut m))).into_iter()
+    }
+}
+
+/// One `label: value` line per row, in table order.
 impl fmt::Display for MetricsSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "polls:                 {}", self.polls)?;
-        writeln!(f, "tasks spawned:         {}", self.tasks_spawned)?;
-        writeln!(f, "forks promoted:        {}", self.forks_promoted)?;
-        writeln!(
-            f,
-            "steals:                {} attempted, {} succeeded, {} dead targets",
-            self.steals_attempted, self.steals_succeeded, self.steals_dead_target
-        )?;
-        writeln!(f, "steal retries:         {}", self.steal_retries)?;
-        writeln!(f, "steal batch tasks:     {}", self.steal_batch_tasks)?;
-        writeln!(f, "deque switches:        {}", self.deque_switches)?;
-        writeln!(f, "deques allocated:      {}", self.deques_allocated)?;
-        writeln!(f, "suspensions:           {}", self.suspensions)?;
-        writeln!(f, "resumes:               {}", self.resumes)?;
-        writeln!(f, "pfor batches:          {}", self.pfor_batches)?;
-        writeln!(f, "max deques per worker: {}", self.max_deques_per_worker)?;
-        writeln!(f, "unparks:               {}", self.unparks)?;
-        writeln!(f, "io registrations:      {}", self.io_registrations)?;
-        writeln!(f, "io readiness events:   {}", self.io_readiness_events)?;
-        writeln!(f, "io timeouts:           {}", self.io_timeouts)?;
-        writeln!(f, "workers restarted:     {}", self.workers_restarted)?;
-        writeln!(f, "deques rescued:        {}", self.deques_rescued)?;
-        writeln!(f, "resumes rerouted:      {}", self.resumes_rerouted)?;
-        writeln!(f, "registry compactions:  {}", self.registry_compactions)?;
-        write!(
-            f,
-            "live deques:           {} (high water {})",
-            self.live_deques, self.live_deques_high_water
-        )
+        for (i, (row, value)) in self.rows().enumerate() {
+            if i > 0 {
+                f.write_str("\n")?;
+            }
+            // 24 columns: the longest label, `live deques high water:`, and a space.
+            let label = format!("{}:", row.name.replace('_', " "));
+            write!(f, "{label:<24}{value}")?;
+        }
+        Ok(())
     }
 }
 
@@ -346,9 +418,9 @@ mod tests {
     #[test]
     fn snapshot_reflects_bumps() {
         let c = Counters::default();
-        c.bump(&c.polls);
-        c.bump(&c.polls);
-        c.bump(&c.suspensions);
+        c.bump(Counter::Polls);
+        c.bump(Counter::Polls);
+        c.bump(Counter::Suspensions);
         let m = c.snapshot();
         assert_eq!(m.polls, 2);
         assert_eq!(m.suspensions, 1);
@@ -367,10 +439,10 @@ mod tests {
     #[test]
     fn delta_subtracts() {
         let c = Counters::default();
-        c.bump(&c.polls);
+        c.bump(Counter::Polls);
         let a = c.snapshot();
-        c.bump(&c.polls);
-        c.bump(&c.polls);
+        c.bump(Counter::Polls);
+        c.bump(Counter::Polls);
         let b = c.snapshot();
         assert_eq!(b.delta(&a).polls, 2);
     }
@@ -382,68 +454,82 @@ mod tests {
     fn display_golden_order() {
         let m = MetricsSnapshot::default();
         let expected = "\
-polls:                 0
-tasks spawned:         0
-forks promoted:        0
-steals:                0 attempted, 0 succeeded, 0 dead targets
-steal retries:         0
-steal batch tasks:     0
-deque switches:        0
-deques allocated:      0
-suspensions:           0
-resumes:               0
-pfor batches:          0
-max deques per worker: 0
-unparks:               0
-io registrations:      0
-io readiness events:   0
-io timeouts:           0
-workers restarted:     0
-deques rescued:        0
-resumes rerouted:      0
-registry compactions:  0
-live deques:           0 (high water 0)";
+polls:                  0
+tasks spawned:          0
+forks promoted:         0
+steals attempted:       0
+steals succeeded:       0
+steals dead target:     0
+steal retries:          0
+steal batch tasks:      0
+deque switches:         0
+deques allocated:       0
+suspensions:            0
+resumes:                0
+pfor batches:           0
+unparks:                0
+io registrations:       0
+io readiness events:    0
+io timeouts:            0
+workers restarted:      0
+deques rescued:         0
+resumes rerouted:       0
+registry compactions:   0
+live deques:            0
+live deques high water: 0
+max deques per worker:  0";
         assert_eq!(m.to_string(), expected);
+    }
+
+    #[test]
+    fn display_lists_every_counter() {
+        let c = Counters::with_workers(1);
+        c.bump(Counter::StealsAttempted);
+        c.worker(0).observe_deques(5);
+        let s = c.snapshot().to_string();
+        assert!(s.contains("steals attempted:       1"));
+        assert!(s.contains("max deques per worker:  5"));
+        assert_eq!(s.lines().count(), ROWS.len(), "one line per row");
+        assert!(s.lines().all(|l| l.find(char::is_numeric) == Some(24)));
+    }
+
+    #[test]
+    fn steal_counters_sum_and_delta() {
+        let c = Counters::with_workers(2);
+        c.worker(0).add(Counter::StealBatchTasks, 7);
+        c.worker(1).bump(Counter::StealRetries);
+        c.bump(Counter::StealRetries);
+        let a = c.snapshot();
+        assert_eq!(a.steal_batch_tasks, 7);
+        assert_eq!(a.steal_retries, 2);
+        c.worker(1).add(Counter::StealBatchTasks, 3);
+        let d = c.snapshot().delta(&a);
+        assert_eq!(d.steal_batch_tasks, 3);
+        assert_eq!(d.steal_retries, 0);
     }
 
     #[test]
     fn delta_covers_steal_counters() {
         let c = Counters::default();
         let a = c.snapshot();
-        c.bump(&c.steal_batch_tasks);
-        c.bump(&c.steal_retries);
-        c.bump(&c.steal_retries);
+        c.bump(Counter::StealBatchTasks);
+        c.bump(Counter::StealRetries);
+        c.bump(Counter::StealRetries);
         let d = c.snapshot().delta(&a);
         assert_eq!((d.steal_batch_tasks, d.steal_retries), (1, 2));
     }
 
     #[test]
-    fn display_lists_every_counter() {
-        let c = Counters::with_workers(1);
-        c.bump(&c.steals_attempted);
-        c.worker(0).observe_deques(5);
-        let s = c.snapshot().to_string();
-        assert!(s.contains("steals:                1 attempted"));
-        assert!(s.contains("steal retries:         0"));
-        assert!(s.contains("steal batch tasks:     0"));
-        assert!(s.contains("max deques per worker: 5"));
-        assert!(s.contains("io registrations:      0"));
-        assert!(s.contains("registry compactions:  0"));
-        assert!(s.contains("live deques:           0 (high water 0)"));
-        assert!(s.lines().count() >= 15);
-    }
-
-    #[test]
     fn io_counters_sum_and_delta() {
         let c = Counters::with_workers(2);
-        c.worker(0).bump(&c.worker(0).io_registrations);
-        c.bump(&c.io_registrations);
-        c.bump(&c.io_readiness_events);
+        c.worker(0).bump(Counter::IoRegistrations);
+        c.bump(Counter::IoRegistrations);
+        c.bump(Counter::IoReadinessEvents);
         let a = c.snapshot();
         assert_eq!(a.io_registrations, 2);
         assert_eq!(a.io_readiness_events, 1);
         assert_eq!(a.io_timeouts, 0);
-        c.bump(&c.io_timeouts);
+        c.bump(Counter::IoTimeouts);
         let b = c.snapshot();
         let d = b.delta(&a);
         assert_eq!(d.io_registrations, 0);
@@ -451,27 +537,12 @@ live deques:           0 (high water 0)";
     }
 
     #[test]
-    fn steal_counters_sum_and_delta() {
-        let c = Counters::with_workers(2);
-        c.worker(0).add(&c.worker(0).steal_batch_tasks, 7);
-        c.worker(1).bump(&c.worker(1).steal_retries);
-        c.bump(&c.steal_retries);
-        let a = c.snapshot();
-        assert_eq!(a.steal_batch_tasks, 7);
-        assert_eq!(a.steal_retries, 2);
-        c.worker(1).add(&c.worker(1).steal_batch_tasks, 3);
-        let d = c.snapshot().delta(&a);
-        assert_eq!(d.steal_batch_tasks, 3);
-        assert_eq!(d.steal_retries, 0);
-    }
-
-    #[test]
     fn per_worker_blocks_aggregate() {
         let c = Counters::with_workers(4);
         for i in 0..4 {
-            c.worker(i).bump(&c.worker(i).polls);
+            c.worker(i).bump(Counter::Polls);
         }
-        c.bump(&c.polls); // shared block
+        c.bump(Counter::Polls); // shared block
         assert_eq!(c.snapshot().polls, 5);
         c.worker(2).observe_deques(9);
         c.worker(3).observe_deques(3);
@@ -482,5 +553,101 @@ live deques:           0 (high water 0)";
     fn counter_blocks_are_padded() {
         assert_eq!(std::mem::align_of::<CachePadded<WorkerBlock>>(), 128);
         assert!(std::mem::size_of::<CachePadded<WorkerBlock>>().is_multiple_of(128));
+    }
+
+    #[test]
+    fn rows_are_declared_in_counter_order() {
+        for (i, row) in ROWS.iter().enumerate() {
+            assert_eq!(row.counter as usize, i, "{}", row.name);
+        }
+    }
+
+    /// Every field with its value, read through the derived `Debug`, which
+    /// knows nothing of the table.
+    fn fields(m: &MetricsSnapshot) -> Vec<(String, u64)> {
+        let s = format!("{m:?}");
+        let body = s.strip_prefix("MetricsSnapshot { ").unwrap();
+        body.strip_suffix(" }")
+            .unwrap()
+            .split(", ")
+            .map(|kv| {
+                let (k, v) = kv.split_once(": ").unwrap();
+                (k.to_string(), v.parse().unwrap())
+            })
+            .collect()
+    }
+
+    /// Bumps every block-backed row on a worker block and on the shared
+    /// block (with distinct amounts), fills the registry rows as the
+    /// runtime does, and checks that every field carries its own value
+    /// into the snapshot, `delta`, `Display`, the Prometheus text and the
+    /// `(name, value)` iterator `/stats` reads.
+    #[test]
+    fn every_row_reaches_every_consumer() {
+        const GAUGES: [&str; 3] = [
+            "live_deques",
+            "live_deques_high_water",
+            "max_deques_per_worker",
+        ];
+        let c = Counters::with_workers(2);
+        let round = |base: u64| {
+            for (i, row) in ROWS.iter().enumerate() {
+                if matches!(row.kind, Kind::Sum | Kind::Max) {
+                    c.worker(1).add(row.counter, base + i as u64);
+                    c.bump(row.counter);
+                }
+            }
+            let mut m = c.snapshot();
+            for (i, row) in ROWS.iter().enumerate() {
+                if !matches!(row.kind, Kind::Sum | Kind::Max) {
+                    *(row.field)(&mut m) = 10 * base + i as u64;
+                }
+            }
+            m
+        };
+        let earlier = round(100);
+        let later = round(1000);
+
+        let fields_of_later = fields(&later);
+        assert_eq!(fields_of_later.len(), ROWS.len(), "one row per field");
+        let mut values: Vec<u64> = fields_of_later.iter().map(|(_, v)| *v).collect();
+        values.sort_unstable();
+        values.dedup();
+        assert_eq!(values.len(), ROWS.len(), "every field has its own value");
+        assert!(values[0] > 0, "every field is filled");
+
+        let text = later.to_string();
+        let prom = crate::obs::encode_prometheus(&later, 1, None, &[]);
+        let mut listed: Vec<(String, u64)> = (&later)
+            .into_iter()
+            .map(|(name, v)| (name.to_string(), v))
+            .collect();
+        listed.sort();
+        let mut sorted = fields_of_later.clone();
+        sorted.sort();
+        assert_eq!(listed, sorted, "the /stats iterator names every field");
+
+        let earlier_fields = fields(&earlier);
+        let d = fields(&later.delta(&earlier));
+        for (i, (name, v)) in fields_of_later.iter().enumerate() {
+            let label = format!("{}:", name.replace('_', " "));
+            assert!(
+                text.lines()
+                    .any(|l| l.starts_with(&label) && l.ends_with(&format!(" {v}"))),
+                "Display: {name}"
+            );
+            let gauge = GAUGES.contains(&name.as_str());
+            let family = if gauge {
+                format!("lhws_{name}")
+            } else {
+                format!("lhws_{name}_total")
+            };
+            assert!(
+                prom.contains(&format!("\n{family} {v}\n")),
+                "Prometheus: {name}"
+            );
+            let expected = if gauge { *v } else { v - earlier_fields[i].1 };
+            assert_eq!(d[i], (name.clone(), expected), "delta: {name}");
+        }
     }
 }

@@ -169,7 +169,7 @@ impl LiveAudit {
     }
 }
 
-/// One metric line triple: `(name, help, kind)`.
+/// The two Prometheus `# TYPE`s the encoder emits.
 const KIND_COUNTER: &str = "counter";
 const KIND_GAUGE: &str = "gauge";
 
@@ -228,180 +228,19 @@ pub fn encode_prometheus(
     io_shards: &[IoShardSnapshot],
 ) -> String {
     let mut o = String::with_capacity(4096);
-    let c = KIND_COUNTER;
-    let g = KIND_GAUGE;
-    sample(
-        &mut o,
-        "lhws_polls_total",
-        c,
-        "Task polls executed.",
-        m.polls,
-    );
-    sample(
-        &mut o,
-        "lhws_tasks_spawned_total",
-        c,
-        "Heap tasks made (spawn, pfor, promoted forks).",
-        m.tasks_spawned,
-    );
-    sample(
-        &mut o,
-        "lhws_forks_promoted_total",
-        c,
-        "fork2 right halves promoted to tasks (stolen, or left suspended).",
-        m.forks_promoted,
-    );
-    sample(
-        &mut o,
-        "lhws_steals_attempted_total",
-        c,
-        "Steal attempts (paper's R includes these).",
-        m.steals_attempted,
-    );
-    sample(
-        &mut o,
-        "lhws_steals_succeeded_total",
-        c,
-        "Steal attempts that took at least one task.",
-        m.steals_succeeded,
-    );
-    sample(
-        &mut o,
-        "lhws_steals_dead_target_total",
-        c,
-        "Steal attempts that landed on a retired deque slot.",
-        m.steals_dead_target,
-    );
-    sample(
-        &mut o,
-        "lhws_steal_retries_total",
-        c,
-        "Bounded in-attempt retries after a lost steal race.",
-        m.steal_retries,
-    );
-    sample(
-        &mut o,
-        "lhws_steal_batch_tasks_total",
-        c,
-        "Tasks moved by steal-half batching beyond the first.",
-        m.steal_batch_tasks,
-    );
-    sample(
-        &mut o,
-        "lhws_deque_switches_total",
-        c,
-        "Active-deque switches on suspension or steal.",
-        m.deque_switches,
-    );
-    sample(
-        &mut o,
-        "lhws_deques_allocated_total",
-        c,
-        "Deques allocated (fresh, not recycled).",
-        m.deques_allocated,
-    );
-    sample(
-        &mut o,
-        "lhws_suspensions_total",
-        c,
-        "Suspension registrations (timers, channels, external ops).",
-        m.suspensions,
-    );
-    sample(
-        &mut o,
-        "lhws_resumes_total",
-        c,
-        "Resume events delivered back to workers.",
-        m.resumes,
-    );
-    sample(
-        &mut o,
-        "lhws_pfor_batches_total",
-        c,
-        "Parallel-for leaf batches executed.",
-        m.pfor_batches,
-    );
-    sample(
-        &mut o,
-        "lhws_unparks_total",
-        c,
-        "Targeted worker wake-ups issued.",
-        m.unparks,
-    );
-    sample(
-        &mut o,
-        "lhws_io_registrations_total",
-        c,
-        "I/O readiness waits filed with a reactor driver.",
-        m.io_registrations,
-    );
-    sample(
-        &mut o,
-        "lhws_io_readiness_events_total",
-        c,
-        "Kernel readiness events resolved into resumes.",
-        m.io_readiness_events,
-    );
-    sample(
-        &mut o,
-        "lhws_io_timeouts_total",
-        c,
-        "I/O waits resolved by deadline instead of readiness.",
-        m.io_timeouts,
-    );
-    sample(
-        &mut o,
-        "lhws_workers_restarted_total",
-        c,
-        "Worker scheduler loops respawned after a panic.",
-        m.workers_restarted,
-    );
-    sample(
-        &mut o,
-        "lhws_deques_rescued_total",
-        c,
-        "Orphaned deques re-homed by worker respawn rescue.",
-        m.deques_rescued,
-    );
-    sample(
-        &mut o,
-        "lhws_resumes_rerouted_total",
-        c,
-        "Resume events re-routed past a dead worker incarnation.",
-        m.resumes_rerouted,
-    );
-    sample(
-        &mut o,
-        "lhws_registry_compactions_total",
-        c,
-        "Deque-registry slot compactions.",
-        m.registry_compactions,
-    );
-    sample(
-        &mut o,
-        "lhws_live_deques",
-        g,
-        "Deques currently in the live set.",
-        m.live_deques,
-    );
-    sample(
-        &mut o,
-        "lhws_live_deques_high_water",
-        g,
-        "High-water mark of the live set.",
-        m.live_deques_high_water,
-    );
-    sample(
-        &mut o,
-        "lhws_max_deques_per_worker",
-        g,
-        "Max deques owned by one worker at once (Lemma 7 observable).",
-        m.max_deques_per_worker,
-    );
+    for (row, value) in m.rows() {
+        let (suffix, kind) = if row.kind.is_counter() {
+            ("_total", KIND_COUNTER)
+        } else {
+            ("", KIND_GAUGE)
+        };
+        let name = format!("lhws_{}{suffix}", row.name);
+        sample(&mut o, &name, kind, row.help, value);
+    }
     sample(
         &mut o,
         "lhws_workers",
-        g,
+        KIND_GAUGE,
         "Worker threads in the runtime.",
         workers as u64,
     );
@@ -409,7 +248,7 @@ pub fn encode_prometheus(
         sample(
             &mut o,
             "lhws_trace_dropped_total",
-            c,
+            KIND_COUNTER,
             "Trace events lost to ring overflow.",
             dropped,
         );
@@ -419,14 +258,14 @@ pub fn encode_prometheus(
     shard_family(
         &mut o,
         "lhws_io_shard_events_total",
-        c,
+        KIND_COUNTER,
         "Kernel readiness entries delivered by each reactor readiness queue.",
         &events,
     );
     shard_family(
         &mut o,
         "lhws_io_shard_wakeups_total",
-        c,
+        KIND_COUNTER,
         "Productive batched-wait returns per reactor readiness queue (readiness or kick; timeouts and EINTR excluded).",
         &wakeups,
     );
@@ -508,5 +347,129 @@ mod tests {
             text.matches("# TYPE lhws_io_shard_events_total ").count(),
             1
         );
+    }
+
+    /// Golden test: the whole exposition, byte for byte, for a snapshot
+    /// whose every field holds its own value. Written against the
+    /// hand-listed encoder the counter table replaced; scrapers key off
+    /// these names, HELP texts, TYPEs and this order.
+    #[test]
+    fn prometheus_output_is_pinned() {
+        let m = MetricsSnapshot {
+            polls: 101,
+            tasks_spawned: 102,
+            forks_promoted: 103,
+            steals_attempted: 104,
+            steals_succeeded: 105,
+            steals_dead_target: 106,
+            steal_retries: 107,
+            steal_batch_tasks: 108,
+            deque_switches: 109,
+            deques_allocated: 110,
+            suspensions: 111,
+            resumes: 112,
+            pfor_batches: 113,
+            max_deques_per_worker: 114,
+            unparks: 115,
+            io_registrations: 116,
+            io_readiness_events: 117,
+            io_timeouts: 118,
+            workers_restarted: 119,
+            deques_rescued: 120,
+            resumes_rerouted: 121,
+            registry_compactions: 122,
+            live_deques: 123,
+            live_deques_high_water: 124,
+        };
+        let shards = [IoShardSnapshot {
+            events: 125,
+            wakeups: 126,
+        }];
+        let expected = r#"# HELP lhws_polls_total Task polls executed.
+# TYPE lhws_polls_total counter
+lhws_polls_total 101
+# HELP lhws_tasks_spawned_total Heap tasks made (spawn, pfor, promoted forks).
+# TYPE lhws_tasks_spawned_total counter
+lhws_tasks_spawned_total 102
+# HELP lhws_forks_promoted_total fork2 right halves promoted to tasks (stolen, or left suspended).
+# TYPE lhws_forks_promoted_total counter
+lhws_forks_promoted_total 103
+# HELP lhws_steals_attempted_total Steal attempts (paper's R includes these).
+# TYPE lhws_steals_attempted_total counter
+lhws_steals_attempted_total 104
+# HELP lhws_steals_succeeded_total Steal attempts that took at least one task.
+# TYPE lhws_steals_succeeded_total counter
+lhws_steals_succeeded_total 105
+# HELP lhws_steals_dead_target_total Steal attempts that landed on a retired deque slot.
+# TYPE lhws_steals_dead_target_total counter
+lhws_steals_dead_target_total 106
+# HELP lhws_steal_retries_total Bounded in-attempt retries after a lost steal race.
+# TYPE lhws_steal_retries_total counter
+lhws_steal_retries_total 107
+# HELP lhws_steal_batch_tasks_total Tasks moved by steal-half batching beyond the first.
+# TYPE lhws_steal_batch_tasks_total counter
+lhws_steal_batch_tasks_total 108
+# HELP lhws_deque_switches_total Active-deque switches on suspension or steal.
+# TYPE lhws_deque_switches_total counter
+lhws_deque_switches_total 109
+# HELP lhws_deques_allocated_total Deques allocated (fresh, not recycled).
+# TYPE lhws_deques_allocated_total counter
+lhws_deques_allocated_total 110
+# HELP lhws_suspensions_total Suspension registrations (timers, channels, external ops).
+# TYPE lhws_suspensions_total counter
+lhws_suspensions_total 111
+# HELP lhws_resumes_total Resume events delivered back to workers.
+# TYPE lhws_resumes_total counter
+lhws_resumes_total 112
+# HELP lhws_pfor_batches_total Parallel-for leaf batches executed.
+# TYPE lhws_pfor_batches_total counter
+lhws_pfor_batches_total 113
+# HELP lhws_unparks_total Targeted worker wake-ups issued.
+# TYPE lhws_unparks_total counter
+lhws_unparks_total 115
+# HELP lhws_io_registrations_total I/O readiness waits filed with a reactor driver.
+# TYPE lhws_io_registrations_total counter
+lhws_io_registrations_total 116
+# HELP lhws_io_readiness_events_total Kernel readiness events resolved into resumes.
+# TYPE lhws_io_readiness_events_total counter
+lhws_io_readiness_events_total 117
+# HELP lhws_io_timeouts_total I/O waits resolved by deadline instead of readiness.
+# TYPE lhws_io_timeouts_total counter
+lhws_io_timeouts_total 118
+# HELP lhws_workers_restarted_total Worker scheduler loops respawned after a panic.
+# TYPE lhws_workers_restarted_total counter
+lhws_workers_restarted_total 119
+# HELP lhws_deques_rescued_total Orphaned deques re-homed by worker respawn rescue.
+# TYPE lhws_deques_rescued_total counter
+lhws_deques_rescued_total 120
+# HELP lhws_resumes_rerouted_total Resume events re-routed past a dead worker incarnation.
+# TYPE lhws_resumes_rerouted_total counter
+lhws_resumes_rerouted_total 121
+# HELP lhws_registry_compactions_total Deque-registry slot compactions.
+# TYPE lhws_registry_compactions_total counter
+lhws_registry_compactions_total 122
+# HELP lhws_live_deques Deques currently in the live set.
+# TYPE lhws_live_deques gauge
+lhws_live_deques 123
+# HELP lhws_live_deques_high_water High-water mark of the live set.
+# TYPE lhws_live_deques_high_water gauge
+lhws_live_deques_high_water 124
+# HELP lhws_max_deques_per_worker Max deques owned by one worker at once (Lemma 7 observable).
+# TYPE lhws_max_deques_per_worker gauge
+lhws_max_deques_per_worker 114
+# HELP lhws_workers Worker threads in the runtime.
+# TYPE lhws_workers gauge
+lhws_workers 127
+# HELP lhws_trace_dropped_total Trace events lost to ring overflow.
+# TYPE lhws_trace_dropped_total counter
+lhws_trace_dropped_total 128
+# HELP lhws_io_shard_events_total Kernel readiness entries delivered by each reactor readiness queue.
+# TYPE lhws_io_shard_events_total counter
+lhws_io_shard_events_total{shard="0"} 125
+# HELP lhws_io_shard_wakeups_total Productive batched-wait returns per reactor readiness queue (readiness or kick; timeouts and EINTR excluded).
+# TYPE lhws_io_shard_wakeups_total counter
+lhws_io_shard_wakeups_total{shard="0"} 126
+"#;
+        assert_eq!(encode_prometheus(&m, 127, Some(128), &shards), expected);
     }
 }

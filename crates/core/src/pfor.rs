@@ -16,6 +16,7 @@ use std::future::Future;
 use std::pin::Pin;
 use std::task::{Context, Poll};
 
+use crate::metrics::Counter;
 use crate::runtime::RtInner;
 use crate::task::{self, TaskRef};
 use crate::worker;
@@ -55,6 +56,6 @@ impl Future for PforFuture {
 /// Creates a QUEUED pfor task over `tasks` (ready to be pushed to a deque).
 pub(crate) fn new_pfor_task(rt: &RtInner, tasks: Vec<TaskRef>) -> TaskRef {
     debug_assert!(!tasks.is_empty());
-    rt.counters.bump(&rt.counters.tasks_spawned);
+    rt.counters.bump(Counter::TasksSpawned);
     task::new_detached(rt.id, PforFuture { tasks })
 }

@@ -15,7 +15,7 @@ use crate::config::{Config, ConfigError, RuntimeBuilder};
 use crate::driver::{Driver, DriverHooks, DriverReport, IoShardSnapshot, IoShardStats};
 use crate::fault::{FaultInjector, FaultSite, PanicInjected};
 use crate::join::{CatchUnwind, JoinHandle, PanicPayload};
-use crate::metrics::{CachePadded, Counters, MetricsSnapshot};
+use crate::metrics::{CachePadded, Counter, Counters, MetricsSnapshot};
 use crate::obs::Observer;
 use crate::sleep::Sleepers;
 use crate::sync::Mutex;
@@ -198,12 +198,14 @@ impl RtInner {
         self.poisoned.get().copied()
     }
 
-    /// The attached driver's per-queue I/O counters (empty without one).
+    /// The attached driver's readiness-queue counters: one entry, or none
+    /// without a driver.
     pub fn io_shards_snapshot(&self) -> Vec<IoShardSnapshot> {
         self.io_shard_stats
             .get()
             .map(|s| s.snapshot())
-            .unwrap_or_default()
+            .into_iter()
+            .collect()
     }
 
     /// Takes the poller role for worker `index`: the attached driver to
@@ -278,7 +280,7 @@ impl RtInner {
         };
         if let Some(woken) = woken {
             self.kick_poller(woken);
-            self.counters.bump(&self.counters.unparks);
+            self.counters.bump(Counter::Unparks);
             if let Some(t) = &self.tracer {
                 t.record_shared(
                     NONE_ID,
@@ -557,7 +559,7 @@ impl Runtime {
             *slot = Some(result);
             c2.cond.notify_all();
         };
-        self.inner.counters.bump(&self.inner.counters.tasks_spawned);
+        self.inner.counters.bump(Counter::TasksSpawned);
         let root = task::new_detached(self.inner.id, body);
         // Kept so that a poisoned runtime can drop the root's future,
         // which holds whatever the caller's future held.
@@ -752,7 +754,7 @@ where
     });
     forked.unwrap_or_else(|fut| {
         let (task, handle) = task::new_joinable(rt.id, PanicInjected::new(fut, rt.faults.clone()));
-        rt.counters.bump(&rt.counters.tasks_spawned);
+        rt.counters.bump(Counter::TasksSpawned);
         rt.inject(task);
         handle
     })

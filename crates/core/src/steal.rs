@@ -16,7 +16,7 @@ use std::sync::Arc;
 use lhws_deque::{DequeId, Steal, WorkerHandle};
 
 use crate::fault::FaultSite;
-use crate::metrics::WorkerBlock;
+use crate::metrics::{Counter, WorkerBlock};
 use crate::rng::{splitmix64, SplitMix64, GOLDEN_GAMMA};
 use crate::runtime::RtInner;
 use crate::task::{Job, TaskRef};
@@ -97,9 +97,9 @@ impl Thief {
     /// registry shards.
     pub fn steal_burst(&mut self) -> Option<TaskRef> {
         for probe in 0..STEAL_PROBES {
-            self.ctr().bump(&self.ctr().steals_attempted);
+            self.ctr().bump(Counter::StealsAttempted);
             if let Some(task) = self.try_steal() {
-                self.ctr().bump(&self.ctr().steals_succeeded);
+                self.ctr().bump(Counter::StealsSucceeded);
                 return Some(task);
             }
             // Between failed probes: give the step back if anything
@@ -189,7 +189,7 @@ impl Thief {
             // is the only way to land on one). The paper's
             // `randomDeque()` simply eats such failures; they stay
             // counted so a regression of the index shows up.
-            self.ctr().bump(&self.ctr().steals_dead_target);
+            self.ctr().bump(Counter::StealsDeadTarget);
             outcome = StealOutcome::Dead;
         }
         (task, outcome)
@@ -217,14 +217,14 @@ impl Thief {
                     for job in self.claimed.drain(..) {
                         let (task, promoted) = job.into_stolen(self.rt.id);
                         if promoted {
-                            c.bump(&c.tasks_spawned);
-                            c.bump(&c.forks_promoted);
+                            c.bump(Counter::TasksSpawned);
+                            c.bump(Counter::ForksPromoted);
                         }
                         self.scratch.push(task);
                     }
                     if n >= 2 {
                         let c = self.ctr();
-                        c.add(&c.steal_batch_tasks, n as u64);
+                        c.add(Counter::StealBatchTasks, n as u64);
                         self.trace(EventKind::StealBatch {
                             victim: id.index() as u32,
                             n: n as u32,
@@ -234,7 +234,7 @@ impl Thief {
                 }
                 Steal::Empty => return (None, StealOutcome::Empty),
                 Steal::Retry => {
-                    self.ctr().bump(&self.ctr().steal_retries);
+                    self.ctr().bump(Counter::StealRetries);
                     std::hint::spin_loop();
                 }
             }

@@ -50,7 +50,7 @@ use lhws_deque::{DequeId, DequeKind, WorkerHandle};
 use crate::config::LatencyMode;
 use crate::fault::{FaultInjector, FaultSite, PanicInjected};
 use crate::join::JoinHandle;
-use crate::metrics::WorkerBlock;
+use crate::metrics::{Counter, WorkerBlock};
 use crate::runtime::{self, RtInner};
 use crate::steal::Thief;
 use crate::task::{self, Job, Polled, SlotHead, TaskRef};
@@ -193,7 +193,7 @@ impl WorkerTls {
         // panic: caught at the poll, surfaced at the join point.
         let fut = PanicInjected::new(fut, self.rt.faults.clone());
         let (task, handle) = task::new_joinable(self.rt.id, fut);
-        self.ctr().bump(&self.ctr().tasks_spawned);
+        self.ctr().bump(Counter::TasksSpawned);
         self.push_spawned(task);
         handle
     }
@@ -269,8 +269,8 @@ impl WorkerTls {
     /// Counts a task promoted from a fork's slot on this worker.
     fn promoted(&self, task: TaskRef) -> TaskRef {
         let c = self.ctr();
-        c.bump(&c.tasks_spawned);
-        c.bump(&c.forks_promoted);
+        c.bump(Counter::TasksSpawned);
+        c.bump(Counter::ForksPromoted);
         task
     }
 
@@ -337,7 +337,7 @@ impl WorkerTls {
             );
         }
         self.suspend_count.set(self.suspend_count.get() + 1);
-        self.ctr().bump(&self.ctr().suspensions);
+        self.ctr().bump(Counter::Suspensions);
         seq
     }
 
@@ -355,7 +355,7 @@ impl WorkerTls {
             }
             inject_spurious = f.fires(FaultSite::SpuriousWake);
         }
-        self.ctr().bump(&self.ctr().polls);
+        self.ctr().bump(Counter::Polls);
         if let Some(tr) = &self.rt.tracer {
             // A resumed suspension reaches its next poll: the vertex
             // *executed*. (The tag is only ever set while tracing.)
@@ -706,7 +706,7 @@ impl Worker {
         if self.active.is_none() {
             self.harvest_io();
             if let Some(q) = self.pop_ready() {
-                self.ctr().bump(&self.ctr().deque_switches);
+                self.ctr().bump(Counter::DequeSwitches);
                 self.trace(EventKind::DequeSwitch { deque: q as u32 });
                 self.activate(q);
             } else if let Some(task) = self.rt.pop_injected() {
@@ -797,7 +797,7 @@ impl Worker {
 
     /// Task polls this worker has run (its `polls` counter).
     fn polls(&self) -> u64 {
-        self.ctr().polls.load(std::sync::atomic::Ordering::Relaxed)
+        self.ctr().get(Counter::Polls)
     }
 
     // ------------------------------------------------------------------
@@ -881,7 +881,7 @@ impl Worker {
             return;
         }
         for ev in batch.drain(..) {
-            self.ctr().bump(&self.ctr().resumes);
+            self.ctr().bump(Counter::Resumes);
             if let Some(tr) = &self.tracer {
                 if ev.seq != 0 {
                     // The owner drained the event: the vertex is *ready*.
@@ -905,7 +905,7 @@ impl Worker {
                 // The `resumes` bump and `ResumeReady` record above still
                 // happened, so suspension/resume accounting and audit
                 // seq pairing stay balanced across the death.
-                self.ctr().bump(&self.ctr().resumes_rerouted);
+                self.ctr().bump(Counter::ResumesRerouted);
                 if ev.task.try_claim_for_queue() {
                     let a = self.active_or_new();
                     self.owned[a].handle.push_bottom(Job::task(ev.task));
@@ -939,7 +939,7 @@ impl Worker {
                     self.owned[q].handle.push_bottom(Job::task(task));
                 }
             } else {
-                self.ctr().bump(&self.ctr().pfor_batches);
+                self.ctr().bump(Counter::PforBatches);
                 let pfor = crate::pfor::new_pfor_task(&self.rt, vs);
                 self.owned[q].handle.push_bottom(Job::task(pfor));
             }
@@ -1085,7 +1085,7 @@ impl Worker {
                     .registry
                     .register(self.index, stealer)
                     .expect("deque registry spans the whole id space");
-                self.ctr().bump(&self.ctr().deques_allocated);
+                self.ctr().bump(Counter::DequesAllocated);
                 self.owned.push(OwnedDeque {
                     global,
                     handle: Rc::new(worker_end),
@@ -1213,8 +1213,8 @@ impl Worker {
         self.rt.epochs[self.index].store(self.epoch, std::sync::atomic::Ordering::Relaxed);
 
         let c = self.ctr();
-        c.bump(&c.workers_restarted);
-        c.add(&c.deques_rescued, rescued.len() as u64);
+        c.bump(Counter::WorkersRestarted);
+        c.add(Counter::DequesRescued, rescued.len() as u64);
         self.trace(EventKind::WorkerRespawn {
             worker: self.index as u32,
             rescued: rescued.len() as u32,

@@ -264,8 +264,8 @@ impl Io {
             Ok(WaitOutcome::TimedOut | WaitOutcome::Interrupted) => return true,
             Err(_) => return false,
         };
-        self.stats.count_wakeup(0);
-        self.stats.count_events(0, n as u64);
+        self.stats.count_wakeup();
+        self.stats.count_events(n as u64);
         for ev in &events[..n] {
             self.dispatch(hooks, *ev);
         }
@@ -447,7 +447,7 @@ impl<'rt> ReactorBuilder<'rt> {
                 table: Mutex::new(HashMap::new()),
                 shutdown: AtomicBool::new(false),
                 in_wait: AtomicUsize::new(0),
-                stats: hooks.register_io_shards(1),
+                stats: hooks.register_io_shards(),
             }),
         };
         let ours = Arc::new(Inner {

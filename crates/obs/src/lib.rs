@@ -483,17 +483,9 @@ fn encode_stats_json(
     o.push('{');
     push_kv(&mut o, "frame", frame);
     push_kv(&mut o, "uptime_ms", uptime.as_millis() as u64);
-    push_kv(&mut o, "polls", m.polls);
-    push_kv(&mut o, "tasks_spawned", m.tasks_spawned);
-    push_kv(&mut o, "forks_promoted", m.forks_promoted);
-    push_kv(&mut o, "steals_attempted", m.steals_attempted);
-    push_kv(&mut o, "steals_succeeded", m.steals_succeeded);
-    push_kv(&mut o, "suspensions", m.suspensions);
-    push_kv(&mut o, "resumes", m.resumes);
-    push_kv(&mut o, "unparks", m.unparks);
-    push_kv(&mut o, "io_registrations", m.io_registrations);
-    push_kv(&mut o, "io_readiness_events", m.io_readiness_events);
-    push_kv(&mut o, "io_timeouts", m.io_timeouts);
+    for (name, value) in m {
+        push_kv(&mut o, name, value);
+    }
     // One entry per reactor readiness queue (the reactor has one); empty
     // arrays when none exists (Block mode, or no reactor at all).
     push_u64_array(
@@ -506,9 +498,6 @@ fn encode_stats_json(
         "io_shard_wakeups",
         io_shards.iter().map(|s| s.wakeups),
     );
-    push_kv(&mut o, "live_deques", m.live_deques);
-    push_kv(&mut o, "live_deques_high_water", m.live_deques_high_water);
-    push_kv(&mut o, "max_deques_per_worker", m.max_deques_per_worker);
     let rate = if m.steals_attempted == 0 {
         0.0
     } else {
@@ -566,6 +555,27 @@ mod tests {
         ];
         let s = encode_stats_json(0, Duration::ZERO, &m, &shards, None);
         assert!(s.contains("\"io_shard_events\":[5,0],\"io_shard_wakeups\":[2,1]"));
+    }
+
+    /// Every `MetricsSnapshot` field, as its derived `Debug` lists it, is a
+    /// `/stats` key carrying its value.
+    #[test]
+    fn stats_json_lists_every_counter() {
+        let rt = Runtime::builder().workers(1).build().unwrap();
+        rt.block_on(async { simulate_latency(Duration::from_millis(1)).await });
+        let m = rt.metrics();
+        let s = encode_stats_json(0, Duration::ZERO, &m, &[], None);
+        let debug = format!("{m:?}");
+        let fields = debug
+            .strip_prefix("MetricsSnapshot { ")
+            .and_then(|d| d.strip_suffix(" }"))
+            .unwrap();
+        assert_eq!(fields.split(", ").count(), (&m).into_iter().count());
+        for kv in fields.split(", ") {
+            let (name, value) = kv.split_once(": ").unwrap();
+            assert!(s.contains(&format!("\"{name}\":{value},")), "{name}");
+        }
+        assert!(m.polls > 0 && m.suspensions > 0);
     }
 
     #[test]
