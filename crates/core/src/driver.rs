@@ -175,7 +175,7 @@ pub struct IoShardSnapshot {
 #[derive(Clone)]
 pub struct DriverHooks {
     rt: Weak<RtInner>,
-    rt_id: u64,
+    rt_id: u32,
     tracer: Option<Arc<Tracer>>,
     faults: Option<Arc<FaultInjector>>,
     mode: LatencyMode,

@@ -34,7 +34,7 @@
 //! | `with(FaultSite::ResumeReorder, ppm)` | the owner firing its timer shard | the fired batch's event order is reversed before it is drained |
 //! | `with(FaultSite::SpuriousWake, ppm)` | after a `Pending` poll | the task is woken without any of its registrations completing |
 //! | `with(FaultSite::PollDelay, ppm)`, bound `poll_delay_micros` | before a poll | the worker sleeps, emulating OS preemption between deadline computation and first poll |
-//! | `with(FaultSite::TaskPanic, ppm)` | first poll of a spawned task | the task panics (propagates at its join, as a user panic would) |
+//! | `with(FaultSite::TaskPanic, ppm)` | first poll of a spawned task, of a promoted fork half, or of a right half run in place | the task (or the fork's parent) panics; it propagates at the join, as a user panic would |
 //! | `with(FaultSite::DequeSwitch, ppm)` | after draining resumes | the non-empty active deque is demoted to the ready list |
 //! | `with(FaultSite::DropUnpark, ppm)` | inject/delivery | the wake-up is skipped; the park timeout is the only backstop |
 //! | `with(FaultSite::DroppedReadiness, ppm)` | reactor dispatch (on the harvesting worker) | a kernel readiness event is swallowed without firing the completer; the waiter stays filed, the cached readiness bits are left untouched, and the reactor re-arms the fd, so the kernel reports the still-true condition again |
@@ -68,7 +68,8 @@ pub enum FaultSite {
     SpuriousWake,
     /// Sleep before a poll (emulated preemption).
     PollDelay,
-    /// Injected panic on a spawned task's first poll.
+    /// Injected panic on the first poll of a spawned task or a fork's
+    /// right half.
     TaskPanic,
     /// Forced demotion of the active deque to the ready list.
     DequeSwitch,
@@ -375,48 +376,15 @@ impl fmt::Debug for FaultInjector {
     }
 }
 
-/// A wrapper future that may panic on its first poll, per the plan's
-/// [`FaultSite::TaskPanic`] rate. Wrapped *inside* the task's
-/// `CatchUnwind` at spawn, so an injected panic travels the same road as
-/// a user panic: caught, stored in the `JoinCell`, re-thrown at the join
-/// point.
-pub(crate) struct PanicInjected<F> {
-    inner: F,
-    /// Taken on first poll; `None` (no plan / rate 0) is a no-op wrapper.
-    armed: Option<std::sync::Arc<FaultInjector>>,
-}
-
-impl<F> PanicInjected<F> {
-    pub fn new(inner: F, armed: Option<std::sync::Arc<FaultInjector>>) -> Self {
-        PanicInjected { inner, armed }
-    }
-
-    /// Arms a wrapper made before its runtime was known (a fork's right
-    /// half, built outside any worker), before its first poll.
-    pub fn arm(&mut self, armed: Option<std::sync::Arc<FaultInjector>>) {
-        self.armed = armed;
-    }
-}
-
-impl<F: std::future::Future> std::future::Future for PanicInjected<F> {
-    type Output = F::Output;
-
-    fn poll(
-        self: std::pin::Pin<&mut Self>,
-        cx: &mut std::task::Context<'_>,
-    ) -> std::task::Poll<Self::Output> {
-        // SAFETY: nothing is moved out of `self`: `armed` is never pinned
-        // and is only `take`n, and `inner` is re-pinned in place below.
-        let this = unsafe { self.get_unchecked_mut() };
-        if let Some(f) = this.armed.take() {
-            if f.fires(FaultSite::TaskPanic) {
-                panic!("injected task panic (fault plan)");
-            }
-        }
-        // SAFETY: `inner` is structurally pinned: it lives inside the
-        // pinned `self`, is never moved out, and `PanicInjected` has no
-        // `Drop` impl or `Unpin` impl that could move it.
-        unsafe { std::pin::Pin::new_unchecked(&mut this.inner) }.poll(cx)
+/// Rolls [`FaultSite::TaskPanic`] once (nothing without a plan) and panics
+/// if it fires. Called where a task is first polled, inside the task's
+/// `catch_unwind` ([`TaskRef::run`](crate::task::TaskRef::run)), and where
+/// a fork's right half is first polled in place, inside its parent's
+/// ([`Fork2`](crate::join::Fork2)), so an injected panic takes the road of
+/// a user panic: caught, stored, re-thrown at the join point.
+pub(crate) fn roll_task_panic(faults: Option<&FaultInjector>) {
+    if faults.is_some_and(|f| f.fires(FaultSite::TaskPanic)) {
+        panic!("injected task panic (fault plan)");
     }
 }
 

@@ -30,7 +30,7 @@ use std::task::{ready, Context, Poll};
 
 use lhws_deque::WorkerHandle;
 
-use crate::fault::PanicInjected;
+use crate::fault;
 use crate::task::{self, Header, Job, ReadOutput, SlotHead, TaskRef};
 use crate::worker::{self, WorkerTls};
 
@@ -198,8 +198,10 @@ enum Phase {
     /// Not polled yet: the first poll advertises the slot.
     Unforked,
     /// The slot is the owner's again: the right half is in it, to run in
-    /// place, or its task's handle is.
+    /// place, or its task's handle is. Nothing has polled it here yet.
     Forked,
+    /// [`Phase::Forked`] after the first poll of the right half here.
+    Joining,
     /// Done, or the first poll unwound.
     Spent,
 }
@@ -215,7 +217,7 @@ pub(crate) struct Slot<B: Future> {
 /// What a slot holds over its life.
 pub(crate) enum RightHalf<B: Future> {
     /// The right half, until it is promoted or finishes in place.
-    Future(PanicInjected<B>),
+    Future(B),
     /// The promoted task's handle, written before the promoter publishes.
     Promoted(JoinHandle<B::Output>),
     /// Finished in place, or joined.
@@ -230,7 +232,7 @@ where
     pub(crate) fn new(fut: B) -> Slot<B> {
         Slot {
             head: SlotHead::new(Self::promote),
-            right: UnsafeCell::new(RightHalf::Future(PanicInjected::new(fut, None))),
+            right: UnsafeCell::new(RightHalf::Future(fut)),
         }
     }
 
@@ -239,7 +241,7 @@ where
     /// # Safety
     /// As for `SlotHead`'s `promote`: `head` heads a `Slot<B>` whose right
     /// half the caller holds and nobody polled.
-    unsafe fn promote(head: NonNull<SlotHead>, rt_id: u64) -> TaskRef {
+    unsafe fn promote(head: NonNull<SlotHead>, rt_id: u32) -> TaskRef {
         // SAFETY: `Slot` is `repr(C)` with the head first, and the slot
         // lives until its owner has seen the publish or taken it back.
         let slot = unsafe { head.cast::<Self>().as_ref() };
@@ -277,12 +279,6 @@ where
         // From the whole slot, not its head: a promoter reaches past the
         // head into `right`.
         let head = NonNull::from(&self.slot).cast::<SlotHead>();
-        if let Some(faults) = &w.rt().faults {
-            // SAFETY: not advertised yet, so the slot is this poll's alone.
-            if let RightHalf::Future(fut) = unsafe { &mut *self.slot.right.get() } {
-                fut.arm(Some(faults.clone()));
-            }
-        }
         self.phase = Phase::Spent;
         // SAFETY: this poll takes the slot back below, or in `Reclaim` if
         // `left` unwinds.
@@ -315,10 +311,15 @@ where
     }
 
     /// Polls the right half wherever it is; its output once it has one.
+    /// The first poll of a right half in place rolls `TaskPanic`, as a
+    /// promoted one's task does at its first poll.
     fn poll_right(&mut self, w: Option<&WorkerTls>, cx: &mut Context<'_>) -> Poll<B::Output> {
-        if !matches!(self.phase, Phase::Forked) {
-            panic!("Fork2 polled after completion or after a panic");
-        }
+        let first = match self.phase {
+            Phase::Forked => true,
+            Phase::Joining => false,
+            _ => panic!("Fork2 polled after completion or after a panic"),
+        };
+        self.phase = Phase::Joining;
         // SAFETY: taken back by the owner, promoted by it, or promoted by
         // a thief whose publish the owner saw: the cell is this future's
         // alone.
@@ -329,7 +330,12 @@ where
                 // place until it is dropped there (the assignment below).
                 let fut = unsafe { Pin::new_unchecked(fut) };
                 ready!(match w {
-                    Some(w) => w.inline(|| fut.poll(cx)),
+                    Some(w) => w.inline(|| {
+                        if first {
+                            fault::roll_task_panic(w.rt().faults.as_deref());
+                        }
+                        fut.poll(cx)
+                    }),
                     None => fut.poll(cx),
                 })
             }

@@ -4,7 +4,7 @@
 
 use std::collections::VecDeque;
 use std::future::Future;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, OnceLock, PoisonError, Weak};
 use std::thread::JoinHandle as ThreadHandle;
 use std::time::{Duration, Instant};
@@ -13,7 +13,7 @@ use lhws_deque::{Registry, MAX_DEQUES};
 
 use crate::config::{Config, ConfigError, RuntimeBuilder};
 use crate::driver::{Driver, DriverHooks, DriverReport, IoShardSnapshot, IoShardStats};
-use crate::fault::{FaultInjector, FaultSite, PanicInjected};
+use crate::fault::{FaultInjector, FaultSite};
 use crate::join::{CatchUnwind, JoinHandle, PanicPayload};
 use crate::metrics::{CachePadded, Counter, Counters, MetricsSnapshot};
 use crate::obs::Observer;
@@ -38,12 +38,21 @@ struct Inbox {
 /// Every live runtime of the process, by [`RtInner::id`]. Tasks name their
 /// runtime by id; this is where a thread that is not one of its workers
 /// turns the id into a (counted) reference — see [`lookup`].
-static RUNTIMES: std::sync::Mutex<Vec<(u64, Weak<RtInner>)>> = std::sync::Mutex::new(Vec::new());
+static RUNTIMES: std::sync::Mutex<Vec<(u32, Weak<RtInner>)>> = std::sync::Mutex::new(Vec::new());
 
 /// Source of [`RtInner::id`]; starts at 1 so that 0 names no runtime.
-static NEXT_RUNTIME_ID: AtomicU64 = AtomicU64::new(1);
+static NEXT_RUNTIME_ID: AtomicU32 = AtomicU32::new(1);
 
-fn runtimes() -> std::sync::MutexGuard<'static, Vec<(u64, Weak<RtInner>)>> {
+/// A fresh runtime id. Ids are 32 bits (a task carries one in its header)
+/// and never reused: the 2^32-th runtime of a process panics rather than
+/// alias a live runtime's id.
+fn next_runtime_id() -> u32 {
+    NEXT_RUNTIME_ID
+        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |id| id.checked_add(1))
+        .expect("runtime ids exhausted: 2^32 - 1 runtimes in one process")
+}
+
+fn runtimes() -> std::sync::MutexGuard<'static, Vec<(u32, Weak<RtInner>)>> {
     // Every update is a single push or retain, so the table is valid even
     // if a holder panicked.
     RUNTIMES.lock().unwrap_or_else(PoisonError::into_inner)
@@ -52,7 +61,7 @@ fn runtimes() -> std::sync::MutexGuard<'static, Vec<(u64, Weak<RtInner>)>> {
 /// The runtime with this id, if it is still alive. The off-worker half of
 /// wake and resume delivery: worker threads reach their runtime through
 /// their TLS instead and never come here for it.
-pub(crate) fn lookup(id: u64) -> Option<Arc<RtInner>> {
+pub(crate) fn lookup(id: u32) -> Option<Arc<RtInner>> {
     runtimes()
         .iter()
         .find(|(rid, _)| *rid == id)
@@ -63,7 +72,7 @@ pub(crate) fn lookup(id: u64) -> Option<Arc<RtInner>> {
 pub(crate) struct RtInner {
     /// Process-unique name of this runtime; what tasks carry instead of a
     /// reference to it.
-    pub id: u64,
+    pub id: u32,
     /// Immutable configuration.
     pub config: Config,
     /// The global deque registry (`gDeques` + `gTotalDeques`).
@@ -429,7 +438,7 @@ impl Runtime {
             .fault_plan
             .map(|plan| Arc::new(FaultInjector::new(plan)));
         let inner = Arc::new(RtInner {
-            id: NEXT_RUNTIME_ID.fetch_add(1, Ordering::Relaxed),
+            id: next_runtime_id(),
             config,
             // The whole id space: Lemma 7 bounds the deque count by
             // `P · (U + 1)`, with `U` set by the program, and the segments
@@ -753,7 +762,7 @@ where
         _ => Err(fut),
     });
     forked.unwrap_or_else(|fut| {
-        let (task, handle) = task::new_joinable(rt.id, PanicInjected::new(fut, rt.faults.clone()));
+        let (task, handle) = task::new_joinable(rt.id, fut);
         rt.counters.bump(Counter::TasksSpawned);
         rt.inject(task);
         handle

@@ -95,7 +95,14 @@ impl Thief {
     /// exactly one `Steal` trace event); the exponential backoff between
     /// failed probes keeps a pack of idle thieves from hammering the
     /// registry shards.
+    ///
+    /// A lone worker makes no probe: every deque in the registry is its
+    /// own, and one with work is its active deque or on its ready list,
+    /// which the idle step looked at first.
     pub fn steal_burst(&mut self) -> Option<TaskRef> {
+        if self.rt.config.workers == 1 {
+            return None;
+        }
         for probe in 0..STEAL_PROBES {
             self.ctr().bump(Counter::StealsAttempted);
             if let Some(task) = self.try_steal() {

@@ -30,6 +30,11 @@
 //!   when the poll returns `Pending`, so no wake-up is lost.
 //! * `wake` on `QUEUED`/`NOTIFIED`/`DONE` is a no-op.
 //!
+//! A spawned task and a promoted fork half also start with [`state::ROLL`]
+//! set beside `QUEUED`: the first poll's swap to `RUNNING` clears it and
+//! tells the poll to roll the fault plan's `TaskPanic` site
+//! ([`TaskRef::run`]), so no future carries a fault field of its own.
+//!
 //! Nothing in a task is behind a lock; two words decide who may touch the
 //! two `UnsafeCell`s:
 //!
@@ -62,8 +67,9 @@ use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
 
 use lhws_deque::WorkerHandle;
 
+use crate::fault::{self, FaultInjector};
 use crate::join::{JoinHandle, PanicPayload};
-use crate::sync::{self, fence, AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use crate::sync::{self, fence, AtomicBool, AtomicU32, Ordering};
 use crate::worker;
 
 /// Task lifecycle states.
@@ -78,6 +84,11 @@ mod state {
     pub const NOTIFIED: u32 = 3;
     /// Completed; the stage holds the output, not the future.
     pub const DONE: u32 = 4;
+    /// Set beside `QUEUED` on a task made by a spawn or a fork's promotion
+    /// until its first poll, which rolls the `TaskPanic` fault site.
+    pub const ROLL: u32 = 8;
+    /// `QUEUED` before the first poll of a task made with [`ROLL`].
+    pub const QUEUED_ROLL: u32 = QUEUED | ROLL;
 }
 
 /// States of the completion / joiner-waker handshake.
@@ -94,21 +105,26 @@ mod join_word {
 
 /// `refs` of a task the model checker's quarantine has "freed"
 /// ([`check_hooks`]); a later release of it is a use after free.
-const FREED: usize = usize::MAX;
+const FREED: u32 = u32::MAX;
+
+/// The most counts a task may have. `refs` is 32 bits: a program that
+/// leaks counts (wakers forgotten in a loop) would wrap it and free a live
+/// task, so a clone past this aborts the process, as `Arc`'s does.
+const MAX_REFS: u32 = i32::MAX as u32;
 
 /// The part of a task the scheduler uses without knowing the stage's type.
 pub(crate) struct Header {
     state: AtomicU32,
     join: AtomicU32,
     /// One count per [`TaskRef`], [`JoinHandle`] and waker.
-    refs: AtomicUsize,
-    joiner: UnsafeCell<Option<Waker>>,
-    /// What the holders need of the stage's type.
-    vtable: &'static VTable,
+    refs: AtomicU32,
     /// Which runtime's queues wake-ups deliver to ([`worker::route`]).
     /// An id, not a reference: a task neither keeps its runtime alive nor
     /// touches a count that all workers share.
-    rt_id: u64,
+    rt_id: u32,
+    joiner: UnsafeCell<Option<Waker>>,
+    /// What the holders need of the stage's type.
+    vtable: &'static VTable,
     /// Trace tag of the suspension this task was last resumed from (`0` =
     /// none). Set when the owner drains the resume event, consumed at the
     /// next poll to emit the `ResumeExec` trace event. Only touched while
@@ -122,13 +138,19 @@ pub(crate) struct Header {
 // and a `Waker` may be used and dropped on any thread.
 unsafe impl Sync for Header {}
 
+// 48 bytes: four 32-bit words, the joiner slot, the table, the trace tag.
+// The checker's instrumented atomics are larger.
+#[cfg(all(target_pointer_width = "64", not(lhws_check)))]
+const _: () = assert!(std::mem::size_of::<Header>() == 48);
+
 impl Header {
-    fn new(rt_id: u64, refs: usize, vtable: &'static VTable) -> Header {
+    /// A header in `state` (`QUEUED`, or `QUEUED_ROLL`) with `refs` counts.
+    fn new(rt_id: u32, state: u32, refs: u32, vtable: &'static VTable) -> Header {
         Header {
             vtable,
-            state: AtomicU32::new(state::QUEUED),
+            state: AtomicU32::new(state),
             join: AtomicU32::new(join_word::EMPTY),
-            refs: AtomicUsize::new(refs),
+            refs: AtomicU32::new(refs),
             joiner: UnsafeCell::new(None),
             rt_id,
             trace_seq: AtomicU64::new(0),
@@ -137,7 +159,7 @@ impl Header {
 
     /// Id of the runtime this task belongs to.
     #[inline]
-    pub fn rt_id(&self) -> u64 {
+    pub fn rt_id(&self) -> u32 {
         self.rt_id
     }
 
@@ -173,7 +195,7 @@ impl Header {
             let (from, to) = match self.state.load(Ordering::Acquire) {
                 state::IDLE => (state::IDLE, state::QUEUED),
                 state::RUNNING => (state::RUNNING, state::NOTIFIED),
-                state::QUEUED | state::NOTIFIED | state::DONE => return false,
+                state::QUEUED | state::QUEUED_ROLL | state::NOTIFIED | state::DONE => return false,
                 s => unreachable!("invalid task state {s}"),
             };
             if self
@@ -187,10 +209,17 @@ impl Header {
     }
 
     /// `QUEUED → RUNNING`: the caller is the poller until it calls
-    /// [`Header::complete`] or [`Header::finish_pending`].
-    fn begin_poll(&self) {
+    /// [`Header::complete`] or [`Header::finish_pending`]. True if the swap
+    /// cleared [`state::ROLL`]: this is the first poll of a task whose
+    /// first poll rolls `TaskPanic`.
+    fn begin_poll(&self) -> bool {
         let prev = self.state.swap(state::RUNNING, Ordering::AcqRel);
-        debug_assert_eq!(prev, state::QUEUED, "polling a task that was not queued");
+        debug_assert_eq!(
+            prev & !state::ROLL,
+            state::QUEUED,
+            "polling a task that was not queued"
+        );
+        prev & state::ROLL != 0
     }
 
     /// Settles a `Pending` poll: `RUNNING → IDLE`, unless a wake arrived
@@ -289,7 +318,9 @@ impl Header {
 /// will; `free` that the caller gave back the last count.
 struct VTable {
     /// Polls the future once; `Ready` means the stage now holds the output.
-    poll: unsafe fn(NonNull<Header>) -> Poll<()>,
+    /// With a plan, the poll first rolls its `TaskPanic` site inside the
+    /// task's own `catch_unwind` ([`fault::roll_task_panic`]).
+    poll: unsafe fn(NonNull<Header>, Option<&FaultInjector>) -> Poll<()>,
     /// Drops a future that will never be polled again in place.
     drop_future: unsafe fn(NonNull<Header>),
     /// Drops the task and frees its block.
@@ -324,10 +355,16 @@ where
         free: Self::free,
     };
 
-    /// A new task in its own block, `QUEUED`, with `refs` counts.
-    fn allocate(rt_id: u64, fut: F, refs: usize, vtable: &'static VTable) -> NonNull<Header> {
+    /// A new task in its own block, in `state`, with `refs` counts.
+    fn allocate(
+        rt_id: u32,
+        fut: F,
+        state: u32,
+        refs: u32,
+        vtable: &'static VTable,
+    ) -> NonNull<Header> {
         let task = Box::new(Task {
-            header: Header::new(rt_id, refs, vtable),
+            header: Header::new(rt_id, state, refs, vtable),
             stage: UnsafeCell::new(Stage::Running(fut)),
         });
         NonNull::from(Box::leak(task)).cast()
@@ -348,7 +385,7 @@ where
     /// # Safety
     /// `ptr` heads a live `Task<F>` and the caller holds `RUNNING`
     /// ([`Header::begin_poll`]) and one of the task's counts.
-    unsafe fn poll(ptr: NonNull<Header>) -> Poll<()> {
+    unsafe fn poll(ptr: NonNull<Header>, roll: Option<&FaultInjector>) -> Poll<()> {
         // SAFETY: the waker stands for the count of the caller's
         // `TaskRef`, which outlives the poll; it is never dropped, and its
         // clones take their own counts.
@@ -365,7 +402,10 @@ where
         let fut = unsafe { Pin::new_unchecked(fut) };
         // A panic in the future ends the task like a value does; it
         // surfaces at the join point and never unwinds into the worker.
-        let out = match catch_unwind(AssertUnwindSafe(|| fut.poll(&mut cx))) {
+        let out = match catch_unwind(AssertUnwindSafe(|| {
+            fault::roll_task_panic(roll);
+            fut.poll(&mut cx)
+        })) {
             Ok(Poll::Pending) => return Poll::Pending,
             Ok(Poll::Ready(v)) => Ok(v),
             Err(payload) => Err(payload),
@@ -543,11 +583,13 @@ impl TaskRef {
     }
 
     /// One scheduler poll: `QUEUED → RUNNING`, poll the future, settle.
-    pub fn run(&self) -> Polled {
-        self.begin_poll();
+    /// The first poll of a task made with [`state::ROLL`] rolls `faults`'
+    /// `TaskPanic` site (one visit), and panics the task if it fires.
+    pub fn run(&self, faults: Option<&FaultInjector>) -> Polled {
+        let roll = if self.begin_poll() { faults } else { None };
         // SAFETY: `begin_poll` took RUNNING, and the table is the one this
         // task was allocated with.
-        match unsafe { (self.vtable.poll)(self.0) } {
+        match unsafe { (self.vtable.poll)(self.0, roll) } {
             Poll::Ready(()) => {
                 self.complete();
                 Polled::Done
@@ -616,7 +658,9 @@ impl Deref for TaskRef {
 impl Clone for TaskRef {
     fn clone(&self) -> TaskRef {
         // Relaxed: the new count is taken under one the caller holds.
-        self.refs.fetch_add(1, Ordering::Relaxed);
+        if self.refs.fetch_add(1, Ordering::Relaxed) > MAX_REFS {
+            std::process::abort();
+        }
         TaskRef(self.0)
     }
 }
@@ -713,7 +757,7 @@ impl Job {
     /// The task a thief stole: a task as it is, a slot promoted to a task
     /// of runtime `rt_id` and published to its owner. True if it
     /// promoted.
-    pub fn into_stolen(self, rt_id: u64) -> (TaskRef, bool) {
+    pub fn into_stolen(self, rt_id: u32) -> (TaskRef, bool) {
         let job = ManuallyDrop::new(self);
         match job.as_slot() {
             None => (TaskRef(job.0.cast()), false),
@@ -762,12 +806,12 @@ pub(crate) struct SlotHead {
     /// Safety: the caller holds the slot's right half (it won the slot,
     /// or owns it and never advertised or took it back), which was never
     /// polled, and its owner's `Fork2` has not moved.
-    promote: unsafe fn(NonNull<SlotHead>, u64) -> TaskRef,
+    promote: unsafe fn(NonNull<SlotHead>, u32) -> TaskRef,
 }
 
 impl SlotHead {
     /// A head whose slot is promoted by `promote` (see the field).
-    pub fn new(promote: unsafe fn(NonNull<SlotHead>, u64) -> TaskRef) -> SlotHead {
+    pub fn new(promote: unsafe fn(NonNull<SlotHead>, u32) -> TaskRef) -> SlotHead {
         SlotHead {
             published: AtomicBool::new(false),
             promote,
@@ -779,7 +823,7 @@ impl SlotHead {
     ///
     /// # Safety
     /// As for the `promote` field, once per slot.
-    pub unsafe fn promote(head: NonNull<SlotHead>, rt_id: u64) -> TaskRef {
+    pub unsafe fn promote(head: NonNull<SlotHead>, rt_id: u32) -> TaskRef {
         // SAFETY: the slot lives until its owner has seen the publish.
         let promote = unsafe { head.as_ref() }.promote;
         // SAFETY: forwarded contract.
@@ -799,7 +843,8 @@ impl SlotHead {
 /// first and re-pushed in its order afterwards, with `put_back`'s task —
 /// if the owner got the slot and the closure returns one — going back in
 /// the slot's place. Anything older than the slot is gone if the slot is:
-/// thieves take from the top.
+/// thieves take from the top. What it pops past waits in `above`, the
+/// owner's reusable buffer, which it leaves empty.
 ///
 /// # Safety
 /// The caller is `deque`'s owner, advertised `head` on it in the poll it
@@ -807,10 +852,11 @@ impl SlotHead {
 /// has been taken back.
 pub(crate) unsafe fn reclaim(
     deque: &WorkerHandle<Job>,
+    above: &mut Vec<Job>,
     head: NonNull<SlotHead>,
     put_back: impl FnOnce() -> Option<TaskRef>,
 ) -> bool {
-    let mine = take_back(deque, head, put_back);
+    let mine = take_back(deque, above, head, put_back);
     if !mine {
         // SAFETY: the slot lives in the caller's own future.
         sync::spin_until(&unsafe { head.as_ref() }.published);
@@ -821,11 +867,12 @@ pub(crate) unsafe fn reclaim(
 /// [`reclaim`] without the wait for the thief's publish.
 fn take_back(
     deque: &WorkerHandle<Job>,
+    above: &mut Vec<Job>,
     head: NonNull<SlotHead>,
     put_back: impl FnOnce() -> Option<TaskRef>,
 ) -> bool {
+    debug_assert!(above.is_empty());
     let me = head.as_ptr() as usize | SLOT_TAG;
-    let mut above = Vec::new();
     // Usually one pop: the slot is the bottom item, or gone.
     let mine = loop {
         let Some(job) = deque.pop_bottom() else {
@@ -844,27 +891,33 @@ fn take_back(
             deque.push_bottom(Job::task(task));
         }
     }
-    if !above.is_empty() {
-        for job in above.into_iter().rev() {
-            deque.push_bottom(job);
-        }
+    for job in above.drain(..).rev() {
+        deque.push_bottom(job);
     }
     mine
 }
 
 /// Creates a task nobody joins, in the `QUEUED` state (about to be
 /// delivered to a scheduler queue by the caller).
-pub(crate) fn new_detached<F>(rt_id: u64, fut: F) -> TaskRef
+/// No fault roll: its first poll is not a spawned task's.
+pub(crate) fn new_detached<F>(rt_id: u32, fut: F) -> TaskRef
 where
     F: Future + Send + 'static,
     F::Output: Send + 'static,
 {
-    TaskRef(Task::allocate(rt_id, fut, 1, Task::<F>::VTABLE))
+    TaskRef(Task::allocate(
+        rt_id,
+        fut,
+        state::QUEUED,
+        1,
+        Task::<F>::VTABLE,
+    ))
 }
 
 /// Creates a `QUEUED` task and the handle that joins it: one block, two
-/// counts, no RMW.
-pub(crate) fn new_joinable<F>(rt_id: u64, fut: F) -> (TaskRef, JoinHandle<F::Output>)
+/// counts, no RMW. A spawn or a fork's promotion: its first poll rolls
+/// `TaskPanic` ([`state::ROLL`]).
+pub(crate) fn new_joinable<F>(rt_id: u32, fut: F) -> (TaskRef, JoinHandle<F::Output>)
 where
     F: Future + Send + 'static,
     F::Output: Send + 'static,
@@ -872,12 +925,12 @@ where
     joinable(rt_id, fut, Task::<F>::VTABLE)
 }
 
-fn joinable<F>(rt_id: u64, fut: F, vtable: &'static VTable) -> (TaskRef, JoinHandle<F::Output>)
+fn joinable<F>(rt_id: u32, fut: F, vtable: &'static VTable) -> (TaskRef, JoinHandle<F::Output>)
 where
     F: Future + Send + 'static,
     F::Output: Send + 'static,
 {
-    let task = Task::allocate(rt_id, fut, 2, vtable);
+    let task = Task::allocate(rt_id, fut, state::QUEUED_ROLL, 2, vtable);
     // SAFETY: the second count is the handle's, and `read_output` is the
     // one of the task's future type.
     let handle = unsafe { JoinHandle::new(task, Task::<F>::read_output) };
@@ -1006,7 +1059,7 @@ pub mod check_hooks {
             let Some(child) = self.handle.pop_if_bottom(&self.owner) else {
                 return false;
             };
-            child.run();
+            child.run(None);
             true
         }
 
@@ -1017,7 +1070,7 @@ pub mod check_hooks {
             let Some(child) = self.handle.pop_if_bottom(&self.owner) else {
                 return false;
             };
-            child.run();
+            child.run(None);
             child.release_racy();
             true
         }
@@ -1037,7 +1090,7 @@ pub mod check_hooks {
         pub fn steal_slot_and_run(&self) -> Option<bool> {
             let job = self.0.steal().success()?;
             let (task, promoted) = job.into_stolen(0);
-            task.run();
+            task.run(None);
             Some(promoted)
         }
     }
@@ -1122,7 +1175,13 @@ pub mod check_hooks {
         where
             G: Future<Output = ()> + Send + 'static,
         {
-            let task = TaskRef(Task::allocate(0, fut, 1, Checked::<G>::VTABLE));
+            let task = TaskRef(Task::allocate(
+                0,
+                fut,
+                state::QUEUED,
+                1,
+                Checked::<G>::VTABLE,
+            ));
             self.owner.push_bottom(Job::task(task));
         }
 
@@ -1134,12 +1193,13 @@ pub mod check_hooks {
                 // SAFETY: called with the slot back: the owner's own.
                 promote.then(|| unsafe { SlotHead::promote(head, 0) })
             };
+            let above = &mut Vec::new();
             let mine = if self.waits {
                 // SAFETY: advertised on this deque, not yet taken back,
                 // and nothing advertised after it.
-                unsafe { reclaim(&self.owner, head, put_back) }
+                unsafe { reclaim(&self.owner, above, head, put_back) }
             } else {
-                take_back(&self.owner, head, put_back)
+                take_back(&self.owner, above, head, put_back)
             };
             match left {
                 Left::Panicked => Reclaimed::Dropped,
@@ -1180,7 +1240,7 @@ pub mod check_hooks {
         /// a promoted right half nobody stole.
         pub fn run_leftovers(&self) {
             while let Some(job) = self.owner.pop_bottom() {
-                job.task_of_owner().run();
+                job.task_of_owner().run(None);
             }
         }
 
@@ -1222,6 +1282,19 @@ mod tests {
         Pin::new(h).poll(&mut Context::from_waker(waker))
     }
 
+    /// Wakes itself and returns `Pending` once, then `Ready`.
+    struct YieldOnce(bool);
+    impl Future for YieldOnce {
+        type Output = ();
+        fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+            if std::mem::replace(&mut self.0, true) {
+                return Poll::Ready(());
+            }
+            cx.waker().wake_by_ref();
+            Poll::Pending
+        }
+    }
+
     /// Counts its drops.
     struct Counted(Arc<AtomicUsize>);
     impl Drop for Counted {
@@ -1233,7 +1306,7 @@ mod tests {
     #[test]
     fn complete_then_poll() {
         let (task, mut h) = new_joinable(0, async { 42 });
-        assert!(matches!(task.run(), Polled::Done));
+        assert!(matches!(task.run(None), Polled::Done));
         assert!(matches!(poll_once(&mut h, &noop()), Poll::Ready(42)));
     }
 
@@ -1246,7 +1319,7 @@ mod tests {
         assert!(!h.is_finished());
         // A second registration of the same waker keeps the first.
         assert!(poll_once(&mut h, &waker).is_pending());
-        task.run();
+        task.run(None);
         assert!(flag.0.load(SeqCst), "completion wakes the joiner");
         assert!(h.is_finished());
         assert!(matches!(poll_once(&mut h, &waker), Poll::Ready("done")));
@@ -1261,27 +1334,16 @@ mod tests {
             }
         });
         // The task itself contains the panic ...
-        assert!(matches!(task.run(), Polled::Done));
+        assert!(matches!(task.run(None), Polled::Done));
         // ... and the join point re-throws it.
         let _ = poll_once(&mut h, &noop());
     }
 
     #[test]
     fn wake_while_running_requeues() {
-        struct YieldOnce(bool);
-        impl Future for YieldOnce {
-            type Output = ();
-            fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-                if std::mem::replace(&mut self.0, true) {
-                    return Poll::Ready(());
-                }
-                cx.waker().wake_by_ref();
-                Poll::Pending
-            }
-        }
         let task = new_detached(0, YieldOnce(false));
-        assert!(matches!(task.run(), Polled::Requeue));
-        assert!(matches!(task.run(), Polled::Done));
+        assert!(matches!(task.run(None), Polled::Requeue));
+        assert!(matches!(task.run(None), Polled::Done));
         task.wake(); // DONE: a no-op, not a delivery
     }
 
@@ -1291,7 +1353,7 @@ mod tests {
         let d = drops.clone();
         let (task, h) = new_joinable(0, async move { Counted(d) });
         drop(h);
-        task.run();
+        task.run(None);
         assert_eq!(drops.load(SeqCst), 0, "the output lives in the task");
         drop(task);
         assert_eq!(drops.load(SeqCst), 1);
@@ -1303,7 +1365,7 @@ mod tests {
         let d = drops.clone();
         let (task, mut h) = new_joinable(0, async move { Counted(d) });
         assert_eq!(h.header().refs.load(Ordering::Relaxed), 2, "task + handle");
-        assert!(matches!(task.run(), Polled::Done));
+        assert!(matches!(task.run(None), Polled::Done));
         drop(task);
         assert_eq!(h.header().refs.load(Ordering::Relaxed), 1);
         let Poll::Ready(out) = poll_once(&mut h, &noop()) else {
@@ -1326,7 +1388,7 @@ mod tests {
                 Poll::Ready(7u32)
             }),
         );
-        assert!(matches!(task.run(), Polled::Done));
+        assert!(matches!(task.run(None), Polled::Done));
         drop(task);
         assert_eq!(h.header().refs.load(Ordering::Relaxed), 2, "handle + waker");
         assert!(matches!(poll_once(&mut h, &noop()), Poll::Ready(7)));
@@ -1346,7 +1408,7 @@ mod tests {
             wide.0[63]
         });
         assert_eq!(task.0.as_ptr() as usize % 64, 0);
-        assert!(matches!(task.run(), Polled::Done));
+        assert!(matches!(task.run(None), Polled::Done));
         drop(task);
         assert!(matches!(poll_once(&mut h, &noop()), Poll::Ready(7)));
     }
@@ -1357,7 +1419,7 @@ mod tests {
         let d = drops.clone();
         let (task, h) = new_joinable(0, async move { Counted(d) });
         std::thread::spawn(move || {
-            assert!(matches!(task.run(), Polled::Done));
+            assert!(matches!(task.run(None), Polled::Done));
             drop(task);
         })
         .join()
@@ -1365,5 +1427,50 @@ mod tests {
         assert_eq!(drops.load(SeqCst), 0, "the handle still holds the output");
         std::thread::spawn(move || drop(h)).join().unwrap();
         assert_eq!(drops.load(SeqCst), 1);
+    }
+
+    #[test]
+    fn a_header_is_48_bytes_and_a_64_byte_future_makes_at_most_a_120_byte_task() {
+        /// A 64-byte future, the size of a `spawn-flat` leaf's.
+        struct Pad([u64; 8]);
+        impl Future for Pad {
+            type Output = u64;
+            fn poll(self: Pin<&mut Self>, _: &mut Context<'_>) -> Poll<u64> {
+                Poll::Ready(self.0[0])
+            }
+        }
+        assert_eq!(std::mem::size_of::<Header>(), 48);
+        assert_eq!(std::mem::size_of::<Pad>(), 64);
+        // 120 B is a 128-B glibc chunk; 121 B would take a 144-B one.
+        assert!(std::mem::size_of::<Task<Pad>>() <= 120);
+    }
+
+    #[test]
+    fn only_the_first_poll_of_a_joinable_task_rolls_task_panic() {
+        use crate::fault::{FaultInjector, FaultPlan, FaultSite};
+        let always = FaultInjector::new(FaultPlan::new(1).with(FaultSite::TaskPanic, 1_000_000));
+        // A detached task — a pfor batch, a `block_on` root — never rolls.
+        let task = new_detached(0, YieldOnce(false));
+        assert!(matches!(task.run(Some(&always)), Polled::Requeue));
+        assert!(matches!(task.run(Some(&always)), Polled::Done));
+        assert_eq!(always.injected_total(), 0);
+        // A joinable one rolls at its first poll and panics there, without
+        // polling its future; the panic is the join's.
+        let (task, mut h) = new_joinable(0, async { 5u32 });
+        assert!(matches!(task.run(Some(&always)), Polled::Done));
+        assert_eq!(always.injected_total(), 1);
+        let joined = catch_unwind(AssertUnwindSafe(|| poll_once(&mut h, &noop())));
+        let payload = joined.expect_err("the injected panic surfaces at the join");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"injected task panic (fault plan)")
+        );
+        // Its later polls do not roll: the first swap cleared the bit.
+        let off = FaultInjector::new(FaultPlan::new(1));
+        let (task, mut h) = new_joinable(0, YieldOnce(false));
+        assert!(matches!(task.run(Some(&off)), Polled::Requeue));
+        assert!(matches!(task.run(Some(&always)), Polled::Done));
+        assert_eq!(always.injected_total(), 1);
+        assert!(matches!(poll_once(&mut h, &noop()), Poll::Ready(())));
     }
 }

@@ -48,7 +48,7 @@ use std::time::{Duration, Instant};
 use lhws_deque::{DequeId, DequeKind, WorkerHandle};
 
 use crate::config::LatencyMode;
-use crate::fault::{FaultInjector, FaultSite, PanicInjected};
+use crate::fault::{FaultInjector, FaultSite};
 use crate::join::JoinHandle;
 use crate::metrics::{Counter, WorkerBlock};
 use crate::runtime::{self, RtInner};
@@ -108,6 +108,10 @@ pub(crate) struct WorkerTls {
     /// Tasks woken on this thread (join wake-ups, yields, spurious
     /// wakes); flushed to the active deque after the poll.
     pending_local: RefCell<Vec<TaskRef>>,
+    /// What a fork's take-back pops past on its way down to its slot
+    /// ([`task::reclaim`]); empty between take-backs, so one buffer serves
+    /// every fork on the thread.
+    reclaim_scratch: RefCell<Vec<Job>>,
     /// Running count of trace suspension tags handed out by this worker
     /// (only advanced while tracing is enabled).
     suspend_seq: Cell<u64>,
@@ -140,7 +144,7 @@ pub(crate) fn with_worker<R>(f: impl FnOnce(Option<&WorkerTls>) -> R) -> R {
 /// worker), which is the one place a wake or resume takes a counted
 /// reference, from the process-wide table. Dropped if the runtime is gone.
 pub(crate) fn route<T>(
-    rt_id: u64,
+    rt_id: u32,
     item: T,
     local: impl FnOnce(&WorkerTls, T),
     remote: impl FnOnce(&RtInner, T),
@@ -188,10 +192,6 @@ impl WorkerTls {
         F: Future + Send + 'static,
         F::Output: Send + 'static,
     {
-        // `PanicInjected` sits inside the task's own panic containment,
-        // so an injected task panic takes the exact same road as a user
-        // panic: caught at the poll, surfaced at the join point.
-        let fut = PanicInjected::new(fut, self.rt.faults.clone());
         let (task, handle) = task::new_joinable(self.rt.id, fut);
         self.ctr().bump(Counter::TasksSpawned);
         self.push_spawned(task);
@@ -249,7 +249,7 @@ impl WorkerTls {
         // SAFETY: forwarded contract; the closure runs only with the slot
         // back, when its right half is the owner's.
         unsafe {
-            task::reclaim(deque, head, || {
+            task::reclaim(deque, &mut self.reclaim_scratch.borrow_mut(), head, || {
                 promote.then(|| self.promoted(SlotHead::promote(head, self.rt.id)))
             });
         }
@@ -373,7 +373,7 @@ impl WorkerTls {
         }
         let polled = {
             let _scope = Scope(&self.current_task, self.current_task.replace(&task));
-            task.run()
+            task.run(self.rt.faults.as_deref())
         };
         match polled {
             Polled::Done => {}
@@ -431,7 +431,7 @@ pub(crate) fn current_latency_mode() -> Option<LatencyMode> {
 /// other thread. Lets driver hooks route trace events to the worker's own
 /// SPSC ring (whose single-producer contract requires being that thread)
 /// and counter bumps to its cache-padded block.
-pub(crate) fn on_own_worker<R>(rt_id: u64, f: impl FnOnce(&RtInner, usize) -> R) -> Option<R> {
+pub(crate) fn on_own_worker<R>(rt_id: u32, f: impl FnOnce(&RtInner, usize) -> R) -> Option<R> {
     with_worker(|w| match w {
         Some(w) if w.rt.id == rt_id => Some(f(&w.rt, w.index)),
         _ => None,
@@ -1294,6 +1294,7 @@ impl Worker {
                 current_task: Cell::new(std::ptr::null()),
                 suspend_count: Cell::new(0),
                 pending_local: RefCell::new(Vec::new()),
+                reclaim_scratch: RefCell::new(Vec::new()),
                 suspend_seq: Cell::new(0),
                 inline_depth: Cell::new(0),
                 timers: RefCell::new(TimerHeap::new()),

@@ -188,6 +188,67 @@ fn injected_task_panic_surfaces_at_join_without_poisoning() {
     assert!(report.faults_injected >= 1);
 }
 
+/// Runs `body` on a one-worker runtime whose plan rolls `TaskPanic` at
+/// `ppm`: whether the root saw a panic, the faults injected, and how many
+/// right halves were promoted.
+fn task_panic_site<F>(ppm: u32, body: impl FnOnce() -> F) -> (bool, u64, u64)
+where
+    F: std::future::Future + Send + 'static,
+    F::Output: Send + 'static,
+{
+    let rt = Runtime::builder()
+        .workers(1)
+        .fault_plan(FaultPlan::new(3).with(FaultSite::TaskPanic, ppm))
+        .build()
+        .unwrap();
+    let fut = body();
+    let panicked =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| rt.block_on(fut))).is_err();
+    let report = rt.shutdown();
+    assert!(report.poisoned_worker.is_none());
+    (
+        panicked,
+        report.faults_injected,
+        report.metrics.forks_promoted,
+    )
+}
+
+#[test]
+fn task_panic_rolls_once_at_each_first_poll_site_and_never_at_rate_zero() {
+    // The three first polls the site covers: a spawned task, a fork's
+    // right half promoted into a task (its left half suspends, one
+    // worker, no thief), and a right half popped back and run in place.
+    // The root is a `block_on` root and never rolls.
+    for (ppm, want) in [(1_000_000, (true, 1)), (0, (false, 0))] {
+        let (panicked, injected, _) =
+            task_panic_site(ppm, || async { lhws_core::spawn(async { 1u32 }).await });
+        assert_eq!((panicked, injected), want, "spawned task at {ppm} ppm");
+        let (panicked, injected, promoted) = task_panic_site(ppm, || {
+            lhws_core::fork2(
+                async {
+                    lhws_core::yield_now().await;
+                    1u32
+                },
+                async { 2u32 },
+            )
+        });
+        assert_eq!(promoted, 1, "the right half was promoted");
+        assert_eq!(
+            (panicked, injected),
+            want,
+            "promoted right half at {ppm} ppm"
+        );
+        let (panicked, injected, promoted) =
+            task_panic_site(ppm, || lhws_core::fork2(async { 1u32 }, async { 2u32 }));
+        assert_eq!(promoted, 0, "the right half ran in place");
+        assert_eq!(
+            (panicked, injected),
+            want,
+            "in-place right half at {ppm} ppm"
+        );
+    }
+}
+
 // ---------------------------------------------------------------------
 // Panic-in-task coverage across every suspension path (timer, channel,
 // external op): counters stay balanced and the trace audits clean.

@@ -507,7 +507,8 @@ fn a_panic_in_left_surfaces_at_the_parent() {
 }
 
 // (l) The fault layer's injected task panic still fires in a right half
-// that runs in place: it is wrapped as a task's future would be.
+// that runs in place: the fork rolls it at that half's first poll, as a
+// task's first poll does.
 #[test]
 fn injected_task_panic_fires_in_an_inline_right_half() {
     use lhws_core::{FaultPlan, FaultSite};
